@@ -6,6 +6,13 @@ serialization.  Matrices are nested arrays (row-major), complex numbers are
 are {"X":..., "Y":...}.  Exit codes: 0 ok, 1 internal error, 2 bad input,
 3 undecided verdict.  Output bytes are a pure function of the input: fixed
 key order and 17-significant-digit floats.
+
+A JSON array of requests is a batch: the output is an array with one entry
+per item, in order.  An item that fails gets its own entry
+{"status":"error","error":"<msg>"} ("internal: <msg>" for an internal error)
+and the other items still run.  The batch exits with its most severe code,
+ranked 1 > 2 > 3 > 0.  Input that is not valid JSON gives a single error
+object and exit code 2.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -213,12 +219,16 @@ class JobRequest:
         self.options = options
 
 
-def parse_request(text: str, cmd_override: str | None = None,
-                  options: dict | None = None) -> JobRequest | list[JobRequest]:
+def _decode_json(text: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
+
+
+def parse_request(text: str, cmd_override: str | None = None,
+                  options: dict | None = None) -> JobRequest | list[JobRequest]:
+    data = _decode_json(text)
     options = dict(options or {})
     if isinstance(data, list):
         return [_single_request(item, cmd_override, options) for item in data]
@@ -235,7 +245,7 @@ def _single_request(data, cmd_override, options) -> JobRequest:
     if not isinstance(cmd, str) or cmd not in COMMANDS:
         raise InputError(f"unknown or missing command {cmd!r}")
     opts = dict(options)
-    for key in ("tol", "bound", "eps", "u", "h", "g", "seed"):
+    for key in ("tol", "bound", "eps", "g"):
         if key in payload:
             opts.setdefault(key, payload.pop(key))
     return JobRequest(cmd=cmd, payload=payload, options=opts)
@@ -496,8 +506,7 @@ def _cmd_ext_add(req: JobRequest) -> dict:
 def _cmd_ext_equiv(req: JobRequest) -> dict:
     e = _ext_from_payload(req, "sigma1")
     f = _ext_from_payload(req, "sigma2")
-    verdict, witness = extensions.ext_equivalent(e, f, bound=_opt_int(req, "bound", 10),
-                                                 tol=_opt_float(req, "tol", 1e-9))
+    verdict, witness = extensions.ext_equivalent(e, f)
     out = {"status": "ok", "verdict": verdict.value}
     if witness is not None:
         out["M"] = encode_matrix(witness)
@@ -598,8 +607,30 @@ def dispatch(req: JobRequest) -> tuple[dict, int]:
         return exc.payload, 3
     except InputError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise InputError(str(exc)) from exc
+
+
+# severity of exit codes, least to most severe
+_SEVERITY = (0, 3, 2, 1)
+
+
+def _failure(exc: Exception) -> tuple[str, int]:
+    """Error entry and exit code for a failed request; the message goes to stderr."""
+    if isinstance(exc, InputError):
+        print(f"input error: {exc}", file=sys.stderr)
+        return canonical_json({"status": "error", "error": str(exc)}), 2
+    print(f"internal error: {exc}", file=sys.stderr)
+    return canonical_json({"status": "error", "error": f"internal: {exc}"}), 1
+
+
+def _run(item, cmd_override: str | None, options: dict) -> tuple[str, int]:
+    """Canonical output text and exit code of one decoded request."""
+    try:
+        result, code = dispatch(_single_request(item, cmd_override, options))
+        return canonical_json(result), code
+    except Exception as exc:  # the request fails alone; its batch goes on
+        return _failure(exc)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -614,13 +645,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--bound", type=int, default=None)
     parser.add_argument("--eps", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     options = {k: v for k, v in
-               (("tol", args.tol), ("bound", args.bound), ("eps", args.eps),
-                ("seed", args.seed)) if v is not None}
+               (("tol", args.tol), ("bound", args.bound), ("eps", args.eps)) if v is not None}
 
     def write(text: str) -> None:
         if args.output == "-":
@@ -640,33 +668,19 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        parsed = parse_request(text, cmd_override=args.command, options=options)
+        data = _decode_json(text)
     except InputError as exc:
-        write(canonical_json({"status": "error", "error": str(exc)}))
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        if isinstance(parsed, list):
-            if args.jobs > 1:
-                with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                    results = list(pool.map(dispatch, parsed))
-            else:
-                results = [dispatch(r) for r in parsed]
-            code = max((c for _, c in results), default=0)
-            write(canonical_json([r for r, _ in results]))
-            return code
-        result, code = dispatch(parsed)
-        write(canonical_json(result))
+        out, code = _failure(exc)
+        write(out)
         return code
-    except InputError as exc:
-        write(canonical_json({"status": "error", "error": str(exc)}))
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # internal failure
-        write(canonical_json({"status": "error", "error": f"internal: {exc}"}))
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
+
+    if isinstance(data, list):
+        runs = [_run(item, args.command, options) for item in data]
+        write("[" + ",".join(out for out, _ in runs) + "]")
+        return max((code for _, code in runs), key=_SEVERITY.index, default=0)
+    out, code = _run(data, args.command, options)
+    write(out)
+    return code
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ non-existence only means exhaustion of the word bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,15 +20,11 @@ from .exactlinalg import (
     symplectic_inverse,
     unimodular_inverse,
 )
-from .siegel import sp_act, tau_group, tau_point
+from .siegel import sp_act, tau_group
 
 __all__ = [
-    "CocycleDatum",
-    "in_congruence_subgroup",
-    "in_theta_level_subgroup",
     "is_cocycle",
     "coboundary_witness",
-    "twisted_involution_point",
     "fixed_locus_member",
     "symplectic_generators",
 ]
@@ -44,65 +40,10 @@ def is_cocycle(gamma) -> bool:
     if not is_symplectic(M):
         raise ValueError("matrix is not symplectic")
     P = M @ tau_group(M)
-    n = P.shape[0]
+    I = np.eye(P.shape[0], dtype=int)
     if _is_exact(M):
-        return all(int(P[i, j]) == int(i == j) for i in range(n) for j in range(n))
-    return float(np.max(np.abs(P - np.eye(n)))) <= 1e-12
-
-
-def in_congruence_subgroup(M, N: int) -> bool:
-    """Membership in the principal congruence subgroup of level N."""
-    M = int_matrix(M)
-    if not is_symplectic(M):
-        return False
-    n = M.shape[0]
-    return all((int(M[i, j]) - int(i == j)) % N == 0 for i in range(n) for j in range(n))
-
-
-def in_theta_level_subgroup(M, m: int) -> bool:
-    """Membership test: diagonal blocks = I mod 2, off-diagonal = 0 mod 2m."""
-    M = int_matrix(M)
-    if not is_symplectic(M):
-        return False
-    g = M.shape[0] // 2
-    A, B = M[:g, :g], M[:g, g:]
-    C, D = M[g:, :g], M[g:, g:]
-    eye_ok = all((int(A[i, j]) - int(i == j)) % 2 == 0 for i in range(g) for j in range(g))
-    eye_ok = eye_ok and all((int(D[i, j]) - int(i == j)) % 2 == 0
-                            for i in range(g) for j in range(g))
-    off_ok = all(int(B[i, j]) % (2 * m) == 0 for i in range(g) for j in range(g))
-    off_ok = off_ok and all(int(C[i, j]) % (2 * m) == 0 for i in range(g) for j in range(g))
-    return eye_ok and off_ok
-
-
-@dataclass(frozen=True)
-class CocycleDatum:
-    """A cocycle gamma together with the congruence filter it lives in.
-
-    group tag: "full" (integral), ("congruence", N), or ("theta", m).
-    """
-
-    gamma: np.ndarray
-    group: object = "full"
-
-    def __post_init__(self):
-        gamma = int_matrix(self.gamma)
-        if not is_symplectic(gamma):
-            raise ValueError("datum must be integral symplectic")
-        if not is_cocycle(gamma):
-            raise ValueError("gamma tau(gamma) must be the identity")
-        tag = self.group
-        if tag == "full":
-            pass
-        elif isinstance(tag, tuple) and len(tag) == 2 and tag[0] == "congruence":
-            if not in_congruence_subgroup(gamma, int(tag[1])):
-                raise ValueError(f"gamma is not in the level-{tag[1]} congruence subgroup")
-        elif isinstance(tag, tuple) and len(tag) == 2 and tag[0] == "theta":
-            if not in_theta_level_subgroup(gamma, int(tag[1])):
-                raise ValueError("gamma is not in the declared theta-level subgroup")
-        else:
-            raise ValueError(f"unknown group tag {tag!r}")
-        object.__setattr__(self, "gamma", gamma)
+        return bool(np.all(P == I))
+    return float(np.max(np.abs(P - I))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -116,18 +57,12 @@ def symplectic_generators(g: int) -> list[np.ndarray]:
 
     def embed_translation(B):
         M = np.eye(n, dtype=object)
-        for i in range(n):
-            for j in range(n):
-                M[i, j] = int(M[i, j])
-        for i in range(g):
-            for j in range(g):
-                M[i, g + j] = int(B[i, j])
+        M[:g, g:] = int_matrix(B)
         return M
 
     def embed_gl(A):
         A = int_matrix(A)
         M = np.zeros((n, n), dtype=object)
-        M[:, :] = 0
         M[:g, :g] = A
         M[g:, g:] = unimodular_inverse(A).T
         return M
@@ -154,24 +89,17 @@ def symplectic_generators(g: int) -> list[np.ndarray]:
     return gens
 
 
-_witness_cache: dict[tuple[int, int], dict[bytes, np.ndarray]] = {}
-
-
 def _matrix_key(M: np.ndarray) -> bytes:
     return repr([[int(v) for v in row] for row in M]).encode()
 
 
+# A table costs seconds and tens of MB from word bound 5 on, so only the
+# few most recently used ones are kept.
+@lru_cache(maxsize=4)
 def _witness_table(g: int, bound: int) -> dict[bytes, np.ndarray]:
     """Map tau(h) h^-1 -> h over all generator words of length <= bound."""
-    key = (g, bound)
-    if key in _witness_cache:
-        return _witness_cache[key]
     gens = symplectic_generators(g)
-    n = 2 * g
-    eye = np.eye(n, dtype=object)
-    for i in range(n):
-        for j in range(n):
-            eye[i, j] = int(eye[i, j])
+    eye = np.eye(2 * g, dtype=object)
     table: dict[bytes, np.ndarray] = {}
     frontier = [eye]
     seen = {_matrix_key(eye)}
@@ -197,7 +125,6 @@ def _witness_table(g: int, bound: int) -> dict[bytes, np.ndarray]:
                 record(cand)
                 new_frontier.append(cand)
         frontier = new_frontier
-    _witness_cache[key] = table
     return table
 
 
@@ -219,11 +146,6 @@ def coboundary_witness(gamma, bound: int = 4) -> np.ndarray | None:
     if _matrix_key(check) != _matrix_key(gamma):
         raise AssertionError("witness verification failed")
     return h
-
-
-def twisted_involution_point(gamma, omega) -> np.ndarray:
-    """Point map of the twisted involution: Omega -> tau(gamma . Omega)."""
-    return tau_point(sp_act(gamma, omega))
 
 
 def fixed_locus_member(gamma, omega, tol: float = 1e-10) -> bool:

@@ -20,7 +20,6 @@ from .spdcone import jacobi_decomposition, require_spd
 
 __all__ = [
     "FamilySample",
-    "DivergenceThresholds",
     "DivergenceReport",
     "detect_divergence",
     "limit_matrix",
@@ -47,14 +46,11 @@ class FamilySample:
         object.__setattr__(self, "params", params)
 
 
-@dataclass(frozen=True)
-class DivergenceThresholds:
-    """Tunable finite-sample stand-ins for the analytic limit conditions."""
-
-    growth_factor: float = 4.0
-    magnitude_ratio: float = 1e6
-    cauchy_rtol: float = 1e-2
-    w_rtol: float = 1e-2
+# finite-sample stand-ins for the analytic limit conditions
+_GROWTH_FACTOR = 4.0
+_MAGNITUDE_RATIO = 1e6
+_CAUCHY_RTOL = 1e-2
+_W_RTOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -80,9 +76,7 @@ def _family_jacobi(sample: FamilySample, complex_family: bool):
     return ws, ds
 
 
-def detect_divergence(sample: FamilySample,
-                      thresholds: DivergenceThresholds = DivergenceThresholds(),
-                      complex_family: bool = False) -> DivergenceReport:
+def detect_divergence(sample: FamilySample, complex_family: bool = False) -> DivergenceReport:
     """Per-index limit verdicts for the Jacobi diagonal of a sampled family.
 
     An index is convergent when its last steps are Cauchy, divergent when it
@@ -97,9 +91,8 @@ def detect_divergence(sample: FamilySample,
     d2, d1, d0 = ds[-3], ds[-2], ds[-1]
     verdicts = []
     for i in range(g):
-        grew = (d0[i] >= thresholds.growth_factor * d1[i]
-                and d1[i] >= thresholds.growth_factor * d2[i])
-        cauchy = abs(d0[i] - d1[i]) <= thresholds.cauchy_rtol * max(1.0, abs(d0[i]))
+        grew = d0[i] >= _GROWTH_FACTOR * d1[i] and d1[i] >= _GROWTH_FACTOR * d2[i]
+        cauchy = abs(d0[i] - d1[i]) <= _CAUCHY_RTOL * max(1.0, abs(d0[i]))
         if grew:
             verdicts.append("divergent")
         elif cauchy:
@@ -114,14 +107,14 @@ def detect_divergence(sample: FamilySample,
     if div and conv:
         median_conv = float(np.median([d0[i] for i in conv]))
         for i in div:
-            if d0[i] < thresholds.magnitude_ratio * max(median_conv, 1e-300):
+            if d0[i] < _MAGNITUDE_RATIO * max(median_conv, 1e-300):
                 return DivergenceReport(status="undecided", t=None, verdicts=verdicts,
                                         detail="divergent entries not separated enough")
     if div and div != list(range(g - len(div), g)):
         return DivergenceReport(status="undecided", t=None, verdicts=verdicts,
                                 detail="divergent indices are not trailing")
     w_drift = float(np.max(np.abs(ws[-1] - ws[-2])))
-    if w_drift > thresholds.w_rtol * max(1.0, float(np.max(np.abs(ws[-1])))):
+    if w_drift > _W_RTOL * max(1.0, float(np.max(np.abs(ws[-1])))):
         return DivergenceReport(status="undecided", t=None, verdicts=verdicts,
                                 detail="unit-triangular factor is not settling")
     t = len(div)
@@ -210,12 +203,7 @@ def _kernel_basis(M: np.ndarray) -> np.ndarray:
     U, D, V = smith_normal_form(M)
     n, m = M.shape
     zero_cols = [j for j in range(m) if j >= min(n, m) or int(D[j, j]) == 0]
-    basis = np.zeros((m, len(zero_cols)), dtype=object)
-    basis[:, :] = 0
-    for out_col, j in enumerate(zero_cols):
-        for i in range(m):
-            basis[i, out_col] = int(V[i, j])
-    return basis
+    return V[:, zero_cols]
 
 
 def involution_splitting_type(S) -> tuple[int, int, int]:
@@ -229,10 +217,9 @@ def involution_splitting_type(S) -> tuple[int, int, int]:
     n = S.shape[0]
     if S.shape[1] != n:
         raise ValueError("involution matrix must be square")
-    S2 = S @ S
-    if not all(int(S2[i, j]) == int(i == j) for i in range(n) for j in range(n)):
+    I = np.eye(n, dtype=object)
+    if not np.all(S @ S == I):
         raise ValueError("matrix must square to the identity")
-    I = int_matrix(np.eye(n, dtype=int))
     plus = _kernel_basis(S - I)
     minus = _kernel_basis(S + I)
     r_plus = plus.shape[1]

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "int_matrix",
     "rat_matrix",
-    "is_integer_matrix",
     "det_int",
     "is_unimodular",
     "unimodular_inverse",
@@ -64,12 +63,6 @@ def rat_matrix(data) -> np.ndarray:
     for idx, val in np.ndenumerate(arr):
         out[idx] = Fraction(val)
     return out
-
-
-def is_integer_matrix(M: np.ndarray) -> bool:
-    if M.dtype == object:
-        return all(isinstance(v, int) for v in M.flat)
-    return np.issubdtype(M.dtype, np.integer)
 
 
 def _as_exact(M) -> np.ndarray:
@@ -151,10 +144,8 @@ def unimodular_inverse(A) -> np.ndarray:
 def symplectic_form(g: int) -> np.ndarray:
     """The standard alternating form (0, I_g; -I_g, 0) as an exact matrix."""
     J = np.zeros((2 * g, 2 * g), dtype=object)
-    J[:, :] = 0
-    for i in range(g):
-        J[i, g + i] = 1
-        J[g + i, i] = -1
+    J[:g, g:] = np.eye(g, dtype=object)
+    J[g:, :g] = -np.eye(g, dtype=object)
     return J
 
 
@@ -323,7 +314,6 @@ def smith_normal_form(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         t += 1
 
     D = np.zeros((n, m), dtype=object)
-    D[:, :] = 0
     for i in range(min(n, m)):
         D[i, i] = A[i][i]
     Uo = np.array(U, dtype=object)
@@ -389,9 +379,6 @@ def random_unimodular(g: int, rng: np.random.Generator, max_entry: int = 3,
     rejecting any step that would exceed the entry bound.
     """
     A = np.eye(g, dtype=object)
-    for i in range(g):
-        for j in range(g):
-            A[i, j] = int(A[i, j])
     done = 0
     attempts = 0
     while done < steps and attempts < 60 * steps:

@@ -2,18 +2,17 @@
 
 An extension of tori with period matrices Pi1, Pi2 is recorded by the upper
 off-diagonal block sigma of the big period matrix ((I,Pi1), sigma; 0, (I,Pi2)).
-Addition is sigma-wise; pullback and pushforward multiply sigma by the
-rational, respectively analytic, representation of a homomorphism.  Two data
-are equivalent iff their normal forms differ by an element of the period
-lattice (I,Pi1) Z (Pi2; I); over rational inputs that membership is decided
-exactly, over floats by bounded search.
+Addition is sigma-wise.  Two data are equivalent iff their normal forms
+differ by an element of the period lattice (I,Pi1) Z (Pi2; I); that
+membership is decided exactly, so equivalence takes integer or rational
+inputs only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -24,13 +23,7 @@ __all__ = [
     "ExtensionDatum",
     "ext_normal_form",
     "ext_add",
-    "ext_neg",
-    "ext_scale",
-    "ext_pullback",
-    "ext_pushforward",
     "ext_equivalent",
-    "hom_compatibility_check",
-    "extended_period_matrix",
 ]
 
 
@@ -96,19 +89,6 @@ def _to_complex(a: np.ndarray) -> np.ndarray:
     return np.array([[complex(v) for v in row] for row in a], dtype=complex)
 
 
-def extended_period_matrix(e: ExtensionDatum) -> np.ndarray:
-    """Full (g1+g2) x (2g1+2g2) period matrix of the extension."""
-    g1, g2 = e.g1, e.g2
-    top = np.zeros((g1, 2 * g1 + 2 * g2), dtype=complex)
-    bot = np.zeros((g2, 2 * g1 + 2 * g2), dtype=complex)
-    top[:, :g1] = np.eye(g1)
-    top[:, g1:2 * g1] = _to_complex(e.Pi1)
-    top[:, 2 * g1:] = _to_complex(e.sigma)
-    bot[:, 2 * g1:2 * g1 + g2] = np.eye(g2)
-    bot[:, 2 * g1 + g2:] = _to_complex(e.Pi2)
-    return np.concatenate([top, bot], axis=0)
-
-
 def ext_normal_form(e: ExtensionDatum) -> np.ndarray:
     """Representative block sigma_2 - sigma_1 Pi2 of the class of e."""
     g2 = e.g2
@@ -123,126 +103,35 @@ def ext_add(e: ExtensionDatum, f: ExtensionDatum) -> ExtensionDatum:
     return ExtensionDatum(Pi1=e.Pi1, Pi2=e.Pi2, sigma=e.sigma + f.sigma)
 
 
-def ext_neg(e: ExtensionDatum) -> ExtensionDatum:
-    return ExtensionDatum(Pi1=e.Pi1, Pi2=e.Pi2, sigma=-e.sigma)
-
-
-def ext_scale(e: ExtensionDatum, n: int) -> ExtensionDatum:
-    return ExtensionDatum(Pi1=e.Pi1, Pi2=e.Pi2, sigma=n * e.sigma)
-
-
-def ext_pullback(e: ExtensionDatum, R, Pi2_new=None) -> ExtensionDatum:
-    """Pullback along a homomorphism with rational representation R.
-
-    For a non-square R the period matrix of the new base torus must be
-    supplied via ``Pi2_new``.
-    """
-    R = int_matrix(R)
-    if R.shape[0] != 2 * e.g2:
-        raise ValueError("rational representation has incompatible shape")
-    if R.shape[1] % 2 != 0:
-        raise ValueError("rational representation must have even column count")
-    Pi2 = e.Pi2 if Pi2_new is None else _as_matrix(Pi2_new)
-    if R.shape[1] != 2 * Pi2.shape[0]:
-        raise ValueError("target period matrix does not match the representation")
-    Rm = R if e.sigma.dtype == object else R.astype(complex)
-    return ExtensionDatum(Pi1=e.Pi1, Pi2=Pi2, sigma=e.sigma @ Rm)
-
-
-def ext_pushforward(e: ExtensionDatum, A, Pi1_new=None) -> ExtensionDatum:
-    """Pushforward along a homomorphism with analytic representation A."""
-    A = _as_matrix(A)
-    if A.shape[1] != e.g1:
-        raise ValueError("analytic representation has incompatible shape")
-    Pi1 = e.Pi1 if Pi1_new is None else _as_matrix(Pi1_new)
-    if A.shape[0] != Pi1.shape[0]:
-        raise ValueError("target period matrix does not match the representation")
-    return ExtensionDatum(Pi1=Pi1, Pi2=e.Pi2, sigma=A @ e.sigma)
-
-
 def _lattice_generators(e: ExtensionDatum) -> list[np.ndarray]:
-    """Generators (I,Pi1) E_pq (Pi2; I) of the period lattice in normal form."""
-    g1, g2 = e.g1, e.g2
-    left = np.concatenate([np.eye(g1, dtype=object), e.Pi1], axis=1)
-    right = np.concatenate([e.Pi2, np.eye(g2, dtype=object)], axis=0)
-    gens = []
-    for p in range(2 * g1):
-        for q in range(2 * g2):
-            E = np.zeros((2 * g1, 2 * g2), dtype=object)
-            E[:, :] = 0
-            E[p, q] = 1
-            gens.append(left @ E @ right)
-    return gens
+    """Generators (I,Pi1) E_pq (Pi2; I) of the period lattice in normal form,
+    with p running over the 2 g1 columns of (I,Pi1) and q, inner, over the
+    2 g2 rows of (Pi2; I)."""
+    left = np.concatenate([np.eye(e.g1, dtype=object), e.Pi1], axis=1)
+    right = np.concatenate([e.Pi2, np.eye(e.g2, dtype=object)], axis=0)
+    return [np.outer(left[:, p], right[q]) for p in range(2 * e.g1) for q in range(2 * e.g2)]
 
 
-def ext_equivalent(e: ExtensionDatum, f: ExtensionDatum, bound: int = 10,
-                   tol: float = 1e-9):
+def ext_equivalent(e: ExtensionDatum, f: ExtensionDatum):
     """Equivalence of two extension data over the same tori.
 
-    Exact (integer/Fraction) inputs: the difference of normal forms is tested
-    for exact membership in the period lattice, which is decisive.  Float
-    inputs: bounded search over integer coefficient matrices; a hit gives
-    EQUIVALENT with the witness, exhaustion gives UNDECIDED.
+    The inputs must be exact (integer/Fraction entries).  The difference of
+    normal forms is tested for exact membership in the period lattice, which
+    is decisive: EQUIVALENT comes with the integer coefficient matrix M
+    (2 g1 x 2 g2) of the generators, INEQUIVALENT with None.  Float inputs
+    raise ValueError, since for real periods the generators need not span a
+    lattice and no finite search certifies membership.
     """
-    if not e.same_tori(f, tol=tol):
+    if not (e.is_exact() and f.is_exact()):
+        raise ValueError("extension equivalence needs exact (integer or rational) inputs")
+    if not e.same_tori(f):
         raise ValueError("extensions live over different tori")
-    if e.is_exact() and f.is_exact():
-        diff = ext_normal_form(e) - ext_normal_form(f)
-        gens = _lattice_generators(e)
-        # membership: solve integer system  G m = c  with denominators cleared
-        entries = [Fraction(v) for v in diff.flat]
-        gen_cols = [[Fraction(v) for v in gmat.flat] for gmat in gens]
-        denoms = [x.denominator for x in entries]
-        for col in gen_cols:
-            denoms.extend(x.denominator for x in col)
-        lcm = 1
-        for d in denoms:
-            lcm = lcm * d // gcd(lcm, d)
-        G = np.zeros((len(entries), len(gens)), dtype=object)
-        for j, col in enumerate(gen_cols):
-            for i, x in enumerate(col):
-                G[i, j] = int(x * lcm)
-        c = np.array([int(x * lcm) for x in entries], dtype=object)
-        m = integer_solve(G, c)
-        if m is None:
-            return Verdict.INEQUIVALENT, None
-        M = np.array(m, dtype=object).reshape(2 * e.g1, 2 * e.g2)
-        return Verdict.EQUIVALENT, M
-    # numeric path
-    a = _to_complex(ext_normal_form(e))
-    b = _to_complex(ext_normal_form(f))
-    diff = a - b
-    gens = [_to_complex(gmat) for gmat in _lattice_generators(e)]
-    k = len(gens)
-    scale = max(1.0, float(np.max(np.abs(diff))))
-    idx = np.zeros(k, dtype=int)
-
-    def rec(pos: int, acc: np.ndarray):
-        if pos == k:
-            return float(np.max(np.abs(acc))) <= tol * scale
-        for c in range(-bound, bound + 1):
-            idx[pos] = c
-            if rec(pos + 1, acc - c * gens[pos]):
-                return True
-        idx[pos] = 0
-        return False
-
-    if k > 4:
-        raise ValueError("numeric search supported for g1 = g2 = 1 only; use exact inputs")
-    if rec(0, diff.copy()):
-        M = np.array(idx, dtype=object).reshape(2 * e.g1, 2 * e.g2)
-        return Verdict.EQUIVALENT, int_matrix(M)
-    return Verdict.UNDECIDED, None
-
-
-def hom_compatibility_check(A, R, Pt1, Pt2) -> float:
-    """Residual max|A Pt1 - Pt2 R| of the homomorphism compatibility square."""
-    A = np.asarray(A, dtype=complex)
-    R = np.asarray(R).astype(complex)
-    Pt1 = np.asarray(Pt1, dtype=complex)
-    Pt2 = np.asarray(Pt2, dtype=complex)
-    lhs = A @ Pt1
-    rhs = Pt2 @ R
-    if lhs.shape != rhs.shape:
-        raise ValueError("shape mismatch in compatibility check")
-    return float(np.max(np.abs(lhs - rhs)))
+    diff = ext_normal_form(e) - ext_normal_form(f)
+    # membership: solve the integer system  G m = c  with denominators cleared
+    columns = [[Fraction(v) for v in M.flat] for M in [diff, *_lattice_generators(e)]]
+    scale = lcm(*(x.denominator for col in columns for x in col))
+    c, *gens = [[int(x * scale) for x in col] for col in columns]
+    m = integer_solve(int_matrix(gens).T, c)
+    if m is None:
+        return Verdict.INEQUIVALENT, None
+    return Verdict.EQUIVALENT, m.reshape(2 * e.g1, 2 * e.g2)

@@ -24,6 +24,7 @@ from .exactlinalg import (
 from .siegel import in_script_H, require_siegel
 from .spdcone import (
     MAX_REDUCTION_DIM,
+    _quad_value,
     minkowski_reduce,
     quadratic_short_vectors,
     require_spd,
@@ -215,8 +216,7 @@ def stabilizer_mod2_member(A, M) -> bool:
     if not is_unimodular(A):
         raise ValueError("stabilizer elements must be unimodular")
     M = int_matrix(M)
-    lhs = A @ M @ A.T
-    return all((int(x) - int(y)) % 2 == 0 for x, y in zip(lhs.flat, M.flat))
+    return bool(np.all((A @ M @ A.T - M) % 2 == 0))
 
 
 @dataclass(frozen=True)
@@ -267,9 +267,7 @@ def sigma_M_matrix(M) -> np.ndarray:
     J = symplectic_form(g)
     if any(v != 0 for v in (S.T @ J @ S - J).flat):
         raise AssertionError("involution matrix is not symplectic")
-    n = 2 * g
-    prod = S @ (-S)
-    if not all(int(prod[i, j]) == int(i == j) for i in range(n) for j in range(n)):
+    if not np.all(S @ (-S) == np.eye(2 * g, dtype=int)):
         raise AssertionError("inverse of the involution matrix is not its negative")
     return S
 
@@ -301,10 +299,8 @@ def real_structure_matrix(omega, tol: float = 1e-9) -> np.ndarray:
     g = om.shape[0]
     twoX = int_matrix(np.round(2.0 * om.real).astype(int))
     Ms = np.zeros((2 * g, 2 * g), dtype=object)
-    Ms[:, :] = 0
-    for i in range(g):
-        Ms[i, i] = -1
-        Ms[g + i, g + i] = 1
+    Ms[:g, :g] = -np.eye(g, dtype=object)
+    Ms[g:, g:] = np.eye(g, dtype=object)
     Ms[g:, :g] = twoX
     J = symplectic_form(g)
     if any(v != 0 for v in (Ms.T @ J @ Ms + J).flat):
@@ -353,7 +349,7 @@ def congruence_witnesses(Y1, Y2, tol: float = 1e-9, max_witnesses: int = 64,
             cands = quadratic_short_vectors(Y1, float(Y2[i, i]) + tau, cap=cap)
         except RuntimeError:
             return [], False
-        good = [x for x in cands if abs(_quad(Y1, x) - Y2[i, i]) <= tau]
+        good = [x for x in cands if abs(_quad_value(Y1, x) - Y2[i, i]) <= tau]
         if len(good) > cap:
             return [], False
         rows.append(good)
@@ -397,11 +393,6 @@ def congruence_witnesses(Y1, Y2, tol: float = 1e-9, max_witnesses: int = 64,
         if aborted:
             complete = False
     return found, complete
-
-
-def _quad(Y: np.ndarray, x: tuple[int, ...]) -> float:
-    v = np.array(x, dtype=float)
-    return float(v @ Y @ v)
 
 
 def polarized_tori_equivalent(Y1, Y2, tol: float = 1e-9,
@@ -493,8 +484,7 @@ def real_ppav_equivalent(omega1, omega2, bound: int = 200_000,
         Af = A.astype(float)
         if float(np.max(np.abs(Af @ Y1 @ Af.T - Y2))) > max(tol, 1e-8) * scale:
             continue
-        lhs = (A @ int_matrix(M1) @ A.T)
-        if all((int(x) - int(y)) % 2 == 0 for x, y in zip(lhs.flat, int_matrix(M2).flat)):
+        if np.all((A @ int_matrix(M1) @ A.T - int_matrix(M2)) % 2 == 0):
             return EquivalenceResult(Verdict.EQUIVALENT, witness=A,
                                      candidates_searched=checked)
     if complete:

@@ -14,12 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlinalg import is_symplectic, is_unimodular, random_unimodular, unimodular_inverse
+from .exactlinalg import (
+    int_matrix,
+    is_symplectic,
+    is_unimodular,
+    random_unimodular,
+    symplectic_form,
+    unimodular_inverse,
+)
 from .spdcone import require_spd
 
 __all__ = [
     "require_siegel",
-    "is_siegel",
     "sp_act",
     "tau_point",
     "tau_group",
@@ -53,14 +59,6 @@ def require_siegel(omega) -> np.ndarray:
     om = 0.5 * (om + om.T)
     require_spd(om.imag)
     return om
-
-
-def is_siegel(omega) -> bool:
-    try:
-        require_siegel(omega)
-        return True
-    except ValueError:
-        return False
 
 
 def _blocks(M: np.ndarray):
@@ -181,8 +179,6 @@ def gamma_star_member(gamma) -> bool:
         if not np.all(np.abs(M - np.round(M)) == 0):
             return False
         M = np.round(M).astype(int)
-    from .exactlinalg import int_matrix
-
     Me = int_matrix(M)
     g = n // 2
     A, B = Me[:g, :g], Me[:g, g:]
@@ -193,9 +189,7 @@ def gamma_star_member(gamma) -> bool:
         return False
     if not np.array_equal(D, unimodular_inverse(A).T):
         return False
-    S1 = A @ B.T
-    S2 = B @ A.T
-    return all(int(x) == int(y) for x, y in zip(S1.flat, S2.flat))
+    return np.array_equal(A @ B.T, B @ A.T)
 
 
 def gamma_star_act(gamma, omega) -> np.ndarray:
@@ -331,13 +325,8 @@ def random_symplectic(g: int, rng: np.random.Generator, length: int = 6,
                       max_entry: int = 2) -> np.ndarray:
     """Exact integer symplectic matrix: a bounded word in the generators
     (I, B; 0, I), diag(A, tA^-1), and the standard form J."""
-    from .exactlinalg import int_matrix, symplectic_form
-
     n = 2 * g
     M = np.eye(n, dtype=object)
-    for i in range(n):
-        for j in range(n):
-            M[i, j] = int(M[i, j])
     J = symplectic_form(g)
     for _ in range(length):
         kind = int(rng.integers(0, 3))
@@ -345,17 +334,11 @@ def random_symplectic(g: int, rng: np.random.Generator, length: int = 6,
             B = rng.integers(-max_entry, max_entry + 1, size=(g, g))
             B = B + B.T
             gen = np.eye(n, dtype=object)
-            for i in range(n):
-                for j in range(n):
-                    gen[i, j] = int(gen[i, j])
-            for i in range(g):
-                for j in range(g):
-                    gen[i, g + j] = int(B[i, j])
+            gen[:g, g:] = int_matrix(B)
         elif kind == 1:
             A = random_unimodular(g, rng, max_entry=max_entry)
             Ainv_t = unimodular_inverse(A).T
             gen = np.zeros((n, n), dtype=object)
-            gen[:, :] = 0
             gen[:g, :g] = A
             gen[g:, g:] = Ainv_t
         else:

@@ -13,11 +13,10 @@ from math import gcd
 
 import numpy as np
 
-from .exactlinalg import complete_to_unimodular, det_int, int_matrix, is_unimodular
+from .exactlinalg import complete_to_unimodular, int_matrix, is_unimodular
 
 __all__ = [
     "require_spd",
-    "is_spd",
     "random_spd",
     "gl_act",
     "JacobiFactors",
@@ -53,14 +52,6 @@ def require_spd(Y, tol: float = 1e-9) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ValueError("matrix is not positive definite") from exc
     return Y
-
-
-def is_spd(Y, tol: float = 1e-9) -> bool:
-    try:
-        require_spd(Y, tol)
-        return True
-    except ValueError:
-        return False
 
 
 def random_spd(g: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -265,10 +256,7 @@ def _size_reduce(Y: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(32):
         order = np.argsort(np.diag(R), kind="stable")
         if not np.array_equal(order, np.arange(g)):
-            P = np.zeros((g, g), dtype=object)
-            for new, old in enumerate(order):
-                P[new, old] = 1
-            A = P @ A
+            A = A[order]
             R = gl_act(A.astype(float), Y)
         changed = False
         for i in range(g):
@@ -315,17 +303,12 @@ def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
                 best_val = q
                 best_vec = x
             elif abs(q - best_val) <= tie * scale and best_vec is not None:
-                if _canon_key(x) < _canon_key(best_vec):
+                if _canon(x) < _canon(best_vec):
                     best_vec = x
         if best_vec is None or best_vec == e_k or _neg(best_vec) == e_k:
             continue
-        vec = _canon(best_vec)
-        prefix = np.empty((k + 1, g), dtype=object)
-        for i in range(k):
-            for j in range(g):
-                prefix[i, j] = int(i == j)
-        for j in range(g):
-            prefix[k, j] = int(vec[j])
+        prefix = np.eye(k + 1, g, dtype=object)
+        prefix[k] = _canon(best_vec)
         U = complete_to_unimodular(prefix)
         A = U @ A
         R = gl_act(A.astype(float), Y)
@@ -344,10 +327,6 @@ def _canon(x: tuple[int, ...]) -> tuple[int, ...]:
         if v != 0:
             return x if v > 0 else _neg(x)
     return x
-
-
-def _canon_key(x: tuple[int, ...]):
-    return _canon(x)
 
 
 # ---------------------------------------------------------------------------

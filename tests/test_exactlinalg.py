@@ -207,3 +207,39 @@ class TestSmithNormalForm:
         assert [int(v) for v in U[0]] == [2, 3, 5]
         with pytest.raises(ValueError):
             complete_to_unimodular(int_matrix([[2, 4, 6]]))
+
+
+class TestExactEntries:
+    """Exact matrices hold Python ints, never numpy scalars."""
+
+    @staticmethod
+    def all_int(M):
+        return M.dtype == object and all(type(v) is int for v in M.flat)
+
+    def test_symplectic_form(self):
+        for g in range(1, 5):
+            assert self.all_int(symplectic_form(g))
+
+    def test_random_symplectic(self):
+        from realtori.siegel import random_symplectic
+
+        rng = np.random.default_rng(11)
+        for g in (1, 2, 3):
+            for _ in range(5):
+                assert self.all_int(random_symplectic(g, rng, length=5, max_entry=2))
+
+    def test_minkowski_witness(self):
+        from realtori.spdcone import minkowski_reduce, random_spd
+
+        rng = np.random.default_rng(12)
+        for g in (1, 2, 3, 4):
+            _, A = minkowski_reduce(random_spd(g, rng))
+            assert self.all_int(A)
+
+    def test_real_structure_matrix(self):
+        from realtori.moduli import real_structure_matrix
+
+        om = np.array([[0.5, -1.0], [-1.0, 1.5]]) + 1j * np.array([[2.0, 0.3], [0.3, 1.0]])
+        Ms = real_structure_matrix(om)
+        assert self.all_int(Ms)
+        assert Ms.tolist() == [[-1, 0, 0, 0], [0, -1, 0, 0], [1, -2, 1, 0], [-2, 3, 0, 1]]
