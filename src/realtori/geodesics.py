@@ -3,9 +3,11 @@
 The group of pairs (A, a) acts by (Y, V) -> (A Y tA, (V + a) tA); the
 two-parameter invariant metric mixes the affine-invariant cone metric with a
 Y-weighted Euclidean term.  Geodesics through the origin are exponential in
-a rotated diagonal frame, and the geodesic distance has a closed form in the
-generalized eigenvalues of the endpoint pencil plus a one-dimensional
-integral handled by node-doubling Gauss-Legendre quadrature.
+a rotated diagonal frame.  ``distance`` returns an upper bound on the
+geodesic distance: the length of one explicit path (Y along its cone
+geodesic, V linear), a one-dimensional integral in the generalized
+eigenvalues of the endpoint pencil handled by node-doubling Gauss-Legendre
+quadrature.
 """
 
 from __future__ import annotations
@@ -212,12 +214,14 @@ def _gauss_legendre_adaptive(f, tol: float = 1e-11, max_doublings: int = 12) -> 
 
 def distance(p0: MinkowskiEuclidPoint, p1: MinkowskiEuclidPoint,
              A_c: float = 1.0, B_c: float = 1.0) -> float:
-    """Geodesic distance between (Y0, V0) and (Y1, V1).
+    """Upper bound on the geodesic distance between (Y0, V0) and (Y1, V1).
 
-    Closed form: A sqrt(sum log^2 t_j) plus B times the integral of
-    sqrt(sum Delta_j exp(-t log t_j)) over the unit interval, where t_j are
-    the generalized eigenvalues of (Y1, Y0) and Delta_j the squared column
-    norms of the whitened difference of the Euclidean parts.
+    The value is the length of one explicit path: Y along the cone geodesic
+    Y(s) = w^-1 diag(t^s) w^-T and V linear.  Its speed is
+    sqrt(A sum log^2 t_j + B sum Delta_j t_j^-s), where t_j are the
+    generalized eigenvalues of (Y1, Y0) and Delta_j the squared column norms
+    of the whitened difference of the Euclidean parts.  When V0 = V1 or
+    h = 0 the path is a geodesic and the value is exactly sqrt(A) d_SPD.
     """
     if p0.g != p1.g or p0.h != p1.h:
         raise ValueError("points live in different spaces")
@@ -227,20 +231,19 @@ def distance(p0: MinkowskiEuclidPoint, p1: MinkowskiEuclidPoint,
     if np.any(tvals <= 0):
         raise ArithmeticError("pencil eigenvalues must be positive")
     logs = np.log(tvals)
-    first = A_c * float(np.sqrt(np.sum(logs**2)))
+    cone = A_c * float(np.sum(logs**2))
     Vt = (p1.V - p0.V) @ w.T
     deltas = np.sum(Vt**2, axis=0)
     if float(np.max(deltas, initial=0.0)) == 0.0 or p0.h == 0:
-        return first
+        return float(np.sqrt(cone))
 
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(ts)
+    def speed(ts: np.ndarray) -> np.ndarray:
+        acc = np.full_like(ts, cone)
         for dj, lg in zip(deltas, logs):
-            acc = acc + dj * np.exp(-lg * ts)
+            acc = acc + B_c * dj * np.exp(-lg * ts)
         return np.sqrt(acc)
 
-    second = B_c * _gauss_legendre_adaptive(integrand)
-    return first + second
+    return _gauss_legendre_adaptive(speed)
 
 
 def in_fundamental_set(p: MinkowskiEuclidPoint, tol: float = 1e-10) -> bool:

@@ -1,10 +1,13 @@
 """Semi-characters, automorphic factors, and theta series on real tori.
 
 A theta datum is a lattice Pi Z^g, an SPD Gram form B, and a unit character
-given by its values on the lattice basis.  Series are truncated lattice sums
-with a certified Gaussian tail bound; the argument is first translated into
-the fundamental cell and the removed translate re-applied exactly through
-the transformation law, so conditioning does not depend on v.
+given by its values on the lattice basis.  The argument is first translated
+into the fundamental cell and the removed translate re-applied exactly
+through the transformation law, so conditioning does not depend on v.  A
+series is a sum over the lattice, so its value depends only on the
+GL(g, Z)-class of the Gram form: for 1 < g <= 4 the form is first
+Minkowski-reduced, and the sum then runs over a coordinate box in numpy
+chunks, with a certified Gaussian tail bound on everything outside the box.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactlinalg import int_matrix
-from .spdcone import require_spd
+from .spdcone import MAX_REDUCTION_DIM, minkowski_reduce, require_spd
 
 __all__ = [
     "ThetaSpec",
@@ -34,6 +37,8 @@ __all__ = [
 ]
 
 _RADIUS_CAP = 60
+# points per numpy pass of the box sum: bounds its working memory
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -97,22 +102,6 @@ def factor_i_b_rho(spec: ThetaSpec, lam_int, v) -> complex:
 # truncated lattice sums with certified tails
 
 
-def _shells(g: int, radius: int):
-    """Integer points ordered shell-by-shell, lexicographic within a shell."""
-    if g == 0:
-        yield ()
-        return
-    for s in range(radius + 1):
-        shell = []
-        rng = range(-s, s + 1)
-        for pt in np.ndindex(*([2 * s + 1] * g)):
-            n = tuple(rng[i] for i in pt)
-            if max(abs(c) for c in n) == s:
-                shell.append(n)
-        shell.sort()
-        yield from shell
-
-
 def _tail_bound(Q: np.ndarray, center: np.ndarray, radius: int) -> float:
     """Upper bound on the sum of exp(-pi (n-c)^T Q (n-c)) over ||n||_inf > radius."""
     g = Q.shape[0]
@@ -133,20 +122,71 @@ def _tail_bound(Q: np.ndarray, center: np.ndarray, radius: int) -> float:
     return total
 
 
+def _box_sum(Q: np.ndarray, b: np.ndarray, c: np.ndarray, radius: int) -> complex:
+    """Sum of exp(-pi (t(k) Q k + b.k) + i c.k) over the box [-radius, radius]^g.
+
+    The points k and -k are summed as a pair, so (b, c) and (-b, -c) give
+    bitwise equal values.  The pairs are walked in flat-index chunks of at
+    most ``_CHUNK`` points, and the chunk sums are added in index order; only
+    elementwise numpy operations touch the points, so the value does not
+    depend on how many threads a BLAS library uses.
+    """
+    g = Q.shape[0]
+    side = 2 * radius + 1
+    # the flat indices below the center; index side^g - 1 - j holds -k
+    half = side**g // 2
+    total = 1.0 + 0.0j
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, half, _CHUNK // 2):
+            flat = np.arange(start, min(start + _CHUNK // 2, half))
+            k = [x - radius for x in np.unravel_index(flat, (side,) * g)]
+            quad = np.zeros(flat.shape[0])
+            lin = np.zeros(flat.shape[0])
+            phase = np.zeros(flat.shape[0])
+            for i in range(g):
+                row = Q[i, i] * k[i]
+                for j in range(i + 1, g):
+                    row += 2.0 * Q[i, j] * k[j]
+                quad += row * k[i]
+                lin += b[i] * k[i]
+                phase += c[i] * k[i]
+            pairs = np.exp(-math.pi * (quad + lin) + 1j * phase) \
+                + np.exp(-math.pi * (quad - lin) - 1j * phase)
+            total += complex(np.sum(pairs))
+    if not cmath.isfinite(total):
+        raise OverflowError("theta sum overflows")
+    return total
+
+
 def _sum_with_tail(spec: ThetaSpec, v: np.ndarray, eps: float, cap: int,
                    oscillatory: bool) -> complex:
-    """Core truncated sum; ``oscillatory`` switches the linear term to 2 pi i B(v, lam)."""
+    """Core truncated sum; ``oscillatory`` switches the linear term to 2 pi i B(v, lam).
+
+    The sum runs over n = tA k, with A the Minkowski-reduction witness of the
+    Gram form Q (A = I at g = 1 and above ``MAX_REDUCTION_DIM``): the form
+    becomes A Q tA, the linear coefficients A w and the character angles
+    A angles, and the offset w Q^-1 w is unchanged.
+    """
     g = spec.g
     Q = spec.gram()
-    Pi, B = spec.Pi, spec.B
-    w = Pi.T @ B @ v
+    w = spec.Pi.T @ spec.B @ v
+    angles = spec.character_angles()
+    if 1 < g <= MAX_REDUCTION_DIM:
+        try:
+            Q, A = minkowski_reduce(Q)
+        except RuntimeError as exc:
+            # the short-vector cap: the form is far too skewed for any radius cap
+            raise ValueError(f"Gram form cannot be reduced: {exc}") from exc
+        A = A.astype(float)
+        w = A @ w
+        angles = A @ angles
     if oscillatory:
         # the linear term is a pure phase; magnitudes are centered at zero
         center = np.zeros(g)
         offset = 0.0
     else:
         center = -np.linalg.solve(Q, w)
-        offset = float(w @ np.linalg.solve(Q, w))
+        offset = -float(w @ center)
     radius = max(2, int(math.ceil(float(np.max(np.abs(center))))) + 2)
     while True:
         bound = math.exp(math.pi * offset) * _tail_bound(Q, center, radius)
@@ -155,20 +195,9 @@ def _sum_with_tail(spec: ThetaSpec, v: np.ndarray, eps: float, cap: int,
         radius += 2
         if radius > cap:
             raise ValueError(f"tolerance {eps} unreachable within radius cap {cap}")
-    total = 0.0 + 0.0j
-    angles = spec.character_angles()
-    for n_t in _shells(g, radius):
-        n = np.array(n_t, dtype=float)
-        quad = float(n @ Q @ n)
-        lin = float(w @ n)
-        if oscillatory:
-            z = cmath.exp(1j * float(np.dot(angles, n_t))
-                          - math.pi * quad + 2j * math.pi * lin)
-        else:
-            z = cmath.exp(-1j * float(np.dot(angles, n_t))
-                          - math.pi * quad - 2.0 * math.pi * lin)
-        total += z
-    return total
+    if oscillatory:
+        return _box_sum(Q, np.zeros(g), angles + 2.0 * math.pi * w, radius)
+    return _box_sum(Q, 2.0 * w, -angles, radius)
 
 
 def theta_eval(spec: ThetaSpec, v, eps: float = 1e-12, radius_cap: int = _RADIUS_CAP) -> complex:

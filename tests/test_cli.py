@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from realtori import cli
@@ -35,6 +40,12 @@ class TestSingleRequest:
                             '"sigma1":[[0.1,0.2]],"sigma2":[[0.1,1.2]]}')
         assert code == 2
         assert json.loads(out)["status"] == "error"
+
+    def test_non_utf8_input_is_bad_input(self, tmp_path, capsys):
+        src = tmp_path / "bad.json"
+        src.write_bytes(b"\xff\xfe{")
+        assert cli.main(["--input", str(src)]) == 2
+        assert "input error" in capsys.readouterr().err
 
     def test_undecodable_json(self, run_cli):
         code, out = run_cli("[" + INVARIANTS + ",")
@@ -81,3 +92,46 @@ class TestBatchIsolation:
         code, out = run_cli("[" + ",".join(items) + "]")
         assert code == expected
         assert len(json.loads(out)) == len(items)
+
+
+def _theta_requests() -> list[str]:
+    """Theta requests at g = 2..4, canonical and explicit, half on sheared lattices."""
+    rng = np.random.default_rng(30)
+    texts = []
+    for g in (2, 3, 4):
+        for k in range(4):
+            U = np.eye(g, dtype=int)
+            if k % 2:
+                U[0, 1] = 4
+                if g > 2:
+                    U[2, 1] = -2
+            Q0 = np.diag(rng.uniform(1.0, 2.0, size=g))
+            v = rng.uniform(-1.5, 1.5, size=g).tolist()
+            if k < 2:
+                req = {"cmd": "theta", "Y": (U.T @ Q0 @ U).tolist(), "v": v}
+            else:
+                phases = rng.uniform(0, 2 * np.pi, size=g)
+                req = {"cmd": "theta", "Pi": (np.eye(g) + 0.1 * rng.normal(size=(g, g))
+                                              ).tolist(),
+                       "B": (U.T @ Q0 @ U).tolist(), "v": v,
+                       "rho": [{"re": float(np.cos(a)), "im": float(np.sin(a))}
+                               for a in phases]}
+            texts.append(json.dumps(req))
+    return texts
+
+
+class TestByteDeterminism:
+    def test_cli_process_matches_in_process_bytes(self, tmp_path):
+        texts = _theta_requests()
+        expected = [cli.canonical_json(cli.dispatch(cli.parse_request(t))[0]) for t in texts]
+        assert all(json.loads(e)["status"] == "ok" for e in expected)
+        src = tmp_path / "batch.json"
+        src.write_text("[" + ",".join(texts) + "]", encoding="utf-8")
+        # the child loads BLAS single-threaded, whatever this process uses
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "realtori.cli", "--input", str(src)],
+                              capture_output=True, env=env, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("[" + ",".join(expected) + "]\n").encode("utf-8")

@@ -1,0 +1,85 @@
+import math
+
+import numpy as np
+import pytest
+
+from realtori.geodesics import MinkowskiEuclidPoint, distance, metric_value
+from realtori.spdcone import random_spd
+
+
+def d_spd(Y0, Y1):
+    """Affine-invariant cone distance sqrt(sum log^2) of the pencil eigenvalues."""
+    L = np.linalg.cholesky(Y0)
+    Li = np.linalg.inv(L)
+    t = np.linalg.eigvalsh(Li @ Y1 @ Li.T)
+    return math.sqrt(float(np.sum(np.log(t) ** 2)))
+
+
+def midpoint_path_length(p0, p1, A_c, B_c, steps=2000):
+    """Length of Y along its cone geodesic, V linear, by the midpoint rule on metric_value."""
+    L = np.linalg.cholesky(p0.Y)
+    Li = np.linalg.inv(L)
+    t, U = np.linalg.eigh(Li @ p1.Y @ Li.T)
+    F = L @ U  # Y(s) = F diag(t^s) tF
+    dV = p1.V - p0.V
+    total = 0.0
+    for s in (np.arange(steps) + 0.5) / steps:
+        Y = F @ np.diag(t**s) @ F.T
+        dY = F @ np.diag(t**s * np.log(t)) @ F.T
+        p = MinkowskiEuclidPoint(Y=0.5 * (Y + Y.T), V=p0.V + s * dV)
+        total += math.sqrt(metric_value(p, 0.5 * (dY + dY.T), dV, A_c=A_c, B_c=B_c))
+    return total / steps
+
+
+def random_pair(rng, g, h):
+    p0 = MinkowskiEuclidPoint(Y=random_spd(g, rng), V=rng.normal(size=(h, g)))
+    p1 = MinkowskiEuclidPoint(Y=random_spd(g, rng), V=rng.normal(size=(h, g)))
+    return p0, p1
+
+
+class TestDistance:
+    def test_h_zero_is_scaled_cone_distance(self):
+        rng = np.random.default_rng(20)
+        for g in (1, 2, 3):
+            p0, p1 = random_pair(rng, g, 0)
+            A_c = rng.uniform(0.5, 3.0)
+            ref = math.sqrt(A_c) * d_spd(p0.Y, p1.Y)
+            assert abs(distance(p0, p1, A_c=A_c, B_c=2.0) - ref) < 1e-12 * max(1.0, ref)
+
+    def test_fixed_v_is_scaled_cone_distance(self):
+        rng = np.random.default_rng(21)
+        p0, p1 = random_pair(rng, 2, 1)
+        p1 = MinkowskiEuclidPoint(Y=p1.Y, V=p0.V)
+        ref = math.sqrt(2.5) * d_spd(p0.Y, p1.Y)
+        assert abs(distance(p0, p1, A_c=2.5) - ref) < 1e-12 * max(1.0, ref)
+
+    def test_at_least_scaled_cone_distance(self):
+        rng = np.random.default_rng(22)
+        for _ in range(30):
+            p0, p1 = random_pair(rng, 2, 1)
+            A_c, B_c = rng.uniform(0.2, 4.0, size=2)
+            lower = math.sqrt(A_c) * d_spd(p0.Y, p1.Y)
+            assert distance(p0, p1, A_c=A_c, B_c=B_c) >= lower * (1 - 1e-12)
+
+    def test_matches_midpoint_integral_of_metric(self):
+        rng = np.random.default_rng(23)
+        for g, h in ((1, 1), (2, 1), (2, 2), (3, 1)):
+            p0, p1 = random_pair(rng, g, h)
+            A_c, B_c = rng.uniform(0.5, 2.0, size=2)
+            ref = midpoint_path_length(p0, p1, A_c, B_c)
+            assert abs(distance(p0, p1, A_c=A_c, B_c=B_c) - ref) < 1e-6 * ref
+
+    def test_doubling_constants_scales_by_sqrt2(self):
+        rng = np.random.default_rng(24)
+        for _ in range(10):
+            p0, p1 = random_pair(rng, 2, 2)
+            A_c, B_c = rng.uniform(0.5, 2.0, size=2)
+            one = distance(p0, p1, A_c=A_c, B_c=B_c)
+            two = distance(p0, p1, A_c=2 * A_c, B_c=2 * B_c)
+            assert abs(two - math.sqrt(2) * one) < 1e-10 * two
+
+    def test_rejects_mismatched_spaces(self):
+        p0 = MinkowskiEuclidPoint(Y=np.eye(2), V=np.zeros((1, 2)))
+        p1 = MinkowskiEuclidPoint(Y=np.eye(2), V=np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            distance(p0, p1)

@@ -1,10 +1,12 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from realtori import theta
 from realtori.spdcone import random_spd
 from realtori.theta import (
     CanonicalBundle,
@@ -89,6 +91,87 @@ class TestThetaEval:
         spec = ThetaSpec(Pi=np.eye(1) * 0.01, B=np.eye(1), rho=np.ones(1, dtype=complex))
         with pytest.raises(ValueError):
             theta_eval(spec, [0.0], eps=1e-12, radius_cap=10)
+
+
+def sheared(g):
+    """Unimodular shears with entries up to 4 whose inverses stay small."""
+    U = np.eye(g)
+    U[0, 1] = 4.0
+    if g == 3:
+        U[2, 1] = -2.0
+    return U
+
+
+class TestReducedSummation:
+    # with Q0 >= 2 I and |f| <= 1/4 every term the oracle box misses is below
+    # exp(-2 pi 2.75^2) times the largest; a box of 16 holds U^-1 k for |k| <= 3
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_sheared_explicit_spec(self, g):
+        rng = np.random.default_rng(40 + g)
+        U = sheared(g)
+        for _ in range(2):
+            Q0 = np.diag(rng.uniform(2.0, 3.0, size=g)) + 0.1 * random_spd(g, rng)
+            spec = ThetaSpec(Pi=U, B=Q0, rho=np.exp(1j * rng.uniform(0, 2 * math.pi, size=g)))
+            v = U @ rng.uniform(-0.25, 0.25, size=g)
+            ref = theta_oracle(spec, v, box=16)
+            assert abs(theta_eval(spec, v) - ref) < 1e-10 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_sheared_canonical_bundle(self, g):
+        rng = np.random.default_rng(50 + g)
+        U = sheared(g)
+        Y = U.T @ (np.diag(rng.uniform(2.0, 3.0, size=g)) + 0.1 * random_spd(g, rng)) @ U
+        bundle = canonical_line_bundle_data(Y)
+        v = Y @ rng.uniform(-0.25, 0.25, size=g)
+        ref = theta_oracle(bundle.spec, v, box=16)
+        assert abs(bundle.section(v) - ref) < 1e-10 * max(1.0, abs(ref))
+
+    def test_g1_matches_mpmath_jtheta(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(60)
+        for _ in range(10):
+            p, b = rng.uniform(0.5, 1.5, size=2)
+            phi = rng.uniform(-math.pi, math.pi)
+            v = rng.uniform(-2.0, 2.0)
+            spec = ThetaSpec(Pi=[[p]], B=[[b]], rho=[cmath.exp(1j * phi)])
+            # sum_n exp(-i phi n - pi p^2 b n^2 - 2 pi p b v n) = theta_3(z, q)
+            z = mpmath.mpc(-phi / 2, math.pi * p * b * v)
+            ref = complex(mpmath.jtheta(3, z, mpmath.exp(-mpmath.pi * p * p * b)))
+            assert abs(theta_eval(spec, [v]) - ref) < 1e-10 * max(1.0, abs(ref))
+
+    def test_g5_runs_unreduced(self):
+        rng = np.random.default_rng(70)
+        B = np.diag(rng.uniform(2.5, 3.5, size=5)) + 0.1 * random_spd(5, rng)
+        spec = ThetaSpec(Pi=np.eye(5), B=B, rho=np.exp(1j * rng.uniform(0, 2 * math.pi, size=5)))
+        v = rng.uniform(-0.25, 0.25, size=5)
+        ref = theta_oracle(spec, v, box=3)
+        assert abs(theta_eval(spec, v) - ref) < 1e-10 * max(1.0, abs(ref))
+
+    def test_reduction_overflow_is_bad_input(self, monkeypatch):
+        # Y = diag(1e-12, 1) overflows the short-vector cap after about 3 s
+        def overflow(Q):
+            raise RuntimeError("short-vector enumeration bound overflow")
+
+        monkeypatch.setattr(theta, "minkowski_reduce", overflow)
+        bundle = canonical_line_bundle_data(np.diag([1e-12, 1.0]))
+        with pytest.raises(ValueError, match="cannot be reduced"):
+            bundle.section([0.1, 0.2])
+
+    def test_large_box_memory_is_bounded(self):
+        bundle = canonical_line_bundle_data(0.05 * np.eye(4))
+        v = np.array([0.01, 0.02, -0.01, 0.0])
+        n = np.arange(-200, 201)
+        ref = math.prod(float(np.sum(np.exp(-math.pi * 0.05 * n * n - 2 * math.pi * x * n)))
+                        for x in v)
+        tracemalloc.start()
+        try:
+            val = bundle.section(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(val - ref) < 1e-10 * ref
+        assert peak < 32 * 2**20
 
 
 class TestTransformationLaw:
