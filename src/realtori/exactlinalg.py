@@ -107,33 +107,35 @@ def is_unimodular(M) -> bool:
 def unimodular_inverse(A) -> np.ndarray:
     """Exact inverse of a unimodular integer matrix.
 
-    Gauss-Jordan over Fractions; the result is converted back to integers
-    (which must be exact, or the input was not unimodular).
+    Fraction-free (Bareiss) Gauss-Jordan on [A | I]: every division is exact,
+    and at the end the left block is p I and the right block p A^-1, with
+    p = +-det A.  Raises unless p = +-1.
     """
     A = _as_exact(A)
     n, m = A.shape
     if n != m:
         raise ValueError("inverse requires a square matrix")
-    aug = [[Fraction(int(A[i, j])) for j in range(n)]
-           + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    aug = [[int(v) for v in A[i]] + [int(i == j) for j in range(n)] for i in range(n)]
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
             raise ValueError("matrix is singular")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        top = aug[col]
+        p = top[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+            if r != col:
+                row = aug[r]
+                f = row[col]
+                aug[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    if abs(prev) != 1:
+        raise ValueError("matrix is not unimodular; inverse is not integral")
     out = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
-            v = aug[i][j + n]
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular; inverse is not integral")
-            out[i, j] = int(v)
+            out[i, j] = prev * aug[i][j + n]
     return out
 
 

@@ -24,7 +24,6 @@ from .exactlinalg import (
 from .siegel import in_script_H, require_siegel
 from .spdcone import (
     MAX_REDUCTION_DIM,
-    _quad_value,
     minkowski_reduce,
     quadratic_short_vectors,
     require_spd,
@@ -331,9 +330,10 @@ def congruence_witnesses(Y1, Y2, tol: float = 1e-9, max_witnesses: int = 64,
     """All unimodular integral B with B Y1 tB = Y2 within ``tol``.
 
     Complete search: row i of B has quadratic value (Y2)_ii, hence lies in a
-    finite enumerable set; cross products and the determinant filter the
-    rest.  Returns (witnesses, complete) where ``complete`` is False when a
-    cap was hit.
+    finite set, all taken from one enumeration up to max_i (Y2)_ii; cross
+    products and the determinant filter the rest.  Every candidate row tried
+    counts as one search node.  Returns (witnesses, complete) where
+    ``complete`` is False when a cap was hit.
     """
     Y1 = require_spd(Y1)
     Y2 = require_spd(Y2)
@@ -342,57 +342,49 @@ def congruence_witnesses(Y1, Y2, tol: float = 1e-9, max_witnesses: int = 64,
         return [], True
     scale = max(1.0, float(np.max(np.abs(Y2))))
     tau = tol * scale
-    rows: list[list[tuple[int, ...]]] = []
-    complete = True
-    for i in range(g):
-        try:
-            cands = quadratic_short_vectors(Y1, float(Y2[i, i]) + tau, cap=cap)
-        except RuntimeError:
-            return [], False
-        good = [x for x in cands if abs(_quad_value(Y1, x) - Y2[i, i]) <= tau]
-        if len(good) > cap:
-            return [], False
-        rows.append(good)
+    diag2 = np.diag(Y2)
+    try:
+        vecs = quadratic_short_vectors(Y1, float(np.max(diag2)) + tau, cap=cap)
+    except RuntimeError:
+        return [], False
+    X = np.array(vecs, dtype=float).reshape(len(vecs), g)
+    values = np.einsum("ni,ij,nj->n", X, Y1, X)
+    rows = [np.flatnonzero(np.abs(values - diag2[i]) <= tau).tolist() for i in range(g)]
+    # row i's candidates times Y1: one product with a chosen row j < i gives
+    # the cross term (Y2)_ij of every candidate at once
+    products = [X[r] @ Y1 for r in rows]
     found: list[np.ndarray] = []
-    B_rows: list[tuple[int, ...]] = []
+    chosen: list[int] = []
     nodes = 0
 
     def backtrack(i: int) -> bool:
         # returns True to abort the search (caps the witness count)
         nonlocal nodes
         if i == g:
-            B = int_matrix(np.array(B_rows, dtype=object))
+            B = int_matrix(np.array([vecs[c] for c in chosen], dtype=object))
             if is_unimodular(B):
                 found.append(B)
                 if len(found) >= max_witnesses:
                     return True
             return False
-        for cand in rows[i]:
+        cross = products[i] @ X[chosen].T
+        fits = np.all(np.abs(cross - Y2[i, :i]) <= tau, axis=1).tolist()
+        for cand, fit in zip(rows[i], fits):
             nodes += 1
             if nodes > cap:
                 raise RuntimeError("witness search cap exceeded")
-            ok = True
-            cv = np.array(cand, dtype=float)
-            for j in range(i):
-                pv = np.array(B_rows[j], dtype=float)
-                if abs(cv @ Y1 @ pv - Y2[i, j]) > tau:
-                    ok = False
-                    break
-            if ok:
-                B_rows.append(cand)
+            if fit:
+                chosen.append(cand)
                 if backtrack(i + 1):
                     return True
-                B_rows.pop()
+                chosen.pop()
         return False
 
     try:
         aborted = backtrack(0)
     except RuntimeError:
-        complete = False
-    else:
-        if aborted:
-            complete = False
-    return found, complete
+        return found, False
+    return found, not aborted
 
 
 def polarized_tori_equivalent(Y1, Y2, tol: float = 1e-9,
@@ -416,9 +408,10 @@ def polarized_tori_equivalent(Y1, Y2, tol: float = 1e-9,
     R1, A1 = minkowski_reduce(Y1)
     R2, A2 = minkowski_reduce(Y2)
     scale = max(1.0, float(np.max(np.abs(Y2))))
+    A2inv = unimodular_inverse(A2)
 
     def finish(B) -> EquivalenceResult:
-        A = unimodular_inverse(A2) @ B @ A1
+        A = A2inv @ B @ A1
         res = float(np.max(np.abs(A.astype(float) @ Y1 @ A.astype(float).T - Y2)))
         if res > max(tol, 1e-9) * scale:
             return EquivalenceResult(Verdict.UNDECIDED, detail="witness verification failed")

@@ -8,8 +8,8 @@ volume densities, and numerically applied invariant differential operators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -35,11 +35,8 @@ MAX_REDUCTION_DIM = 4
 _ENUMERATION_CAP = 2_000_000
 
 
-def require_spd(Y, tol: float = 1e-9) -> np.ndarray:
-    """Validate and symmetrize an SPD matrix; raises on failure.
-
-    Positivity is certified by a successful Cholesky factorization.
-    """
+def _spd_factor(Y, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Validated, symmetrized Y and its Cholesky factor L, Y = L tL."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] != Y.shape[1]:
         raise ValueError("SPD matrix must be square")
@@ -48,10 +45,18 @@ def require_spd(Y, tol: float = 1e-9) -> np.ndarray:
         raise ValueError("matrix is not symmetric")
     Y = 0.5 * (Y + Y.T)
     try:
-        np.linalg.cholesky(Y)
+        L = np.linalg.cholesky(Y)
     except np.linalg.LinAlgError as exc:
         raise ValueError("matrix is not positive definite") from exc
-    return Y
+    return Y, L
+
+
+def require_spd(Y, tol: float = 1e-9) -> np.ndarray:
+    """Validate and symmetrize an SPD matrix; raises on failure.
+
+    Positivity is certified by a successful Cholesky factorization.
+    """
+    return _spd_factor(Y, tol)[0]
 
 
 def random_spd(g: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -67,7 +72,12 @@ def gl_act(A, Y, det_tol: float = 1e-12) -> np.ndarray:
     Y = require_spd(Y)
     if abs(np.linalg.det(A)) <= det_tol:
         raise ValueError("acting matrix is singular")
-    Z = A @ Y @ A.T
+    return _act(A, Y)
+
+
+def _act(Af: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    # A Y tA for a float A and a validated Y, without re-validation
+    Z = Af @ Y @ Af.T
     return 0.5 * (Z + Z.T)
 
 
@@ -87,11 +97,7 @@ class JacobiFactors:
 
 
 def jacobi_decomposition(Y) -> JacobiFactors:
-    Y = require_spd(Y)
-    try:
-        L = np.linalg.cholesky(Y)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("loss of positivity in Jacobi decomposition") from exc
+    _, L = _spd_factor(Y)
     diag = np.diag(L).copy()
     W = (L / diag).T
     d = diag**2
@@ -160,24 +166,30 @@ def quadratic_short_vectors(Y, bound: float, cap: int = _ENUMERATION_CAP) -> lis
 
     Complete by the standard backtracking enumeration on the Jacobi factors;
     both x and -x are listed.  Raises if more than ``cap`` vectors would be
-    produced.
+    produced, at once when the multiples of the unit vectors alone exceed it.
     """
-    Y = require_spd(Y)
+    Y, L = _spd_factor(Y)
     g = Y.shape[0]
     if bound <= 0:
         return []
-    fac = jacobi_decomposition(Y)
-    W, d = fac.W, fac.d
+    # m e_i is listed whenever m^2 y_ii <= bound; the margin keeps this count
+    # a lower bound on the output despite the enumeration's roundoff
+    if float(np.sum(2.0 * np.floor(np.sqrt(bound * (1 - 1e-9) / np.diag(Y))))) > cap:
+        raise RuntimeError("short-vector enumeration bound overflow")
+    diag = np.diag(L)
+    W = (L / diag).T.tolist()
+    d = (diag**2).tolist()
     out: list[tuple[int, ...]] = []
     x = [0] * g
 
     def descend(i: int, remaining: float) -> None:
         # level i fixes x[i] given x[i+1..]; quadratic contribution is
         # d[i] * (x[i] + sum_{j>i} W[i,j] x[j])^2
-        shift = sum(W[i, j] * x[j] for j in range(i + 1, g))
+        Wi = W[i]
+        shift = sum(Wi[j] * x[j] for j in range(i + 1, g))
         radius = (remaining / d[i]) ** 0.5 if remaining > 0 else 0.0
-        lo = int(np.ceil(-radius - shift - 1e-12))
-        hi = int(np.floor(radius - shift + 1e-12))
+        lo = math.ceil(-radius - shift - 1e-12)
+        hi = math.floor(radius - shift + 1e-12)
         for v in range(lo, hi + 1):
             x[i] = v
             used = d[i] * (v + shift) ** 2
@@ -197,19 +209,21 @@ def quadratic_short_vectors(Y, bound: float, cap: int = _ENUMERATION_CAP) -> lis
     return out
 
 
-def _suffix_gcds(x: tuple[int, ...]) -> list[int]:
-    g = len(x)
-    out = [0] * g
-    acc = 0
-    for k in range(g - 1, -1, -1):
-        acc = gcd(acc, abs(x[k]))
-        out[k] = acc
-    return out
+def _short_table(Y: np.ndarray,
+                 bound: float) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """Short vectors of Y up to ``bound``, their values x Y tx, and suffix gcds.
 
-
-def _quad_value(Y: np.ndarray, x: tuple[int, ...]) -> float:
-    v = np.array(x, dtype=float)
-    return float(v @ Y @ v)
+    Column k of the gcd table is gcd(|x_k|, ..., |x_{g-1}|).
+    """
+    g = Y.shape[0]
+    vecs = quadratic_short_vectors(Y, bound)
+    X = np.array(vecs, dtype=np.int64).reshape(len(vecs), g)
+    Xf = X.astype(float)
+    values = np.einsum("ni,ij,nj->n", Xf, Y, Xf)
+    gcds = np.abs(X)
+    for k in range(g - 2, -1, -1):
+        gcds[:, k] = np.gcd(gcds[:, k], gcds[:, k + 1])
+    return vecs, values, gcds
 
 
 def is_minkowski_reduced(Y, tol: float = 1e-10) -> bool:
@@ -227,13 +241,10 @@ def is_minkowski_reduced(Y, tol: float = 1e-10) -> bool:
     for k in range(g - 1):
         if Y[k, k + 1] < -tol:
             return False
-    bound = float(np.max(diag)) + tol
-    for x in quadratic_short_vectors(Y, bound):
-        q = _quad_value(Y, x)
-        suff = _suffix_gcds(x)
-        for k in range(g):
-            if suff[k] == 1 and q < diag[k] - tol:
-                return False
+    _, values, gcds = _short_table(Y, float(np.max(diag)) + tol)
+    for k in range(g):
+        if np.any((gcds[:, k] == 1) & (values < diag[k] - tol)):
+            return False
     return True
 
 
@@ -249,24 +260,27 @@ def _sign_fix(R: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _size_reduce(Y: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # cheap pre-conditioning pass: sort by diagonal, shear off large
-    # off-diagonal multiples.  Keeps the later certified enumeration small.
+    # cheap pre-conditioning pass on a validated Y: sort by diagonal, shear
+    # off large off-diagonal multiples.  Keeps the later certified
+    # enumeration small.
     g = Y.shape[0]
-    R = gl_act(A.astype(float), Y)
+    R = _act(A.astype(float), Y)
     for _ in range(32):
         order = np.argsort(np.diag(R), kind="stable")
         if not np.array_equal(order, np.arange(g)):
             A = A[order]
-            R = gl_act(A.astype(float), Y)
+            R = _act(A.astype(float), Y)
         changed = False
+        Rl = R.tolist()
         for i in range(g):
             for j in range(g):
                 if i == j:
                     continue
-                q = int(np.round(R[i, j] / R[j, j]))
-                if q != 0 and abs(R[i, j]) > 0.5 * R[j, j] * (1 + 1e-12):
+                q = round(Rl[i][j] / Rl[j][j])
+                if q != 0 and abs(Rl[i][j]) > 0.5 * Rl[j][j] * (1 + 1e-12):
                     A[i, :] = A[i, :] - q * A[j, :]
-                    R = gl_act(A.astype(float), Y)
+                    R = _act(A.astype(float), Y)
+                    Rl = R.tolist()
                     changed = True
         if not changed:
             break
@@ -279,7 +293,9 @@ def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
     Greedy construction: row k is chosen to minimize the form over all
     integer vectors whose coordinates from k on are coprime, the preceding
     rows staying fixed; ties are broken toward the current basis vector and
-    then lexicographically, so the output is deterministic.
+    then lexicographically, so the output is deterministic.  One enumeration,
+    up to the largest diagonal entry still to be processed, serves every row
+    until a row changes.  A form too skewed to enumerate raises ValueError.
     """
     Y = require_spd(Y)
     g = Y.shape[0]
@@ -288,17 +304,23 @@ def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
     A = int_matrix(np.eye(g, dtype=int))
     R, A = _size_reduce(Y, A)
     tie = 1e-12
+    table = None
     for k in range(g):
-        scale = max(1.0, float(R[k, k]))
-        candidates = quadratic_short_vectors(R, float(R[k, k]) * (1 + 1e-9) + tie)
+        if table is None:
+            bound = float(np.max(np.diag(R)[k:])) * (1 + 1e-9) + tie
+            try:
+                table = _short_table(R, bound)
+            except RuntimeError as exc:
+                raise ValueError(f"form cannot be reduced: {exc}") from exc
+        vecs, values, gcds = table
         best_val = float(R[k, k])
+        scale = max(1.0, best_val)
         best_vec: tuple[int, ...] | None = None
         e_k = tuple(int(i == k) for i in range(g))
-        for x in candidates:
-            suff = _suffix_gcds(x)
-            if suff[k] != 1:
-                continue
-            q = _quad_value(R, x)
+        # a vector above R[k, k] + tie * scale can neither win nor tie
+        for idx in np.flatnonzero((gcds[:, k] == 1) & (values <= best_val + tie * scale)):
+            x = vecs[idx]
+            q = float(values[idx])
             if q < best_val - tie * scale:
                 best_val = q
                 best_vec = x
@@ -311,7 +333,8 @@ def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
         prefix[k] = _canon(best_vec)
         U = complete_to_unimodular(prefix)
         A = U @ A
-        R = gl_act(A.astype(float), Y)
+        R = _act(A.astype(float), Y)
+        table = None
     R, A = _sign_fix(R, A)
     if not is_unimodular(A):
         raise AssertionError("reduction produced a non-unimodular witness")

@@ -172,11 +172,7 @@ def _sum_with_tail(spec: ThetaSpec, v: np.ndarray, eps: float, cap: int,
     w = spec.Pi.T @ spec.B @ v
     angles = spec.character_angles()
     if 1 < g <= MAX_REDUCTION_DIM:
-        try:
-            Q, A = minkowski_reduce(Q)
-        except RuntimeError as exc:
-            # the short-vector cap: the form is far too skewed for any radius cap
-            raise ValueError(f"Gram form cannot be reduced: {exc}") from exc
+        Q, A = minkowski_reduce(Q)
         A = A.astype(float)
         w = A @ w
         angles = A @ angles

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,54 @@ class TestSingleRequest:
         assert code == 2
         err = json.loads(out)
         assert err["status"] == "error" and err["error"].startswith("invalid JSON")
+
+
+class TestUnreducibleForm:
+    """diag(1e-12, 1) has more short vectors than the enumeration cap."""
+
+    SKEWED = [[1e-12, 0], [0, 1]]
+
+    @pytest.mark.parametrize("request_", [
+        {"cmd": "reduce", "Y": SKEWED},
+        {"cmd": "equiv", "Y1": SKEWED, "Y2": SKEWED},
+        {"cmd": "theta", "Y": SKEWED, "v": [0.1, 0.2]},
+    ])
+    def test_bad_input_at_once(self, run_cli, request_):
+        start = time.perf_counter()
+        code, out = run_cli(json.dumps(request_))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert json.loads(out) == {"status": "error", "error": "form cannot be reduced: "
+                                   "short-vector enumeration bound overflow"}
+
+
+class TestRequestLimits:
+    @pytest.mark.parametrize("request_, expected", [
+        ('{"cmd":"invariants","g":1000}', 0),
+        ('{"cmd":"invariants","g":1001}', 2),
+        ('{"cmd":"invariants","g":0}', 2),
+        ('{"cmd":"coboundary","gamma":[[0,1],[-1,0]],"bound":5}', 3),
+        ('{"cmd":"coboundary","gamma":[[0,1],[-1,0]],"bound":6}', 2),
+        ('{"cmd":"coboundary","gamma":[[0,1],[-1,0]],"bound":-1}', 2),
+    ])
+    def test_range(self, run_cli, request_, expected):
+        code, out = run_cli(request_)
+        assert code == expected
+        if expected == 2:
+            assert "must be an integer in" in json.loads(out)["error"]
+
+    def test_word_bound_option_is_checked(self, run_cli):
+        code, _ = run_cli('{"cmd":"coboundary","gamma":[[0,1],[-1,0]]}', "--bound", "6")
+        assert code == 2
+
+
+class TestGoldenReduce:
+    def test_bytes_unchanged(self, run_cli):
+        """66 seeded forms (see ``golden/make_reduce.py``), byte for byte."""
+        golden = Path(__file__).parent / "golden"
+        code, out = run_cli((golden / "reduce_in.json").read_text(encoding="utf-8"))
+        assert code == 0
+        assert out == (golden / "reduce_out.json").read_text(encoding="utf-8")
 
 
 class TestBatchIsolation:

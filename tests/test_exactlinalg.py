@@ -87,6 +87,28 @@ class TestUnimodular:
             P = A @ Ainv
             assert all(int(P[i, j]) == int(i == j) for i in range(3) for j in range(3))
 
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_inverse_exact_large_entries(self, g):
+        rng = np.random.default_rng(40 + g)
+        for _ in range(20):
+            A = random_unimodular(g, rng, max_entry=50, steps=40)
+            Ainv = unimodular_inverse(A)
+            assert all(type(v) is int for v in Ainv.flat)
+            assert np.array_equal(A @ Ainv, np.eye(g, dtype=int))
+            assert np.array_equal(Ainv @ A, np.eye(g, dtype=int))
+
+    @pytest.mark.parametrize("M", [
+        [[1, 2], [2, 4]],
+        [[0, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[2, 0], [0, 1]],
+        [[1, 1], [1, -1]],
+        [[3, 5, 0], [1, 2, 0], [0, 0, -2]],
+    ])
+    def test_inverse_rejects_non_unimodular(self, M):
+        # determinants 0, 0, 2, -2, -2
+        with pytest.raises(ValueError):
+            unimodular_inverse(M)
+
     def test_random_unimodular_bounded(self):
         rng = np.random.default_rng(11)
         for _ in range(30):

@@ -286,6 +286,33 @@ class TestCongruenceWitnesses:
             assert np.max(np.abs(gl_act(w.astype(float), Y) - Y2)) < 1e-8
 
 
+    @pytest.mark.parametrize("Y1, B", [
+        ([[1.0, 0.5], [0.5, 1.0]], [[1, 0], [0, 1]]),
+        ([[1.0, 0.5], [0.5, 1.0]], [[1, 0], [1, 1]]),
+        ([[1.0, 0.0], [0.0, 1.0]], [[1, 1], [0, 1]]),
+        ([[1.0, 0.0], [0.0, 2.0]], [[0, 1], [1, 1]]),
+        ([[1.0, 0.3], [0.3, 1.7]], [[1, 0], [-1, 1]]),
+        ([[2.0, 0.0], [0.0, 3.0]], [[2, 1], [1, 1]]),
+    ])
+    def test_brute_force_2x2(self, Y1, B):
+        """Every witness equals the brute-force set over entries in [-2, 2]."""
+        Y1 = np.array(Y1)
+        Y2 = gl_act(np.array(B, dtype=float), Y1)
+        box = [np.array(e).reshape(2, 2) for e in itertools.product(range(-2, 3), repeat=4)]
+        tau = 1e-9 * max(1.0, float(np.max(np.abs(Y2))))
+        for target in (Y2, Y2 + np.diag([0.0, 0.25])):
+            brute = {tuple(M.flat) for M in box
+                     if round(abs(np.linalg.det(M))) == 1
+                     and np.max(np.abs(M @ Y1 @ M.T - target)) <= tau}
+            ws, complete = congruence_witnesses(Y1, target)
+            assert complete
+            found = {tuple(int(v) for v in w.flat) for w in ws}
+            assert len(found) == len(ws)
+            assert max((abs(v) for w in found for v in w), default=0) <= 2
+            assert found == brute
+            assert bool(found) == (target is Y2)
+
+
 class TestPolarizedToriEquivalence:
     def test_same_matrix(self):
         Y = random_spd(2, np.random.default_rng(9))

@@ -1,8 +1,10 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
+from realtori import spdcone
 from realtori.exactlinalg import det_int, is_unimodular, random_unimodular
 from realtori.spdcone import (
     JacobiFactors,
@@ -173,6 +175,52 @@ class TestShortVectors:
         vecs = quadratic_short_vectors(Y, 2.0 * float(np.max(np.diag(Y))))
         s = set(vecs)
         assert all(tuple(-t for t in v) in s for v in vecs)
+
+
+    def test_brute_force_box(self):
+        rng = np.random.default_rng(9)
+        for g in (2, 3, 4):
+            Y = random_spd(g, rng)
+            bound = 1.5 * float(np.max(np.diag(Y)))
+            r = int(np.ceil(np.sqrt(bound * np.max(np.linalg.eigvalsh(np.linalg.inv(Y))))))
+            box = np.array(list(itertools.product(range(-r, r + 1), repeat=g)), dtype=float)
+            q = np.einsum("ni,ij,nj->n", box, Y, box)
+            inside = {tuple(int(v) for v in x) for x in box[(q <= bound - 1e-9) & (q > 0)]}
+            near = {tuple(int(v) for v in x) for x in box[np.abs(q - bound) <= 1e-9]}
+            vecs = quadratic_short_vectors(Y, bound)
+            assert len(set(vecs)) == len(vecs)
+            assert inside <= set(vecs) <= inside | near
+
+    def test_cap_counts_vectors(self):
+        # 12 nonzero x with |x|^2 <= 4, 8 of them multiples of e_1 or e_2
+        assert len(quadratic_short_vectors(np.eye(2), 4.0, cap=12)) == 12
+        for cap in (7, 11):
+            with pytest.raises(RuntimeError, match="overflow"):
+                quadratic_short_vectors(np.eye(2), 4.0, cap=cap)
+
+    def test_hopeless_bound_is_refused_at_once(self):
+        # the 2.8e6 multiples of e_1 alone exceed the default cap of 2e6
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="overflow"):
+            quadratic_short_vectors(np.diag([1e-12, 1.0]), 2.0)
+        assert time.perf_counter() - start < 0.5
+
+    def test_reduce_refuses_hopeless_form(self):
+        with pytest.raises(ValueError, match="cannot be reduced"):
+            minkowski_reduce(np.diag([1e-12, 1.0]))
+
+    def test_reduced_form_is_enumerated_once(self, monkeypatch):
+        calls = []
+
+        def counting(Y, bound, *args):
+            calls.append(bound)
+            return quadratic_short_vectors(Y, bound, *args)
+
+        monkeypatch.setattr(spdcone, "quadratic_short_vectors", counting)
+        R, _ = minkowski_reduce(random_spd(4, np.random.default_rng(10)))
+        calls.clear()
+        minkowski_reduce(R)
+        assert calls == [pytest.approx(float(np.max(np.diag(R))), rel=1e-8)]
 
 
 class TestIwasawa:
