@@ -1,4 +1,5 @@
-"""Per-layer timings of reduction, enumeration, witness search and exact inverse.
+"""Per-layer timings of reduction, enumeration, congruence-witness search,
+exact inverse, Smith normal form and coboundary witnesses.
 
 Run from the root of a checkout (not part of the tier-1 tests):
 
@@ -13,8 +14,15 @@ reduced domain by a unimodular matrix with entries up to 3, as in
 import numpy as np
 import pytest
 
-from realtori.exactlinalg import random_unimodular, unimodular_inverse
+from realtori.cohomology import coboundary_witness
+from realtori.exactlinalg import (
+    random_unimodular,
+    smith_normal_form,
+    symplectic_inverse,
+    unimodular_inverse,
+)
 from realtori.moduli import congruence_witnesses
+from realtori.siegel import random_symplectic, tau_group
 from realtori.spdcone import minkowski_reduce, quadratic_short_vectors
 
 
@@ -75,3 +83,19 @@ def test_unimodular_inverse(benchmark, g):
     rng = np.random.default_rng(400 + g)
     mats = [random_unimodular(g, rng, max_entry=50, steps=40) for _ in range(10)]
     benchmark(lambda: [unimodular_inverse(A) for A in mats])
+
+
+@pytest.mark.parametrize("g", [2, 4, 6])
+def test_smith_normal_form(benchmark, g):
+    rng = np.random.default_rng(500 + g)
+    mats = [rng.integers(-9, 10, size=(g, g)) for _ in range(10)]
+    benchmark(lambda: [smith_normal_form(M) for M in mats])
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_coboundary_witness(benchmark, g):
+    rng = np.random.default_rng(600 + g)
+    words = [random_symplectic(g, rng, length=6) for _ in range(10)]
+    gammas = [tau_group(h) @ symplectic_inverse(h) for h in words]
+    witnesses = benchmark(lambda: [coboundary_witness(gamma) for gamma in gammas])
+    assert all(h is not None for h in witnesses)

@@ -41,10 +41,10 @@ __all__ = ["main", "parse_request", "dispatch", "JobRequest"]
 
 
 # request size limits: the invariant list has g + 1 + g//2 entries, and the
-# coboundary word table grows about fivefold per unit of word length
-# (1,260 entries and 0.3 s at g = 2, bound 4; 15 s and 83 MB at bound 6)
+# coboundary witness is exact integer arithmetic on 2g x 2g matrices, held
+# to the g <= 4 of the other commands
 _MAX_INVARIANTS_G = 1000
-_MAX_WORD_BOUND = 5
+_MAX_COBOUNDARY_G = 4
 
 
 class InputError(Exception):
@@ -562,15 +562,14 @@ def _cmd_cocycle(req: JobRequest) -> dict:
 
 
 def _cmd_coboundary(req: JobRequest) -> dict:
+    if "bound" in req.options:
+        raise InputError("option bound does not apply to coboundary: the answer is exact")
     gamma = decode_matrix(_need(req.payload, "gamma"), "int", square=True)
-    bound = _opt_int(req, "bound", 4)
-    if not 0 <= bound <= _MAX_WORD_BOUND:
-        raise InputError(f"option bound must be an integer in 0..{_MAX_WORD_BOUND}")
-    h = cohomology.coboundary_witness(gamma, bound=bound)
-    if h is None:
-        raise UndecidedError({"status": "undecided", "witness": None,
-                              "detail": f"word bound {bound} exhausted"})
-    return {"status": "ok", "witness": encode_matrix(h)}
+    if gamma.shape[0] > 2 * _MAX_COBOUNDARY_G:
+        raise InputError(f"field 'gamma' must be at most {2 * _MAX_COBOUNDARY_G} x "
+                         f"{2 * _MAX_COBOUNDARY_G} (g <= {_MAX_COBOUNDARY_G})")
+    h = cohomology.coboundary_witness(gamma)
+    return {"status": "ok", "witness": None if h is None else encode_matrix(h)}
 
 
 def _cmd_fixed_locus(req: JobRequest) -> dict:

@@ -1,21 +1,22 @@
 """Order-two cohomology predicates on the symplectic group.
 
-The involution flips the off-diagonal blocks; an element gamma is a cocycle
-datum when gamma tau(gamma) is the identity and a coboundary when it can be
-written tau(h) h^-1.  Witnesses are searched over bounded words in the
-standard symplectic generators, so existence answers are constructive and
-non-existence only means exhaustion of the word bound.
+The involution tau flips the off-diagonal blocks, tau(x) = E x E with
+E = diag(I, -I).  An element gamma is a cocycle when gamma tau(gamma) is the
+identity and a coboundary when it can be written tau(h) h^-1.  Coboundaries
+are decided exactly: every coboundary is congruent to I mod 2, because E is,
+and every cocycle congruent to I mod 2 is one, with a witness h built from
+the eigenlattices of the involution gamma E (Reiner, Proc. AMS 1957;
+Seppala & Silhol, Math. Z. 201, 1989).
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
 from .exactlinalg import (
     int_matrix,
     is_symplectic,
+    kernel_basis,
     symplectic_form,
     symplectic_inverse,
     unimodular_inverse,
@@ -26,7 +27,6 @@ __all__ = [
     "is_cocycle",
     "coboundary_witness",
     "fixed_locus_member",
-    "symplectic_generators",
 ]
 
 
@@ -46,104 +46,32 @@ def is_cocycle(gamma) -> bool:
     return float(np.max(np.abs(P - I))) <= 1e-12
 
 
-# ---------------------------------------------------------------------------
-# generator words and the coboundary search
+def coboundary_witness(gamma) -> np.ndarray | None:
+    """An exact h with tau(h) h^-1 = gamma, or None when gamma is no coboundary.
 
-
-def symplectic_generators(g: int) -> list[np.ndarray]:
-    """Small exact generating set: J, translations, elementary dilations."""
-    gens: list[np.ndarray] = [symplectic_form(g)]
-    n = 2 * g
-
-    def embed_translation(B):
-        M = np.eye(n, dtype=object)
-        M[:g, g:] = int_matrix(B)
-        return M
-
-    def embed_gl(A):
-        A = int_matrix(A)
-        M = np.zeros((n, n), dtype=object)
-        M[:g, :g] = A
-        M[g:, g:] = unimodular_inverse(A).T
-        return M
-
-    for i in range(g):
-        for j in range(i, g):
-            B = np.zeros((g, g), dtype=int)
-            B[i, j] = 1
-            B[j, i] = 1
-            gens.append(embed_translation(B))
-            gens.append(embed_translation(-B))
-    for i in range(g):
-        for j in range(g):
-            if i != j:
-                A = np.eye(g, dtype=int)
-                A[i, j] = 1
-                gens.append(embed_gl(A))
-                A = np.eye(g, dtype=int)
-                A[i, j] = -1
-                gens.append(embed_gl(A))
-    if g >= 1:
-        A = -np.eye(g, dtype=int)
-        gens.append(embed_gl(A))
-    return gens
-
-
-def _matrix_key(M: np.ndarray) -> bytes:
-    return repr([[int(v) for v in row] for row in M]).encode()
-
-
-# A table costs seconds and tens of MB from word bound 5 on, so only the
-# few most recently used ones are kept.
-@lru_cache(maxsize=4)
-def _witness_table(g: int, bound: int) -> dict[bytes, np.ndarray]:
-    """Map tau(h) h^-1 -> h over all generator words of length <= bound."""
-    gens = symplectic_generators(g)
-    eye = np.eye(2 * g, dtype=object)
-    table: dict[bytes, np.ndarray] = {}
-    frontier = [eye]
-    seen = {_matrix_key(eye)}
-
-    def record(h: np.ndarray) -> None:
-        quot = tau_group(h) @ symplectic_inverse(h)
-        k = _matrix_key(quot)
-        if k not in table:
-            table[k] = h
-
-    record(eye)
-    for _ in range(bound):
-        new_frontier = []
-        for h in frontier:
-            for gen in gens:
-                cand = h @ gen
-                k = _matrix_key(cand)
-                if k in seen:
-                    continue
-                seen.add(k)
-                if max(abs(int(v)) for v in cand.flat) > 64:
-                    continue
-                record(cand)
-                new_frontier.append(cand)
-        frontier = new_frontier
-    return table
-
-
-def coboundary_witness(gamma, bound: int = 4) -> np.ndarray | None:
-    """Search h with tau(h) h^-1 = gamma over generator words of length <= bound.
-
-    Returns an exact verified witness or None when the word bound is
-    exhausted (which does not refute the coboundary property).
+    None is a proof: tau(h) h^-1 = E h E h^-1 is congruent to I mod 2.  For a
+    cocycle gamma congruent to I mod 2, sigma = gamma E is an anti-symplectic
+    involution congruent to I mod 2, so Z^2g is the direct sum of its
+    eigenlattices L+ and L-, both Lagrangian.  J pairs them through the
+    unimodular P = tL+ J L-, so k = [L+ | L- P^-1] is symplectic with
+    sigma = k E k^-1, and h = tau(k).  The witness is verified exactly.
     """
     gamma = int_matrix(gamma)
     if not is_cocycle(gamma):
         raise ValueError("not a cocycle: gamma tau(gamma) differs from the identity")
-    g = gamma.shape[0] // 2
-    table = _witness_table(g, bound)
-    h = table.get(_matrix_key(gamma))
-    if h is None:
+    n = gamma.shape[0]
+    eye = np.eye(n, dtype=object)
+    if np.any((gamma - eye) % 2):
         return None
-    check = tau_group(h) @ symplectic_inverse(h)
-    if _matrix_key(check) != _matrix_key(gamma):
+    g = n // 2
+    sigma = gamma.copy()
+    sigma[:, g:] = -sigma[:, g:]
+    plus = kernel_basis(sigma - eye)
+    minus = kernel_basis(sigma + eye)
+    P = plus.T @ symplectic_form(g) @ minus
+    k = np.concatenate([plus, minus @ unimodular_inverse(P)], axis=1)
+    h = tau_group(k)
+    if not np.array_equal(k @ symplectic_inverse(h), gamma):  # k = tau(h)
         raise AssertionError("witness verification failed")
     return h
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exactlinalg import det_int, int_matrix, smith_normal_form
+from .exactlinalg import det_int, int_matrix, kernel_basis
 from .siegel import require_siegel
 from .spdcone import jacobi_decomposition, require_spd
 
@@ -198,14 +198,6 @@ def semi_abelian_limit(Z0, t: int) -> tuple[np.ndarray, np.ndarray]:
 # splitting type of an integral involution
 
 
-def _kernel_basis(M: np.ndarray) -> np.ndarray:
-    """Columns: a basis of the saturated integer kernel of M."""
-    U, D, V = smith_normal_form(M)
-    n, m = M.shape
-    zero_cols = [j for j in range(m) if j >= min(n, m) or int(D[j, j]) == 0]
-    return V[:, zero_cols]
-
-
 def involution_splitting_type(S) -> tuple[int, int, int]:
     """Splitting type (s', p, t') of an integral involution S with S^2 = I.
 
@@ -220,8 +212,8 @@ def involution_splitting_type(S) -> tuple[int, int, int]:
     I = np.eye(n, dtype=object)
     if not np.all(S @ S == I):
         raise ValueError("matrix must square to the identity")
-    plus = _kernel_basis(S - I)
-    minus = _kernel_basis(S + I)
+    plus = kernel_basis(S - I)
+    minus = kernel_basis(S + I)
     r_plus = plus.shape[1]
     r_minus = minus.shape[1]
     if r_plus + r_minus != n:

@@ -25,6 +25,7 @@ __all__ = [
     "gf2_rank",
     "smith_normal_form",
     "integer_solve",
+    "kernel_basis",
     "complete_to_unimodular",
     "random_unimodular",
 ]
@@ -348,6 +349,48 @@ def integer_solve(G, x) -> np.ndarray | None:
     for i in range(m):
         sol[i] = sum(int(V[i, j]) * z[j] for j in range(m))
     return sol
+
+
+def kernel_basis(M) -> np.ndarray:
+    """Columns: the Hermite basis of the saturated integer kernel of M.
+
+    Integer column operations bring [M; I] to echelon form one row at a time.
+    Once the rows of M are cleared, the remaining columns are (0, x) with x
+    running over a basis of the kernel; their pivots are made positive and
+    every entry above a pivot is reduced modulo it.  This basis is unique.
+    On the 8 x 8 involutions of ``cohomology`` its entries keep within twice
+    the digits of M, where the transformation of ``smith_normal_form``
+    reaches thousands of digits.
+    """
+    M = _as_exact(M)
+    n, m = M.shape
+    vecs = [[int(v) for v in M[:, j]] + [int(i == j) for i in range(m)] for j in range(m)]
+    basis: list[list[int]] = []
+    for i in range(n + m):
+        live = [v for v in vecs if v[i]]
+        while len(live) > 1:
+            p = min(live, key=lambda v: abs(v[i]))
+            for v in live:
+                if v is not p:
+                    q = v[i] // p[i]
+                    v[:] = [a - q * b for a, b in zip(v, p)]
+            live = [v for v in live if v[i]]
+        if not live:
+            continue
+        p = live[0]
+        vecs = [v for v in vecs if v is not p]
+        if i < n:  # M x != 0 for this column
+            continue
+        if p[i] < 0:
+            p[:] = [-a for a in p]
+        for b in basis:
+            q = b[i] // p[i]
+            b[:] = [a - q * c for a, c in zip(b, p)]
+        basis.append(p)
+    out = np.zeros((m, len(basis)), dtype=object)
+    for j, b in enumerate(basis):
+        out[:, j] = b[n:]
+    return out
 
 
 def complete_to_unimodular(rows) -> np.ndarray:

@@ -16,19 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spdcone import is_minkowski_reduced, require_spd
+from .spdcone import require_spd
 
 __all__ = [
     "MinkowskiEuclidPoint",
     "GroupElementGLgh",
-    "glgh_compose",
     "glgh_act",
     "metric_value",
-    "volume_jacobian_check",
     "geodesic_through_origin",
     "whitening_frame",
     "distance",
-    "in_fundamental_set",
 ]
 
 
@@ -76,14 +73,6 @@ class GroupElementGLgh:
         object.__setattr__(self, "a", a)
 
 
-def glgh_compose(x: GroupElementGLgh, y: GroupElementGLgh) -> GroupElementGLgh:
-    """Product (A, a)(B, b) = (AB, a tB^-1 + b)."""
-    return GroupElementGLgh(
-        A=x.A @ y.A,
-        a=x.a @ np.linalg.inv(y.A).T + y.a,
-    )
-
-
 def glgh_act(x: GroupElementGLgh, p: MinkowskiEuclidPoint) -> MinkowskiEuclidPoint:
     """Action (A, a) . (Y, V) = (A Y tA, (V + a) tA)."""
     Y = x.A @ p.Y @ x.A.T
@@ -102,51 +91,6 @@ def metric_value(p: MinkowskiEuclidPoint, dY, dV, A_c: float = 1.0,
     first = float(np.trace(T @ T))
     second = float(np.trace(np.linalg.solve(p.Y, dV.T @ dV)))
     return A_c * first + B_c * second
-
-
-def _pack(Y: np.ndarray, V: np.ndarray) -> np.ndarray:
-    g = Y.shape[0]
-    iu = np.triu_indices(g)
-    return np.concatenate([Y[iu], V.ravel()])
-
-
-def volume_jacobian_check(A, g: int, h: int, probe: MinkowskiEuclidPoint | None = None,
-                          step: float = 1e-6) -> tuple[float, float]:
-    """Numeric Jacobian determinant of the action map against |det A|^(g+h+1).
-
-    Returns (numeric, analytic); the action is affine in the coordinates, so
-    the finite-difference Jacobian is exact up to roundoff.
-    """
-    A = np.asarray(A, dtype=float)
-    if probe is None:
-        probe = MinkowskiEuclidPoint(Y=np.eye(g), V=np.zeros((h, g)))
-    elem = GroupElementGLgh(A=A, a=np.zeros((h, g)))
-    dim = g * (g + 1) // 2 + h * g
-    iu = np.triu_indices(g)
-
-    def unpack(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        Y = np.zeros((g, g))
-        Y[iu] = vec[: len(iu[0])]
-        Y = Y + Y.T - np.diag(np.diag(Y))
-        V = vec[len(iu[0]):].reshape(h, g) if h > 0 else np.zeros((h, g))
-        return Y, V
-
-    base = _pack(probe.Y, probe.V)
-
-    def image(vec: np.ndarray) -> np.ndarray:
-        Y, V = unpack(vec)
-        Yn = A @ Y @ A.T
-        Vn = V @ A.T
-        return _pack(0.5 * (Yn + Yn.T), Vn)
-
-    J = np.zeros((dim, dim))
-    for k in range(dim):
-        e = np.zeros(dim)
-        e[k] = step
-        J[:, k] = (image(base + e) - image(base - e)) / (2 * step)
-    numeric = abs(float(np.linalg.det(J)))
-    analytic = abs(float(np.linalg.det(A))) ** (g + h + 1)
-    return numeric, analytic
 
 
 def geodesic_through_origin(k, lambdas, Z, t: float) -> MinkowskiEuclidPoint:
@@ -245,9 +189,3 @@ def distance(p0: MinkowskiEuclidPoint, p1: MinkowskiEuclidPoint,
 
     return _gauss_legendre_adaptive(speed)
 
-
-def in_fundamental_set(p: MinkowskiEuclidPoint, tol: float = 1e-10) -> bool:
-    """True iff Y is Minkowski reduced and every entry of V is within [-1, 1]."""
-    if not is_minkowski_reduced(p.Y, tol=tol):
-        return False
-    return bool(np.max(np.abs(p.V), initial=0.0) <= 1.0 + tol)

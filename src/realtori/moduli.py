@@ -322,7 +322,6 @@ class EquivalenceResult:
     verdict: Verdict
     witness: np.ndarray | None = None
     detail: str = ""
-    candidates_searched: int = 0
 
 
 def congruence_witnesses(Y1, Y2, tol: float = 1e-9, max_witnesses: int = 64,
@@ -430,10 +429,8 @@ def polarized_tori_equivalent(Y1, Y2, tol: float = 1e-9,
             return out
     if complete:
         return EquivalenceResult(Verdict.INEQUIVALENT,
-                                 detail="no witness in the complete candidate set",
-                                 candidates_searched=len(witnesses))
-    return EquivalenceResult(Verdict.UNDECIDED, detail="candidate cap exceeded",
-                             candidates_searched=len(witnesses))
+                                 detail="no witness in the complete candidate set")
+    return EquivalenceResult(Verdict.UNDECIDED, detail="candidate cap exceeded")
 
 
 def real_ppav_equivalent(omega1, omega2, bound: int = 200_000,
@@ -470,19 +467,14 @@ def real_ppav_equivalent(omega1, omega2, bound: int = 200_000,
                                                max_witnesses=4096, cap=bound)
     A2inv = unimodular_inverse(A2)
     scale = max(1.0, float(np.max(np.abs(Y2))))
-    checked = 0
     for B in witnesses:
         A = A2inv @ B @ A1
-        checked += 1
         Af = A.astype(float)
         if float(np.max(np.abs(Af @ Y1 @ Af.T - Y2))) > max(tol, 1e-8) * scale:
             continue
         if np.all((A @ int_matrix(M1) @ A.T - int_matrix(M2)) % 2 == 0):
-            return EquivalenceResult(Verdict.EQUIVALENT, witness=A,
-                                     candidates_searched=checked)
+            return EquivalenceResult(Verdict.EQUIVALENT, witness=A)
     if complete:
         return EquivalenceResult(Verdict.INEQUIVALENT,
-                                 detail="all imaginary-part witnesses fail the mod-2 condition",
-                                 candidates_searched=checked)
-    return EquivalenceResult(Verdict.UNDECIDED, detail="witness cap exceeded",
-                             candidates_searched=checked)
+                                 detail="all imaginary-part witnesses fail the mod-2 condition")
+    return EquivalenceResult(Verdict.UNDECIDED, detail="witness cap exceeded")

@@ -12,8 +12,9 @@ from realtori import cli
 
 INVARIANTS = '{"cmd":"invariants","g":2}'
 NOT_SPD = '{"cmd":"reduce","Y":[[1,2],[2,1]]}'
-# J is a cocycle that is no coboundary of the empty word: undecided at bound 0
-UNDECIDED = '{"cmd":"coboundary","gamma":[[0,1],[-1,0]],"bound":0}'
+# the witness search stops at its cap of one node, so the verdict is undecided
+_I2 = '{"X":[[0,0],[0,0]],"Y":[[1,0],[0,1]]}'
+UNDECIDED = f'{{"cmd":"equiv","Omega1":{_I2},"Omega2":{_I2},"bound":1}}'
 
 
 class TestRemovedFlags:
@@ -79,7 +80,7 @@ class TestRequestLimits:
         ('{"cmd":"invariants","g":1000}', 0),
         ('{"cmd":"invariants","g":1001}', 2),
         ('{"cmd":"invariants","g":0}', 2),
-        ('{"cmd":"coboundary","gamma":[[0,1],[-1,0]],"bound":5}', 3),
+        ('{"cmd":"coboundary","gamma":[[0,1],[-1,0]],"bound":5}', 2),
         ('{"cmd":"coboundary","gamma":[[0,1],[-1,0]],"bound":6}', 2),
         ('{"cmd":"coboundary","gamma":[[0,1],[-1,0]],"bound":-1}', 2),
     ])
@@ -87,11 +88,28 @@ class TestRequestLimits:
         code, out = run_cli(request_)
         assert code == expected
         if expected == 2:
-            assert "must be an integer in" in json.loads(out)["error"]
+            error = json.loads(out)["error"]
+            assert "must be an integer in" in error or "option bound does not apply" in error
 
     def test_word_bound_option_is_checked(self, run_cli):
-        code, _ = run_cli('{"cmd":"coboundary","gamma":[[0,1],[-1,0]]}', "--bound", "6")
+        code, _ = run_cli('{"cmd":"coboundary","gamma":[[0,1],[-1,0]]}', "--bound", "4")
         assert code == 2
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_j_is_no_coboundary(self, run_cli, g):
+        J = np.block([[np.zeros((g, g), int), np.eye(g, dtype=int)],
+                      [-np.eye(g, dtype=int), np.zeros((g, g), int)]])
+        start = time.perf_counter()
+        code, out = run_cli(json.dumps({"cmd": "coboundary", "gamma": J.tolist()}))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(out) == {"status": "ok", "witness": None}
+
+    def test_coboundary_above_g4_is_bad_input(self, run_cli):
+        gamma = np.eye(10, dtype=int).tolist()
+        code, out = run_cli(json.dumps({"cmd": "coboundary", "gamma": gamma}))
+        assert code == 2
+        assert "at most 8 x 8" in json.loads(out)["error"]
 
 
 class TestGoldenReduce:

@@ -9,6 +9,7 @@ from realtori.exactlinalg import (
     gf2_rank,
     int_matrix,
     integer_solve,
+    kernel_basis,
     is_symplectic,
     is_unimodular,
     random_unimodular,
@@ -229,6 +230,27 @@ class TestSmithNormalForm:
         assert [int(v) for v in U[0]] == [2, 3, 5]
         with pytest.raises(ValueError):
             complete_to_unimodular(int_matrix([[2, 4, 6]]))
+
+
+class TestKernelBasis:
+    def test_random(self):
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            n, m = (int(v) for v in rng.choice([(1, 3), (2, 4), (3, 3), (3, 5), (4, 8)]))
+            M = rng.integers(-9, 10, size=(n, m))
+            M[-1] = M[0] * rng.integers(-2, 3)
+            K = kernel_basis(M)
+            assert all(v == 0 for v in (int_matrix(M) @ K).flat)
+            rank = sum(1 for v in np.diag(smith_normal_form(M)[1]) if v != 0)
+            assert K.shape == (m, m - rank)
+            # saturated: the columns extend to a basis of Z^m
+            assert all(v == 1 for v in np.diag(smith_normal_form(K)[1]))
+
+    def test_hand_examples(self):
+        assert kernel_basis([[2, 4]]).tolist() == [[2], [-1]]
+        assert kernel_basis([[1, 1, 1], [1, 2, 3]]).tolist() == [[1], [-2], [1]]
+        assert kernel_basis(np.eye(2, dtype=int)).shape == (2, 0)
+        assert kernel_basis([[0, 0]]).tolist() == [[1, 0], [0, 1]]
 
 
 class TestExactEntries:
