@@ -1,5 +1,6 @@
 """Per-layer timings of reduction, enumeration, congruence-witness search,
-exact inverse, Smith normal form and coboundary witnesses.
+exact determinant and inverse, Smith normal form, coboundary witnesses, theta
+summation and the JSON decode/encode round trip.
 
 Run from the root of a checkout (not part of the tier-1 tests):
 
@@ -11,11 +12,15 @@ reduced domain by a unimodular matrix with entries up to 3, as in
 ``tests/golden/make_reduce.py``.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from realtori import cli
 from realtori.cohomology import coboundary_witness
 from realtori.exactlinalg import (
+    det_int,
     random_unimodular,
     smith_normal_form,
     symplectic_inverse,
@@ -24,6 +29,7 @@ from realtori.exactlinalg import (
 from realtori.moduli import congruence_witnesses
 from realtori.siegel import random_symplectic, tau_group
 from realtori.spdcone import minkowski_reduce, quadratic_short_vectors
+from realtori.theta import canonical_line_bundle_data, theta_eval
 
 
 def _form(g: int, cond: float, seed: int) -> np.ndarray:
@@ -52,6 +58,19 @@ TIED = {
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_minkowski_reduce(benchmark, g, cond):
     forms = [_form(g, CONDITIONING[cond], seed) for seed in range(10)]
+    benchmark(lambda: [minkowski_reduce(Y) for Y in forms])
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_minkowski_reduce_tied(benchmark, g):
+    """10 copies of the tied form, each moved by a unimodular matrix and
+    scaled by a real factor in [0.5, 2] (ties at rounding level)."""
+    rng = np.random.default_rng(700 + g)
+    G = np.array(TIED[g], dtype=float)
+    forms = []
+    for _ in range(10):
+        U = random_unimodular(g, rng, max_entry=3).astype(float)
+        forms.append((U @ G @ U.T) * float(rng.uniform(0.5, 2.0)))
     benchmark(lambda: [minkowski_reduce(Y) for Y in forms])
 
 
@@ -86,6 +105,13 @@ def test_unimodular_inverse(benchmark, g):
 
 
 @pytest.mark.parametrize("g", [2, 4, 6])
+def test_det_int(benchmark, g):
+    rng = np.random.default_rng(450 + g)
+    mats = [rng.integers(-9, 10, size=(g, g)) for _ in range(10)]
+    benchmark(lambda: [det_int(M) for M in mats])
+
+
+@pytest.mark.parametrize("g", [2, 4, 6])
 def test_smith_normal_form(benchmark, g):
     rng = np.random.default_rng(500 + g)
     mats = [rng.integers(-9, 10, size=(g, g)) for _ in range(10)]
@@ -99,3 +125,44 @@ def test_coboundary_witness(benchmark, g):
     gammas = [tau_group(h) @ symplectic_inverse(h) for h in words]
     witnesses = benchmark(lambda: [coboundary_witness(gamma) for gamma in gammas])
     assert all(h is not None for h in witnesses)
+
+
+def _shear(g: int, k: int) -> np.ndarray:
+    U = np.eye(g)
+    for i in range(g - 1):
+        U[i, i + 1] = k
+    return U
+
+
+@pytest.mark.parametrize("shape", ["well", "sheared"])
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_theta_eval(benchmark, g, shape):
+    """Canonical-bundle theta at 5 arguments in the fundamental cell: a form
+    with eigenvalues in [1, 2], or 1.1 I in the basis sheared by 2 above the
+    diagonal (the same lattice, skewed)."""
+    rng = np.random.default_rng(800 + g)
+    if shape == "well":
+        Q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+        Y = (Q * rng.uniform(1.0, 2.0, size=g)) @ Q.T
+    else:
+        U = _shear(g, 2)
+        Y = U @ (1.1 * np.eye(g)) @ U.T
+    spec = canonical_line_bundle_data(0.5 * (Y + Y.T)).spec
+    args = [Y @ rng.uniform(-0.45, 0.45, size=g) for _ in range(5)]
+    benchmark(lambda: [theta_eval(spec, v) for v in args])
+
+
+def test_json_round_trip(benchmark):
+    """Decode 50 g = 4 ``reduce`` requests and encode their matrices back."""
+    texts = [json.dumps({"cmd": "reduce", "Y": _form(4, 10.0, seed).tolist()})
+             for seed in range(50)]
+
+    def round_trip():
+        out = []
+        for text in texts:
+            req = cli.parse_request(text)
+            Y = cli.decode_matrix(req.payload["Y"], "real", square=True)
+            out.append(cli.canonical_json({"status": "ok", "R": cli.encode_matrix(Y)}))
+        return out
+
+    benchmark(round_trip)

@@ -227,9 +227,12 @@ class JobRequest:
 
 
 def _decode_json(text: str):
+    # JSONDecodeError is a ValueError; so is an integer literal longer than
+    # the interpreter's digit limit.  Nesting deeper than the recursion limit
+    # raises RecursionError.
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
 
 

@@ -8,6 +8,7 @@ decided by Minkowski reduction plus a certified finite witness search).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,9 +22,10 @@ from .exactlinalg import (
     symplectic_form,
     unimodular_inverse,
 )
-from .siegel import in_script_H, require_siegel
+from .siegel import _half_integral, require_siegel
 from .spdcone import (
     MAX_REDUCTION_DIM,
+    _minkowski_reduce,
     minkowski_reduce,
     quadratic_short_vectors,
     require_spd,
@@ -293,7 +295,7 @@ def real_structure_matrix(omega, tol: float = 1e-9) -> np.ndarray:
     """Integral matrix (-I, 0; 2X, I) of the real structure at a point with
     half-integral real part; verified exactly anti-symplectic."""
     om = require_siegel(omega)
-    if not in_script_H(om, tol):
+    if not _half_integral(om, tol):
         raise ValueError("point must have half-integral real part")
     g = om.shape[0]
     twoX = int_matrix(np.round(2.0 * om.real).astype(int))
@@ -336,36 +338,44 @@ def congruence_witnesses(Y1, Y2, tol: float = 1e-9, max_witnesses: int = 64,
     """
     Y1 = require_spd(Y1)
     Y2 = require_spd(Y2)
-    g = Y1.shape[0]
-    if Y2.shape[0] != g:
+    if Y2.shape[0] != Y1.shape[0]:
         return [], True
-    scale = max(1.0, float(np.max(np.abs(Y2))))
-    tau = tol * scale
-    diag2 = np.diag(Y2)
+    found: list[np.ndarray] = []
     try:
-        vecs = quadratic_short_vectors(Y1, float(np.max(diag2)) + tau, cap=cap)
+        for B in _witness_search(Y1, Y2, tol * max(1.0, float(np.max(np.abs(Y2)))), cap):
+            found.append(B)
+            if len(found) >= max_witnesses:
+                return found, False
     except RuntimeError:
-        return [], False
+        return found, False
+    return found, True
+
+
+def _witness_search(Y1: np.ndarray, Y2: np.ndarray, tau: float, cap: int):
+    """Yield, in search order, the witnesses of ``congruence_witnesses`` for
+    validated forms of one size within the absolute tolerance ``tau``.
+
+    Raises RuntimeError when the enumeration or the node count exceeds ``cap``.
+    """
+    g = Y1.shape[0]
+    diag2 = np.diag(Y2)
+    vecs = quadratic_short_vectors(Y1, float(np.max(diag2)) + tau, cap=cap)
     X = np.array(vecs, dtype=float).reshape(len(vecs), g)
     values = np.einsum("ni,ij,nj->n", X, Y1, X)
     rows = [np.flatnonzero(np.abs(values - diag2[i]) <= tau).tolist() for i in range(g)]
     # row i's candidates times Y1: one product with a chosen row j < i gives
     # the cross term (Y2)_ij of every candidate at once
     products = [X[r] @ Y1 for r in rows]
-    found: list[np.ndarray] = []
     chosen: list[int] = []
     nodes = 0
 
-    def backtrack(i: int) -> bool:
-        # returns True to abort the search (caps the witness count)
+    def backtrack(i: int):
         nonlocal nodes
         if i == g:
             B = int_matrix(np.array([vecs[c] for c in chosen], dtype=object))
             if is_unimodular(B):
-                found.append(B)
-                if len(found) >= max_witnesses:
-                    return True
-            return False
+                yield B
+            return
         cross = products[i] @ X[chosen].T
         fits = np.all(np.abs(cross - Y2[i, :i]) <= tau, axis=1).tolist()
         for cand, fit in zip(rows[i], fits):
@@ -374,16 +384,29 @@ def congruence_witnesses(Y1, Y2, tol: float = 1e-9, max_witnesses: int = 64,
                 raise RuntimeError("witness search cap exceeded")
             if fit:
                 chosen.append(cand)
-                if backtrack(i + 1):
-                    return True
+                yield from backtrack(i + 1)
                 chosen.pop()
-        return False
 
-    try:
-        aborted = backtrack(0)
-    except RuntimeError:
-        return found, False
-    return found, not aborted
+    yield from backtrack(0)
+
+
+def _exact_integers(*forms: np.ndarray) -> list[np.ndarray] | None:
+    """The forms as exact integer matrices when every entry is an integer
+    below 2^53 in magnitude (so the float input is that integer), else None."""
+    if not all(np.all(np.abs(Y) < 2.0 ** 53) and np.all(Y == np.floor(Y)) for Y in forms):
+        return None
+    return [np.array(Y.astype(np.int64).tolist(), dtype=object) for Y in forms]
+
+
+def _transports(A: np.ndarray, Y1: np.ndarray, Y2: np.ndarray,
+                exact: list[np.ndarray] | None, limit: float) -> bool:
+    """A Y1 tA = Y2: in integers when ``exact`` holds the integer forms,
+    else within ``limit`` in every entry."""
+    if exact is not None:
+        Z1, Z2 = exact
+        return bool(np.all(A @ Z1 @ A.T == Z2))
+    Af = A.astype(float)
+    return float(np.max(np.abs(Af @ Y1 @ Af.T - Y2))) <= limit
 
 
 def polarized_tori_equivalent(Y1, Y2, tol: float = 1e-9,
@@ -392,7 +415,9 @@ def polarized_tori_equivalent(Y1, Y2, tol: float = 1e-9,
 
     Both inputs are Minkowski reduced; matching reduced forms give an
     immediate composed witness, otherwise a certified finite search between
-    the reduced forms decides the boundary-ambiguous cases.
+    the reduced forms decides the boundary-ambiguous cases.  A witness is
+    verified exactly, A Y1 tA = Y2 in integers, when every input entry is an
+    integer below 2^53, and within ``tol`` otherwise.
     """
     Y1 = require_spd(Y1)
     Y2 = require_spd(Y2)
@@ -404,33 +429,24 @@ def polarized_tori_equivalent(Y1, Y2, tol: float = 1e-9,
     d1, d2 = np.linalg.det(Y1), np.linalg.det(Y2)
     if abs(d1 - d2) > 1e-8 * max(1.0, abs(d1), abs(d2)):
         return EquivalenceResult(Verdict.INEQUIVALENT, detail="determinant invariant differs")
-    R1, A1 = minkowski_reduce(Y1)
-    R2, A2 = minkowski_reduce(Y2)
+    R1, A1 = _minkowski_reduce(Y1)
+    R2, A2 = _minkowski_reduce(Y2)
     scale = max(1.0, float(np.max(np.abs(Y2))))
     A2inv = unimodular_inverse(A2)
-
-    def finish(B) -> EquivalenceResult:
-        A = A2inv @ B @ A1
-        res = float(np.max(np.abs(A.astype(float) @ Y1 @ A.astype(float).T - Y2)))
-        if res > max(tol, 1e-9) * scale:
-            return EquivalenceResult(Verdict.UNDECIDED, detail="witness verification failed")
-        return EquivalenceResult(Verdict.EQUIVALENT, witness=A)
-
+    exact = _exact_integers(Y1, Y2)
+    candidates = _witness_search(R1, R2, max(tol, 1e-9) * max(1.0, float(np.max(np.abs(R2)))),
+                                 cap)
     if float(np.max(np.abs(R1 - R2))) <= 1e-8 * scale:
-        eye = int_matrix(np.eye(g, dtype=int))
-        out = finish(eye)
-        if out.verdict is Verdict.EQUIVALENT:
-            return out
-    witnesses, complete = congruence_witnesses(R1, R2, tol=max(tol, 1e-9),
-                                               max_witnesses=8, cap=cap)
-    for B in witnesses:
-        out = finish(B)
-        if out.verdict is Verdict.EQUIVALENT:
-            return out
-    if complete:
-        return EquivalenceResult(Verdict.INEQUIVALENT,
-                                 detail="no witness in the complete candidate set")
-    return EquivalenceResult(Verdict.UNDECIDED, detail="candidate cap exceeded")
+        candidates = itertools.chain([np.eye(g, dtype=object)], candidates)
+    try:
+        for B in candidates:
+            A = A2inv @ B @ A1
+            if _transports(A, Y1, Y2, exact, max(tol, 1e-9) * scale):
+                return EquivalenceResult(Verdict.EQUIVALENT, witness=A)
+    except RuntimeError:
+        return EquivalenceResult(Verdict.UNDECIDED, detail="candidate cap exceeded")
+    return EquivalenceResult(Verdict.INEQUIVALENT,
+                             detail="no witness in the complete candidate set")
 
 
 def real_ppav_equivalent(omega1, omega2, bound: int = 200_000,
@@ -440,11 +456,12 @@ def real_ppav_equivalent(omega1, omega2, bound: int = 200_000,
     A witness A must transport the imaginary parts by congruence and match
     twice-real parts mod 2; the imaginary-part witnesses form a certified
     finite set obtained from Minkowski reduction, so failure of all of them
-    refutes equivalence.
+    refutes equivalence.  The transport is checked as in
+    ``polarized_tori_equivalent``: in integers on integer imaginary parts.
     """
     om1 = require_siegel(omega1)
     om2 = require_siegel(omega2)
-    if not (in_script_H(om1, tol) and in_script_H(om2, tol)):
+    if not (_half_integral(om1, tol) and _half_integral(om2, tol)):
         raise ValueError("both points must have half-integral real part")
     g = om1.shape[0]
     if om2.shape[0] != g:
@@ -456,25 +473,26 @@ def real_ppav_equivalent(omega1, omega2, bound: int = 200_000,
     if mod2_invariants(M1 % 2) != mod2_invariants(M2 % 2):
         return EquivalenceResult(Verdict.INEQUIVALENT,
                                  detail="component invariants differ")
-    Y1, Y2 = om1.imag, om2.imag
+    # the imaginary parts of validated points are validated forms
+    Y1, Y2 = np.ascontiguousarray(om1.imag), np.ascontiguousarray(om2.imag)
     d1, d2 = np.linalg.det(Y1), np.linalg.det(Y2)
     if abs(d1 - d2) > 1e-8 * max(1.0, abs(d1), abs(d2)):
         return EquivalenceResult(Verdict.INEQUIVALENT,
                                  detail="imaginary determinant differs")
-    R1, A1 = minkowski_reduce(Y1)
-    R2, A2 = minkowski_reduce(Y2)
-    witnesses, complete = congruence_witnesses(R1, R2, tol=tol,
-                                               max_witnesses=4096, cap=bound)
+    R1, A1 = _minkowski_reduce(Y1)
+    R2, A2 = _minkowski_reduce(Y2)
     A2inv = unimodular_inverse(A2)
     scale = max(1.0, float(np.max(np.abs(Y2))))
-    for B in witnesses:
-        A = A2inv @ B @ A1
-        Af = A.astype(float)
-        if float(np.max(np.abs(Af @ Y1 @ Af.T - Y2))) > max(tol, 1e-8) * scale:
-            continue
-        if np.all((A @ int_matrix(M1) @ A.T - int_matrix(M2)) % 2 == 0):
-            return EquivalenceResult(Verdict.EQUIVALENT, witness=A)
-    if complete:
-        return EquivalenceResult(Verdict.INEQUIVALENT,
-                                 detail="all imaginary-part witnesses fail the mod-2 condition")
-    return EquivalenceResult(Verdict.UNDECIDED, detail="witness cap exceeded")
+    N1, N2 = int_matrix(M1), int_matrix(M2)
+    exact = _exact_integers(Y1, Y2)
+    try:
+        for B in _witness_search(R1, R2, tol * max(1.0, float(np.max(np.abs(R2)))), bound):
+            A = A2inv @ B @ A1
+            if not _transports(A, Y1, Y2, exact, max(tol, 1e-8) * scale):
+                continue
+            if np.all((A @ N1 @ A.T - N2) % 2 == 0):
+                return EquivalenceResult(Verdict.EQUIVALENT, witness=A)
+    except RuntimeError:
+        return EquivalenceResult(Verdict.UNDECIDED, detail="witness cap exceeded")
+    return EquivalenceResult(Verdict.INEQUIVALENT,
+                             detail="all imaginary-part witnesses fail the mod-2 condition")

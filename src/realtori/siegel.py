@@ -164,7 +164,11 @@ def disk_act(M, W) -> np.ndarray:
 
 def in_script_H(omega, tol: float = 1e-9) -> bool:
     """True iff twice the real part is integral within ``tol``."""
-    om = require_siegel(omega)
+    return _half_integral(require_siegel(omega), tol)
+
+
+def _half_integral(om: np.ndarray, tol: float) -> bool:
+    # in_script_H on a validated point
     twice = 2.0 * om.real
     return bool(np.max(np.abs(twice - np.round(twice))) <= tol)
 

@@ -8,12 +8,14 @@ volume densities, and numerically applied invariant differential operators.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .exactlinalg import complete_to_unimodular, int_matrix, is_unimodular
+from .exactlinalg import complete_to_unimodular, is_unimodular
 
 __all__ = [
     "require_spd",
@@ -33,6 +35,10 @@ __all__ = [
 
 MAX_REDUCTION_DIM = 4
 _ENUMERATION_CAP = 2_000_000
+# twice the unit roundoff of a double
+_ROUNDING = 2.0 ** -52
+# width, relative to max(1, value), within which two values of the form tie
+_TIE = 1e-12
 
 
 def _spd_factor(Y, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
@@ -172,9 +178,7 @@ def quadratic_short_vectors(Y, bound: float, cap: int = _ENUMERATION_CAP) -> lis
     g = Y.shape[0]
     if bound <= 0:
         return []
-    # m e_i is listed whenever m^2 y_ii <= bound; the margin keeps this count
-    # a lower bound on the output despite the enumeration's roundoff
-    if float(np.sum(2.0 * np.floor(np.sqrt(bound * (1 - 1e-9) / np.diag(Y))))) > cap:
+    if _unit_multiples(np.diag(Y), bound) > cap:
         raise RuntimeError("short-vector enumeration bound overflow")
     diag = np.diag(L)
     W = (L / diag).T.tolist()
@@ -207,6 +211,12 @@ def quadratic_short_vectors(Y, bound: float, cap: int = _ENUMERATION_CAP) -> lis
 
     descend(g - 1, float(bound))
     return out
+
+
+def _unit_multiples(diag: np.ndarray, bound: float) -> float:
+    # m e_i is listed whenever m^2 y_ii <= bound; the margin keeps this count
+    # a lower bound on the output despite the enumeration's roundoff
+    return float(np.sum(2.0 * np.floor(np.sqrt(bound * (1 - 1e-9) / diag))))
 
 
 def _short_table(Y: np.ndarray,
@@ -259,36 +269,96 @@ def _sign_fix(R: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return R, A
 
 
-def _size_reduce(Y: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _size_reduce(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # cheap pre-conditioning pass on a validated Y: sort by diagonal, shear
     # off large off-diagonal multiples.  Keeps the later certified
-    # enumeration small.
+    # enumeration small.  A is kept as rows of Python ints and Af as its
+    # float image, row by row.
     g = Y.shape[0]
-    R = _act(A.astype(float), Y)
+    A = [[int(i == j) for j in range(g)] for i in range(g)]
+    Af = np.eye(g)
+    R = _act(Af, Y)
     for _ in range(32):
-        order = np.argsort(np.diag(R), kind="stable")
-        if not np.array_equal(order, np.arange(g)):
-            A = A[order]
-            R = _act(A.astype(float), Y)
-        changed = False
         Rl = R.tolist()
+        order = sorted(range(g), key=lambda i: Rl[i][i])
+        if order != list(range(g)):
+            A = [A[i] for i in order]
+            Af = Af[order]
+            R = _act(Af, Y)
+            Rl = R.tolist()
+        changed = False
         for i in range(g):
             for j in range(g):
                 if i == j:
                     continue
                 q = round(Rl[i][j] / Rl[j][j])
                 if q != 0 and abs(Rl[i][j]) > 0.5 * Rl[j][j] * (1 + 1e-12):
-                    A[i, :] = A[i, :] - q * A[j, :]
-                    R = _act(A.astype(float), Y)
+                    A[i] = [a - q * b for a, b in zip(A[i], A[j])]
+                    Af[i] = A[i]
+                    R = _act(Af, Y)
                     Rl = R.tolist()
                     changed = True
         if not changed:
             break
-    return R, A
+    return R, np.array(A, dtype=object)
+
+
+@lru_cache(maxsize=None)
+def _minkowski_conditions(g: int) -> tuple:
+    """Minkowski's conditions q(s) - R_kk >= 0 of a g x g form.
+
+    One condition for each s in {0, +-1}^g (up to sign) and each k such that
+    s has a nonzero entry at position k or later and is not e_k.  Returns
+    the upper-triangle indices of R, the matrix C whose row c holds the
+    integer coefficients of condition c on those entries, |C|, and each row
+    of C as (entry, coefficient) pairs for exact sums.
+    """
+    upper = np.triu_indices(g)
+    iu = list(zip(*upper))
+    rows = []
+    for s in itertools.product((0, 1, -1), repeat=g):
+        if not any(s) or _canon(s) != s:
+            continue
+        for k in range(g):
+            if not any(s[k:]) or s == tuple(int(i == k) for i in range(g)):
+                continue
+            rows.append([(1 if i == j else 2) * s[i] * s[j] - (i == j == k) for i, j in iu])
+    C = np.array(rows, dtype=float).reshape(len(rows), len(iu))
+    return upper, C, np.abs(C), [[(t, c) for t, c in enumerate(row) if c] for row in rows]
+
+
+def _is_certified_reduced(R: np.ndarray) -> bool:
+    """Exact test of every Minkowski condition q(s) >= R_kk, s in {0, +-1}^g.
+
+    A float slack sums at most g(g+1)/2 exact terms c R_ij with |c| <= 2, so
+    its error is below (g^2 + 2) 2u times the sum of their magnitudes; slacks
+    inside that band are summed again with ``math.fsum``, whose sign is exact.
+    """
+    g = R.shape[0]
+    upper, C, Cabs, terms = _minkowski_conditions(g)
+    r = R[upper]
+    slack = C @ r
+    band = (g * g + 2) * _ROUNDING * (Cabs @ np.abs(r))
+    if np.any(slack < -band):
+        return False
+    rl = r.tolist()
+    for c in np.flatnonzero(slack <= band).tolist():
+        if math.fsum([coef * rl[t] for t, coef in terms[c]]) < 0:
+            return False
+    return True
 
 
 def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
     """Minkowski reduction: returns (R, A) with R = A Y tA reduced, A unimodular.
+
+    After size reduction, R is checked against Minkowski's finite conditions:
+    for g <= 4 a form is reduced exactly when q(s) >= R_kk for every
+    s in {0, +-1}^g that has a nonzero entry at position k or later and is
+    not +-e_k (Minkowski 1905; Nguyen & Stehle, "Low-dimensional lattice
+    basis reduction revisited", ACM TALG 2009, section 2).  The check is
+    exact: floats with a rigorous rounding band, then ``math.fsum`` inside
+    it.  A form that passes is returned with fixed signs, because the greedy
+    construction below would keep every row.
 
     Greedy construction: row k is chosen to minimize the form over all
     integer vectors whose coordinates from k on are coprime, the preceding
@@ -298,16 +368,35 @@ def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
     until a row changes.  A form too skewed to enumerate raises ValueError.
     """
     Y = require_spd(Y)
-    g = Y.shape[0]
-    if g > MAX_REDUCTION_DIM:
+    if Y.shape[0] > MAX_REDUCTION_DIM:
         raise ValueError(f"reduction support is limited to g <= {MAX_REDUCTION_DIM}")
-    A = int_matrix(np.eye(g, dtype=int))
-    R, A = _size_reduce(Y, A)
-    tie = 1e-12
+    return _minkowski_reduce(Y)
+
+
+def _minkowski_reduce(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # minkowski_reduce on a validated Y with g <= MAX_REDUCTION_DIM
+    R, A = _size_reduce(Y)
+    # refuse before any work when the first enumeration could not hold even
+    # the multiples of the unit vectors
+    if _unit_multiples(np.diag(R), float(np.max(np.diag(R))) * (1 + 1e-9) + _TIE) \
+            > _ENUMERATION_CAP:
+        raise ValueError("form cannot be reduced: short-vector enumeration bound overflow")
+    if not _is_certified_reduced(R):
+        R, A = _greedy_reduce(Y, R, A)
+    R, A = _sign_fix(R, A)
+    if not is_unimodular(A):
+        raise AssertionError("reduction produced a non-unimodular witness")
+    return R, A
+
+
+def _greedy_reduce(Y: np.ndarray, R: np.ndarray,
+                   A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the greedy construction of minkowski_reduce, from R = A Y tA
+    g = Y.shape[0]
     table = None
     for k in range(g):
         if table is None:
-            bound = float(np.max(np.diag(R)[k:])) * (1 + 1e-9) + tie
+            bound = float(np.max(np.diag(R)[k:])) * (1 + 1e-9) + _TIE
             try:
                 table = _short_table(R, bound)
             except RuntimeError as exc:
@@ -317,14 +406,14 @@ def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
         scale = max(1.0, best_val)
         best_vec: tuple[int, ...] | None = None
         e_k = tuple(int(i == k) for i in range(g))
-        # a vector above R[k, k] + tie * scale can neither win nor tie
-        for idx in np.flatnonzero((gcds[:, k] == 1) & (values <= best_val + tie * scale)):
+        # a vector above R[k, k] + _TIE * scale can neither win nor tie
+        for idx in np.flatnonzero((gcds[:, k] == 1) & (values <= best_val + _TIE * scale)):
             x = vecs[idx]
             q = float(values[idx])
-            if q < best_val - tie * scale:
+            if q < best_val - _TIE * scale:
                 best_val = q
                 best_vec = x
-            elif abs(q - best_val) <= tie * scale and best_vec is not None:
+            elif abs(q - best_val) <= _TIE * scale and best_vec is not None:
                 if _canon(x) < _canon(best_vec):
                     best_vec = x
         if best_vec is None or best_vec == e_k or _neg(best_vec) == e_k:
@@ -335,9 +424,6 @@ def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
         A = U @ A
         R = _act(A.astype(float), Y)
         table = None
-    R, A = _sign_fix(R, A)
-    if not is_unimodular(A):
-        raise AssertionError("reduction produced a non-unimodular witness")
     return R, A
 
 

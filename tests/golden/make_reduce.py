@@ -1,8 +1,11 @@
-"""Write the seeded ``reduce`` requests of the golden CLI test.
+"""Write the seeded ``reduce`` requests of the golden CLI tests.
 
     python tests/golden/make_reduce.py > tests/golden/reduce_in.json
     python -m realtori.cli --input tests/golden/reduce_in.json \
         --output tests/golden/reduce_out.json
+    python tests/golden/make_reduce.py ties > tests/golden/reduce_ties_in.json
+    python -m realtori.cli --input tests/golden/reduce_ties_in.json \
+        --output tests/golden/reduce_ties_out.json
 
 Twenty forms for each g = 2, 3, 4: a random rotation of eigenvalues spread
 log-uniformly over a condition number between 1 and about 1e6, moved off the
@@ -12,9 +15,16 @@ integer forms with exact ties between vectors (A2, I3, A3, D4, I4, a
 diagonal form) moved by such matrices, exactly, to pin the tie-breaking.  The
 output file was written once and must not change: reduction is named by its
 bytes.
+
+The ``ties`` set holds 40 scaled integer forms, as the benchmark's workloads
+send them: a tied integer form (the six above and four more) moved by such a
+matrix, exactly, then multiplied by one factor.  Even requests take a random
+real factor in [0.5, 2], which leaves ties at rounding level; odd requests
+take a factor k/8, which keeps them exact.
 """
 
 import json
+import sys
 
 import numpy as np
 
@@ -26,6 +36,14 @@ TIED = [
     [[2, 1, 1, 1], [1, 2, 1, 1], [1, 1, 2, 0], [1, 1, 0, 2]],
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
     [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]],
+]
+
+
+MORE_TIED = [
+    [[1, 0], [0, 1]],
+    [[3, 1, 1], [1, 3, 1], [1, 1, 3]],
+    [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]],
+    [[2, 1, 1, 1], [1, 2, 1, 1], [1, 1, 2, 1], [1, 1, 1, 2]],
 ]
 
 
@@ -59,5 +77,17 @@ def requests() -> list[dict]:
     return out
 
 
+def tie_requests() -> list[dict]:
+    rng = np.random.default_rng(20261018)
+    forms = TIED + MORE_TIED
+    out = []
+    for n in range(40):
+        G = np.array(forms[n % len(forms)], dtype=float)
+        U = _unimodular(len(G), rng)
+        s = float(rng.uniform(0.5, 2.0)) if n % 2 == 0 else int(rng.integers(4, 17)) / 8
+        out.append({"cmd": "reduce", "Y": ((U @ G @ U.T) * s).tolist()})
+    return out
+
+
 if __name__ == "__main__":
-    print(json.dumps(requests()))
+    print(json.dumps(tie_requests() if sys.argv[1:] == ["ties"] else requests()))

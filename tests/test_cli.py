@@ -120,6 +120,37 @@ class TestGoldenReduce:
         assert code == 0
         assert out == (golden / "reduce_out.json").read_text(encoding="utf-8")
 
+    def test_tie_bytes_unchanged(self, run_cli):
+        """40 scaled tied integer forms (``make_reduce.py ties``), byte for byte."""
+        golden = Path(__file__).parent / "golden"
+        code, out = run_cli((golden / "reduce_ties_in.json").read_text(encoding="utf-8"))
+        assert code == 0
+        assert out == (golden / "reduce_ties_out.json").read_text(encoding="utf-8")
+
+
+class TestUndecodableInput:
+    """json.loads errors other than JSONDecodeError are bad input too."""
+
+    LONG = '{"cmd":"cocycle","gamma":[[1' + "0" * 5000 + "]]}"
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    @pytest.mark.parametrize("text", [LONG, f"[{INVARIANTS},{LONG}]", DEEP],
+                             ids=["long-literal", "long-literal-in-batch", "deep-nesting"])
+    def test_bad_input(self, run_cli, text):
+        code, out = run_cli(text)
+        assert code == 2
+        res = json.loads(out)
+        assert res["status"] == "error" and res["error"].startswith("invalid JSON")
+
+
+class TestExactEquiv:
+    def test_close_integer_pair(self, run_cli):
+        # written as integers; the minima 10^10 and 10^10 + 1 differ
+        code, out = run_cli('{"cmd":"equiv","Y1":[[10000000000,0],[0,10000000002]],'
+                            '"Y2":[[10000000001,0],[0,10000000001]]}')
+        assert code == 0
+        assert json.loads(out)["verdict"] == "INEQUIVALENT"
+
 
 class TestBatchIsolation:
     def test_good_entries_survive_a_bad_one(self, run_cli):

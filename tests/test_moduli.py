@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realtori.exactlinalg import (
+    det_int,
     int_matrix,
     is_symplectic,
     random_unimodular,
@@ -339,6 +342,69 @@ class TestPolarizedToriEquivalence:
         # diag(2, 1/2) and I have equal determinant but different minima
         res = polarized_tori_equivalent(np.diag([2.0, 0.5]), np.eye(2))
         assert res.verdict is Verdict.INEQUIVALENT
+
+
+class TestExactEquivalence:
+    """Integer input below 2^53: a witness is checked as A Y1 tA = Y2 in integers."""
+
+    def test_close_integer_pair_is_inequivalent(self):
+        # minima 10^10 and 10^10 + 1; every float test relative to max|Y|
+        # passes for the identity, and the eight candidates of the complete
+        # search all fail the exact check
+        Y1 = np.diag([10**10, 10**10 + 2]).astype(float)
+        Y2 = np.diag([10**10 + 1, 10**10 + 1]).astype(float)
+        for a, b in ((Y1, Y2), (Y2, Y1)):
+            res = polarized_tori_equivalent(a, b)
+            assert res.verdict is Verdict.INEQUIVALENT
+            assert res.witness is None
+
+    def test_close_integer_ppav_pair(self):
+        """The same pair as imaginary parts of real points, and a transported
+        copy of the first, which stays EQUIVALENT with an exact witness."""
+        Y1 = np.diag([10**10, 10**10 + 2]).astype(float)
+        Y2 = np.diag([10**10 + 1, 10**10 + 1]).astype(float)
+        assert real_ppav_equivalent(1j * Y1, 1j * Y2).verdict is Verdict.INEQUIVALENT
+        U = int_matrix([[1, 1], [0, 1]])
+        Z = U @ int_matrix(Y1.astype(np.int64)) @ U.T
+        res = real_ppav_equivalent(1j * Y1, 1j * np.array(Z.tolist(), dtype=float))
+        assert res.verdict is Verdict.EQUIVALENT
+        A = res.witness
+        assert np.all(A @ int_matrix(Y1.astype(np.int64)) @ A.T == Z)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), g=st.integers(2, 4),
+           scale=st.sampled_from([1, 10**6, 10**10]))
+    def test_unit_perturbations_are_never_equivalent(self, seed, g, scale):
+        """A transported integer pair is EQUIVALENT with an exact witness; moving
+        one entry pair of Y2 by +-1 (keeping it positive definite, changing
+        its determinant) makes it INEQUIVALENT, also at 10^10 where the
+        perturbation is below every relative float tolerance."""
+        rng = np.random.default_rng(seed)
+        M = rng.integers(-3, 4, size=(g, g))
+        Z1 = int_matrix(scale * (M @ M.T + g * np.eye(g, dtype=np.int64)))
+        U = random_unimodular(g, rng, max_entry=2)
+        Z2 = U @ Z1 @ U.T
+        assert max(abs(v) for v in Z2.flat) < 2**53
+
+        def as_float(Z):
+            return np.array(Z.tolist(), dtype=float)
+
+        res = polarized_tori_equivalent(as_float(Z1), as_float(Z2))
+        assert res.verdict is Verdict.EQUIVALENT
+        A = res.witness
+        assert np.all(A @ Z1 @ A.T == Z2)
+        det1 = det_int(Z1)
+        for i, j in itertools.combinations_with_replacement(range(g), 2):
+            for step in (1, -1):
+                Z = Z2.copy()
+                Z[i, j] += step
+                if i != j:
+                    Z[j, i] += step
+                # Sylvester's criterion, exactly
+                if det_int(Z) == det1 or any(det_int(Z[:k, :k]) <= 0 for k in range(1, g + 1)):
+                    continue
+                res = polarized_tori_equivalent(as_float(Z1), as_float(Z))
+                assert res.verdict is Verdict.INEQUIVALENT
 
 
 class TestRealPpavEquivalence:

@@ -1,8 +1,11 @@
 import itertools
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realtori import spdcone
 from realtori.exactlinalg import det_int, is_unimodular, random_unimodular
@@ -209,18 +212,148 @@ class TestShortVectors:
         with pytest.raises(ValueError, match="cannot be reduced"):
             minkowski_reduce(np.diag([1e-12, 1.0]))
 
-    def test_reduced_form_is_enumerated_once(self, monkeypatch):
-        calls = []
 
-        def counting(Y, bound, *args):
-            calls.append(bound)
-            return quadratic_short_vectors(Y, bound, *args)
+def _counting_enumerations(monkeypatch):
+    calls = []
 
-        monkeypatch.setattr(spdcone, "quadratic_short_vectors", counting)
+    def counting(Y, bound, *args):
+        calls.append(bound)
+        return quadratic_short_vectors(Y, bound, *args)
+
+    monkeypatch.setattr(spdcone, "quadratic_short_vectors", counting)
+    return calls
+
+
+def _equicorrelated(g, excess):
+    """I + a(J - I) with a = -(1 + excess)/3 at g = 3 and -(1 + excess)/4 at
+    g = 4: size reduced, and q(1, ..., 1) = 1 - (g - 1) excess, so for
+    excess > 0 exactly one vector of {0, +-1}^g (up to sign) beats R_kk."""
+    a = -(1 + excess) / (3 if g == 3 else 4)
+    return np.eye(g) + a * (np.ones((g, g)) - np.eye(g))
+
+
+def _brute_force_reduced(Z):
+    """Oracle: no integer x with x_k.. coprime has Z[x] < Z_kk, by exact
+    integer arithmetic over the box |x_i| <= sqrt(max_k Z_kk (Z^-1)_ii) + 1,
+    which holds every x with Z[x] <= max_k Z_kk (Cauchy-Schwarz)."""
+    g = Z.shape[0]
+    top = int(np.max(np.diag(Z)))
+    radii = np.floor(np.sqrt(top * np.diag(np.linalg.inv(Z)))).astype(int) + 1
+    X = np.array(list(itertools.product(*[range(-r, r + 1) for r in radii])), dtype=np.int64)
+    values = np.einsum("ni,ij,nj->n", X, Z, X)
+    gcds = np.abs(X)
+    for k in range(g - 2, -1, -1):
+        gcds[:, k] = np.gcd(gcds[:, k], gcds[:, k + 1])
+    return all(not np.any((gcds[:, k] == 1) & (values < Z[k, k])) for k in range(g))
+
+
+class TestMinkowskiCertificate:
+    """The {0, +-1} conditions checked after size reduction, against enumeration."""
+
+    @pytest.mark.parametrize("g, diagonal, off, sorted_only", [
+        (2, range(1, 5), range(-3, 4), False),
+        (3, range(1, 4), range(-1, 2), False),
+        (4, range(1, 3), range(-1, 2), True),
+    ])
+    def test_small_integer_forms_match_brute_force(self, g, diagonal, off, sorted_only):
+        """Every positive definite integer form with entries in the given
+        ranges (at g = 4 with nondecreasing diagonal): certified exactly when
+        brute force finds no admissible vector below R_kk."""
+        iu = np.triu_indices(g, 1)
+        seen = certified = 0
+        for d in itertools.product(diagonal, repeat=g):
+            if sorted_only and list(d) != sorted(d):
+                continue
+            for entries in itertools.product(off, repeat=len(iu[0])):
+                Z = np.diag(np.array(d, dtype=np.int64))
+                Z[iu] = entries
+                Z = Z + np.triu(Z, 1).T
+                if np.min(np.linalg.eigvalsh(Z)) <= 1e-9:
+                    continue
+                seen += 1
+                cert = spdcone._is_certified_reduced(Z.astype(float))
+                certified += cert
+                assert cert == _brute_force_reduced(Z), Z.tolist()
+        assert 0 < certified < seen
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), g=st.integers(1, 4),
+           kind=st.sampled_from(["random", "integer", "scaled"]))
+    def test_enumeration_path_gives_identical_bytes(self, seed, g, kind):
+        """With the certificate switched off, the greedy enumeration returns
+        the same bytes: random forms up to cond 1e6, small integer forms with
+        exact ties, and the same times a random real factor (ties at rounding
+        level), all moved by a unimodular matrix."""
+        rng = np.random.default_rng(seed)
+        U = random_unimodular(g, rng, max_entry=3).astype(float)
+        if kind == "random":
+            eig = np.exp(rng.uniform(0.0, np.log(1e6), size=g))
+            Q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+            Z = (Q * eig) @ Q.T
+        else:
+            M = rng.integers(-1, 2, size=(g, g))
+            Z = (M @ M.T + np.diag(rng.integers(1, 3, size=g))).astype(float)
+        Y = U @ Z @ U.T
+        Y = 0.5 * (Y + Y.T)
+        if kind == "scaled":
+            Y = Y * float(rng.uniform(0.5, 2.0))
+        R, A = minkowski_reduce(Y)
+        with mock.patch.object(spdcone, "_is_certified_reduced", lambda R: False):
+            R2, A2 = minkowski_reduce(Y)
+        assert R.tobytes() == R2.tobytes()
+        assert A.tolist() == A2.tolist()
+
+    @pytest.mark.parametrize("b, reduced", [
+        (0.5, True),
+        (np.nextafter(0.5, 0.0), True),
+        (np.nextafter(0.5, 1.0), False),
+    ])
+    def test_sign_inside_the_rounding_band_is_exact(self, b, reduced):
+        """q(1, -1) - R_11 = 1 - 2b for [[1, b], [b, 1]]: one ulp decides."""
+        assert spdcone._is_certified_reduced(np.array([[1.0, b], [b, 1.0]])) is reduced
+
+    @pytest.mark.parametrize("g", [3, 4])
+    def test_violated_condition_goes_to_the_enumeration(self, monkeypatch, g):
+        """q(1, ..., 1) below R_kk by a relative 1e-9: the form is enumerated
+        and its basis changes."""
+        calls = _counting_enumerations(monkeypatch)
+        Y = _equicorrelated(g, 1e-9)
+        assert not spdcone._is_certified_reduced(Y)
+        R, A = minkowski_reduce(Y)
+        assert calls
+        assert [abs(v) for v in A[0]] == [1] * g
+        assert spdcone._is_certified_reduced(R)
+        assert np.max(np.abs(A.astype(float) @ Y @ A.astype(float).T - R)) < 1e-12
+
+    def test_reduced_form_is_not_enumerated(self, monkeypatch):
         R, _ = minkowski_reduce(random_spd(4, np.random.default_rng(10)))
-        calls.clear()
-        minkowski_reduce(R)
-        assert calls == [pytest.approx(float(np.max(np.diag(R))), rel=1e-8)]
+        calls = _counting_enumerations(monkeypatch)
+        R2, A2 = minkowski_reduce(R)
+        assert calls == []
+        assert R2.tobytes() == R.tobytes()
+        assert A2.tolist() == np.eye(4, dtype=int).tolist()
+
+    def test_failing_form_is_enumerated_once(self, monkeypatch):
+        """q(1, 1, 1, 1) = 1 - 3e-14 fails the exact certificate; the greedy
+        construction sees a tie, keeps every row and enumerates once."""
+        calls = _counting_enumerations(monkeypatch)
+        Y = _equicorrelated(4, 1e-14)
+        assert not spdcone._is_certified_reduced(Y)
+        R, A = minkowski_reduce(Y)
+        assert len(calls) == 1
+        assert np.array_equal(np.abs(A.astype(int)), np.eye(4, dtype=int))
+
+    def test_skewed_diagonal_form_reduces_at_once(self, monkeypatch):
+        """diag(1e-6, 1e-6, 1e-6, 1) is reduced; it has ~4e9 vectors below its
+        largest diagonal entry, so enumerating them would hit the cap."""
+        calls = _counting_enumerations(monkeypatch)
+        Y = np.diag([1e-6, 1e-6, 1e-6, 1.0])
+        start = time.perf_counter()
+        R, A = minkowski_reduce(Y)
+        assert time.perf_counter() - start < 0.1
+        assert calls == []
+        assert R.tobytes() == Y.tobytes()
+        assert A.tolist() == np.eye(4, dtype=int).tolist()
 
 
 class TestIwasawa:
