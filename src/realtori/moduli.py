@@ -25,7 +25,6 @@ from .exactlinalg import (
 from .siegel import _half_integral, require_siegel
 from .spdcone import (
     MAX_REDUCTION_DIM,
-    _minkowski_reduce,
     minkowski_reduce,
     quadratic_short_vectors,
     require_spd,
@@ -429,8 +428,8 @@ def polarized_tori_equivalent(Y1, Y2, tol: float = 1e-9,
     d1, d2 = np.linalg.det(Y1), np.linalg.det(Y2)
     if abs(d1 - d2) > 1e-8 * max(1.0, abs(d1), abs(d2)):
         return EquivalenceResult(Verdict.INEQUIVALENT, detail="determinant invariant differs")
-    R1, A1 = _minkowski_reduce(Y1)
-    R2, A2 = _minkowski_reduce(Y2)
+    R1, A1 = minkowski_reduce(Y1)
+    R2, A2 = minkowski_reduce(Y2)
     scale = max(1.0, float(np.max(np.abs(Y2))))
     A2inv = unimodular_inverse(A2)
     exact = _exact_integers(Y1, Y2)
@@ -473,14 +472,13 @@ def real_ppav_equivalent(omega1, omega2, bound: int = 200_000,
     if mod2_invariants(M1 % 2) != mod2_invariants(M2 % 2):
         return EquivalenceResult(Verdict.INEQUIVALENT,
                                  detail="component invariants differ")
-    # the imaginary parts of validated points are validated forms
-    Y1, Y2 = np.ascontiguousarray(om1.imag), np.ascontiguousarray(om2.imag)
+    Y1, Y2 = om1.imag, om2.imag
     d1, d2 = np.linalg.det(Y1), np.linalg.det(Y2)
     if abs(d1 - d2) > 1e-8 * max(1.0, abs(d1), abs(d2)):
         return EquivalenceResult(Verdict.INEQUIVALENT,
                                  detail="imaginary determinant differs")
-    R1, A1 = _minkowski_reduce(Y1)
-    R2, A2 = _minkowski_reduce(Y2)
+    R1, A1 = minkowski_reduce(Y1)
+    R2, A2 = minkowski_reduce(Y2)
     A2inv = unimodular_inverse(A2)
     scale = max(1.0, float(np.max(np.abs(Y2))))
     N1, N2 = int_matrix(M1), int_matrix(M2)

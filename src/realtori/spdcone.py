@@ -310,8 +310,7 @@ def _minkowski_conditions(g: int) -> tuple:
     One condition for each s in {0, +-1}^g (up to sign) and each k such that
     s has a nonzero entry at position k or later and is not e_k.  Returns
     the upper-triangle indices of R, the matrix C whose row c holds the
-    integer coefficients of condition c on those entries, |C|, and each row
-    of C as (entry, coefficient) pairs for exact sums.
+    integer coefficients of condition c on those entries, and |C|.
     """
     upper = np.triu_indices(g)
     iu = list(zip(*upper))
@@ -324,7 +323,7 @@ def _minkowski_conditions(g: int) -> tuple:
                 continue
             rows.append([(1 if i == j else 2) * s[i] * s[j] - (i == j == k) for i, j in iu])
     C = np.array(rows, dtype=float).reshape(len(rows), len(iu))
-    return upper, C, np.abs(C), [[(t, c) for t, c in enumerate(row) if c] for row in rows]
+    return upper, C, np.abs(C)
 
 
 def _is_certified_reduced(R: np.ndarray) -> bool:
@@ -332,20 +331,18 @@ def _is_certified_reduced(R: np.ndarray) -> bool:
 
     A float slack sums at most g(g+1)/2 exact terms c R_ij with |c| <= 2, so
     its error is below (g^2 + 2) 2u times the sum of their magnitudes; slacks
-    inside that band are summed again with ``math.fsum``, whose sign is exact.
+    inside that band are summed again with ``math.fsum`` over the terms, each
+    exact in floats, so the sign is exact.
     """
     g = R.shape[0]
-    upper, C, Cabs, terms = _minkowski_conditions(g)
+    upper, C, Cabs = _minkowski_conditions(g)
     r = R[upper]
     slack = C @ r
     band = (g * g + 2) * _ROUNDING * (Cabs @ np.abs(r))
     if np.any(slack < -band):
         return False
-    rl = r.tolist()
-    for c in np.flatnonzero(slack <= band).tolist():
-        if math.fsum([coef * rl[t] for t, coef in terms[c]]) < 0:
-            return False
-    return True
+    return all(math.fsum((C[c] * r).tolist()) >= 0
+               for c in np.flatnonzero(slack <= band).tolist())
 
 
 def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
@@ -370,11 +367,6 @@ def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
     Y = require_spd(Y)
     if Y.shape[0] > MAX_REDUCTION_DIM:
         raise ValueError(f"reduction support is limited to g <= {MAX_REDUCTION_DIM}")
-    return _minkowski_reduce(Y)
-
-
-def _minkowski_reduce(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # minkowski_reduce on a validated Y with g <= MAX_REDUCTION_DIM
     R, A = _size_reduce(Y)
     # refuse before any work when the first enumeration could not hold even
     # the multiples of the unit vectors
