@@ -128,6 +128,31 @@ class TestGoldenReduce:
         assert out == (golden / "reduce_ties_out.json").read_text(encoding="utf-8")
 
 
+def _command(text: str):
+    try:
+        req = json.loads(text)
+    except ValueError:
+        return None
+    return req.get("cmd") if isinstance(req, dict) else None
+
+
+class TestGoldenCli:
+    def test_every_command_unchanged(self, run_cli):
+        """Seeded good and bad requests for every command (see ``golden/make_cli.py``),
+        each run alone: exit code and output bytes."""
+        golden = Path(__file__).parent / "golden"
+        cases = json.loads((golden / "cli_in.json").read_text(encoding="utf-8"))
+        expected = json.loads((golden / "cli_out.json").read_text(encoding="utf-8"))
+        assert len(cases) == len(expected)
+        assert set(cli.COMMANDS) <= {_command(c["input"]) for c in cases if not c["args"]}
+        changed = []
+        for i, (case, want) in enumerate(zip(cases, expected)):
+            code, out = run_cli(case["input"], *case["args"])
+            if {"code": code, "output": out} != want:
+                changed.append((i, case["input"][:80], want["code"], code))
+        assert not changed
+
+
 class TestUndecodableInput:
     """json.loads errors other than JSONDecodeError are bad input too."""
 
