@@ -1,6 +1,7 @@
 """Per-layer timings of reduction, enumeration, congruence-witness search,
 exact determinant and inverse, Smith normal form, coboundary witnesses, theta
-summation and the JSON decode/encode round trip.
+summation and the JSON decode/encode round trip, and of the CLI end to end
+(in process) on the golden batch of ``tests/golden/cli_in.json``.
 
 Run from the root of a checkout (not part of the tier-1 tests):
 
@@ -13,6 +14,7 @@ reduced domain by a unimodular matrix with entries up to 3, as in
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,9 +162,29 @@ def test_json_round_trip(benchmark):
     def round_trip():
         out = []
         for text in texts:
-            req = cli.parse_request(text)
-            Y = cli.decode_matrix(req.payload["Y"], "real", square=True)
+            _, payload = cli.parse_request(text)
+            Y = cli.decode_matrix(payload["Y"], "real", square=True)
             out.append(cli.canonical_json({"status": "ok", "R": cli.encode_matrix(Y)}))
         return out
 
     benchmark(round_trip)
+
+
+def test_cli_golden_batch(benchmark, tmp_path):
+    """``cli.main`` in process on one batch of every golden CLI request that is
+    a JSON object run without arguments (all 22 commands, good and bad
+    input): decode, dispatch, encode and file I/O, without process start."""
+    golden = Path(__file__).resolve().parents[1] / "tests" / "golden"
+    texts = []
+    for case in json.loads((golden / "cli_in.json").read_text(encoding="utf-8")):
+        try:
+            request = json.loads(case["input"])
+        except ValueError:
+            continue
+        if isinstance(request, dict) and not case["args"]:
+            texts.append(case["input"])
+    src, dst = tmp_path / "batch.json", tmp_path / "out.json"
+    src.write_text("[" + ",".join(texts) + "]", encoding="utf-8")
+    code = benchmark(cli.main, ["--input", str(src), "--output", str(dst)])
+    assert code == 2  # the batch holds bad requests
+    assert len(json.loads(dst.read_text(encoding="utf-8"))) == len(texts)

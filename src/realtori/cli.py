@@ -1,11 +1,17 @@
 """Command-line front end: every operation on JSON input, deterministic output.
 
+A request is a command name and its payload, the JSON object without its
+"cmd" field.  A command given on the command line replaces "cmd"; the flags
+--tol, --bound and --eps are merged into the payload and replace fields of
+the same name.  Each handler reads everything, options included, from the
+payload.
+
 All commands are thin adapters around the library; the only logic here is
 serialization.  Matrices are nested arrays (row-major), complex numbers are
 {"re":..., "im":...}, exact rationals are "p/q" strings, half-space points
 are {"X":..., "Y":...}.  Exit codes: 0 ok, 1 internal error, 2 bad input,
-3 undecided verdict.  Output bytes are a pure function of the input: fixed
-key order and 17-significant-digit floats.
+3 for a result whose "status" is "undecided".  Output bytes are a pure
+function of the input: fixed key order and 17-significant-digit floats.
 
 A JSON array of requests is a batch: the output is an array with one entry
 per item, in order.  An item that fails gets its own entry
@@ -37,7 +43,7 @@ from . import (
 )
 from .moduli import Verdict
 
-__all__ = ["main", "parse_request", "dispatch", "JobRequest"]
+__all__ = ["main", "parse_request", "dispatch"]
 
 
 # request size limits: the invariant list has g + 1 + g//2 entries, and the
@@ -45,15 +51,12 @@ __all__ = ["main", "parse_request", "dispatch", "JobRequest"]
 # to the g <= 4 of the other commands
 _MAX_INVARIANTS_G = 1000
 _MAX_COBOUNDARY_G = 4
+# cap on the candidates of an equivalence search; "bound" overrides it
+_DEFAULT_BOUND = 200_000
 
 
 class InputError(Exception):
     pass
-
-
-class UndecidedError(Exception):
-    def __init__(self, payload):
-        self.payload = payload
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +173,7 @@ def decode_vector(obj, kind: str = "real") -> np.ndarray:
         raise InputError("vector must be a flat array")
     vals = [_decode_scalar(v, kind) for v in obj]
     if kind == "int":
-        return np.array([int(v) for v in vals], dtype=object)
+        return np.array(vals, dtype=object)
     return np.array(vals, dtype=complex if kind == "complex" else float)
 
 
@@ -183,47 +186,23 @@ def decode_siegel(obj) -> np.ndarray:
 
 
 def encode_matrix(M) -> list:
-    M = np.asarray(M)
-    out = []
-    for row in M:
-        r = []
-        for v in row:
-            if isinstance(v, (int, np.integer)):
-                r.append(int(v))
-            elif isinstance(v, Fraction):
-                r.append(v)
-            elif isinstance(v, (complex, np.complexfloating)) and not isinstance(v, (float, np.floating)):
-                r.append(complex(v))
-            else:
-                r.append(float(v))
-        out.append(r)
-    return out
+    return np.asarray(M).tolist()
 
 
 def encode_siegel(om: np.ndarray) -> dict:
     return {"X": encode_matrix(om.real), "Y": encode_matrix(om.imag)}
 
 
-def _maybe_exact_matrix(obj) -> np.ndarray:
-    """Rational entries (strings) select the exact path; else complex."""
+def _looks_exact(obj) -> bool:
+    """Rational entries (strings) or integer values select the exact path."""
     flat = [v for row in obj for v in row] if isinstance(obj, list) else []
-    if any(isinstance(v, str) for v in flat):
-        return decode_matrix(obj, "rational")
-    if all(isinstance(v, (int, float)) and not isinstance(v, bool)
-           and float(v) == int(v) for v in flat):
-        return decode_matrix(obj, "rational")
-    return decode_matrix(obj, "complex")
+    return any(isinstance(v, str) for v in flat) or all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and float(v) == int(v)
+        for v in flat)
 
 
 # ---------------------------------------------------------------------------
 # request parsing
-
-
-class JobRequest:
-    def __init__(self, cmd: str, payload: dict, options: dict):
-        self.cmd = cmd
-        self.payload = payload
-        self.options = options
 
 
 def _decode_json(text: str):
@@ -236,33 +215,28 @@ def _decode_json(text: str):
         raise InputError(f"invalid JSON: {exc}") from exc
 
 
-def parse_request(text: str, cmd_override: str | None = None,
-                  options: dict | None = None) -> JobRequest | list[JobRequest]:
-    data = _decode_json(text)
-    options = dict(options or {})
-    if isinstance(data, list):
-        return [_single_request(item, cmd_override, options) for item in data]
-    return _single_request(data, cmd_override, options)
+def parse_request(text: str) -> tuple[str, dict]:
+    """The (command, payload) request of one JSON object."""
+    return _request(_decode_json(text))
 
 
-def _single_request(data, cmd_override, options) -> JobRequest:
+def _request(data, cmd: str | None = None, flags: dict | None = None) -> tuple[str, dict]:
+    """(command, payload) of a decoded request; ``cmd`` and ``flags`` come
+    from the command line and take precedence over the object's fields."""
     if not isinstance(data, dict):
         raise InputError("request payload must be a JSON object")
     payload = dict(data)
-    cmd = payload.pop("cmd", None)
-    if cmd_override is not None:
-        cmd = cmd_override
-    if not isinstance(cmd, str) or cmd not in COMMANDS:
-        raise InputError(f"unknown or missing command {cmd!r}")
-    opts = dict(options)
-    for key in ("tol", "bound", "eps", "g"):
-        if key in payload:
-            opts.setdefault(key, payload.pop(key))
-    return JobRequest(cmd=cmd, payload=payload, options=opts)
+    name = payload.pop("cmd", None)
+    if cmd is not None:
+        name = cmd
+    if not isinstance(name, str) or name not in COMMANDS:
+        raise InputError(f"unknown or missing command {name!r}")
+    payload.update(flags or {})
+    return name, payload
 
 
-def _opt_float(req: JobRequest, key: str, default: float) -> float:
-    v = req.options.get(key)
+def _opt_float(payload: dict, key: str, default: float) -> float:
+    v = payload.get(key)
     if v is None:
         return default
     try:
@@ -271,8 +245,8 @@ def _opt_float(req: JobRequest, key: str, default: float) -> float:
         raise InputError(f"option {key} must be a number") from exc
 
 
-def _opt_int(req: JobRequest, key: str, default: int) -> int:
-    v = req.options.get(key)
+def _opt_int(payload: dict, key: str, default: int) -> int:
+    v = payload.get(key)
     if v is None:
         return default
     if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v):
@@ -284,38 +258,38 @@ def _opt_int(req: JobRequest, key: str, default: int) -> int:
 # command handlers
 
 
-def _cmd_reduce(req: JobRequest) -> dict:
-    Y = decode_matrix(_need(req.payload, "Y"), "real", square=True)
+def _cmd_reduce(payload: dict) -> dict:
+    Y = decode_matrix(_need(payload, "Y"), "real", square=True)
     R, A = spdcone.minkowski_reduce(Y)
     return {"status": "ok", "R": encode_matrix(R), "A": encode_matrix(A)}
 
 
-def _cmd_equiv(req: JobRequest) -> dict:
-    tol = _opt_float(req, "tol", 1e-9)
-    if "Y1" in req.payload:
-        Y1 = decode_matrix(_need(req.payload, "Y1"), "real", square=True)
-        Y2 = decode_matrix(_need(req.payload, "Y2"), "real", square=True)
-        res = moduli.polarized_tori_equivalent(Y1, Y2, tol=tol)
+def _cmd_equiv(payload: dict) -> dict:
+    tol = _opt_float(payload, "tol", 1e-9)
+    if "Y1" in payload:
+        Y1 = decode_matrix(_need(payload, "Y1"), "real", square=True)
+        Y2 = decode_matrix(_need(payload, "Y2"), "real", square=True)
+        res = moduli.polarized_tori_equivalent(Y1, Y2, tol=tol,
+                                               cap=_opt_int(payload, "bound", _DEFAULT_BOUND))
     else:
-        om1 = decode_siegel(_need(req.payload, "Omega1"))
-        om2 = decode_siegel(_need(req.payload, "Omega2"))
-        res = moduli.real_ppav_equivalent(om1, om2, bound=_opt_int(req, "bound", 200_000),
-                                          tol=tol)
-    out = {"status": "ok", "verdict": res.verdict.value, "tol": tol}
+        om1 = decode_siegel(_need(payload, "Omega1"))
+        om2 = decode_siegel(_need(payload, "Omega2"))
+        res = moduli.real_ppav_equivalent(om1, om2, tol=tol,
+                                          bound=_opt_int(payload, "bound", _DEFAULT_BOUND))
+    undecided = res.verdict is Verdict.UNDECIDED
+    out = {"status": "undecided" if undecided else "ok", "verdict": res.verdict.value,
+           "tol": tol}
     if res.witness is not None:
         out["A"] = encode_matrix(res.witness)
     if res.detail:
         out["detail"] = res.detail
-    if res.verdict is Verdict.UNDECIDED:
-        out["status"] = "undecided"
-        raise UndecidedError(out)
     return out
 
 
-def _cmd_classify_mod2(req: JobRequest) -> dict:
-    N = decode_matrix(_need(req.payload, "N"), "int", square=True)
-    S, A = moduli.mod2_standard_form(np.array([[int(v) % 2 for v in row] for row in N]))
-    inv = moduli.mod2_invariants(np.array([[int(v) % 2 for v in row] for row in N]))
+def _cmd_classify_mod2(payload: dict) -> dict:
+    N = decode_matrix(_need(payload, "N"), "int", square=True) % 2
+    S, A = moduli.mod2_standard_form(N)
+    inv = moduli.mod2_invariants(N)
     return {
         "status": "ok",
         "lambda": inv.lam,
@@ -326,8 +300,8 @@ def _cmd_classify_mod2(req: JobRequest) -> dict:
     }
 
 
-def _cmd_invariants(req: JobRequest) -> dict:
-    g = _opt_int(req, "g", 0)
+def _cmd_invariants(payload: dict) -> dict:
+    g = _opt_int(payload, "g", 0)
     if not 1 <= g <= _MAX_INVARIANTS_G:
         raise InputError(f"field 'g' must be an integer in 1..{_MAX_INVARIANTS_G}")
     invs = moduli.valid_invariants(g)
@@ -338,148 +312,137 @@ def _cmd_invariants(req: JobRequest) -> dict:
     }
 
 
-def _cmd_sigma(req: JobRequest) -> dict:
-    M = decode_matrix(_need(req.payload, "M"), "int", square=True)
+def _cmd_sigma(payload: dict) -> dict:
+    M = decode_matrix(_need(payload, "M"), "int", square=True)
     S = moduli.sigma_M_matrix(M)
     out = {"status": "ok", "Sigma": encode_matrix(S)}
-    if "Y" in req.payload:
-        Y = decode_matrix(req.payload["Y"], "real", square=True)
+    if "Y" in payload:
+        Y = decode_matrix(payload["Y"], "real", square=True)
         out["image"] = encode_siegel(moduli.sigma_involution_image(M, Y))
     return out
 
 
-def _cmd_real_structure(req: JobRequest) -> dict:
-    om = decode_siegel(_need(req.payload, "Omega"))
-    Ms = moduli.real_structure_matrix(om, tol=_opt_float(req, "tol", 1e-9))
+def _cmd_real_structure(payload: dict) -> dict:
+    om = decode_siegel(_need(payload, "Omega"))
+    Ms = moduli.real_structure_matrix(om, tol=_opt_float(payload, "tol", 1e-9))
     return {"status": "ok", "M": encode_matrix(Ms)}
 
 
-def _cmd_cayley(req: JobRequest) -> dict:
-    direction = _need(req.payload, "direction")
+def _cmd_cayley(payload: dict) -> dict:
+    direction = _need(payload, "direction")
     if direction == "to_disk":
-        om = decode_siegel(_need(req.payload, "Omega"))
+        om = decode_siegel(_need(payload, "Omega"))
         W = siegel.cayley_to_disk(om)
         return {"status": "ok", "W": encode_matrix(W)}
     if direction == "to_halfspace":
-        W = decode_matrix(_need(req.payload, "W"), "complex", square=True)
+        W = decode_matrix(_need(payload, "W"), "complex", square=True)
         om = siegel.cayley_to_halfspace(W)
         return {"status": "ok", "Omega": encode_siegel(om)}
     raise InputError("direction must be 'to_disk' or 'to_halfspace'")
 
 
-def _cmd_act(req: JobRequest) -> dict:
-    kind = _need(req.payload, "kind")
+def _cmd_act(payload: dict) -> dict:
+    kind = _need(payload, "kind")
     if kind == "gl":
-        A = decode_matrix(_need(req.payload, "A"), "real", square=True)
-        Y = decode_matrix(_need(req.payload, "Y"), "real", square=True)
+        A = decode_matrix(_need(payload, "A"), "real", square=True)
+        Y = decode_matrix(_need(payload, "Y"), "real", square=True)
         return {"status": "ok", "Y": encode_matrix(spdcone.gl_act(A, Y))}
     if kind == "sp":
-        M = decode_matrix(_need(req.payload, "M"), "real", square=True)
-        om = decode_siegel(_need(req.payload, "Omega"))
+        M = decode_matrix(_need(payload, "M"), "real", square=True)
+        om = decode_siegel(_need(payload, "Omega"))
         return {"status": "ok", "Omega": encode_siegel(siegel.sp_act(M, om))}
     if kind == "disk":
-        M = decode_matrix(_need(req.payload, "M"), "real", square=True)
-        W = decode_matrix(_need(req.payload, "W"), "complex", square=True)
+        M = decode_matrix(_need(payload, "M"), "real", square=True)
+        W = decode_matrix(_need(payload, "W"), "complex", square=True)
         return {"status": "ok", "W": encode_matrix(siegel.disk_act(M, W))}
     if kind == "gamma_star":
-        M = decode_matrix(_need(req.payload, "M"), "int", square=True)
-        om = decode_siegel(_need(req.payload, "Omega"))
+        M = decode_matrix(_need(payload, "M"), "int", square=True)
+        om = decode_siegel(_need(payload, "Omega"))
         return {"status": "ok", "Omega": encode_siegel(siegel.gamma_star_act(M, om))}
     if kind == "glgh":
-        A = decode_matrix(_need(req.payload, "A"), "real", square=True)
-        a = decode_matrix(_need(req.payload, "a"), "real")
-        Y = decode_matrix(_need(req.payload, "Y"), "real", square=True)
-        V = decode_matrix(_need(req.payload, "V"), "real")
+        A = decode_matrix(_need(payload, "A"), "real", square=True)
+        a = decode_matrix(_need(payload, "a"), "real")
+        Y = decode_matrix(_need(payload, "Y"), "real", square=True)
+        V = decode_matrix(_need(payload, "V"), "real")
         p = geodesics.glgh_act(geodesics.GroupElementGLgh(A=A, a=a),
                                geodesics.MinkowskiEuclidPoint(Y=Y, V=V))
         return {"status": "ok", "Y": encode_matrix(p.Y), "V": encode_matrix(p.V)}
     raise InputError(f"unknown action kind {kind!r}")
 
 
-def _cmd_jacobi_act(req: JobRequest) -> dict:
+def _cmd_jacobi_act(payload: dict) -> dict:
     elem = siegel.JacobiGroupElement(
-        M=decode_matrix(_need(req.payload, "M"), "real", square=True),
-        lam=decode_matrix(_need(req.payload, "lam"), "real"),
-        mu=decode_matrix(_need(req.payload, "mu"), "real"),
-        kappa=decode_matrix(_need(req.payload, "kappa"), "real"),
+        M=decode_matrix(_need(payload, "M"), "real", square=True),
+        lam=decode_matrix(_need(payload, "lam"), "real"),
+        mu=decode_matrix(_need(payload, "mu"), "real"),
+        kappa=decode_matrix(_need(payload, "kappa"), "real"),
     )
-    om = decode_siegel(_need(req.payload, "Omega"))
-    Z = decode_matrix(_need(req.payload, "Z"), "complex")
+    om = decode_siegel(_need(payload, "Omega"))
+    Z = decode_matrix(_need(payload, "Z"), "complex")
     om2, Z2 = siegel.jacobi_group_act(elem, om, Z)
     return {"status": "ok", "Omega": encode_siegel(om2), "Z": encode_matrix(Z2)}
 
 
-def _cmd_theta(req: JobRequest) -> dict:
-    eps = _opt_float(req, "eps", 1e-12)
-    Pi = decode_matrix(_need(req.payload, "Pi"), "real", square=True) \
-        if "Pi" in req.payload else None
-    if Pi is None:
-        Y = decode_matrix(_need(req.payload, "Y"), "real", square=True)
-        bundle = theta.canonical_line_bundle_data(Y)
-        spec = bundle.spec
-    else:
-        B = decode_matrix(_need(req.payload, "B"), "real", square=True)
-        if "rho" in req.payload:
-            rho = decode_vector(req.payload["rho"], "complex")
-        else:
-            rho = np.ones(Pi.shape[0], dtype=complex)
-        spec = theta.ThetaSpec(Pi=Pi, B=B, rho=rho)
-    v = decode_vector(_need(req.payload, "v"), "real").astype(float)
+def _theta_spec(payload: dict) -> theta.ThetaSpec:
+    """Explicit theta data Pi, B and rho (all ones when absent)."""
+    Pi = decode_matrix(_need(payload, "Pi"), "real", square=True)
+    B = decode_matrix(_need(payload, "B"), "real", square=True)
+    rho = decode_vector(payload["rho"], "complex") if "rho" in payload \
+        else np.ones(Pi.shape[0], dtype=complex)
+    return theta.ThetaSpec(Pi=Pi, B=B, rho=rho)
+
+
+def _canonical_bundle(payload: dict) -> theta.CanonicalBundle:
+    Y = decode_matrix(_need(payload, "Y"), "real", square=True)
+    return theta.canonical_line_bundle_data(Y)
+
+
+def _cmd_theta(payload: dict) -> dict:
+    eps = _opt_float(payload, "eps", 1e-12)
+    spec = _theta_spec(payload) if "Pi" in payload else _canonical_bundle(payload).spec
+    v = decode_vector(_need(payload, "v"), "real")
     value = theta.theta_eval(spec, v, eps=eps)
     return {"status": "ok", "value": complex(value), "eps": eps}
 
 
-def _cmd_factor(req: JobRequest) -> dict:
-    kind = _need(req.payload, "kind")
-    lam = decode_vector(_need(req.payload, "lam"), "int")
-    if kind == "I_B_rho":
-        Pi = decode_matrix(_need(req.payload, "Pi"), "real", square=True)
-        B = decode_matrix(_need(req.payload, "B"), "real", square=True)
-        rho = decode_vector(req.payload["rho"], "complex") if "rho" in req.payload \
-            else np.ones(Pi.shape[0], dtype=complex)
-        spec = theta.ThetaSpec(Pi=Pi, B=B, rho=rho)
-        v = decode_vector(_need(req.payload, "arg"), "real").astype(float)
-        value = theta.automorphic_factor_eval(kind, spec, lam.astype(int), v)
-    else:
-        Y = decode_matrix(_need(req.payload, "Y"), "real", square=True)
-        bundle = theta.canonical_line_bundle_data(Y)
-        arg_kind = "complex" if kind == "J_H_alpha" else "real"
-        arg = decode_vector(_need(req.payload, "arg"), arg_kind)
-        if arg_kind == "real":
-            arg = arg.astype(float)
-        value = theta.automorphic_factor_eval(kind, bundle, lam.astype(int), arg)
+def _cmd_factor(payload: dict) -> dict:
+    kind = _need(payload, "kind")
+    lam = decode_vector(_need(payload, "lam"), "int")
+    data = _theta_spec(payload) if kind == "I_B_rho" else _canonical_bundle(payload)
+    arg =decode_vector(_need(payload, "arg"), "complex" if kind == "J_H_alpha" else "real")
+    value = theta.automorphic_factor_eval(kind, data, lam.astype(int), arg)
     return {"status": "ok", "value": complex(value)}
 
 
-def _cmd_distance(req: JobRequest) -> dict:
+def _cmd_distance(payload: dict) -> dict:
     p0 = geodesics.MinkowskiEuclidPoint(
-        Y=decode_matrix(_need(req.payload, "Y0"), "real", square=True),
-        V=decode_matrix(_need(req.payload, "V0"), "real"),
+        Y=decode_matrix(_need(payload, "Y0"), "real", square=True),
+        V=decode_matrix(_need(payload, "V0"), "real"),
     )
     p1 = geodesics.MinkowskiEuclidPoint(
-        Y=decode_matrix(_need(req.payload, "Y1"), "real", square=True),
-        V=decode_matrix(_need(req.payload, "V1"), "real"),
+        Y=decode_matrix(_need(payload, "Y1"), "real", square=True),
+        V=decode_matrix(_need(payload, "V1"), "real"),
     )
-    A_c = float(req.payload.get("A", 1.0))
-    B_c = float(req.payload.get("B", 1.0))
+    A_c = float(payload.get("A", 1.0))
+    B_c = float(payload.get("B", 1.0))
     value = geodesics.distance(p0, p1, A_c=A_c, B_c=B_c)
     return {"status": "ok", "value": value}
 
 
-def _cmd_geodesic(req: JobRequest) -> dict:
+def _cmd_geodesic(payload: dict) -> dict:
     p = geodesics.geodesic_through_origin(
-        k=decode_matrix(_need(req.payload, "k"), "real", square=True),
-        lambdas=decode_vector(_need(req.payload, "lambdas"), "real").astype(float),
-        Z=decode_matrix(_need(req.payload, "Z"), "real"),
-        t=float(_decode_scalar(_need(req.payload, "t"), "real")),
+        k=decode_matrix(_need(payload, "k"), "real", square=True),
+        lambdas=decode_vector(_need(payload, "lambdas"), "real"),
+        Z=decode_matrix(_need(payload, "Z"), "real"),
+        t=float(_decode_scalar(_need(payload, "t"), "real")),
     )
     return {"status": "ok", "Y": encode_matrix(p.Y), "V": encode_matrix(p.V)}
 
 
-def _cmd_iwasawa(req: JobRequest) -> dict:
-    Y = decode_matrix(_need(req.payload, "Y"), "real", square=True)
-    r = _decode_scalar(_need(req.payload, "r"), "int")
-    variant = req.payload.get("variant", "lower")
+def _cmd_iwasawa(payload: dict) -> dict:
+    Y = decode_matrix(_need(payload, "Y"), "real", square=True)
+    r = _decode_scalar(_need(payload, "r"), "int")
+    variant = payload.get("variant", "lower")
     blocks = spdcone.partial_iwasawa(Y, r, variant=variant)
     return {
         "status": "ok",
@@ -490,55 +453,47 @@ def _cmd_iwasawa(req: JobRequest) -> dict:
     }
 
 
-def _ext_from_payload(req: JobRequest, sigma_key: str = "sigma") -> extensions.ExtensionDatum:
-    Pi1 = _maybe_exact_matrix(_need(req.payload, "Pi1"))
-    Pi2 = _maybe_exact_matrix(_need(req.payload, "Pi2"))
-    sigma = _maybe_exact_matrix(_need(req.payload, sigma_key))
-    if (Pi1.dtype == object) != (Pi2.dtype == object) or \
-            (Pi1.dtype == object) != (sigma.dtype == object):
-        Pi1 = decode_matrix(_need(req.payload, "Pi1"), "complex")
-        Pi2 = decode_matrix(_need(req.payload, "Pi2"), "complex")
-        sigma = decode_matrix(_need(req.payload, sigma_key), "complex")
+def _ext_from_payload(payload: dict, sigma_key: str = "sigma") -> extensions.ExtensionDatum:
+    """Exact (rational) matrices when all three look exact, else complex ones."""
+    objs = [_need(payload, key) for key in ("Pi1", "Pi2", sigma_key)]
+    kind = "rational" if all(_looks_exact(obj) for obj in objs) else "complex"
+    Pi1, Pi2, sigma = (decode_matrix(obj, kind) for obj in objs)
     return extensions.ExtensionDatum(Pi1=Pi1, Pi2=Pi2, sigma=sigma)
 
 
-def _cmd_ext_normal(req: JobRequest) -> dict:
-    e = _ext_from_payload(req)
+def _cmd_ext_normal(payload: dict) -> dict:
+    e = _ext_from_payload(payload)
     return {"status": "ok", "alpha": encode_matrix(extensions.ext_normal_form(e))}
 
 
-def _cmd_ext_add(req: JobRequest) -> dict:
-    e = _ext_from_payload(req, "sigma1")
-    f = _ext_from_payload(req, "sigma2")
+def _cmd_ext_add(payload: dict) -> dict:
+    e = _ext_from_payload(payload, "sigma1")
+    f = _ext_from_payload(payload, "sigma2")
     return {"status": "ok", "sigma": encode_matrix(extensions.ext_add(e, f).sigma)}
 
 
-def _cmd_ext_equiv(req: JobRequest) -> dict:
-    e = _ext_from_payload(req, "sigma1")
-    f = _ext_from_payload(req, "sigma2")
+def _cmd_ext_equiv(payload: dict) -> dict:
+    e = _ext_from_payload(payload, "sigma1")
+    f = _ext_from_payload(payload, "sigma2")
     verdict, witness = extensions.ext_equivalent(e, f)
     out = {"status": "ok", "verdict": verdict.value}
     if witness is not None:
         out["M"] = encode_matrix(witness)
-    if verdict is Verdict.UNDECIDED:
-        out["status"] = "undecided"
-        raise UndecidedError(out)
     return out
 
 
-def _cmd_degenerate(req: JobRequest) -> dict:
-    params = decode_vector(_need(req.payload, "params"), "real").astype(float)
-    complex_family = bool(req.payload.get("complex", False))
-    kind = "complex" if complex_family else "real"
-    mats = [decode_matrix(m, kind, square=True) if not complex_family
+def _cmd_degenerate(payload: dict) -> dict:
+    params = decode_vector(_need(payload, "params"), "real")
+    complex_family = bool(payload.get("complex", False))
+    mats = [decode_matrix(m, "real", square=True) if not complex_family
             else decode_siegel(m) if isinstance(m, dict) else decode_matrix(m, "complex", square=True)
-            for m in _need(req.payload, "matrices")]
+            for m in _need(payload, "matrices")]
     sample = degenerations.FamilySample(params=params, matrices=mats)
     report = degenerations.detect_divergence(sample, complex_family=complex_family)
     out = {"status": report.status, "verdicts": list(report.verdicts)}
     if report.status != "ok":
         out["detail"] = report.detail
-        raise UndecidedError(out)
+        return out
     out["t"] = report.t
     limit = degenerations.limit_matrix(sample, report.t, complex_family=complex_family)
     if complex_family:
@@ -553,21 +508,21 @@ def _cmd_degenerate(req: JobRequest) -> dict:
     return out
 
 
-def _cmd_split_involution(req: JobRequest) -> dict:
-    S = decode_matrix(_need(req.payload, "S"), "int", square=True)
+def _cmd_split_involution(payload: dict) -> dict:
+    S = decode_matrix(_need(payload, "S"), "int", square=True)
     s_prime, p, t_prime = degenerations.involution_splitting_type(S)
     return {"status": "ok", "s_prime": s_prime, "p": p, "t_prime": t_prime}
 
 
-def _cmd_cocycle(req: JobRequest) -> dict:
-    gamma = decode_matrix(_need(req.payload, "gamma"), "int", square=True)
+def _cmd_cocycle(payload: dict) -> dict:
+    gamma = decode_matrix(_need(payload, "gamma"), "int", square=True)
     return {"status": "ok", "is_cocycle": cohomology.is_cocycle(gamma)}
 
 
-def _cmd_coboundary(req: JobRequest) -> dict:
-    if "bound" in req.options:
+def _cmd_coboundary(payload: dict) -> dict:
+    if "bound" in payload:
         raise InputError("option bound does not apply to coboundary: the answer is exact")
-    gamma = decode_matrix(_need(req.payload, "gamma"), "int", square=True)
+    gamma = decode_matrix(_need(payload, "gamma"), "int", square=True)
     if gamma.shape[0] > 2 * _MAX_COBOUNDARY_G:
         raise InputError(f"field 'gamma' must be at most {2 * _MAX_COBOUNDARY_G} x "
                          f"{2 * _MAX_COBOUNDARY_G} (g <= {_MAX_COBOUNDARY_G})")
@@ -575,10 +530,10 @@ def _cmd_coboundary(req: JobRequest) -> dict:
     return {"status": "ok", "witness": None if h is None else encode_matrix(h)}
 
 
-def _cmd_fixed_locus(req: JobRequest) -> dict:
-    gamma = decode_matrix(_need(req.payload, "gamma"), "real", square=True)
-    om = decode_siegel(_need(req.payload, "Omega"))
-    tol = _opt_float(req, "tol", 1e-10)
+def _cmd_fixed_locus(payload: dict) -> dict:
+    gamma = decode_matrix(_need(payload, "gamma"), "real", square=True)
+    om = decode_siegel(_need(payload, "Omega"))
+    tol = _opt_float(payload, "tol", 1e-10)
     return {"status": "ok", "member": cohomology.fixed_locus_member(gamma, om, tol=tol),
             "tol": tol}
 
@@ -609,17 +564,16 @@ COMMANDS = {
 }
 
 
-def dispatch(req: JobRequest) -> tuple[dict, int]:
-    """Run one request; returns (result object, exit code)."""
-    handler = COMMANDS[req.cmd]
+def dispatch(req: tuple[str, dict]) -> tuple[dict, int]:
+    """Run one (command, payload) request; returns (result object, exit code),
+    the code 3 when the result's status is "undecided" and 0 otherwise."""
+    cmd, payload = req
+    handler = COMMANDS[cmd]
     try:
-        return handler(req), 0
-    except UndecidedError as exc:
-        return exc.payload, 3
-    except InputError:
-        raise
+        result = handler(payload)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise InputError(str(exc)) from exc
+    return result, 3 if result["status"] == "undecided" else 0
 
 
 # severity of exit codes, least to most severe
@@ -635,10 +589,10 @@ def _failure(exc: Exception) -> tuple[str, int]:
     return canonical_json({"status": "error", "error": f"internal: {exc}"}), 1
 
 
-def _run(item, cmd_override: str | None, options: dict) -> tuple[str, int]:
+def _run(item, cmd: str | None, flags: dict) -> tuple[str, int]:
     """Canonical output text and exit code of one decoded request."""
     try:
-        result, code = dispatch(_single_request(item, cmd_override, options))
+        result, code = dispatch(_request(item, cmd, flags))
         return canonical_json(result), code
     except Exception as exc:  # the request fails alone; its batch goes on
         return _failure(exc)
@@ -658,8 +612,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--eps", type=float, default=None)
     args = parser.parse_args(argv)
 
-    options = {k: v for k, v in
-               (("tol", args.tol), ("bound", args.bound), ("eps", args.eps)) if v is not None}
+    flags = {k: v for k, v in
+             (("tol", args.tol), ("bound", args.bound), ("eps", args.eps)) if v is not None}
 
     def write(text: str) -> None:
         if args.output == "-":
@@ -686,10 +640,10 @@ def main(argv: list[str] | None = None) -> int:
         return code
 
     if isinstance(data, list):
-        runs = [_run(item, args.command, options) for item in data]
+        runs = [_run(item, args.command, flags) for item in data]
         write("[" + ",".join(out for out, _ in runs) + "]")
         return max((code for _, code in runs), key=_SEVERITY.index, default=0)
-    out, code = _run(data, args.command, options)
+    out, code = _run(data, args.command, flags)
     write(out)
     return code
 

@@ -58,8 +58,6 @@ class DivergenceReport:
     status: str                      # "ok" or "undecided"
     t: int | None
     verdicts: list[str] = field(default_factory=list)
-    d_limits: np.ndarray | None = None
-    W_limit: np.ndarray | None = None
     detail: str = ""
 
 
@@ -117,9 +115,7 @@ def detect_divergence(sample: FamilySample, complex_family: bool = False) -> Div
     if w_drift > _W_RTOL * max(1.0, float(np.max(np.abs(ws[-1])))):
         return DivergenceReport(status="undecided", t=None, verdicts=verdicts,
                                 detail="unit-triangular factor is not settling")
-    t = len(div)
-    return DivergenceReport(status="ok", t=t, verdicts=verdicts,
-                            d_limits=d0.copy(), W_limit=ws[-1].copy())
+    return DivergenceReport(status="ok", t=len(div), verdicts=verdicts)
 
 
 def limit_matrix(sample: FamilySample, t: int, complex_family: bool = False) -> np.ndarray:

@@ -374,16 +374,11 @@ def canonical_line_bundle_data(Y) -> CanonicalBundle:
     Y = require_spd(Y)
     g = Y.shape[0]
     alpha = canonical_semicharacter_data(Y)
-    # character on the real lattice Y Z^g: values alpha(2 i lam_j) = 1
-    rho = np.array([alpha.eval(_imag_coords(g, j, 2)) for j in range(g)], dtype=complex)
+    # character on the real lattice Y Z^g: rho_j = alpha(2 i lam_j) = 1, since
+    # every basis value of alpha is one and 2 e_{g+j} has no parity term
+    rho = np.ones(g, dtype=complex)
     spec = ThetaSpec(Pi=Y, B=np.linalg.inv(Y), rho=rho)
     return CanonicalBundle(Y=Y, alpha=alpha, spec=spec)
-
-
-def _imag_coords(g: int, j: int, mult: int) -> np.ndarray:
-    n = np.zeros(2 * g, dtype=int)
-    n[g + j] = mult
-    return n
 
 
 def automorphic_factor_eval(kind: str, data, lam, arg) -> complex:

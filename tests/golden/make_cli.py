@@ -114,7 +114,7 @@ def _dilation(A):
 
 def _symplectic(rng, g, length=3):
     M = np.eye(2 * g, dtype=np.int64)
-    for k in range(length):
+    for _ in range(length):
         kind = int(rng.integers(0, 3))
         if kind == 0:
             gen = _translation(_sym01(rng, g) * int(rng.choice([-1, 1])))

@@ -43,6 +43,13 @@ class TestSingleRequest:
         assert code == 2
         assert json.loads(out)["status"] == "error"
 
+    def test_integral_float_in_float_ext_request(self, run_cli):
+        # exactness is decided once for all three matrices: these are floats
+        code, out = run_cli('{"cmd":"ext-normal","Pi1":[[2.0]],"Pi2":[[0.5]],'
+                            '"sigma":[[0.1,0.2]]}')
+        assert code == 0
+        assert json.loads(out)["alpha"] == [[{"re": 0.2 - 0.1 * 0.5, "im": 0.0}]]
+
     def test_non_utf8_input_is_bad_input(self, tmp_path, capsys):
         src = tmp_path / "bad.json"
         src.write_bytes(b"\xff\xfe{")
@@ -175,6 +182,26 @@ class TestExactEquiv:
                             '"Y2":[[10000000001,0],[0,10000000001]]}')
         assert code == 0
         assert json.loads(out)["verdict"] == "INEQUIVALENT"
+
+
+class TestEquivBound:
+    """``bound`` caps the candidate search for both input forms."""
+
+    Y1, Y2 = [[1, 0], [0, 4]], [[2, 1], [1, 2.5]]
+    FORMS = [{"Y1": Y1, "Y2": Y2},
+             {"Omega1": {"X": [[0, 0], [0, 0]], "Y": Y1},
+              "Omega2": {"X": [[0, 0], [0, 0]], "Y": Y2}}]
+
+    @pytest.mark.parametrize("form", FORMS, ids=["Y", "Omega"])
+    def test_cap_of_one_is_undecided(self, run_cli, form):
+        code, out = run_cli(json.dumps({"cmd": "equiv", **form}))
+        assert code == 0 and json.loads(out)["verdict"] == "INEQUIVALENT"
+        for request_, args in [({"cmd": "equiv", **form, "bound": 1}, ()),
+                               ({"cmd": "equiv", **form}, ("--bound", "1"))]:
+            code, out = run_cli(json.dumps(request_), *args)
+            assert code == 3
+            res = json.loads(out)
+            assert res["status"] == "undecided" and res["verdict"] == "UNDECIDED"
 
 
 class TestBatchIsolation:

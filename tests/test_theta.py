@@ -353,3 +353,12 @@ class TestCanonicalBundle:
         assert isinstance(bundle, CanonicalBundle)
         assert np.allclose(bundle.spec.B, np.eye(2))
         assert np.allclose(bundle.spec.rho, 1.0)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_rho_is_the_semicharacter_on_the_real_lattice(self, g):
+        """rho_j = alpha(2 i lam_j), which is one for every j."""
+        rng = np.random.default_rng(60 + g)
+        for _ in range(5):
+            bundle = canonical_line_bundle_data(random_spd(g, rng) + np.eye(g))
+            doubled = 2 * np.eye(2 * g, dtype=int)[g:]
+            assert bundle.spec.rho.tolist() == [bundle.alpha.eval(n) for n in doubled]
