@@ -1,7 +1,8 @@
-"""Per-layer timings of reduction, enumeration, congruence-witness search,
-exact determinant and inverse, Smith normal form, coboundary witnesses, theta
-summation and the JSON decode/encode round trip, and of the CLI end to end
-(in process) on the golden batch of ``tests/golden/cli_in.json``.
+"""Per-layer timings of SPD validation, reduction, enumeration,
+congruence-witness search, exact determinant and inverse, Smith normal form,
+coboundary witnesses, theta summation, theta requests and the JSON
+decode/encode round trip, and of the CLI end to end (in process) on the
+golden batch of ``tests/golden/cli_in.json``.
 
 Run from the root of a checkout (not part of the tier-1 tests):
 
@@ -30,7 +31,7 @@ from realtori.exactlinalg import (
 )
 from realtori.moduli import congruence_witnesses
 from realtori.siegel import random_symplectic, tau_group
-from realtori.spdcone import minkowski_reduce, quadratic_short_vectors
+from realtori.spdcone import minkowski_reduce, quadratic_short_vectors, require_spd
 from realtori.theta import canonical_line_bundle_data, theta_eval
 
 
@@ -152,6 +153,42 @@ def test_theta_eval(benchmark, g, shape):
     spec = canonical_line_bundle_data(0.5 * (Y + Y.T)).spec
     args = [Y @ rng.uniform(-0.45, 0.45, size=g) for _ in range(5)]
     benchmark(lambda: [theta_eval(spec, v) for v in args])
+
+
+@pytest.mark.parametrize("spec", ["canonical", "explicit"])
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_theta_request(benchmark, g, spec):
+    """Five ``theta`` requests through ``cli.parse_request`` -> ``cli.dispatch``
+    -> ``cli.canonical_json``: a form with eigenvalues in [1, 2] given as the
+    canonical ``Y``, or as an explicit ``Pi``, ``B``, ``rho`` with the same
+    Gram form, at arguments in the fundamental cell.  The two rows differ by
+    the cost of building the spec (the canonical bundle or the ``ThetaSpec``)."""
+    rng = np.random.default_rng(900 + g)
+    Q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+    Y = (Q * rng.uniform(1.0, 2.0, size=g)) @ Q.T
+    Y = 0.5 * (Y + Y.T)
+    texts = []
+    for _ in range(5):
+        v = Y @ rng.uniform(-0.45, 0.45, size=g)
+        if spec == "canonical":
+            payload = {"Y": Y.tolist()}
+        else:
+            payload = {"Pi": Y.tolist(), "B": np.linalg.inv(Y).tolist(),
+                       "rho": [{"re": 1.0, "im": 0.0}] * g}
+        texts.append(json.dumps({"cmd": "theta", **payload, "v": v.tolist()}))
+
+    def run():
+        return [cli.canonical_json(cli.dispatch(cli.parse_request(text))[0]) for text in texts]
+
+    benchmark(run)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_require_spd(benchmark, g):
+    """Validate 10 well-conditioned forms: symmetry and scale checks and a
+    Cholesky factorization each."""
+    forms = [_form(g, 10.0, 1000 + seed) for seed in range(10)]
+    benchmark(lambda: [require_spd(Y) for Y in forms])
 
 
 def test_json_round_trip(benchmark):

@@ -194,8 +194,11 @@ def encode_siegel(om: np.ndarray) -> dict:
 
 
 def _looks_exact(obj) -> bool:
-    """Rational entries (strings) or integer values select the exact path."""
-    flat = [v for row in obj for v in row] if isinstance(obj, list) else []
+    """Rational entries (strings) or integer values select the exact path.
+
+    Anything but a list of rows is left for ``decode_matrix`` to refuse."""
+    rows = obj if isinstance(obj, list) and all(isinstance(r, list) for r in obj) else []
+    flat = [v for row in rows for v in row]
     return any(isinstance(v, str) for v in flat) or all(
         isinstance(v, (int, float)) and not isinstance(v, bool) and float(v) == int(v)
         for v in flat)

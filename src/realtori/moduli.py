@@ -284,6 +284,8 @@ def sigma_involution_image(M, Y) -> np.ndarray:
         raise ValueError("M must be a standard-form matrix")
     Y = require_spd(Y)
     g = M.shape[0]
+    if Y.shape[0] != g:
+        raise ValueError(f"M is {g} x {g} but Y is {Y.shape[0]} x {Y.shape[0]}")
     Mf = M.astype(float)
     D = np.eye(g) - 0.5 * (Mf @ Mf)
     out = 0.5 * Mf + 1j * (D @ np.linalg.inv(Y) @ D)

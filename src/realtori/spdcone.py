@@ -46,8 +46,8 @@ def _spd_factor(Y, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] != Y.shape[1]:
         raise ValueError("SPD matrix must be square")
-    scale = max(1.0, float(np.max(np.abs(Y))))
-    if float(np.max(np.abs(Y - Y.T))) > tol * scale:
+    scale = max(1.0, float(abs(Y).max()))
+    if float(abs(Y - Y.T).max()) > tol * scale:
         raise ValueError("matrix is not symmetric")
     Y = 0.5 * (Y + Y.T)
     try:
@@ -178,7 +178,7 @@ def quadratic_short_vectors(Y, bound: float, cap: int = _ENUMERATION_CAP) -> lis
     g = Y.shape[0]
     if bound <= 0:
         return []
-    if _unit_multiples(np.diag(Y), bound) > cap:
+    if _unit_multiples(Y.diagonal().tolist(), bound) > cap:
         raise RuntimeError("short-vector enumeration bound overflow")
     diag = np.diag(L)
     W = (L / diag).T.tolist()
@@ -213,10 +213,15 @@ def quadratic_short_vectors(Y, bound: float, cap: int = _ENUMERATION_CAP) -> lis
     return out
 
 
-def _unit_multiples(diag: np.ndarray, bound: float) -> float:
+def _unit_multiples(diag: list[float], bound: float) -> float:
     # m e_i is listed whenever m^2 y_ii <= bound; the margin keeps this count
-    # a lower bound on the output despite the enumeration's roundoff
-    return float(np.sum(2.0 * np.floor(np.sqrt(bound * (1 - 1e-9) / diag))))
+    # a lower bound on the output despite the enumeration's roundoff.  A
+    # quotient that overflows (subnormal y_ii) makes the count infinite.
+    total = 0.0
+    for y in diag:
+        root = math.sqrt(bound * (1 - 1e-9) / y)
+        total += 2.0 * (math.floor(root) if math.isfinite(root) else root)
+    return total
 
 
 def _short_table(Y: np.ndarray,
@@ -338,11 +343,11 @@ def _is_certified_reduced(R: np.ndarray) -> bool:
     upper, C, Cabs = _minkowski_conditions(g)
     r = R[upper]
     slack = C @ r
-    band = (g * g + 2) * _ROUNDING * (Cabs @ np.abs(r))
-    if np.any(slack < -band):
+    band = (g * g + 2) * _ROUNDING * (Cabs @ abs(r))
+    if (slack < -band).any():
         return False
     return all(math.fsum((C[c] * r).tolist()) >= 0
-               for c in np.flatnonzero(slack <= band).tolist())
+               for c in (slack <= band).nonzero()[0].tolist())
 
 
 def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
@@ -370,8 +375,8 @@ def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
     R, A = _size_reduce(Y)
     # refuse before any work when the first enumeration could not hold even
     # the multiples of the unit vectors
-    if _unit_multiples(np.diag(R), float(np.max(np.diag(R))) * (1 + 1e-9) + _TIE) \
-            > _ENUMERATION_CAP:
+    diag = R.diagonal().tolist()
+    if _unit_multiples(diag, max(diag) * (1 + 1e-9) + _TIE) > _ENUMERATION_CAP:
         raise ValueError("form cannot be reduced: short-vector enumeration bound overflow")
     if not _is_certified_reduced(R):
         R, A = _greedy_reduce(Y, R, A)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +54,10 @@ class ThetaSpec:
         Pi = np.asarray(self.Pi, dtype=float)
         if Pi.ndim != 2 or Pi.shape[0] != Pi.shape[1]:
             raise ValueError("lattice basis must be a square matrix")
-        if abs(np.linalg.det(Pi)) < 1e-12:
+        # the determinant of the unit columns (at most 1 in size, by
+        # Hadamard's inequality) does not change when Pi is scaled
+        norms = np.linalg.norm(Pi, axis=0)
+        if not (norms.all() and abs(np.linalg.det(Pi / norms)) > 1e-12):
             raise ValueError("lattice basis must be invertible")
         B = require_spd(self.B)
         if B.shape[0] != Pi.shape[0]:
@@ -61,7 +65,7 @@ class ThetaSpec:
         rho = np.asarray(self.rho, dtype=complex).ravel()
         if rho.shape[0] != Pi.shape[0]:
             raise ValueError("character needs one value per basis vector")
-        if np.max(np.abs(np.abs(rho) - 1.0)) > 1e-9:
+        if abs(abs(rho) - 1.0).max() > 1e-9:
             raise ValueError("character values must have modulus one")
         object.__setattr__(self, "Pi", Pi)
         object.__setattr__(self, "B", B)
@@ -105,8 +109,8 @@ def factor_i_b_rho(spec: ThetaSpec, lam_int, v) -> complex:
 def _tail_bound(Q: np.ndarray, center: np.ndarray, radius: int) -> float:
     """Upper bound on the sum of exp(-pi (n-c)^T Q (n-c)) over ||n||_inf > radius."""
     g = Q.shape[0]
-    mu = float(np.min(np.linalg.eigvalsh(Q)))
-    a = float(np.max(np.abs(center)))
+    mu = float(np.linalg.eigvalsh(Q).min())
+    a = float(abs(center).max())
     total = 0.0
     s = radius + 1
     while True:
@@ -152,7 +156,7 @@ def _box_sum(Q: np.ndarray, b: np.ndarray, c: np.ndarray, radius: int) -> comple
                 phase += c[i] * k[i]
             pairs = np.exp(-math.pi * (quad + lin) + 1j * phase) \
                 + np.exp(-math.pi * (quad - lin) - 1j * phase)
-            total += complex(np.sum(pairs))
+            total += complex(pairs.sum())
     if not cmath.isfinite(total):
         raise OverflowError("theta sum overflows")
     return total
@@ -183,7 +187,7 @@ def _sum_with_tail(spec: ThetaSpec, v: np.ndarray, eps: float, cap: int,
     else:
         center = -np.linalg.solve(Q, w)
         offset = -float(w @ center)
-    radius = max(2, int(math.ceil(float(np.max(np.abs(center))))) + 2)
+    radius = max(2, int(math.ceil(float(abs(center).max()))) + 2)
     while True:
         bound = math.exp(math.pi * offset) * _tail_bound(Q, center, radius)
         if bound < eps:
@@ -208,7 +212,7 @@ def theta_eval(spec: ThetaSpec, v, eps: float = 1e-12, radius_cap: int = _RADIUS
     m = np.round(np.linalg.solve(spec.Pi, v))
     v_red = v - spec.Pi @ m
     base = _sum_with_tail(spec, v_red, eps, radius_cap, oscillatory=False)
-    if not np.any(m):
+    if not m.any():
         return base
     factor = factor_i_b_rho(spec, m, v_red)
     return factor * base
@@ -357,8 +361,13 @@ class CanonicalBundle:
     """
 
     Y: np.ndarray
-    alpha: SemiCharacter
     spec: ThetaSpec
+
+    @cached_property
+    def alpha(self) -> SemiCharacter:
+        """The canonical semi-character, built on first read: a theta value
+        needs only ``spec``."""
+        return canonical_semicharacter_data(self.Y)
 
     def hermitian(self, x, y) -> complex:
         x = np.asarray(x, dtype=complex).ravel()
@@ -373,12 +382,11 @@ class CanonicalBundle:
 def canonical_line_bundle_data(Y) -> CanonicalBundle:
     Y = require_spd(Y)
     g = Y.shape[0]
-    alpha = canonical_semicharacter_data(Y)
     # character on the real lattice Y Z^g: rho_j = alpha(2 i lam_j) = 1, since
     # every basis value of alpha is one and 2 e_{g+j} has no parity term
     rho = np.ones(g, dtype=complex)
     spec = ThetaSpec(Pi=Y, B=np.linalg.inv(Y), rho=rho)
-    return CanonicalBundle(Y=Y, alpha=alpha, spec=spec)
+    return CanonicalBundle(Y=Y, spec=spec)
 
 
 def automorphic_factor_eval(kind: str, data, lam, arg) -> complex:

@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from realtori import cli
+from realtori import cli, theta
 
 INVARIANTS = '{"cmd":"invariants","g":2}'
 NOT_SPD = '{"cmd":"reduce","Y":[[1,2],[2,1]]}'
@@ -50,6 +51,35 @@ class TestSingleRequest:
         assert code == 0
         assert json.loads(out)["alpha"] == [[{"re": 0.2 - 0.1 * 0.5, "im": 0.0}]]
 
+    def test_sigma_size_mismatch_is_bad_input(self, run_cli):
+        code, out = run_cli('{"cmd":"sigma","M":[[1,0],[0,1]],"Y":[[1]]}')
+        assert code == 2
+        assert json.loads(out) == {"status": "error", "error": "M is 2 x 2 but Y is 1 x 1"}
+
+    @pytest.mark.parametrize("key", ["Pi1", "Pi2", "sigma"])
+    def test_flat_ext_matrix_is_bad_input(self, run_cli, key):
+        request = {"cmd": "ext-normal", "Pi1": [[2]], "Pi2": [[3]], "sigma": [[1, 4]]}
+        request[key] = [v for row in request[key] for v in row]
+        code, out = run_cli(json.dumps(request))
+        assert code == 2
+        assert json.loads(out) == {"status": "error",
+                                   "error": "matrix must be a nonempty nested array"}
+
+    def test_theta_on_y_builds_no_semicharacter(self, run_cli, monkeypatch):
+        built = []
+        post_init = theta.SemiCharacter.__post_init__
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(theta.SemiCharacter, "__post_init__", counting)
+        assert run_cli('{"cmd":"theta","Y":[[2,1],[1,2]],"v":[0.1,0.2]}')[0] == 0
+        assert built == []
+        assert run_cli('{"cmd":"factor","kind":"J_H_alpha","Y":[[2,1],[1,2]],'
+                       '"lam":[1,0,0,1],"arg":[0,0]}')[0] == 0
+        assert built == [1]
+
     def test_non_utf8_input_is_bad_input(self, tmp_path, capsys):
         src = tmp_path / "bad.json"
         src.write_bytes(b"\xff\xfe{")
@@ -77,6 +107,14 @@ class TestUnreducibleForm:
         start = time.perf_counter()
         code, out = run_cli(json.dumps(request_))
         assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert json.loads(out) == {"status": "error", "error": "form cannot be reduced: "
+                                   "short-vector enumeration bound overflow"}
+
+    def test_subnormal_form_is_refused_without_warning(self, run_cli):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli('{"cmd":"reduce","Y":[[1e-320,0],[0,1]]}')
         assert code == 2
         assert json.loads(out) == {"status": "error", "error": "form cannot be reduced: "
                                    "short-vector enumeration bound overflow"}

@@ -231,6 +231,11 @@ class TestSigmaInvolutionImage:
                     acted = sp_act(S, om)
                     assert np.max(np.abs(closed - acted)) < 1e-10
 
+    @pytest.mark.parametrize("g_M, g_Y", [(2, 1), (1, 3)])
+    def test_size_mismatch_is_refused(self, g_M, g_Y):
+        with pytest.raises(ValueError, match=f"M is {g_M} x {g_M} but Y is {g_Y} x {g_Y}"):
+            sigma_involution_image(np.zeros((g_M, g_M), dtype=int), np.eye(g_Y))
+
     def test_involution_up_to_class(self):
         # applying twice gives a point equivalent to the original
         rng = np.random.default_rng(4)

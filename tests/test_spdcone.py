@@ -1,5 +1,7 @@
 import itertools
+import math
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -211,6 +213,37 @@ class TestShortVectors:
     def test_reduce_refuses_hopeless_form(self):
         with pytest.raises(ValueError, match="cannot be reduced"):
             minkowski_reduce(np.diag([1e-12, 1.0]))
+
+    def test_subnormal_diagonal_is_refused_without_warning(self):
+        # 1 / 1e-320 overflows: the count of unit multiples is infinite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="cannot be reduced"):
+                minkowski_reduce(np.diag([1e-320, 1.0]))
+            with pytest.raises(RuntimeError, match="overflow"):
+                quadratic_short_vectors(np.diag([1e-320, 1.0]), 2.0)
+
+    def test_unit_multiples_match_the_array_formula(self):
+        """The scalar count equals sum(2 floor(sqrt(bound (1 - 1e-9) / diag)))
+        in numpy, subnormal and huge entries included: exactly while the sum
+        is an exact integer, else to rounding."""
+        rng = np.random.default_rng(11)
+        extremes = [5e-324, 1e-320, 1e-310, 1e-300, 1.0, 1e300, 1.7e308]
+        for _ in range(2000):
+            g = int(rng.integers(1, 5))
+            diag = 10.0 ** rng.uniform(-320, 308, size=g)
+            bound = float(10.0 ** rng.uniform(-320, 308))
+            if rng.random() < 0.3:
+                diag[int(rng.integers(g))] = extremes[int(rng.integers(len(extremes)))]
+            if rng.random() < 0.2:
+                bound = extremes[int(rng.integers(len(extremes)))]
+            with np.errstate(all="ignore"):
+                old = float(np.sum(2.0 * np.floor(np.sqrt(bound * (1 - 1e-9) / diag))))
+            new = spdcone._unit_multiples(diag.tolist(), bound)
+            if old < 2.0**53:
+                assert new == old
+            else:
+                assert new == old or math.isclose(new, old, rel_tol=1e-15)
 
 
 def _counting_enumerations(monkeypatch):

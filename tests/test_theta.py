@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 import time
@@ -10,6 +11,7 @@ import pytest
 from realtori.spdcone import random_spd
 from realtori.theta import (
     CanonicalBundle,
+    SemiCharacter,
     ThetaSpec,
     automorphic_factor_eval,
     canonical_line_bundle_data,
@@ -91,6 +93,30 @@ class TestThetaEval:
         spec = ThetaSpec(Pi=np.eye(1) * 0.01, B=np.eye(1), rho=np.ones(1, dtype=complex))
         with pytest.raises(ValueError):
             theta_eval(spec, [0.0], eps=1e-12, radius_cap=10)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_value_does_not_depend_on_the_scale(self, g):
+        """(s Pi, B / s^2, s v) has the same Gram form and argument in lattice
+        coordinates, so the same value, also where |det(s Pi)| < 1e-12."""
+        rng = np.random.default_rng(20 + g)
+        Pi = rng.normal(size=(g, g)) + 2 * np.eye(g)
+        B = random_spd(g, rng) + np.eye(g)
+        rho = np.exp(1j * rng.uniform(0, 2 * math.pi, size=g))
+        v = Pi @ rng.uniform(-0.5, 0.5, size=g)
+        ref = theta_eval(ThetaSpec(Pi=Pi, B=B, rho=rho), v)
+        for s in (1e-7, 1e-3, 1.0, 1e3):
+            val = theta_eval(ThetaSpec(Pi=s * Pi, B=B / s**2, rho=rho), s * v)
+            assert abs(val - ref) < 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("Pi", [
+        [[1.0, 2.0], [2.0, 4.0]],
+        [[0.0, 0.0], [0.0, 1.0]],
+        [[1e-7, 2e-7], [2e-7, 4e-7]],
+        [[1e7, 1e7], [1e7, 1e7 * (1 + 1e-15)]],
+    ])
+    def test_singular_basis_is_refused(self, Pi):
+        with pytest.raises(ValueError, match="invertible"):
+            ThetaSpec(Pi=Pi, B=np.eye(2), rho=np.ones(2, dtype=complex))
 
 
 def sheared(g):
@@ -353,6 +379,16 @@ class TestCanonicalBundle:
         assert isinstance(bundle, CanonicalBundle)
         assert np.allclose(bundle.spec.B, np.eye(2))
         assert np.allclose(bundle.spec.rho, 1.0)
+
+    def test_alpha_is_the_canonical_semicharacter(self):
+        """``alpha`` equals ``canonical_semicharacter_data`` field by field and
+        is built once (a ``theta`` request builds none: ``test_cli.py``)."""
+        Y = random_spd(3, np.random.default_rng(61)) + np.eye(3)
+        bundle = canonical_line_bundle_data(Y)
+        expected = canonical_semicharacter_data(Y)
+        for field in dataclasses.fields(SemiCharacter):
+            assert np.array_equal(getattr(bundle.alpha, field.name), getattr(expected, field.name))
+        assert bundle.alpha is bundle.alpha
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_rho_is_the_semicharacter_on_the_real_lattice(self, g):
