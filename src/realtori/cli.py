@@ -10,8 +10,10 @@ All commands are thin adapters around the library; the only logic here is
 serialization.  Matrices are nested arrays (row-major), complex numbers are
 {"re":..., "im":...}, exact rationals are "p/q" strings, half-space points
 are {"X":..., "Y":...}.  Exit codes: 0 ok, 1 internal error, 2 bad input,
-3 for a result whose "status" is "undecided".  Output bytes are a pure
-function of the input: fixed key order and 17-significant-digit floats.
+3 for a result whose "status" is "undecided".  A number that is not finite
+(NaN, Infinity, a literal such as 1e309) is bad input, and so is a result
+that overflows.  Output bytes are a pure function of the input: fixed key
+order and 17-significant-digit floats.
 
 A JSON array of requests is a batch: the output is an array with one entry
 per item, in order.  An item that fails gets its own entry
@@ -24,7 +26,9 @@ object and exit code 2.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -64,8 +68,8 @@ class InputError(Exception):
 
 
 def _fmt_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError("non-finite float in output")
+    if not math.isfinite(x):
+        raise InputError("result is not finite: a value overflows")
     if x == int(x) and abs(x) < 1e16:
         return format(x, ".1f")
     return format(x, ".17g")
@@ -130,15 +134,11 @@ def _decode_scalar(v, kind: str):
                 raise InputError(f"expected integer, got {v!r}")
             return int(v)
         if kind == "real":
-            if isinstance(v, str):
-                f = Fraction(v)
-                return float(f)
-            return float(v)
-        if kind == "complex":
-            if isinstance(v, dict):
-                return complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
-            return complex(float(v))
-        if kind == "rational":
+            x = float(Fraction(v)) if isinstance(v, str) else float(v)
+        elif kind == "complex":
+            x = complex(float(v.get("re", 0.0)), float(v.get("im", 0.0))) \
+                if isinstance(v, dict) else complex(float(v))
+        elif kind == "rational":
             if isinstance(v, str):
                 return Fraction(v)
             if isinstance(v, bool):
@@ -146,9 +146,14 @@ def _decode_scalar(v, kind: str):
             if isinstance(v, int):
                 return Fraction(v)
             raise InputError(f"expected rational string, got {v!r}")
+        else:
+            raise InputError(f"unknown scalar kind {kind}")
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"bad {kind} value {v!r}: {exc}") from exc
-    raise InputError(f"unknown scalar kind {kind}")
+    # json.loads reads NaN, Infinity and overflowing literals such as 1e309
+    if not cmath.isfinite(x):
+        raise InputError(f"bad {kind} value {v!r}: not finite")
+    return x
 
 
 def decode_matrix(obj, kind: str = "real", square: bool | None = None) -> np.ndarray:
@@ -243,9 +248,12 @@ def _opt_float(payload: dict, key: str, default: float) -> float:
     if v is None:
         return default
     try:
-        return float(v)
+        x = float(v)
     except (TypeError, ValueError) as exc:
         raise InputError(f"option {key} must be a number") from exc
+    if not math.isfinite(x):
+        raise InputError(f"option {key} must be finite")
+    return x
 
 
 def _opt_int(payload: dict, key: str, default: int) -> int:
@@ -426,9 +434,8 @@ def _cmd_distance(payload: dict) -> dict:
         Y=decode_matrix(_need(payload, "Y1"), "real", square=True),
         V=decode_matrix(_need(payload, "V1"), "real"),
     )
-    A_c = float(payload.get("A", 1.0))
-    B_c = float(payload.get("B", 1.0))
-    value = geodesics.distance(p0, p1, A_c=A_c, B_c=B_c)
+    value = geodesics.distance(p0, p1, A_c=_opt_float(payload, "A", 1.0),
+                               B_c=_opt_float(payload, "B", 1.0))
     return {"status": "ok", "value": value}
 
 

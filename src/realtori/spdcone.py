@@ -41,15 +41,43 @@ _ROUNDING = 2.0 ** -52
 _TIE = 1e-12
 
 
-def _spd_factor(Y, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def _symmetric(M, name: str, dtype=float) -> np.ndarray:
+    """M symmetrized, after checking that it is square, finite and symmetric
+    within 1e-9 max(1, max|M|); ``name`` names M in the error."""
+    M = np.asarray(M, dtype=dtype)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{name} must be square")
+    size = float(abs(M).max())
+    # false for NaN and inf alike, before M - tM could turn inf into NaN
+    if not size < math.inf:
+        raise ValueError(f"{name} must have finite entries")
+    if float(abs(M - M.T).max()) > 1e-9 * max(1.0, size):
+        raise ValueError(f"{name} must be symmetric")
+    return 0.5 * (M + M.T)
+
+
+def _invertible(A, name: str) -> np.ndarray:
+    """A as a float matrix, after checking that it is square, finite and
+    invertible; ``name`` names A in the error.
+
+    The test does not change when A is scaled: each column is divided by its
+    largest entry (which cannot overflow), and the determinant of the scaled
+    columns, at most g^(g/2) in size, must exceed 1e-12.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"{name} must be square")
+    scale = abs(A).max(axis=0)
+    if not (scale < math.inf).all():
+        raise ValueError(f"{name} must have finite entries")
+    if not (scale.all() and abs(np.linalg.det(A / scale)) > 1e-12):
+        raise ValueError(f"{name} must be invertible")
+    return A
+
+
+def _spd_factor(Y) -> tuple[np.ndarray, np.ndarray]:
     """Validated, symmetrized Y and its Cholesky factor L, Y = L tL."""
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[0] != Y.shape[1]:
-        raise ValueError("SPD matrix must be square")
-    scale = max(1.0, float(abs(Y).max()))
-    if float(abs(Y - Y.T).max()) > tol * scale:
-        raise ValueError("matrix is not symmetric")
-    Y = 0.5 * (Y + Y.T)
+    Y = _symmetric(Y, "SPD matrix")
     try:
         L = np.linalg.cholesky(Y)
     except np.linalg.LinAlgError as exc:
@@ -57,12 +85,12 @@ def _spd_factor(Y, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     return Y, L
 
 
-def require_spd(Y, tol: float = 1e-9) -> np.ndarray:
+def require_spd(Y) -> np.ndarray:
     """Validate and symmetrize an SPD matrix; raises on failure.
 
     Positivity is certified by a successful Cholesky factorization.
     """
-    return _spd_factor(Y, tol)[0]
+    return _spd_factor(Y)[0]
 
 
 def random_spd(g: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -72,13 +100,10 @@ def random_spd(g: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarr
     return scale * 0.5 * (Y + Y.T)
 
 
-def gl_act(A, Y, det_tol: float = 1e-12) -> np.ndarray:
+def gl_act(A, Y) -> np.ndarray:
     """Congruence action A o Y = A Y tA, symmetrized to kill roundoff."""
-    A = np.asarray(A, dtype=float)
     Y = require_spd(Y)
-    if abs(np.linalg.det(A)) <= det_tol:
-        raise ValueError("acting matrix is singular")
-    return _act(A, Y)
+    return _act(_invertible(A, "acting matrix"), Y)
 
 
 def _act(Af: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -451,9 +476,7 @@ def volume_density(Y, h: int = 0) -> float:
 def metric_norm(Y, U) -> float:
     """Squared length trace((Y^-1 U)^2) of a symmetric tangent vector U."""
     Y = require_spd(Y)
-    U = np.asarray(U, dtype=float)
-    if float(np.max(np.abs(U - U.T))) > 1e-9 * max(1.0, float(np.max(np.abs(U)))):
-        raise ValueError("tangent vector must be symmetric")
+    U = _symmetric(U, "tangent vector")
     T = np.linalg.solve(Y, U)
     return float(np.trace(T @ T))
 

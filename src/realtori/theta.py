@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .exactlinalg import int_matrix
-from .spdcone import MAX_REDUCTION_DIM, minkowski_reduce, require_spd
+from .spdcone import MAX_REDUCTION_DIM, _invertible, minkowski_reduce, require_spd
 
 __all__ = [
     "ThetaSpec",
@@ -51,14 +51,7 @@ class ThetaSpec:
     rho: np.ndarray
 
     def __post_init__(self):
-        Pi = np.asarray(self.Pi, dtype=float)
-        if Pi.ndim != 2 or Pi.shape[0] != Pi.shape[1]:
-            raise ValueError("lattice basis must be a square matrix")
-        # the determinant of the unit columns (at most 1 in size, by
-        # Hadamard's inequality) does not change when Pi is scaled
-        norms = np.linalg.norm(Pi, axis=0)
-        if not (norms.all() and abs(np.linalg.det(Pi / norms)) > 1e-12):
-            raise ValueError("lattice basis must be invertible")
+        Pi = _invertible(self.Pi, "lattice basis")
         B = require_spd(self.B)
         if B.shape[0] != Pi.shape[0]:
             raise ValueError("Gram form and lattice dimension mismatch")
@@ -251,18 +244,14 @@ def periodic_function_eval(spec: ThetaSpec, v, eps: float = 1e-12,
 class SemiCharacter:
     """Unit values on a rank-2g lattice basis twisted by an integral alternating form.
 
-    With ``extend_with_form`` set (the default), the value on a lattice
-    vector sum n_j l_j is the product of the basis values times the sign
-    exp(pi i sum_{j<k} n_j n_k E_jk), which satisfies the semi-character
-    rule by construction.  With the flag cleared the values extend as a
-    plain character, which lets a non-conforming candidate be represented
-    and then rejected by the consistency check.
+    The value on a lattice vector sum n_j l_j is the product of the basis
+    values times the sign exp(pi i sum_{j<k} n_j n_k E_jk), which satisfies
+    the semi-character rule by construction.
     """
 
     basis: np.ndarray          # g x 2g complex columns spanning the lattice
     values: np.ndarray         # 2g unit complex numbers
     E: np.ndarray              # 2g x 2g integral alternating Gram matrix
-    extend_with_form: bool = True
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=complex)
@@ -294,8 +283,6 @@ class SemiCharacter:
         n = [int(t) for t in np.asarray(n).ravel()]
         two_g = len(n)
         phase = float(np.dot(np.angle(self.values), n))
-        if not self.extend_with_form:
-            return cmath.exp(1j * phase)
         parity = 0
         for j in range(two_g):
             for k in range(j + 1, two_g):

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .exactlinalg import det_int, int_matrix
-from .spdcone import require_spd
+from .spdcone import _invertible, _symmetric, require_spd
 
 __all__ = [
     "RealTorus",
@@ -38,12 +38,7 @@ class RealTorus:
     principally_polarized: bool = False
 
     def __post_init__(self):
-        Pi = np.asarray(self.Pi, dtype=float)
-        if Pi.ndim != 2 or Pi.shape[0] != Pi.shape[1]:
-            raise ValueError("period matrix must be square")
-        if abs(np.linalg.det(Pi)) < 1e-12:
-            raise ValueError("period matrix must be invertible")
-        object.__setattr__(self, "Pi", Pi)
+        object.__setattr__(self, "Pi", _invertible(self.Pi, "period matrix"))
 
     @property
     def g(self) -> int:
@@ -117,14 +112,9 @@ def is_polarized_symmetric(Pi) -> Polarization:
     matrix and the associated complex torus is an abelian variety; an
     indefinite symmetric period matrix is not polarized.
     """
-    Pi = np.asarray(Pi, dtype=float)
-    if Pi.ndim != 2 or Pi.shape[0] != Pi.shape[1]:
-        raise ValueError("period matrix must be square")
-    scale = max(1.0, float(np.max(np.abs(Pi))))
-    if float(np.max(np.abs(Pi - Pi.T))) > 1e-9 * scale:
-        raise ValueError("polarization test supports symmetric period matrices only")
-    eigs = np.linalg.eigvalsh(0.5 * (Pi + Pi.T))
-    if np.min(np.abs(eigs)) < 1e-12 * scale:
+    Pi = _symmetric(Pi, "period matrix")
+    eigs = np.linalg.eigvalsh(Pi)
+    if np.min(np.abs(eigs)) < 1e-12 * max(1.0, float(abs(Pi).max())):
         raise ValueError("period matrix must be invertible")
     if np.all(eigs > 0) or np.all(eigs < 0):
         return Polarization.POLARIZED

@@ -120,6 +120,83 @@ class TestUnreducibleForm:
                                    "short-vector enumeration bound overflow"}
 
 
+_OM1 = '{"X":[[0]],"Y":[[1]]}'
+# one request per command, each with one number that is not finite: a NaN,
+# Infinity or overflowing literal, or "nan" where complex input is allowed
+NON_FINITE = {
+    "reduce": '{"cmd":"reduce","Y":[[NaN,0],[0,1]]}',
+    "equiv": '{"cmd":"equiv","Y1":[[1]],"Y2":[[1]],"tol":NaN}',
+    "classify-mod2": '{"cmd":"classify-mod2","N":[[1,0],[0,Infinity]]}',
+    "invariants": '{"cmd":"invariants","g":NaN}',
+    "sigma": '{"cmd":"sigma","M":[[1]],"Y":[[1e309]]}',
+    "real-structure": '{"cmd":"real-structure","Omega":{"X":[[NaN]],"Y":[[1]]}}',
+    "cayley": '{"cmd":"cayley","direction":"to_halfspace","W":[["nan"]]}',
+    "act": '{"cmd":"act","kind":"gl","A":[[NaN]],"Y":[[1]]}',
+    "jacobi-act": '{"cmd":"jacobi-act","M":[[1,0],[0,1]],"lam":[[NaN]],"mu":[[0]],'
+                  f'"kappa":[[0]],"Omega":{_OM1},"Z":[[0]]}}',
+    "theta": '{"cmd":"theta","Y":[[1]],"v":[Infinity]}',
+    "factor": '{"cmd":"factor","kind":"J_H_alpha","Y":[[1]],"lam":[1,0],'
+              '"arg":[{"re":0,"im":"nan"}]}',
+    "distance": '{"cmd":"distance","Y0":[[1]],"V0":[[0]],"Y1":[[2]],"V1":[[1]],"A":NaN}',
+    "geodesic": '{"cmd":"geodesic","k":[[1]],"lambdas":[1],"Z":[[0]],"t":1e309}',
+    "iwasawa": '{"cmd":"iwasawa","Y":[[1,0],[0,-Infinity]],"r":1}',
+    "ext-normal": '{"cmd":"ext-normal","Pi1":[[2]],"Pi2":[[3]],"sigma":[[1,NaN]]}',
+    "ext-add": '{"cmd":"ext-add","Pi1":[[2]],"Pi2":[[3]],"sigma1":[[1,4]],'
+               '"sigma2":[[Infinity,4]]}',
+    "ext-equiv": '{"cmd":"ext-equiv","Pi1":[[0.5]],"Pi2":[[0.25]],"sigma1":[[0.1,1e309]],'
+                 '"sigma2":[[0.1,0.2]]}',
+    "degenerate": '{"cmd":"degenerate","params":[1,0.5,0.25],'
+                  '"matrices":[[[NaN]],[[1]],[[1]]]}',
+    "split-involution": '{"cmd":"split-involution","S":[[NaN,0],[0,1]]}',
+    "cocycle": '{"cmd":"cocycle","gamma":[[1,0],[0,-Infinity]]}',
+    "coboundary": '{"cmd":"coboundary","gamma":[[1e309,0],[0,1]]}',
+    "fixed-locus": f'{{"cmd":"fixed-locus","gamma":[[1,0],[0,1]],"Omega":{_OM1},"tol":NaN}}',
+}
+
+
+def _cli_process(text: str, tmp_path) -> subprocess.CompletedProcess:
+    """Run ``python -m realtori.cli`` on ``text`` in a child process."""
+    src = tmp_path / "in.json"
+    src.write_text(text, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "realtori.cli", "--input", str(src)],
+                          capture_output=True, env=env, timeout=60, check=False)
+
+
+class TestNonFiniteNumbers:
+    def test_every_command_is_covered(self):
+        assert set(NON_FINITE) == set(cli.COMMANDS)
+
+    @pytest.mark.parametrize("command", list(NON_FINITE))
+    def test_input_is_refused(self, command, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        src.write_text(NON_FINITE[command], encoding="utf-8")
+        assert cli.main(["--input", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["status"] == "error"
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text", [
+        '{"cmd":"act","kind":"gl","A":[[1e200]],"Y":[[1e200]]}',
+        '{"cmd":"distance","Y0":[[1e-300]],"V0":[[0]],"Y1":[[1e300]],"V1":[[0]]}',
+    ])
+    def test_overflowing_result_is_bad_input(self, text, tmp_path):
+        proc = _cli_process(text, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout) == {"status": "error",
+                                           "error": "result is not finite: a value overflows"}
+
+    def test_unsettled_distance_is_refused_at_once(self, tmp_path):
+        # the path length is about 3e13, so the quadrature's absolute
+        # tolerance is never met; the rule stops at 256 nodes
+        start = time.perf_counter()
+        proc = _cli_process('{"cmd":"distance","Y0":[[1]],"V0":[[0]],"Y1":[[1e-30]],'
+                            '"V1":[[1]]}', tmp_path)
+        assert time.perf_counter() - start < 2.0
+        assert proc.returncode == 2, proc.stderr
+        assert "did not settle" in json.loads(proc.stdout)["error"]
+
+
 class TestRequestLimits:
     @pytest.mark.parametrize("request_, expected", [
         ('{"cmd":"invariants","g":1000}', 0),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 import warnings
 from unittest import mock
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realtori import spdcone
+from realtori import geodesics, siegel, spdcone, theta, tori
 from realtori.exactlinalg import det_int, is_unimodular, random_unimodular
 from realtori.spdcone import (
     JacobiFactors,
@@ -49,6 +50,61 @@ class TestGlAct:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             gl_act(np.zeros((2, 2)), np.eye(2))
+
+
+_I2 = np.eye(2)
+_Z2 = np.zeros((2, 2))
+# every input validated by spdcone._symmetric or spdcone._invertible, with
+# the name its error gives and a call that sends it a 2 x 2 matrix X
+_CHECKED_INPUTS = {
+    "require_spd": ("SPD matrix", lambda X: require_spd(X)),
+    "jacobi_decomposition": ("SPD matrix", lambda X: jacobi_decomposition(X)),
+    "quadratic_short_vectors": ("SPD matrix", lambda X: quadratic_short_vectors(X, 1.0)),
+    "metric_norm": ("tangent vector", lambda X: metric_norm(_I2, X)),
+    "require_siegel": ("half-space point", lambda X: siegel.require_siegel(X + 1j * _I2)),
+    "sp_act": ("half-space point",
+               lambda X: siegel.sp_act(np.eye(4, dtype=int), X + 1j * _I2)),
+    "require_disk": ("disk point", lambda X: siegel.require_disk(0.1 * X)),
+    "JacobiGroupElement": ("kappa + mu t(lam)", lambda X: siegel.JacobiGroupElement(
+        M=np.eye(4, dtype=int), lam=X, mu=_Z2, kappa=_Z2)),
+    "is_polarized_symmetric": ("period matrix", lambda X: tori.is_polarized_symmetric(X)),
+    "gl_act": ("acting matrix", lambda X: gl_act(X, _I2)),
+    "GroupElementGLgh": ("matrix part",
+                         lambda X: geodesics.GroupElementGLgh(A=X, a=np.zeros((1, 2)))),
+    "RealTorus": ("period matrix", lambda X: tori.RealTorus(Pi=X)),
+    "ThetaSpec": ("lattice basis",
+                  lambda X: theta.ThetaSpec(Pi=X, B=_I2, rho=np.ones(2, dtype=complex))),
+}
+# the invertible-matrix inputs, built from A at the scale s of A
+_INVERTIBLE_INPUTS = {
+    "gl_act": lambda A, s: gl_act(A, _I2 / s),
+    "GroupElementGLgh": lambda A, s: geodesics.GroupElementGLgh(A=A, a=np.zeros((1, 2))),
+    "RealTorus": lambda A, s: tori.RealTorus(Pi=A),
+    "ThetaSpec": lambda A, s: theta.ThetaSpec(Pi=A, B=_I2, rho=np.ones(2, dtype=complex)),
+}
+
+
+class TestSharedChecks:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("site", list(_CHECKED_INPUTS))
+    def test_non_finite_entries_are_refused(self, site, bad):
+        name, call = _CHECKED_INPUTS[site]
+        with pytest.raises(ValueError, match=re.escape(f"{name} must have finite entries")):
+            call(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("omega", [1e290j, -1e290 + 1j])
+    def test_sp_act_refuses_an_image_that_overflows(self, omega):
+        # diag(1e10, 1e-10) is symplectic and sends omega to 1e20 omega
+        with pytest.raises(ValueError, match="half-space point must have finite entries"):
+            siegel.sp_act(np.diag([1e10, 1e-10]), [[omega]])
+
+    @pytest.mark.parametrize("s", [1e-200, 1e-7, 1.0, 1e7, 1e200])
+    @pytest.mark.parametrize("site", list(_INVERTIBLE_INPUTS))
+    def test_invertibility_does_not_depend_on_scale(self, site, s):
+        build = _INVERTIBLE_INPUTS[site]
+        build(s * np.array([[2.0, 1.0], [1.0, 3.0]]), s)
+        with pytest.raises(ValueError, match="must be invertible"):
+            build(s * np.array([[1.0, 2.0], [2.0, 4.0]]), s)
 
 
 class TestJacobi:

@@ -296,12 +296,15 @@ class TestSemiCharacters:
         # rule as soon as the claimed pairing is odd somewhere
         from realtori.theta import SemiCharacter
 
+        class PlainCharacter(SemiCharacter):
+            def eval(self, n) -> complex:
+                return cmath.exp(1j * float(np.dot(np.angle(self.values), n)))
+
         basis = np.zeros((1, 2), dtype=complex)
         basis[0, 0] = 1.0
         basis[0, 1] = 1j
         E = np.array([[0, 1], [-1, 0]], dtype=int)
-        alpha = SemiCharacter(basis=basis, values=np.ones(2, dtype=complex), E=E,
-                              extend_with_form=False)
+        alpha = PlainCharacter(basis=basis, values=np.ones(2, dtype=complex), E=E)
         assert abs(semicharacter_check(alpha, trials=200) - 2.0) < 1e-12
 
 

@@ -83,6 +83,11 @@ class TestDual:
             back = dual_period_matrix(dual_period_matrix(T))
             assert np.max(np.abs(back.Pi - T.Pi)) < 1e-12 * np.max(np.abs(T.Pi))
 
+    def test_large_scale(self):
+        # |det Pi| = 1e-14 for the dual: invertibility does not depend on scale
+        D = dual_period_matrix(RealTorus(Pi=1e7 * np.eye(2)))
+        assert np.allclose(D.Pi, 1e-7 * np.eye(2), rtol=1e-15, atol=0)
+
     def test_dual_pairing_integral(self):
         rng = np.random.default_rng(4)
         Pi = rng.normal(size=(2, 2)) + 3 * np.eye(2)
