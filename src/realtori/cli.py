@@ -130,6 +130,8 @@ def _need(payload: dict, key: str):
 def _decode_scalar(v, kind: str):
     try:
         if kind == "int":
+            if isinstance(v, float) and not math.isfinite(v):
+                raise InputError(f"bad int value {v!r}: not finite")
             if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v):
                 raise InputError(f"expected integer, got {v!r}")
             return int(v)
@@ -205,7 +207,7 @@ def _looks_exact(obj) -> bool:
     rows = obj if isinstance(obj, list) and all(isinstance(r, list) for r in obj) else []
     flat = [v for row in rows for v in row]
     return any(isinstance(v, str) for v in flat) or all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and float(v) == int(v)
+        isinstance(v, int) and not isinstance(v, bool) or isinstance(v, float) and v.is_integer()
         for v in flat)
 
 
@@ -260,6 +262,8 @@ def _opt_int(payload: dict, key: str, default: int) -> int:
     v = payload.get(key)
     if v is None:
         return default
+    if isinstance(v, float) and not math.isfinite(v):
+        raise InputError(f"option {key} must be finite")
     if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v):
         raise InputError(f"option {key} must be an integer")
     return int(v)

@@ -41,6 +41,8 @@ class MinkowskiEuclidPoint:
         V = np.asarray(self.V, dtype=float)
         if V.ndim != 2 or V.shape[1] != Y.shape[0]:
             raise ValueError("companion matrix must have g columns")
+        if not np.isfinite(V).all():
+            raise ValueError("companion matrix must have finite entries")
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "V", V)
 

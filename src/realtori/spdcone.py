@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +36,10 @@ __all__ = [
 
 MAX_REDUCTION_DIM = 4
 _ENUMERATION_CAP = 2_000_000
+# points of the largest enumeration box, the cube [-60, 60]^4
+_BOX_LIMIT = 121 ** 4
+# box points per numpy pass of an enumeration: bounds its working memory
+_CHUNK = 1 << 16
 # twice the unit roundoff of a double
 _ROUNDING = 2.0 ** -52
 # width, relative to max(1, value), within which two values of the form tie
@@ -193,49 +198,69 @@ def partial_iwasawa(Y, r: int, variant: str = "lower") -> IwasawaBlocks:
 
 
 def quadratic_short_vectors(Y, bound: float, cap: int = _ENUMERATION_CAP) -> list[tuple[int, ...]]:
-    """All nonzero integer vectors x with x^T Y x <= bound.
+    """All nonzero integer vectors x with x^T Y x <= bound, in ascending
+    lexicographic order of (x_{g-1}, ..., x_0), from ``_ellipsoid_points``.
 
-    Complete by the standard backtracking enumeration on the Jacobi factors;
-    both x and -x are listed.  Raises if more than ``cap`` vectors would be
-    produced, at once when the multiples of the unit vectors alone exceed it.
+    Raises if more than ``cap`` vectors would be produced, at once when the
+    multiples of the unit vectors alone exceed it or the box is too large.
     """
-    Y, L = _spd_factor(Y)
-    g = Y.shape[0]
+    Y = require_spd(Y)
     if bound <= 0:
         return []
     if _unit_multiples(Y.diagonal().tolist(), bound) > cap:
         raise RuntimeError("short-vector enumeration bound overflow")
-    diag = np.diag(L)
-    W = (L / diag).T.tolist()
-    d = (diag**2).tolist()
     out: list[tuple[int, ...]] = []
-    x = [0] * g
-
-    def descend(i: int, remaining: float) -> None:
-        # level i fixes x[i] given x[i+1..]; quadratic contribution is
-        # d[i] * (x[i] + sum_{j>i} W[i,j] x[j])^2
-        Wi = W[i]
-        shift = sum(Wi[j] * x[j] for j in range(i + 1, g))
-        radius = (remaining / d[i]) ** 0.5 if remaining > 0 else 0.0
-        lo = math.ceil(-radius - shift - 1e-12)
-        hi = math.floor(radius - shift + 1e-12)
-        for v in range(lo, hi + 1):
-            x[i] = v
-            used = d[i] * (v + shift) ** 2
-            rem = remaining - used
-            if rem < -1e-12:
-                continue
-            if i == 0:
-                if any(x):
-                    out.append(tuple(x))
-                    if len(out) > cap:
-                        raise RuntimeError("short-vector enumeration bound overflow")
-            else:
-                descend(i - 1, max(rem, 0.0))
-        x[i] = 0
-
-    descend(g - 1, float(bound))
+    for K, _ in _ellipsoid_points(Y, float(bound)):
+        out.extend(zip(*K[:, K.any(axis=0)].astype(np.int64).tolist()))
+        if len(out) > cap:
+            raise RuntimeError("short-vector enumeration bound overflow")
     return out
+
+
+def _ellipsoid_points(Q: np.ndarray, bound: float,
+                      b: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The integer points k of the ellipsoid q(k) + b.k + b Q^-1 tb / 4 <=
+    bound (1 + 1e-12) + 1e-12, q(k) = t(k) Q k, with their values q(k) + b.k.
+
+    The ellipsoid is centered at c = -Q^-1 tb / 2 (b = 0 when None).  The walk
+    covers its bounding box |k_i - c_i| <= sqrt(bound (Q^-1)_ii), widened by
+    a first-order bound on the rounding of Q^-1, in pieces of ``_CHUNK`` box
+    points flat-indexed over the reversed axes: the points, the columns of
+    float arrays, come in ascending lexicographic order of (k_{g-1}, ..., k_0).
+    Raises RuntimeError, before any work, when the box holds more than
+    ``_BOX_LIMIT`` points.
+    """
+    g = Q.shape[0]
+    b = [0.0] * g if b is None else b.tolist()
+    Ql = Q.tolist()
+    Xl = np.linalg.inv(Q).tolist()
+    c = [-0.5 * sum(x * bj for x, bj in zip(row, b)) for row in Xl]
+    limit = bound * (1 + 1e-12) + 1e-12
+    # Q^-1 is computed to about g u cond(Q) |Q^-1|, which is at most g u
+    # cond(Q)^2 (Q^-1)_ii; tr Q tr Q^-1 bounds cond(Q)
+    cond = sum(Ql[i][i] for i in range(g)) * sum(Xl[i][i] for i in range(g))
+    half = [math.sqrt(limit * Xl[i][i] * (1 + 4 * g * _ROUNDING * cond * cond)) for i in range(g)]
+    # false for NaN and inf alike
+    if not all(abs(ci) + h < _BOX_LIMIT for ci, h in zip(c, half)):
+        raise RuntimeError("enumeration box overflow")
+    lo = [math.ceil(ci - h) for ci, h in zip(c, half)]
+    sides = [max(0, math.floor(ci + h) - a + 1) for ci, h, a in zip(c, half, lo)]
+    count = math.prod(sides)
+    if count > _BOX_LIMIT:
+        raise RuntimeError(f"enumeration box of {count:.3g} points exceeds {_BOX_LIMIT}")
+    limit += 0.5 * sum(bi * ci for bi, ci in zip(b, c))
+    Q2 = (2.0 * Q).tolist()
+    for start in range(0, count, _CHUNK):
+        idx = np.unravel_index(np.arange(start, min(start + _CHUNK, count)), sides[::-1])
+        k = [idx[g - 1 - i] + float(lo[i]) for i in range(g)]
+        values = 0.0
+        for i in range(g):
+            row = Ql[i][i] * k[i] + b[i]
+            for j in range(i + 1, g):
+                row += Q2[i][j] * k[j]
+            values += row * k[i]
+        keep = values <= limit
+        yield np.array(k)[:, keep], values[keep]
 
 
 def _unit_multiples(diag: list[float], bound: float) -> float:

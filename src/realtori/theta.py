@@ -6,8 +6,10 @@ into the fundamental cell and the removed translate re-applied exactly
 through the transformation law, so conditioning does not depend on v.  A
 series is a sum over the lattice, so its value depends only on the
 GL(g, Z)-class of the Gram form: for 1 < g <= 4 the form is first
-Minkowski-reduced, and the sum then runs over a coordinate box in numpy
-chunks, with a certified Gaussian tail bound on everything outside the box.
+Minkowski-reduced.  The sum then runs over the lattice points of an
+ellipsoid, listed in numpy chunks by the enumerator that also serves
+short-vector search (``spdcone._ellipsoid_points``), with a certified
+Gaussian tail bound on everything outside it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .exactlinalg import int_matrix
-from .spdcone import MAX_REDUCTION_DIM, _invertible, minkowski_reduce, require_spd
+from .spdcone import MAX_REDUCTION_DIM, _ellipsoid_points, _invertible, minkowski_reduce, require_spd
 
 __all__ = [
     "ThetaSpec",
@@ -37,9 +39,8 @@ __all__ = [
     "canonical_line_bundle_data",
 ]
 
-_RADIUS_CAP = 60
-# points per numpy pass of the box sum: bounds its working memory
-_CHUNK = 1 << 16
+# values of t in (0, 1) tried by the tail bound of ``_sum_with_tail``
+_TAIL_SPLITS = (0.5, 0.7, 0.8, 0.9, 0.95, 0.98, 0.99)
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class ThetaSpec:
         rho = np.asarray(self.rho, dtype=complex).ravel()
         if rho.shape[0] != Pi.shape[0]:
             raise ValueError("character needs one value per basis vector")
-        if abs(abs(rho) - 1.0).max() > 1e-9:
+        if not (abs(abs(rho) - 1.0) <= 1e-9).all():
             raise ValueError("character values must have modulus one")
         object.__setattr__(self, "Pi", Pi)
         object.__setattr__(self, "B", B)
@@ -99,70 +100,25 @@ def factor_i_b_rho(spec: ThetaSpec, lam_int, v) -> complex:
 # truncated lattice sums with certified tails
 
 
-def _tail_bound(Q: np.ndarray, center: np.ndarray, radius: int) -> float:
-    """Upper bound on the sum of exp(-pi (n-c)^T Q (n-c)) over ||n||_inf > radius."""
-    g = Q.shape[0]
-    mu = float(np.linalg.eigvalsh(Q).min())
-    a = float(abs(center).max())
-    total = 0.0
-    s = radius + 1
-    while True:
-        count = (2 * s + 1) ** g - (2 * s - 1) ** g
-        dist = max(s - a, 0.0)
-        term = count * math.exp(-math.pi * mu * dist * dist)
-        total += term
-        if term < 1e-300 or (total > 0 and term < 1e-18 * total):
-            break
-        s += 1
-        if s > radius + 10_000:
-            break
-    return total
-
-
-def _box_sum(Q: np.ndarray, b: np.ndarray, c: np.ndarray, radius: int) -> complex:
-    """Sum of exp(-pi (t(k) Q k + b.k) + i c.k) over the box [-radius, radius]^g.
-
-    The points k and -k are summed as a pair, so (b, c) and (-b, -c) give
-    bitwise equal values.  The pairs are walked in flat-index chunks of at
-    most ``_CHUNK`` points, and the chunk sums are added in index order; only
-    elementwise numpy operations touch the points, so the value does not
-    depend on how many threads a BLAS library uses.
-    """
-    g = Q.shape[0]
-    side = 2 * radius + 1
-    # the flat indices below the center; index side^g - 1 - j holds -k
-    half = side**g // 2
-    total = 1.0 + 0.0j
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, half, _CHUNK // 2):
-            flat = np.arange(start, min(start + _CHUNK // 2, half))
-            k = [x - radius for x in np.unravel_index(flat, (side,) * g)]
-            quad = np.zeros(flat.shape[0])
-            lin = np.zeros(flat.shape[0])
-            phase = np.zeros(flat.shape[0])
-            for i in range(g):
-                row = Q[i, i] * k[i]
-                for j in range(i + 1, g):
-                    row += 2.0 * Q[i, j] * k[j]
-                quad += row * k[i]
-                lin += b[i] * k[i]
-                phase += c[i] * k[i]
-            pairs = np.exp(-math.pi * (quad + lin) + 1j * phase) \
-                + np.exp(-math.pi * (quad - lin) - 1j * phase)
-            total += complex(pairs.sum())
-    if not cmath.isfinite(total):
-        raise OverflowError("theta sum overflows")
-    return total
-
-
-def _sum_with_tail(spec: ThetaSpec, v: np.ndarray, eps: float, cap: int,
-                   oscillatory: bool) -> complex:
+def _sum_with_tail(spec: ThetaSpec, v: np.ndarray, eps: float, oscillatory: bool) -> complex:
     """Core truncated sum; ``oscillatory`` switches the linear term to 2 pi i B(v, lam).
 
     The sum runs over n = tA k, with A the Minkowski-reduction witness of the
     Gram form Q (A = I at g = 1 and above ``MAX_REDUCTION_DIM``): the form
     becomes A Q tA, the linear coefficients A w and the character angles
-    A angles, and the offset w Q^-1 w is unchanged.
+    A angles, and the offset w Q^-1 w is unchanged.  The terms
+    exp(-pi (t(k) Q k + b.k) + i c.k) are summed in elementwise numpy at the
+    points of the ellipsoid t(k) Q k + b.k + offset <= rho^2 from
+    ``spdcone._ellipsoid_points``, each chunk in sorted order and the chunks
+    in order: (b, c) and (-b, -c), whose points are mirror images with equal
+    terms, give equal values on a box of one chunk.
+
+    rho^2 is the least, over t in ``_TAIL_SPLITS``, that makes e^(pi offset)
+    e^(-pi t rho^2) (1 + ((1 - t) mu)^(-1/2))^g at most eps, in logs.  It
+    bounds the terms where q(k - c) > rho^2, c the center and mu the least
+    eigenvalue of q: e^(-pi q) <= e^(-pi t rho^2) e^(-pi (1 - t) q) there,
+    q(x) >= mu |x|^2, and a Gaussian sum in one variable is at most its peak
+    plus its integral.
     """
     g = spec.g
     Q = spec.gram()
@@ -175,25 +131,36 @@ def _sum_with_tail(spec: ThetaSpec, v: np.ndarray, eps: float, cap: int,
         angles = A @ angles
     if oscillatory:
         # the linear term is a pure phase; magnitudes are centered at zero
-        center = np.zeros(g)
-        offset = 0.0
+        offset, b, c = 0.0, None, angles + 2.0 * math.pi * w
     else:
-        center = -np.linalg.solve(Q, w)
-        offset = -float(w @ center)
-    radius = max(2, int(math.ceil(float(abs(center).max()))) + 2)
-    while True:
-        bound = math.exp(math.pi * offset) * _tail_bound(Q, center, radius)
-        if bound < eps:
-            break
-        radius += 2
-        if radius > cap:
-            raise ValueError(f"tolerance {eps} unreachable within radius cap {cap}")
-    if oscillatory:
-        return _box_sum(Q, np.zeros(g), angles + 2.0 * math.pi * w, radius)
-    return _box_sum(Q, 2.0 * w, -angles, radius)
+        offset, b, c = float(w @ np.linalg.solve(Q, w)), 2.0 * w, -angles
+    if not eps > 0:
+        raise ValueError("tolerance must be positive")
+    mu = float(np.linalg.eigvalsh(Q)[0])
+    # inf, which the enumerator refuses, where (1 - t) mu underflows for every t
+    rho2 = max(0.0, min(((math.pi * offset + g * math.log1p(((1 - t) * mu) ** -0.5)
+                          - math.log(eps)) / (math.pi * t) for t in _TAIL_SPLITS
+                         if (1 - t) * mu > 0), default=math.inf))
+    real = imag = 0.0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, values in _ellipsoid_points(Q, rho2, b):
+                terms = np.exp(-math.pi * values)
+                if c.any():
+                    phase = c[0] * k[0]
+                    for i in range(1, g):
+                        phase += c[i] * k[i]
+                    terms = terms * np.exp(1j * phase)
+                    imag += float(np.sort(terms.imag).sum())
+                real += float(np.sort(terms.real).sum())
+    except RuntimeError as exc:
+        raise ValueError(f"tolerance {eps} unreachable: {exc}") from exc
+    if not (math.isfinite(real) and math.isfinite(imag)):
+        raise OverflowError("theta sum overflows")
+    return complex(real, imag)
 
 
-def theta_eval(spec: ThetaSpec, v, eps: float = 1e-12, radius_cap: int = _RADIUS_CAP) -> complex:
+def theta_eval(spec: ThetaSpec, v, eps: float = 1e-12) -> complex:
     """Theta value sum_{lam} rho(lam)^-1 exp(-pi B(lam,lam) - 2 pi B(v,lam)).
 
     The argument is reduced into the fundamental cell; the removed lattice
@@ -204,7 +171,7 @@ def theta_eval(spec: ThetaSpec, v, eps: float = 1e-12, radius_cap: int = _RADIUS
         raise ValueError("argument dimension mismatch")
     m = np.round(np.linalg.solve(spec.Pi, v))
     v_red = v - spec.Pi @ m
-    base = _sum_with_tail(spec, v_red, eps, radius_cap, oscillatory=False)
+    base = _sum_with_tail(spec, v_red, eps, oscillatory=False)
     if not m.any():
         return base
     factor = factor_i_b_rho(spec, m, v_red)
@@ -217,9 +184,8 @@ def theta_transform_residual(spec: ThetaSpec, lam_int, v,
     v = np.asarray(v, dtype=float).ravel()
     n = np.asarray(lam_int)
     lam = spec.Pi @ n.astype(float)
-    lhs = _sum_with_tail(spec, v + lam, eps, _RADIUS_CAP, oscillatory=False)
-    rhs = factor_i_b_rho(spec, n, v) * _sum_with_tail(spec, v, eps, _RADIUS_CAP,
-                                                      oscillatory=False)
+    lhs = _sum_with_tail(spec, v + lam, eps, oscillatory=False)
+    rhs = factor_i_b_rho(spec, n, v) * _sum_with_tail(spec, v, eps, oscillatory=False)
     return abs(lhs - rhs)
 
 
@@ -233,7 +199,7 @@ def periodic_function_eval(spec: ThetaSpec, v, eps: float = 1e-12,
     if float(np.max(np.abs(Q - np.round(Q)))) > integrality_tol:
         raise ValueError("Gram form is not integral on the lattice")
     v = np.asarray(v, dtype=float).ravel()
-    return _sum_with_tail(spec, v, eps, _RADIUS_CAP, oscillatory=True)
+    return _sum_with_tail(spec, v, eps, oscillatory=True)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ Every one of the 22 commands gets good requests at small g and bad ones
 undecided ``equiv`` and ``degenerate`` requests and runs with --tol, --eps,
 --bound and the positional command.  A few requests are not commands at
 all: invalid JSON, a JSON value that is not an object, an unknown command,
-and one batch.  The output file was written once and must not change: the
-command-line front end is named by its bytes.
+and one batch.  The output file names the command-line front end by its
+bytes: it is rewritten only by a change that means to change answers, and
+that change lists every case it changed.
 """
 
 import contextlib

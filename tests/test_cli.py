@@ -38,6 +38,16 @@ class TestSingleRequest:
         assert json.loads(out)["status"] == "error"
         assert "internal" not in out
 
+    @pytest.mark.parametrize("text, value", [
+        ('{"cmd":"theta","Pi":[[1]],"B":[[1e4]],"rho":[1],"v":[0.3]}', 1.0),
+        ('{"cmd":"theta","Y":[[1e-3,0],[0,1e-3]],"v":[0.0001,0.0002]}', 1000.15709197033),
+    ])
+    def test_theta_far_from_unit_scale(self, run_cli, text, value):
+        code, out = run_cli(text)
+        assert code == 0
+        answer = json.loads(out)["value"]
+        assert abs(complex(answer["re"], answer["im"]) - value) < 1e-12 * value
+
     def test_float_ext_equiv_is_bad_input(self, run_cli):
         code, out = run_cli('{"cmd":"ext-equiv","Pi1":[[0.5]],"Pi2":[[0.3333]],'
                             '"sigma1":[[0.1,0.2]],"sigma2":[[0.1,1.2]]}')
@@ -173,8 +183,20 @@ class TestNonFiniteNumbers:
         src.write_text(NON_FINITE[command], encoding="utf-8")
         assert cli.main(["--input", str(src)]) == 2
         captured = capsys.readouterr()
-        assert json.loads(captured.out)["status"] == "error"
+        answer = json.loads(captured.out)
+        assert answer["status"] == "error"
+        # a field message, integer and exact fields included
+        assert "finite" in answer["error"]
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command, error", [
+        ("cocycle", "bad int value -inf: not finite"),
+        ("ext-normal", "bad complex value nan: not finite"),
+    ])
+    def test_integer_and_exact_fields_name_the_value(self, run_cli, command, error):
+        code, out = run_cli(NON_FINITE[command])
+        assert code == 2
+        assert json.loads(out) == {"status": "error", "error": error}
 
     @pytest.mark.parametrize("text", [
         '{"cmd":"act","kind":"gl","A":[[1e200]],"Y":[[1e200]]}',

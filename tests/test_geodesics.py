@@ -78,6 +78,11 @@ class TestDistance:
             two = distance(p0, p1, A_c=2 * A_c, B_c=2 * B_c)
             assert abs(two - math.sqrt(2) * one) < 1e-10 * two
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_companion(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MinkowskiEuclidPoint(Y=np.eye(1), V=[[bad]])
+
     def test_rejects_mismatched_spaces(self):
         p0 = MinkowskiEuclidPoint(Y=np.eye(2), V=np.zeros((1, 2)))
         p1 = MinkowskiEuclidPoint(Y=np.eye(2), V=np.zeros((2, 2)))

@@ -238,19 +238,53 @@ class TestShortVectors:
         assert all(tuple(-t for t in v) in s for v in vecs)
 
 
+    @staticmethod
+    def _brute_force(Y, bound, b):
+        """The points of a cube around the ellipsoid q(k) + b.k + b Y^-1 tb / 4
+        <= bound that lie inside it by more than 1e-9, and those within 1e-9
+        of its boundary, with the values q(k) + b.k of all cube points."""
+        g = Y.shape[0]
+        c = -0.5 * np.linalg.solve(Y, b)
+        r = int(np.ceil(np.sqrt(bound * np.max(np.linalg.eigvalsh(np.linalg.inv(Y))))))
+        box = np.array(list(itertools.product(*(range(math.floor(x) - r, math.ceil(x) + r + 1)
+                                                 for x in c))), dtype=float)
+        values = np.einsum("ni,ij,nj->n", box, Y, box) + box @ b
+        q = values - 0.5 * float(b @ c)
+        inside = {tuple(int(v) for v in x) for x in box[q <= bound - 1e-9]}
+        near = {tuple(int(v) for v in x) for x in box[np.abs(q - bound) <= 1e-9]}
+        return inside, near, dict(zip((tuple(int(v) for v in x) for x in box), values))
+
     def test_brute_force_box(self):
+        """Every vector of a cube around the ellipsoid, in ascending
+        lexicographic order of (x_{g-1}, ..., x_0)."""
         rng = np.random.default_rng(9)
-        for g in (2, 3, 4):
+        for g in (1, 2, 3, 4):
             Y = random_spd(g, rng)
             bound = 1.5 * float(np.max(np.diag(Y)))
-            r = int(np.ceil(np.sqrt(bound * np.max(np.linalg.eigvalsh(np.linalg.inv(Y))))))
-            box = np.array(list(itertools.product(range(-r, r + 1), repeat=g)), dtype=float)
-            q = np.einsum("ni,ij,nj->n", box, Y, box)
-            inside = {tuple(int(v) for v in x) for x in box[(q <= bound - 1e-9) & (q > 0)]}
-            near = {tuple(int(v) for v in x) for x in box[np.abs(q - bound) <= 1e-9]}
+            inside, near, _ = self._brute_force(Y, bound, np.zeros(g))
             vecs = quadratic_short_vectors(Y, bound)
             assert len(set(vecs)) == len(vecs)
-            assert inside <= set(vecs) <= inside | near
+            assert inside - {(0,) * g} <= set(vecs) <= inside | near
+            assert vecs == sorted(vecs, key=lambda x: x[::-1])
+
+    def test_centered_enumeration(self):
+        """The private enumerator around c = -Y^-1 tb / 2, with the values
+        q(k) + b.k, against the same brute-force cube."""
+        rng = np.random.default_rng(10)
+        for g in (1, 2, 3, 4):
+            for _ in range(3):
+                Y = random_spd(g, rng) + 0.5 * np.eye(g)
+                b = rng.uniform(-6.0, 6.0, size=g)
+                bound = 2.0 * float(np.max(np.diag(Y)))
+                inside, near, values = self._brute_force(Y, bound, b)
+                points, found = [], []
+                for K, vals in spdcone._ellipsoid_points(Y, bound, b):
+                    points += [tuple(int(v) for v in k) for k in K.T]
+                    found += vals.tolist()
+                assert inside <= set(points) <= inside | near
+                assert points == sorted(points, key=lambda x: x[::-1])
+                for k, val in zip(points, found):
+                    assert abs(val - values[k]) <= 1e-12 * max(1.0, abs(val))
 
     def test_cap_counts_vectors(self):
         # 12 nonzero x with |x|^2 <= 4, 8 of them multiples of e_1 or e_2

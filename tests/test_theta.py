@@ -1,13 +1,16 @@
 import cmath
 import dataclasses
 import itertools
+import json
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from realtori import cli
 from realtori.spdcone import random_spd
 from realtori.theta import (
     CanonicalBundle,
@@ -90,9 +93,47 @@ class TestThetaEval:
             assert abs(val - theta_oracle(spec, v, box=12)) < 1e-11
 
     def test_unreachable_eps(self):
-        spec = ThetaSpec(Pi=np.eye(1) * 0.01, B=np.eye(1), rho=np.ones(1, dtype=complex))
-        with pytest.raises(ValueError):
-            theta_eval(spec, [0.0], eps=1e-12, radius_cap=10)
+        """1e-3 I at g = 4 needs a box of about 4.1e9 points, more than the
+        121^4 of the largest enumeration: refused before any summation."""
+        bundle = canonical_line_bundle_data(1e-3 * np.eye(4))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="unreachable"):
+            bundle.section(np.zeros(4))
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-12, math.nan])
+    def test_tolerance_must_be_positive(self, eps):
+        with pytest.raises(ValueError, match="positive"):
+            theta_eval(unit_spec(), [0.1], eps=eps)
+
+    def test_large_offset(self):
+        """The k = 0 term is 1 and every other one is below e^(-4000 pi); the
+        offset w Q^-1 w = 900 is compared in logs, never exponentiated."""
+        spec = ThetaSpec(Pi=[[1.0]], B=[[1e4]], rho=[1.0])
+        assert abs(theta_eval(spec, [0.3]) - 1.0) < 1e-12
+
+    def test_small_form_matches_product(self):
+        """Y = 1e-3 I at g = 2 is a product of two one-dimensional sums."""
+        v = [1e-4, 2e-4]
+        n = np.arange(-400, 401)
+        ref = math.prod(math.fsum(np.exp(-math.pi * 1e-3 * n * n - 2 * math.pi * x * n).tolist())
+                        for x in v)
+        val = canonical_line_bundle_data(1e-3 * np.eye(2)).section(v)
+        assert abs(ref - 1000.15709197033) < 1e-9
+        assert abs(val - ref) < 1e-12 * ref
+
+    def test_small_form_matches_mpmath_jtheta(self):
+        mpmath = pytest.importorskip("mpmath")
+        spec = ThetaSpec(Pi=[[1.0]], B=[[1e-4]], rho=[1.0])
+        # sum_n exp(-pi b n^2 - 2 pi b v n) = theta_3(i pi b v, exp(-pi b))
+        ref = complex(mpmath.jtheta(3, mpmath.mpc(0, math.pi * 1e-4 * 0.1),
+                                    mpmath.exp(-mpmath.pi * 1e-4)))
+        assert abs(theta_eval(spec, [0.1]) - ref) < 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_character_is_refused(self, bad):
+        with pytest.raises(ValueError, match="modulus one"):
+            ThetaSpec(Pi=[[1.0]], B=[[1.0]], rho=[complex(bad, 0.0)])
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_value_does_not_depend_on_the_scale(self, g):
@@ -401,3 +442,31 @@ class TestCanonicalBundle:
             bundle = canonical_line_bundle_data(random_spd(g, rng) + np.eye(g))
             doubled = 2 * np.eye(2 * g, dtype=int)[g:]
             assert bundle.spec.rho.tolist() == [bundle.alpha.eval(n) for n in doubled]
+
+
+class TestGoldenTheta:
+    def test_golden_values_match_the_oracle(self):
+        """Every answered theta case of ``golden/cli_out.json`` agrees with the
+        brute-force sum within 1e-10 relative, or within the tolerance the
+        case asks for when that is looser."""
+        golden = Path(__file__).parent / "golden"
+        cases = json.loads((golden / "cli_in.json").read_text(encoding="utf-8"))
+        answers = json.loads((golden / "cli_out.json").read_text(encoding="utf-8"))
+        checked = 0
+        for case, answer in zip(cases, answers):
+            if answer["code"] != 0 or not case["input"].startswith('{"cmd": "theta"'):
+                continue
+            request = json.loads(case["input"])
+            out = json.loads(answer["output"])
+            if "Pi" in request:
+                spec = ThetaSpec(Pi=request["Pi"], B=request["B"],
+                                 rho=cli.decode_vector(request["rho"], "complex")
+                                 if "rho" in request else np.ones(len(request["Pi"])))
+            else:
+                Y = np.array(request["Y"])
+                spec = ThetaSpec(Pi=Y, B=np.linalg.inv(Y), rho=np.ones(len(Y)))
+            ref = theta_oracle(spec, request["v"])
+            value = complex(out["value"]["re"], out["value"]["im"])
+            assert abs(value - ref) <= max(1e-10 * abs(ref), out["eps"])
+            checked += 1
+        assert checked == 10
