@@ -12,6 +12,7 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -202,65 +203,149 @@ def quadratic_short_vectors(Y, bound: float, cap: int = _ENUMERATION_CAP) -> lis
     lexicographic order of (x_{g-1}, ..., x_0), from ``_ellipsoid_points``.
 
     Raises if more than ``cap`` vectors would be produced, at once when the
-    multiples of the unit vectors alone exceed it or the box is too large.
+    multiples of the unit vectors alone exceed it or the box walked holds
+    more than 64 ``cap`` points.
     """
     Y = require_spd(Y)
     if bound <= 0:
         return []
     if _unit_multiples(Y.diagonal().tolist(), bound) > cap:
         raise RuntimeError("short-vector enumeration bound overflow")
-    out: list[tuple[int, ...]] = []
-    for K, _ in _ellipsoid_points(Y, float(bound)):
-        out.extend(zip(*K[:, K.any(axis=0)].astype(np.int64).tolist()))
-        if len(out) > cap:
+    found, total = [], 0
+    # at most a few box points per vector for an LLL-reduced form, so a box
+    # far larger than the cap would take long only to overflow it
+    for K, _ in _ellipsoid_points(Y, float(bound), box_limit=min(_BOX_LIMIT, 64 * cap)):
+        found.append(K[:, K.any(axis=0)])
+        total += found[-1].shape[1]
+        if total > cap:
             raise RuntimeError("short-vector enumeration bound overflow")
-    return out
+    K = np.concatenate(found, axis=1)
+    # np.lexsort sorts by the last row first
+    return list(zip(*K[:, np.lexsort(K)].astype(np.int64).tolist()))
 
 
-def _ellipsoid_points(Q: np.ndarray, bound: float,
-                      b: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _ellipsoid_points(Q: np.ndarray, bound: float, b: np.ndarray | None = None,
+                      box_limit: int = _BOX_LIMIT) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The integer points k of the ellipsoid q(k) + b.k + b Q^-1 tb / 4 <=
     bound (1 + 1e-12) + 1e-12, q(k) = t(k) Q k, with their values q(k) + b.k.
 
     The ellipsoid is centered at c = -Q^-1 tb / 2 (b = 0 when None).  The walk
     covers its bounding box |k_i - c_i| <= sqrt(bound (Q^-1)_ii), widened by
-    a first-order bound on the rounding of Q^-1, in pieces of ``_CHUNK`` box
-    points flat-indexed over the reversed axes: the points, the columns of
-    float arrays, come in ascending lexicographic order of (k_{g-1}, ..., k_0).
-    Raises RuntimeError, before any work, when the box holds more than
-    ``_BOX_LIMIT`` points.
+    a first-order bound on rounding (``_bounding_box``), in pieces of
+    ``_CHUNK`` box points flat-indexed over the reversed axes: the points,
+    the columns of float arrays, come in ascending lexicographic order of
+    (k_{g-1}, ..., k_0).  A box of more than one piece whose form is not
+    LLL-reduced may be far larger than the ellipsoid; the box of the
+    LLL-reduced form U Q tU is then walked instead when it is smaller, and
+    its points are mapped back by k = tU k' in its own order.  Raises
+    RuntimeError, before any work, when the box walked holds more than
+    ``box_limit`` points.
     """
     g = Q.shape[0]
-    b = [0.0] * g if b is None else b.tolist()
-    Ql = Q.tolist()
-    Xl = np.linalg.inv(Q).tolist()
-    c = [-0.5 * sum(x * bj for x, bj in zip(row, b)) for row in Xl]
+    b = np.zeros(g) if b is None else b
     limit = bound * (1 + 1e-12) + 1e-12
-    # Q^-1 is computed to about g u cond(Q) |Q^-1|, which is at most g u
-    # cond(Q)^2 (Q^-1)_ii; tr Q tr Q^-1 bounds cond(Q)
-    cond = sum(Ql[i][i] for i in range(g)) * sum(Xl[i][i] for i in range(g))
-    half = [math.sqrt(limit * Xl[i][i] * (1 + 4 * g * _ROUNDING * cond * cond)) for i in range(g)]
-    # false for NaN and inf alike
-    if not all(abs(ci) + h < _BOX_LIMIT for ci, h in zip(c, half)):
-        raise RuntimeError("enumeration box overflow")
-    lo = [math.ceil(ci - h) for ci, h in zip(c, half)]
-    sides = [max(0, math.floor(ci + h) - a + 1) for ci, h, a in zip(c, half, lo)]
-    count = math.prod(sides)
-    if count > _BOX_LIMIT:
-        raise RuntimeError(f"enumeration box of {count:.3g} points exceeds {_BOX_LIMIT}")
-    limit += 0.5 * sum(bi * ci for bi, ci in zip(b, c))
-    Q2 = (2.0 * Q).tolist()
+    P, bl, U = Q.tolist(), b.tolist(), None
+    lo, sides, count, offset = _bounding_box(P, bl, limit)
+    if count > _CHUNK and math.isfinite(limit):
+        U = _lll(P)
+        R, bU = _congruent(U, P), (np.array(U, dtype=float) @ b).tolist()
+        box = _bounding_box(R, bU, limit)
+        if box[2] < count:
+            P, bl, (lo, sides, count, offset) = R, bU, box
+        else:
+            U = None
+    if count > box_limit:
+        raise RuntimeError(f"enumeration box of {count:.3g} points exceeds {box_limit}")
+    limit -= offset
     for start in range(0, count, _CHUNK):
         idx = np.unravel_index(np.arange(start, min(start + _CHUNK, count)), sides[::-1])
         k = [idx[g - 1 - i] + float(lo[i]) for i in range(g)]
         values = 0.0
         for i in range(g):
-            row = Ql[i][i] * k[i] + b[i]
+            row = P[i][i] * k[i] + bl[i]
             for j in range(i + 1, g):
-                row += Q2[i][j] * k[j]
+                row += 2.0 * P[i][j] * k[j]
             values += row * k[i]
         keep = values <= limit
+        if U:
+            k = [sum(U[j][i] * k[j] for j in range(g)) for i in range(g)]
         yield np.array(k)[:, keep], values[keep]
+
+
+def _bounding_box(P: list, b: list, limit: float) -> tuple[list[int], list[int], float, float]:
+    """Corner, sides and point count of the bounding box of the ellipsoid
+    t(k) P k + b.k + b P^-1 tb / 4 <= limit, and its offset b P^-1 tb / 4.
+
+    The half-widths sqrt(limit (P^-1)_ii) are widened by a first-order bound
+    on the rounding of (P^-1)_ii and of the values of the points, which is
+    small unless the form scaled to unit diagonal, S with inverse Z, is
+    ill-conditioned: Z is computed to g u cond(S) |Z| <= g^3 u tr(Z)^2 Z_ii,
+    and a value q(k) to (g + 2) u t|k| |P| |k| <= (g + 2) g u tr(Z) q(k).
+    The count is infinite when a half-width or the center is not finite or
+    reaches ``_BOX_LIMIT``, and when P is too near singular to invert: a
+    form positive definite in floats need not stay so in another basis.
+    """
+    g = len(P)
+    if not min(P[i][i] for i in range(g)) > 0:
+        return [], [], math.inf, 0.0
+    s = [P[i][i] ** -0.5 for i in range(g)]
+    try:
+        # P^-1 = diag(s) Z diag(s)
+        Z = np.linalg.inv([[P[i][j] * s[i] * s[j] for j in range(g)] for i in range(g)]).tolist()
+        sb = [si * bi for si, bi in zip(s, b)]
+        c = [-0.5 * si * sum(z * x for z, x in zip(row, sb)) for si, row in zip(s, Z)]
+        trace = sum(Z[i][i] for i in range(g))
+        margin = 4 * g * _ROUNDING * trace * (g * g * trace + g + 2)
+        half = [s[i] * math.sqrt(limit * Z[i][i] * (1 + margin)) for i in range(g)]
+    except ValueError:
+        return [], [], math.inf, 0.0
+    offset = -0.5 * sum(bi * ci for bi, ci in zip(b, c))
+    # false for NaN and inf alike
+    if not all(abs(ci) + h < _BOX_LIMIT for ci, h in zip(c, half)):
+        return [], [], math.inf, offset
+    lo = [math.ceil(ci - h) for ci, h in zip(c, half)]
+    sides = [max(0, math.floor(ci + h) - a + 1) for ci, h, a in zip(c, half, lo)]
+    return lo, sides, math.prod(sides), offset
+
+
+def _congruent(U: list, Q: list) -> list:
+    # U Q tU for integer rows U, each entry rounded once from its exact value
+    g = len(Q)
+    F = [[Fraction(x) for x in row] for row in Q]
+    return [[float(sum(U[i][k] * U[j][l] * F[k][l] for k in range(g) for l in range(g)))
+             for j in range(g)] for i in range(g)]
+
+
+def _lll(Q: list) -> list:
+    """Integer rows U, unimodular, with U Q tU LLL-reduced (Lovasz constant
+    0.99).  The reduction stops early where U Q tU is not numerically
+    positive definite, and gives the identity where an entry of U would reach
+    2^20: tU k' stays exact in floats for every box point k'."""
+    g = len(Q)
+    Qa = np.array(Q)
+    U = [[int(i == j) for j in range(g)] for i in range(g)]
+    k, steps = 1, 0
+    while k < g and steps < 100 * g * g:
+        steps += 1
+        try:
+            fac = jacobi_decomposition(_act(np.array(U, dtype=float), Qa))
+        except ValueError:
+            break
+        # Gram-Schmidt coefficients mu (unit lower triangular) and norms d
+        mu, d = fac.W.T.tolist(), fac.d.tolist()
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                U[k] = [a - q * e for a, e in zip(U[k], U[j])]
+                mu[k] = [m - q * n for m, n in zip(mu[k], mu[j])]
+        if max(map(abs, U[k])) >= 1 << 20:
+            return [[int(i == j) for j in range(g)] for i in range(g)]
+        if d[k] < (0.99 - mu[k][k - 1] ** 2) * d[k - 1]:
+            U[k - 1], U[k] = U[k], U[k - 1]
+            k = max(k - 1, 1)
+        else:
+            k += 1
+    return U
 
 
 def _unit_multiples(diag: list[float], bound: float) -> float:

@@ -3,6 +3,7 @@ import math
 import re
 import time
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -285,6 +286,73 @@ class TestShortVectors:
                 assert points == sorted(points, key=lambda x: x[::-1])
                 for k, val in zip(points, found):
                     assert abs(val - values[k]) <= 1e-12 * max(1.0, abs(val))
+
+    def test_centered_enumeration_of_a_skewed_form(self):
+        """A form whose box in its own basis holds ~2e5 points for ~450
+        inside is walked in its LLL-reduced basis, with the same points."""
+        Y = np.array([[1.0, 1 - 1e-5], [1 - 1e-5, 1.0]])
+        for b in (np.zeros(2), np.array([0.3, -0.7])):
+            inside, near, values = self._brute_force(Y, 1.0, b)
+            points, found = [], []
+            for K, vals in spdcone._ellipsoid_points(Y, 1.0, b):
+                points += [tuple(int(v) for v in k) for k in K.T]
+                found += vals.tolist()
+            assert len(set(points)) == len(points)
+            assert inside <= set(points) <= inside | near
+            # the brute-force values cancel terms of size |k|^2 ~ 1e8, so
+            # the values are checked in exact arithmetic instead
+            Yq = [[Fraction(x) for x in row] for row in Y.tolist()]
+            for k, val in zip(points, found):
+                exact = sum(Yq[i][j] * k[i] * k[j] + (i == j) * Fraction(b[i]) * k[i]
+                            for i in range(2) for j in range(2))
+                assert abs(val - exact) <= 1e-12 * max(1.0, abs(val))
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-9])
+    def test_nearly_singular_form(self, delta):
+        """q(m, -m) = 2 delta m^2 and q(m + 1, -m) = 1 + 2 delta m (m + 1):
+        below 1 lie the multiples of (1, -1) and the unit vectors."""
+        Y = np.array([[1.0, 1 - delta], [1 - delta, 1.0]])
+        top = math.isqrt(int(1 / (2 * delta)))
+        want = {(m, -m) for m in range(-top, top + 1) if m} | {(1, 0), (-1, 0), (0, 1), (0, -1)}
+        vecs = quadratic_short_vectors(Y, 1.0)
+        assert len(vecs) == len(want) and set(vecs) == want
+        assert vecs == sorted(vecs, key=lambda x: x[::-1])
+        assert not is_minkowski_reduced(Y)
+
+    @pytest.mark.parametrize("spread", [1e8, 1e9])
+    def test_wide_diagonal_spread(self, spread):
+        """diag(1, s) up to s: the multiples of e_1 and +-e_2, in a box
+        whose rounding margin is tiny for a diagonal form."""
+        Y = np.diag([1.0, spread])
+        top = math.isqrt(int(spread))
+        vecs = quadratic_short_vectors(Y, spread)
+        assert vecs == [(0, -1)] + [(m, 0) for m in range(-top, top + 1) if m] + [(0, 1)]
+        assert is_minkowski_reduced(Y)
+
+    def test_root_lattice_near_singular_reduces(self):
+        """A3 + 1e-6 I is pairwise size-reduced, yet q(1, 1, 1) = 3e-6."""
+        Y = np.array([[1, -0.5, -0.5], [-0.5, 1, -0.5], [-0.5, -0.5, 1]]) + 1e-6 * np.eye(3)
+        R, A = minkowski_reduce(Y)
+        assert is_unimodular(A)
+        assert abs(R[0, 0] - 3e-6) < 1e-12
+        assert np.allclose(R, A.astype(float) @ Y @ A.astype(float).T, atol=1e-12)
+        assert is_minkowski_reduced(R)
+
+    def test_numerically_singular_form_is_refused(self):
+        # Cholesky passes, but the determinant rounds below zero: the box,
+        # in either basis, cannot be sized and the enumeration is refused
+        Y = np.array([[3.831068845210457, -2.2409968040058126],
+                      [-2.2409968040058126, 1.3108787334487022]])
+        with pytest.raises(RuntimeError, match="enumeration box of inf points"):
+            quadratic_short_vectors(Y, 3.831068845210457)
+
+    def test_box_is_bounded_by_the_cap(self):
+        # the ~1.4e6 box points of the ball of radius 17 at g = 4 are more
+        # than 64 cap for cap = 2e4, so the walk is refused before it starts
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="exceeds 1280000"):
+            quadratic_short_vectors(np.eye(4), 289.0, cap=20_000)
+        assert time.perf_counter() - start < 0.1
 
     def test_cap_counts_vectors(self):
         # 12 nonzero x with |x|^2 <= 4, 8 of them multiples of e_1 or e_2
