@@ -142,7 +142,9 @@ def _shear(g: int, k: int) -> np.ndarray:
 def test_theta_eval(benchmark, g, shape):
     """Canonical-bundle theta at 5 arguments in the fundamental cell: a form
     with eigenvalues in [1, 2], or 1.1 I in the basis sheared by 2 above the
-    diagonal (the same lattice, skewed)."""
+    diagonal (the same lattice, skewed).  Every well-conditioned form and the
+    sheared one at g = 2, 3 is summed in the basis given; the sheared boxes
+    at g = 4 hold more than 4,096 points there, so theta reduces them first."""
     rng = np.random.default_rng(800 + g)
     if shape == "well":
         Q, _ = np.linalg.qr(rng.normal(size=(g, g)))
@@ -152,6 +154,17 @@ def test_theta_eval(benchmark, g, shape):
         Y = U @ (1.1 * np.eye(g)) @ U.T
     spec = canonical_line_bundle_data(0.5 * (Y + Y.T)).spec
     args = [Y @ rng.uniform(-0.45, 0.45, size=g) for _ in range(5)]
+    benchmark(lambda: [theta_eval(spec, v) for v in args])
+
+
+def test_theta_eval_large_box(benchmark):
+    """As ``test_theta_eval``, sheared by 5 at g = 3: the boxes of the given
+    basis hold 47,397-91,935 points, far above the 4,096 where theta reduces
+    the form first, and the reduced boxes a few hundred."""
+    rng = np.random.default_rng(803)
+    Y = _shear(3, 5) @ (1.1 * np.eye(3)) @ _shear(3, 5).T
+    spec = canonical_line_bundle_data(0.5 * (Y + Y.T)).spec
+    args = [Y @ rng.uniform(-0.45, 0.45, size=3) for _ in range(5)]
     benchmark(lambda: [theta_eval(spec, v) for v in args])
 
 

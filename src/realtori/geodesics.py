@@ -124,7 +124,9 @@ def whitening_frame(Y0, Y1) -> tuple[np.ndarray, np.ndarray]:
     Y1 = require_spd(Y1)
     L = np.linalg.cholesky(Y0)
     Linv = np.linalg.inv(L)
-    Mid = Linv @ Y1 @ Linv.T
+    # a product that overflows comes back as inf or NaN for the caller to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        Mid = Linv @ Y1 @ Linv.T
     vals, vecs = np.linalg.eigh(0.5 * (Mid + Mid.T))
     order = np.argsort(vals)
     vals = vals[order]

@@ -14,6 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,7 +110,10 @@ def random_spd(g: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarr
 def gl_act(A, Y) -> np.ndarray:
     """Congruence action A o Y = A Y tA, symmetrized to kill roundoff."""
     Y = require_spd(Y)
-    return _act(_invertible(A, "acting matrix"), Y)
+    A = _invertible(A, "acting matrix")
+    # a product that overflows comes back as inf or NaN for the caller to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _act(A, Y)
 
 
 def _act(Af: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -200,7 +204,7 @@ def partial_iwasawa(Y, r: int, variant: str = "lower") -> IwasawaBlocks:
 
 def quadratic_short_vectors(Y, bound: float, cap: int = _ENUMERATION_CAP) -> list[tuple[int, ...]]:
     """All nonzero integer vectors x with x^T Y x <= bound, in ascending
-    lexicographic order of (x_{g-1}, ..., x_0), from ``_ellipsoid_points``.
+    lexicographic order of (x_{g-1}, ..., x_0), from ``_Ellipsoid``.
 
     Raises if more than ``cap`` vectors would be produced, at once when the
     multiples of the unit vectors alone exceed it or the box walked holds
@@ -214,7 +218,8 @@ def quadratic_short_vectors(Y, bound: float, cap: int = _ENUMERATION_CAP) -> lis
     found, total = [], 0
     # at most a few box points per vector for an LLL-reduced form, so a box
     # far larger than the cap would take long only to overflow it
-    for K, _ in _ellipsoid_points(Y, float(bound), box_limit=min(_BOX_LIMIT, 64 * cap)):
+    box = _Ellipsoid(Y, [0.0] * Y.shape[0]).box(float(bound))
+    for K, _ in box.points(box_limit=min(_BOX_LIMIT, 64 * cap)):
         found.append(K[:, K.any(axis=0)])
         total += found[-1].shape[1]
         if total > cap:
@@ -224,88 +229,112 @@ def quadratic_short_vectors(Y, bound: float, cap: int = _ENUMERATION_CAP) -> lis
     return list(zip(*K[:, np.lexsort(K)].astype(np.int64).tolist()))
 
 
-def _ellipsoid_points(Q: np.ndarray, bound: float, b: np.ndarray | None = None,
-                      box_limit: int = _BOX_LIMIT) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The integer points k of the ellipsoid q(k) + b.k + b Q^-1 tb / 4 <=
-    bound (1 + 1e-12) + 1e-12, q(k) = t(k) Q k, with their values q(k) + b.k.
+class _Ellipsoid:
+    """The ellipsoids t(k) P k + b.k + offset <= limit of the form P and the
+    linear term b, centered at c = -P^-1 tb / 2, with offset b P^-1 tb / 4:
+    ``box(bound)`` bounds the one at limit = bound (1 + 1e-12) + 1e-12, and
+    its ``points`` are the integer points k there, with their values
+    t(k) P k + b.k.  They map back to the caller's basis by k = tU k' when U
+    is given.
 
-    The ellipsoid is centered at c = -Q^-1 tb / 2 (b = 0 when None).  The walk
-    covers its bounding box |k_i - c_i| <= sqrt(bound (Q^-1)_ii), widened by
-    a first-order bound on rounding (``_bounding_box``), in pieces of
-    ``_CHUNK`` box points flat-indexed over the reversed axes: the points,
-    the columns of float arrays, come in ascending lexicographic order of
-    (k_{g-1}, ..., k_0).  A box of more than one piece whose form is not
-    LLL-reduced may be far larger than the ellipsoid; the box of the
-    LLL-reduced form U Q tU is then walked instead when it is smaller, and
-    its points are mapped back by k = tU k' in its own order.  Raises
-    RuntimeError, before any work, when the box walked holds more than
-    ``box_limit`` points.
+    One inverse, of P scaled to unit diagonal (S, with inverse Z), gives the
+    center, the offset and the squared half-widths limit (P^-1)_ii.  These
+    are widened by a first-order bound on rounding, which is small unless S
+    is ill-conditioned: Z is computed to g u cond(S) |Z| <= g^3 u tr(Z)^2
+    Z_ii, and a value q(k) to (g + 2) u t|k| |P| |k| <= (g + 2) g u tr(Z) q(k).
+    Every box is infinite when P is too near singular to invert: a form
+    positive definite in floats need not stay so in another basis.
     """
-    g = Q.shape[0]
-    b = np.zeros(g) if b is None else b
-    limit = bound * (1 + 1e-12) + 1e-12
-    P, bl, U = Q.tolist(), b.tolist(), None
-    lo, sides, count, offset = _bounding_box(P, bl, limit)
-    if count > _CHUNK and math.isfinite(limit):
-        U = _lll(P)
-        R, bU = _congruent(U, P), (np.array(U, dtype=float) @ b).tolist()
-        box = _bounding_box(R, bU, limit)
-        if box[2] < count:
-            P, bl, (lo, sides, count, offset) = R, bU, box
-        else:
-            U = None
-    if count > box_limit:
-        raise RuntimeError(f"enumeration box of {count:.3g} points exceeds {box_limit}")
-    limit -= offset
-    for start in range(0, count, _CHUNK):
-        idx = np.unravel_index(np.arange(start, min(start + _CHUNK, count)), sides[::-1])
-        k = [idx[g - 1 - i] + float(lo[i]) for i in range(g)]
-        values = 0.0
-        for i in range(g):
-            row = P[i][i] * k[i] + bl[i]
-            for j in range(i + 1, g):
-                row += 2.0 * P[i][j] * k[j]
-            values += row * k[i]
-        keep = values <= limit
-        if U:
-            k = [sum(U[j][i] * k[j] for j in range(g)) for i in range(g)]
-        yield np.array(k)[:, keep], values[keep]
 
-
-def _bounding_box(P: list, b: list, limit: float) -> tuple[list[int], list[int], float, float]:
-    """Corner, sides and point count of the bounding box of the ellipsoid
-    t(k) P k + b.k + b P^-1 tb / 4 <= limit, and its offset b P^-1 tb / 4.
-
-    The half-widths sqrt(limit (P^-1)_ii) are widened by a first-order bound
-    on the rounding of (P^-1)_ii and of the values of the points, which is
-    small unless the form scaled to unit diagonal, S with inverse Z, is
-    ill-conditioned: Z is computed to g u cond(S) |Z| <= g^3 u tr(Z)^2 Z_ii,
-    and a value q(k) to (g + 2) u t|k| |P| |k| <= (g + 2) g u tr(Z) q(k).
-    The count is infinite when a half-width or the center is not finite or
-    reaches ``_BOX_LIMIT``, and when P is too near singular to invert: a
-    form positive definite in floats need not stay so in another basis.
-    """
-    g = len(P)
-    if not min(P[i][i] for i in range(g)) > 0:
-        return [], [], math.inf, 0.0
-    s = [P[i][i] ** -0.5 for i in range(g)]
-    try:
-        # P^-1 = diag(s) Z diag(s)
-        Z = np.linalg.inv([[P[i][j] * s[i] * s[j] for j in range(g)] for i in range(g)]).tolist()
+    def __init__(self, P: np.ndarray, b: list, U: list | None = None):
+        g = P.shape[0]
+        self.rows, self.b, self.U = P.tolist(), b, U
+        self.c, self.offset, self.widths = [0.0] * g, 0.0, None
+        if not min(self.rows[i][i] for i in range(g)) > 0:
+            return
+        s = [self.rows[i][i] ** -0.5 for i in range(g)]
+        scale = np.array(s)
+        try:
+            # P^-1 = diag(s) Z diag(s)
+            Z = np.linalg.inv(P * scale[:, None] * scale).tolist()
+        except np.linalg.LinAlgError:
+            return
         sb = [si * bi for si, bi in zip(s, b)]
-        c = [-0.5 * si * sum(z * x for z, x in zip(row, sb)) for si, row in zip(s, Z)]
+        self.c = [-0.5 * si * sum(z * x for z, x in zip(row, sb)) for si, row in zip(s, Z)]
+        self.offset = -0.5 * sum(bi * ci for bi, ci in zip(b, self.c))
         trace = sum(Z[i][i] for i in range(g))
         margin = 4 * g * _ROUNDING * trace * (g * g * trace + g + 2)
-        half = [s[i] * math.sqrt(limit * Z[i][i] * (1 + margin)) for i in range(g)]
-    except ValueError:
-        return [], [], math.inf, 0.0
-    offset = -0.5 * sum(bi * ci for bi, ci in zip(b, c))
-    # false for NaN and inf alike
-    if not all(abs(ci) + h < _BOX_LIMIT for ci, h in zip(c, half)):
-        return [], [], math.inf, offset
-    lo = [math.ceil(ci - h) for ci, h in zip(c, half)]
-    sides = [max(0, math.floor(ci + h) - a + 1) for ci, h, a in zip(c, half, lo)]
-    return lo, sides, math.prod(sides), offset
+        # false for NaN and for a negative diagonal alike
+        if all(Z[i][i] > 0 for i in range(g)):
+            self.widths = [(s[i], Z[i][i], 1 + margin) for i in range(g)]
+
+    def box(self, bound: float) -> _Box:
+        """The bounding box |k_i - c_i| <= sqrt(limit (P^-1)_ii), widened
+        for rounding; its count is infinite when a half-width or the center
+        is not finite or reaches ``_BOX_LIMIT``."""
+        if self.widths is None:
+            return _Box(self, [], [], math.inf, bound)
+        limit = bound * (1 + 1e-12) + 1e-12
+        half = [s * math.sqrt(limit * z * m) for s, z, m in self.widths]
+        # false for NaN and inf alike
+        if not all(abs(ci) + h < _BOX_LIMIT for ci, h in zip(self.c, half)):
+            return _Box(self, [], [], math.inf, bound)
+        lo = [math.ceil(ci - h) for ci, h in zip(self.c, half)]
+        sides = [max(0, math.floor(ci + h) - a + 1) for ci, h, a in zip(self.c, half, lo)]
+        return _Box(self, lo, sides, math.prod(sides), bound)
+
+
+class _Box(NamedTuple):
+    """Corner and sides of the bounding box of an ellipsoid at ``bound``,
+    and its point count."""
+
+    ellipsoid: _Ellipsoid
+    lo: list[int]
+    sides: list[int]
+    count: float
+    bound: float
+
+    def points(self, box_limit: int = _BOX_LIMIT) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The integer points of the ellipsoid, with their values q(k) + b.k.
+
+        The walk covers the box in pieces of ``_CHUNK`` box points
+        flat-indexed over the reversed axes: the points, the columns of float
+        arrays, come in ascending lexicographic order of (k_{g-1}, ..., k_0).
+        A box of more than one piece whose form is not LLL-reduced may be far
+        larger than the ellipsoid; the box of the LLL-reduced form U P tU is
+        then walked instead when it is smaller, and its points are mapped
+        back by k = tU k' in its own order.  Raises RuntimeError, before any
+        work, when the box walked holds more than ``box_limit`` points.
+        """
+        box = self
+        if self.count > _CHUNK and math.isfinite(self.bound):
+            P, b = self.ellipsoid.rows, self.ellipsoid.b
+            U = _lll(P)
+            other = _Ellipsoid(np.array(_congruent(U, P)), (np.array(U, dtype=float) @ b).tolist(), U)
+            other = other.box(self.bound)
+            if other.count < self.count:
+                box = other
+        if box.count > box_limit:
+            raise RuntimeError(f"enumeration box of {box.count:.3g} points exceeds {box_limit}")
+        return box._walk()
+
+    def _walk(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        P, bl, U = self.ellipsoid.rows, self.ellipsoid.b, self.ellipsoid.U
+        g, lo, sides = len(P), self.lo, self.sides
+        limit = self.bound * (1 + 1e-12) + 1e-12 - self.ellipsoid.offset
+        for start in range(0, self.count, _CHUNK):
+            idx = np.unravel_index(np.arange(start, min(start + _CHUNK, self.count)), sides[::-1])
+            k = [idx[g - 1 - i] + float(lo[i]) for i in range(g)]
+            values = 0.0
+            for i in range(g):
+                row = P[i][i] * k[i] + bl[i]
+                for j in range(i + 1, g):
+                    row += 2.0 * P[i][j] * k[j]
+                values += row * k[i]
+            keep = values <= limit
+            if U:
+                k = [sum(U[j][i] * k[j] for j in range(g)) for i in range(g)]
+            yield np.array(k)[:, keep], values[keep]
 
 
 def _congruent(U: list, Q: list) -> list:

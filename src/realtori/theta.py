@@ -4,12 +4,13 @@ A theta datum is a lattice Pi Z^g, an SPD Gram form B, and a unit character
 given by its values on the lattice basis.  The argument is first translated
 into the fundamental cell and the removed translate re-applied exactly
 through the transformation law, so conditioning does not depend on v.  A
-series is a sum over the lattice, so its value depends only on the
-GL(g, Z)-class of the Gram form: for 1 < g <= 4 the form is first
-Minkowski-reduced.  The sum then runs over the lattice points of an
-ellipsoid, listed in numpy chunks by the enumerator that also serves
-short-vector search (``spdcone._ellipsoid_points``), with a certified
-Gaussian tail bound on everything outside it.
+series is a sum over the lattice points of an ellipsoid, listed in numpy
+chunks by the enumerator that also serves short-vector search
+(``spdcone._Ellipsoid``), with a certified Gaussian tail bound on
+everything outside it.  Its value depends only on the GL(g, Z)-class of the
+Gram form, so the sum runs in the basis it is given, unless 1 < g <= 4 and
+the ellipsoid's box there holds more than ``_REDUCE_ABOVE`` points: then the
+form is first Minkowski-reduced.
 """
 
 from __future__ import annotations
@@ -22,7 +23,14 @@ from functools import cached_property
 import numpy as np
 
 from .exactlinalg import int_matrix
-from .spdcone import MAX_REDUCTION_DIM, _ellipsoid_points, _invertible, minkowski_reduce, require_spd
+from .spdcone import (
+    MAX_REDUCTION_DIM,
+    _Box,
+    _Ellipsoid,
+    _invertible,
+    minkowski_reduce,
+    require_spd,
+)
 
 __all__ = [
     "ThetaSpec",
@@ -39,8 +47,11 @@ __all__ = [
     "canonical_line_bundle_data",
 ]
 
-# values of t in (0, 1) tried by the tail bound of ``_sum_with_tail``
+# values of t in (0, 1) tried by the tail bound of ``_tail_box``
 _TAIL_SPLITS = (0.5, 0.7, 0.8, 0.9, 0.95, 0.98, 0.99)
+# box points in the given basis above which a theta sum with
+# 1 < g <= MAX_REDUCTION_DIM is taken in the Minkowski-reduced basis
+_REDUCE_ABOVE = 4096
 
 
 @dataclass(frozen=True)
@@ -70,8 +81,11 @@ class ThetaSpec:
         return self.Pi.shape[0]
 
     def gram(self) -> np.ndarray:
-        """Gram matrix of B on the lattice basis."""
-        return self.Pi.T @ self.B @ self.Pi
+        """Gram matrix of B on the lattice basis, symmetrized: the rounding of
+        the product need not be symmetric, and a sum over the lattice reads
+        one triangle of it."""
+        Q = self.Pi.T @ self.B @ self.Pi
+        return 0.5 * (Q + Q.T)
 
     def character_angles(self) -> np.ndarray:
         return np.angle(self.rho)
@@ -103,48 +117,40 @@ def factor_i_b_rho(spec: ThetaSpec, lam_int, v) -> complex:
 def _sum_with_tail(spec: ThetaSpec, v: np.ndarray, eps: float, oscillatory: bool) -> complex:
     """Core truncated sum; ``oscillatory`` switches the linear term to 2 pi i B(v, lam).
 
-    The sum runs over n = tA k, with A the Minkowski-reduction witness of the
-    Gram form Q (A = I at g = 1 and above ``MAX_REDUCTION_DIM``): the form
-    becomes A Q tA, the linear coefficients A w and the character angles
-    A angles, and the offset w Q^-1 w is unchanged.  The terms
-    exp(-pi (t(k) Q k + b.k) + i c.k) are summed in elementwise numpy at the
-    points of the ellipsoid t(k) Q k + b.k + offset <= rho^2 from
-    ``spdcone._ellipsoid_points``, each chunk in sorted order and the chunks
-    in order: (b, c) and (-b, -c), whose points are mirror images with equal
-    terms, give equal values on a box of one chunk.
+    The terms exp(-pi (t(k) Q k + b.k) + i c.k), Q the Gram form, are summed
+    in elementwise numpy at the points of the ellipsoid of ``_tail_box``,
+    each chunk in sorted order and the chunks in order: (b, c) and (-b, -c),
+    whose points are mirror images with equal terms, give equal values on a
+    box of one chunk.
 
-    rho^2 is the least, over t in ``_TAIL_SPLITS``, that makes e^(pi offset)
-    e^(-pi t rho^2) (1 + ((1 - t) mu)^(-1/2))^g at most eps, in logs.  It
-    bounds the terms where q(k - c) > rho^2, c the center and mu the least
-    eigenvalue of q: e^(-pi q) <= e^(-pi t rho^2) e^(-pi (1 - t) q) there,
-    q(x) >= mu |x|^2, and a Gaussian sum in one variable is at most its peak
-    plus its integral.
+    The sum runs in the basis it is given unless 1 < g <=
+    ``MAX_REDUCTION_DIM`` and the ellipsoid's box in that basis holds more
+    than ``_REDUCE_ABOVE`` points.  Then it runs over n = tA k, with A the
+    Minkowski-reduction witness of Q, on the form A Q tA with the linear
+    coefficients A w and the character angles A angles.  The threshold sits
+    below the break-even: the reduction, with the second box it needs, costs
+    about as much as walking 6,000-7,000 box points at g = 4, 8,000-9,000 at
+    g = 3 and more at g = 2 (timed on sheared forms).  The offset w Q^-1 w
+    and the terms outside the ellipsoid are the same in every basis, so the
+    tail bound holds whichever basis is walked.
     """
+    if not eps > 0:
+        raise ValueError("tolerance must be positive")
     g = spec.g
     Q = spec.gram()
     w = spec.Pi.T @ spec.B @ v
     angles = spec.character_angles()
-    if 1 < g <= MAX_REDUCTION_DIM:
+    box = _tail_box(Q, w, eps, oscillatory)
+    if 1 < g <= MAX_REDUCTION_DIM and box.count > _REDUCE_ABOVE:
         Q, A = minkowski_reduce(Q)
         A = A.astype(float)
-        w = A @ w
-        angles = A @ angles
-    if oscillatory:
-        # the linear term is a pure phase; magnitudes are centered at zero
-        offset, b, c = 0.0, None, angles + 2.0 * math.pi * w
-    else:
-        offset, b, c = float(w @ np.linalg.solve(Q, w)), 2.0 * w, -angles
-    if not eps > 0:
-        raise ValueError("tolerance must be positive")
-    mu = float(np.linalg.eigvalsh(Q)[0])
-    # inf, which the enumerator refuses, where (1 - t) mu underflows for every t
-    rho2 = max(0.0, min(((math.pi * offset + g * math.log1p(((1 - t) * mu) ** -0.5)
-                          - math.log(eps)) / (math.pi * t) for t in _TAIL_SPLITS
-                         if (1 - t) * mu > 0), default=math.inf))
+        w, angles = A @ w, A @ angles
+        box = _tail_box(Q, w, eps, oscillatory)
+    c = angles + 2.0 * math.pi * w if oscillatory else -angles
     real = imag = 0.0
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, values in _ellipsoid_points(Q, rho2, b):
+            for k, values in box.points():
                 terms = np.exp(-math.pi * values)
                 if c.any():
                     phase = c[0] * k[0]
@@ -158,6 +164,29 @@ def _sum_with_tail(spec: ThetaSpec, v: np.ndarray, eps: float, oscillatory: bool
     if not (math.isfinite(real) and math.isfinite(imag)):
         raise OverflowError("theta sum overflows")
     return complex(real, imag)
+
+
+def _tail_box(Q: np.ndarray, w: np.ndarray, eps: float, oscillatory: bool) -> _Box:
+    """The bounding box of the ellipsoid t(k) Q k + b.k + offset <= rho^2
+    whose points the sum takes, b = 2 w (b = 0 when ``oscillatory``: the
+    linear term is then a pure phase), with the offset w Q^-1 w from the
+    same inverse as the box.
+
+    rho^2 is the least, over t in ``_TAIL_SPLITS``, that makes e^(pi offset)
+    e^(-pi t rho^2) (1 + ((1 - t) mu)^(-1/2))^g at most eps, in logs.  It
+    bounds the terms where q(k - c) > rho^2, c the center and mu the least
+    eigenvalue of q: e^(-pi q) <= e^(-pi t rho^2) e^(-pi (1 - t) q) there,
+    q(x) >= mu |x|^2, and a Gaussian sum in one variable is at most its peak
+    plus its integral.
+    """
+    g = Q.shape[0]
+    ellipsoid = _Ellipsoid(Q, [0.0] * g if oscillatory else (2.0 * w).tolist())
+    mu = float(np.linalg.eigvalsh(Q)[0])
+    # inf, which the enumerator refuses, where (1 - t) mu underflows for every t
+    rho2 = max(0.0, min([(math.pi * ellipsoid.offset + g * math.log1p(((1 - t) * mu) ** -0.5)
+                          - math.log(eps)) / (math.pi * t) for t in _TAIL_SPLITS
+                         if (1 - t) * mu > 0], default=math.inf))
+    return ellipsoid.box(rho2)
 
 
 def theta_eval(spec: ThetaSpec, v, eps: float = 1e-12) -> complex:

@@ -202,11 +202,15 @@ class TestNonFiniteNumbers:
         '{"cmd":"act","kind":"gl","A":[[1e200]],"Y":[[1e200]]}',
         '{"cmd":"distance","Y0":[[1e-300]],"V0":[[0]],"Y1":[[1e300]],"V1":[[0]]}',
     ])
-    def test_overflowing_result_is_bad_input(self, text, tmp_path):
-        proc = _cli_process(text, tmp_path)
-        assert proc.returncode == 2, proc.stderr
-        assert json.loads(proc.stdout) == {"status": "error",
-                                           "error": "result is not finite: a value overflows"}
+    def test_overflowing_result_is_bad_input(self, text, tmp_path, capsys):
+        # in this process, where a numpy RuntimeWarning is an error
+        src = tmp_path / "in.json"
+        src.write_text(text, encoding="utf-8")
+        assert cli.main(["--input", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"status": "error",
+                                            "error": "result is not finite: a value overflows"}
+        assert captured.err.splitlines() == ["input error: result is not finite: a value overflows"]
 
     def test_unsettled_distance_is_refused_at_once(self, tmp_path):
         # the path length is about 3e13, so the quadrature's absolute

@@ -279,7 +279,7 @@ class TestShortVectors:
                 bound = 2.0 * float(np.max(np.diag(Y)))
                 inside, near, values = self._brute_force(Y, bound, b)
                 points, found = [], []
-                for K, vals in spdcone._ellipsoid_points(Y, bound, b):
+                for K, vals in spdcone._Ellipsoid(Y, b.tolist()).box(bound).points():
                     points += [tuple(int(v) for v in k) for k in K.T]
                     found += vals.tolist()
                 assert inside <= set(points) <= inside | near
@@ -294,7 +294,7 @@ class TestShortVectors:
         for b in (np.zeros(2), np.array([0.3, -0.7])):
             inside, near, values = self._brute_force(Y, 1.0, b)
             points, found = [], []
-            for K, vals in spdcone._ellipsoid_points(Y, 1.0, b):
+            for K, vals in spdcone._Ellipsoid(Y, b.tolist()).box(1.0).points():
                 points += [tuple(int(v) for v in k) for k in K.T]
                 found += vals.tolist()
             assert len(set(points)) == len(points)

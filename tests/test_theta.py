@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from realtori import cli
+from realtori import theta as theta_module
 from realtori.spdcone import random_spd
 from realtori.theta import (
     CanonicalBundle,
@@ -46,6 +47,39 @@ def theta_oracle(spec: ThetaSpec, v, box=8):
 
 def unit_spec():
     return ThetaSpec(Pi=np.eye(1), B=np.eye(1), rho=np.ones(1, dtype=complex))
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """The Gram forms that theta sums hand to ``minkowski_reduce``."""
+    seen = []
+    reduce = theta_module.minkowski_reduce
+
+    def counting(Y):
+        seen.append(Y)
+        return reduce(Y)
+
+    monkeypatch.setattr(theta_module, "minkowski_reduce", counting)
+    return seen
+
+
+def box_points(spec, v):
+    """Points of the box that theta walks for v in the given basis."""
+    return theta_module._tail_box(spec.gram(), spec.Pi.T @ spec.B @ v, 1e-12, False).count
+
+
+def sheared_spec(U, d, x):
+    """The lattice tU Z^g = Z^g with B = diag(d), at v = tU x, and its theta
+    summed in the basis m = tU n where the form is diagonal: the product
+    over i of sum_m exp(-pi d_i m^2 - 2 pi d_i v_i m).  For integer U and
+    dyadic d the Gram form U diag(d) tU is exact in floats."""
+    U, d = np.asarray(U, dtype=float), np.asarray(d, dtype=float)
+    spec = ThetaSpec(Pi=U.T, B=np.diag(d), rho=np.ones(len(d)))
+    v = U.T @ np.asarray(x, dtype=float)
+    m = np.arange(-60, 61)
+    ref = math.prod(float(np.sum(np.exp(-math.pi * di * m * m - 2 * math.pi * di * vi * m)))
+                    for di, vi in zip(d, v))
+    return spec, v, ref
 
 
 class TestThetaEval:
@@ -171,10 +205,11 @@ def sheared(g):
 
 class TestReducedSummation:
     # with Q0 >= 2 I and |f| <= 1/4 every term the oracle box misses is below
-    # exp(-2 pi 2.75^2) times the largest; a box of 16 holds U^-1 k for |k| <= 3
+    # exp(-2 pi 2.75^2) times the largest; a box of 16 holds U^-1 k for |k| <= 3.
+    # These boxes are small enough to be walked in the given basis.
 
     @pytest.mark.parametrize("g", [2, 3])
-    def test_sheared_explicit_spec(self, g):
+    def test_sheared_explicit_spec(self, g, reductions):
         rng = np.random.default_rng(40 + g)
         U = sheared(g)
         for _ in range(2):
@@ -183,9 +218,10 @@ class TestReducedSummation:
             v = U @ rng.uniform(-0.25, 0.25, size=g)
             ref = theta_oracle(spec, v, box=16)
             assert abs(theta_eval(spec, v) - ref) < 1e-10 * max(1.0, abs(ref))
+        assert not reductions
 
     @pytest.mark.parametrize("g", [2, 3])
-    def test_sheared_canonical_bundle(self, g):
+    def test_sheared_canonical_bundle(self, g, reductions):
         rng = np.random.default_rng(50 + g)
         U = sheared(g)
         Y = U.T @ (np.diag(rng.uniform(2.0, 3.0, size=g)) + 0.1 * random_spd(g, rng)) @ U
@@ -193,6 +229,7 @@ class TestReducedSummation:
         v = Y @ rng.uniform(-0.25, 0.25, size=g)
         ref = theta_oracle(bundle.spec, v, box=16)
         assert abs(bundle.section(v) - ref) < 1e-10 * max(1.0, abs(ref))
+        assert not reductions
 
     def test_g1_matches_mpmath_jtheta(self):
         mpmath = pytest.importorskip("mpmath")
@@ -238,6 +275,65 @@ class TestReducedSummation:
             tracemalloc.stop()
         assert abs(val - ref) < 1e-10 * ref
         assert peak < 32 * 2**20
+
+
+class TestReductionDecision:
+    """A theta sum is Minkowski-reduced first only where the ellipsoid's box
+    in the given basis holds more than ``_REDUCE_ABOVE`` points."""
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_well_conditioned_forms_are_summed_as_given(self, g, reductions):
+        rng = np.random.default_rng(80 + g)
+        for _ in range(3):
+            O, _ = np.linalg.qr(rng.normal(size=(g, g)))
+            B = (O * rng.uniform(1.0, 2.0, size=g)) @ O.T
+            spec = ThetaSpec(Pi=np.eye(g), B=0.5 * (B + B.T),
+                             rho=np.exp(1j * rng.uniform(0, 2 * math.pi, size=g)))
+            v = rng.uniform(-0.45, 0.45, size=g)
+            ref = theta_oracle(spec, v, box=5)
+            assert abs(theta_eval(spec, v) - ref) < 1e-10 * max(1.0, abs(ref))
+        assert not reductions
+
+    # a form of each dimension whose boxes hold 2,175-3,996 points
+    NEAR_THRESHOLD = {
+        2: ([[1, -2], [-3, 7]], [0.375, 0.375]),
+        3: ([[1, 3, 0], [0, 1, 0], [0, 1, 1]], [0.4375, 0.625, 0.625]),
+        4: ([[1, 3, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]], [2.0, 2.25, 2.25, 2.25]),
+    }
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_skewed_box_below_the_threshold(self, g, reductions):
+        """A value t(k) Q k + b.k of a skewed basis cancels terms much larger
+        than itself; the sums still match the sum in the diagonal basis."""
+        U, d = self.NEAR_THRESHOLD[g]
+        rng = np.random.default_rng(90 + g)
+        for _ in range(3):
+            spec, v, ref = sheared_spec(U, d, rng.uniform(-0.45, 0.45, size=g))
+            assert theta_module._REDUCE_ABOVE / 2 < box_points(spec, v) <= theta_module._REDUCE_ABOVE
+            assert abs(theta_eval(spec, v) - ref) < 1e-13 * abs(ref)
+        assert not reductions
+
+    def test_gram_form_is_symmetric(self):
+        """The walk reads one triangle of the Gram form and ``eigvalsh`` the
+        other; Pi^T B Pi of a skewed canonical bundle rounds asymmetrically."""
+        Y = [[164.94322850390964, 44.67977357088689], [44.67977357088689, 12.116028210103812]]
+        Q = canonical_line_bundle_data(Y).spec.gram()
+        assert np.array_equal(Q, Q.T)
+
+    def test_large_box_is_reduced_once(self, reductions):
+        """A bidiagonal shear by 5 at g = 3: ~7e4 box points in the given
+        basis, a few hundred in the reduced one."""
+        U = np.eye(3) + 5 * np.eye(3, k=1)
+        spec, v, ref = sheared_spec(U, [1.0, 1.0, 1.0], [0.3, -0.2, 0.1])
+        assert box_points(spec, v) > 40_000
+        assert abs(theta_eval(spec, v) - ref) < 1e-13 * abs(ref)
+        assert len(reductions) == 1
+        best = math.inf
+        for _ in range(5):
+            start = time.perf_counter()
+            theta_eval(spec, v)
+            best = min(best, time.perf_counter() - start)
+        assert best < 2e-3
 
 
 class TestTransformationLaw:
