@@ -16,8 +16,9 @@ alike.  The script prints which answers
 differ in bytes, by command, with the largest relative change of a number
 (a complex number as one value), then the median of the per-round time
 ratios work / base with their quartiles, and in how many rounds the
-working tree was faster.  An A/B of HEAD against an unchanged tree reads
-1.00 within a few percent.
+working tree was faster: for the whole batch, then for the requests of each
+command.  An A/B of HEAD against an unchanged tree reads 1.00 within a few
+percent.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import sys
 import tarfile
 import tempfile
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,18 +79,21 @@ def largest_change(a, b) -> float:
     return 0.0 if a == b else math.inf
 
 
-def timed_round(base, work, texts, first: int) -> float:
+def timed_round(base, work, texts, cmds, first: int) -> dict[str | None, float]:
     """Time work / base over one pass of each tree, request by request, the
-    tree that answers first alternating from one request to the next."""
+    tree that answers first alternating from one request to the next; returns
+    the ratio for each command in ``cmds`` (the command of each text) and,
+    under None, for the whole batch."""
     gc.collect()
-    spent = [0.0, 0.0]
+    spent = defaultdict(lambda: [0.0, 0.0])
     clock = time.perf_counter
-    for i, text in enumerate(texts):
+    for i, (text, cmd) in enumerate(zip(texts, cmds)):
         for side in ((i + first) % 2, (i + first + 1) % 2):
             start = clock()
             run.call((base, work)[side], text)
-            spent[side] += clock() - start
-    return spent[1] / spent[0]
+            spent[cmd][side] += clock() - start
+    spent[None] = [sum(s[side] for s in spent.values()) for side in (0, 1)]
+    return {cmd: s[1] / s[0] for cmd, s in spent.items()}
 
 
 def main(argv=None) -> int:
@@ -109,10 +113,9 @@ def main(argv=None) -> int:
 
     base_outs, base_codes = run.run_pass(base, texts)
     work_outs, work_codes = run.run_pass(work, texts)
-    moved, total, worst = Counter(), Counter(), 0.0
-    for text, x, y, cx, cy in zip(texts, base_outs, work_outs, base_codes, work_codes):
-        cmd = json.loads(text)["cmd"]
-        total[cmd] += 1
+    cmds = [json.loads(text)["cmd"] for text in texts]
+    moved, total, worst = Counter(), Counter(cmds), 0.0
+    for cmd, x, y, cx, cy in zip(cmds, base_outs, work_outs, base_codes, work_codes):
         if x != y or cx != cy:
             moved[cmd] += 1
             worst = max(worst, largest_change(json.loads(x), json.loads(y)) if cx == cy else math.inf)
@@ -123,11 +126,14 @@ def main(argv=None) -> int:
     else:
         print("every answer is byte-identical")
 
-    ratios = [timed_round(base, work, texts, r % 2) for r in range(args.rounds)]
-    q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-    wins = sum(x < 1.0 for x in ratios)
-    print(f"time work/base over {len(ratios)} rounds: median {median:.3f} "
-          f"(quartiles {q1:.3f}-{q3:.3f}); work faster in {wins} of {len(ratios)}")
+    rounds = [timed_round(base, work, texts, cmds, r % 2) for r in range(args.rounds)]
+    for cmd in [None, *sorted(total)]:
+        ratios = [r[cmd] for r in rounds]
+        q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+        wins = sum(x < 1.0 for x in ratios)
+        what = "time work/base" if cmd is None else f"  {cmd} ({total[cmd]} requests)"
+        print(f"{what} over {len(ratios)} rounds: median {median:.3f} "
+              f"(quartiles {q1:.3f}-{q3:.3f}); work faster in {wins} of {len(ratios)}")
     return 0
 
 

@@ -1,8 +1,9 @@
 """Per-layer timings of SPD validation, reduction, enumeration,
-congruence-witness search, exact determinant and inverse, Smith normal form,
-coboundary witnesses, theta summation, theta requests and the JSON
-decode/encode round trip, and of the CLI end to end (in process) on the
-golden batch of ``tests/golden/cli_in.json``.
+congruence-witness search, equivalence of polarized tori and of real
+ppavs, exact determinant and inverse, Smith normal form, coboundary
+witnesses, theta summation, theta requests and the JSON decode/encode round
+trip, and of the CLI end to end (in process) on the golden batch of
+``tests/golden/cli_in.json``.
 
 Run from the root of a checkout (not part of the tier-1 tests):
 
@@ -29,7 +30,12 @@ from realtori.exactlinalg import (
     symplectic_inverse,
     unimodular_inverse,
 )
-from realtori.moduli import congruence_witnesses
+from realtori.moduli import (
+    Verdict,
+    congruence_witnesses,
+    polarized_tori_equivalent,
+    real_ppav_equivalent,
+)
 from realtori.siegel import random_symplectic, tau_group
 from realtori.spdcone import minkowski_reduce, quadratic_short_vectors, require_spd
 from realtori.theta import canonical_line_bundle_data, theta_eval
@@ -98,6 +104,61 @@ def test_congruence_witnesses_generic(benchmark, g):
     R2, _ = minkowski_reduce(_form(g, 10.0, 300 + g))
     R2 *= (np.linalg.det(R1) / np.linalg.det(R2)) ** (1.0 / g)
     benchmark(congruence_witnesses, R1, R2)
+
+
+def _equivalence_pairs(g: int, seed: int) -> list[tuple[np.ndarray, np.ndarray, bool]]:
+    """Eight pairs of forms with the same determinant: integer and scaled by a
+    real factor in [0.5, 2], each twice equivalent (moved by a unimodular
+    matrix) and twice not (diag(1, ..., 1, 4) against diag(1, ..., 2, 2),
+    both moved)."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for scaled in (False, True):
+        for equivalent in (True, True, False, False):
+            if equivalent:
+                M = rng.integers(-2, 3, size=(g, g))
+                Z1 = M @ M.T + np.diag(rng.integers(1, 4, size=g))
+                U = random_unimodular(g, rng, max_entry=2).astype(np.int64)
+                Z2 = U @ Z1 @ U.T
+            else:
+                moved = []
+                for d in ([1] * (g - 1) + [4], [1] * (g - 2) + [2, 2]):
+                    U = random_unimodular(g, rng, max_entry=2).astype(np.int64)
+                    moved.append(U @ np.diag(d) @ U.T)
+                Z1, Z2 = moved
+            s = float(rng.uniform(0.5, 2.0)) if scaled else 1.0
+            pairs.append((Z1.astype(float) * s, Z2.astype(float) * s, equivalent))
+    return pairs
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_polarized_tori_equivalent(benchmark, g):
+    pairs = _equivalence_pairs(g, 1100 + g)
+    verdicts = benchmark(lambda: [polarized_tori_equivalent(Y1, Y2).verdict
+                                  for Y1, Y2, _ in pairs])
+    assert [v is Verdict.EQUIVALENT for v in verdicts] == [e for _, _, e in pairs]
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_real_ppav_equivalent(benchmark, g):
+    """The pairs of ``test_polarized_tori_equivalent`` as imaginary parts,
+    with real parts M / 2 and A M tA / 2 + K for a random symmetric 0-1
+    matrix M, an even symmetric K and the unimodular A that moves the
+    imaginary part (A = I for the inequivalent pairs)."""
+    rng = np.random.default_rng(1200 + g)
+    points = []
+    for Y1, Y2, equivalent in _equivalence_pairs(g, 1100 + g):
+        M = np.triu(rng.integers(0, 2, size=(g, g)))
+        M = M + np.triu(M, 1).T
+        A = np.eye(g)
+        if equivalent:
+            A = polarized_tori_equivalent(Y1, Y2).witness.astype(float)
+        K = np.triu(rng.integers(-1, 2, size=(g, g)))
+        X2 = 0.5 * (A @ M @ A.T) + K + np.triu(K, 1).T
+        points.append((0.5 * M + 1j * Y1, X2 + 1j * Y2, equivalent))
+    verdicts = benchmark(lambda: [real_ppav_equivalent(om1, om2).verdict
+                                  for om1, om2, _ in points])
+    assert [v is Verdict.EQUIVALENT for v in verdicts] == [e for _, _, e in points]
 
 
 @pytest.mark.parametrize("g", [2, 4, 6])

@@ -80,9 +80,15 @@ def det_int(M) -> int:
     n, m = M.shape
     if n != m:
         raise ValueError("determinant requires a square matrix")
+    return _det_rows([[int(M[i, j]) for j in range(n)] for i in range(n)])
+
+
+def _det_rows(rows: list) -> int:
+    # det_int of a square matrix given as rows of Python ints
+    n = len(rows)
     if n == 0:
         return 1
-    a = [[int(M[i, j]) for j in range(n)] for i in range(n)]
+    a = [row[:] for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -207,21 +213,16 @@ def gf2_matrix(data, symmetric: bool = False) -> np.ndarray:
 
 
 def gf2_rank(N) -> int:
-    """Rank over GF(2) via elimination."""
-    A = gf2_matrix(N).copy()
-    rows, cols = A.shape
+    """Rank over GF(2): elimination on the rows held as bit masks."""
+    rows = [sum(1 << c for c, v in enumerate(row) if v) for row in gf2_matrix(N).tolist()]
     rank = 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, rows) if A[r, c]), None)
-        if pivot is None:
-            continue
-        A[[rank, pivot]] = A[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and A[r, c]:
-                A[r] ^= A[rank]
-        rank += 1
-        if rank == rows:
-            break
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            # clear the pivot's lowest bit from every other row
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+            rank += 1
     return rank
 
 

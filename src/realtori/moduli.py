@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .exactlinalg import (
+    _det_rows,
     gf2_matrix,
     gf2_rank,
     int_matrix,
@@ -373,9 +374,9 @@ def _witness_search(Y1: np.ndarray, Y2: np.ndarray, tau: float, cap: int):
     def backtrack(i: int):
         nonlocal nodes
         if i == g:
-            B = int_matrix(np.array([vecs[c] for c in chosen], dtype=object))
-            if is_unimodular(B):
-                yield B
+            B = [list(vecs[c]) for c in chosen]
+            if abs(_det_rows(B)) == 1:
+                yield np.array(B, dtype=object)
             return
         cross = products[i] @ X[chosen].T
         fits = np.all(np.abs(cross - Y2[i, :i]) <= tau, axis=1).tolist()
@@ -394,9 +395,10 @@ def _witness_search(Y1: np.ndarray, Y2: np.ndarray, tau: float, cap: int):
 def _exact_integers(*forms: np.ndarray) -> list[np.ndarray] | None:
     """The forms as exact integer matrices when every entry is an integer
     below 2^53 in magnitude (so the float input is that integer), else None."""
-    if not all(np.all(np.abs(Y) < 2.0 ** 53) and np.all(Y == np.floor(Y)) for Y in forms):
+    rows = [Y.tolist() for Y in forms]
+    if not all(abs(v) < 2.0 ** 53 and v.is_integer() for Z in rows for row in Z for v in row):
         return None
-    return [np.array(Y.astype(np.int64).tolist(), dtype=object) for Y in forms]
+    return [np.array([[int(v) for v in row] for row in Z], dtype=object) for Z in rows]
 
 
 def _transports(A: np.ndarray, Y1: np.ndarray, Y2: np.ndarray,
@@ -486,7 +488,8 @@ def real_ppav_equivalent(omega1, omega2, bound: int = 200_000,
     N1, N2 = int_matrix(M1), int_matrix(M2)
     exact = _exact_integers(Y1, Y2)
     try:
-        for B in _witness_search(R1, R2, tol * max(1.0, float(np.max(np.abs(R2)))), bound):
+        for B in _witness_search(R1, R2, max(tol, 1e-9) * max(1.0, float(np.max(np.abs(R2)))),
+                                 bound):
             A = A2inv @ B @ A1
             if not _transports(A, Y1, Y2, exact, max(tol, 1e-8) * scale):
                 continue

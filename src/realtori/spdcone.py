@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactlinalg import complete_to_unimodular, is_unimodular
+from .exactlinalg import _det_rows, complete_to_unimodular
 
 __all__ = [
     "require_spd",
@@ -427,49 +427,78 @@ def is_minkowski_reduced(Y, tol: float = 1e-10) -> bool:
     return True
 
 
-def _sign_fix(R: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # enforce nonnegative superdiagonal by row sign flips (one forward pass)
-    g = R.shape[0]
-    for k in range(g - 1):
-        if R[k, k + 1] < 0:
-            A[k + 1, :] = -A[k + 1, :]
-            R[k + 1, :] = -R[k + 1, :]
-            R[:, k + 1] = -R[:, k + 1]
-    return R, A
+def _size_reduce(Y: np.ndarray) -> tuple[np.ndarray, list]:
+    """R = _act(A, Y) and the rows of A (Python ints) that sort a validated Y
+    by diagonal and shear off large off-diagonal multiples, a cheap pass that
+    keeps the later certified enumeration small.
 
-
-def _size_reduce(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # cheap pre-conditioning pass on a validated Y: sort by diagonal, shear
-    # off large off-diagonal multiples.  Keeps the later certified
-    # enumeration small.  A is kept as rows of Python ints and Af as its
-    # float image, row by row.
+    Swaps and shears act on R in place, in Python floats, yet every decision
+    (the sort, q and the test of each shear) is the one made on R = _act(A, Y)
+    recomputed after every step.  To first order, R_ik is within (g + 1) 2u
+    h_i h_k max|Y| of the exact A Y tA after ``_act`` (two dot products of
+    length g and a halving), and 2 2u h_i h_k max|Y| further after each
+    in-place shear; u is the unit roundoff, and h_i >= |A_i|_1 grows by
+    |q| h_j with row i.  A decision within the sum of these bounds of its
+    edge (two diagonal entries, or R_ij / R_jj and a half-integer) is made
+    again on R recomputed by ``_act``.  Integer Y needs no recomputation:
+    both ways every value is the exact integer while h_i^2 max|Y| < 2^52.
+    The gain is on integer and untied float forms; a scaled tied form puts
+    most decisions in the band and costs about what recomputing every step did.
+    """
     g = Y.shape[0]
-    A = [[int(i == j) for j in range(g)] for i in range(g)]
-    Af = np.eye(g)
-    R = _act(Af, Y)
+    R = Y.tolist()
+    big = max(max(map(abs, row)) for row in R)
+    exact = big < 2.0 ** 52 and all(v.is_integer() for row in R for v in row)
+    A, h = [[int(i == j) for j in range(g)] for i in range(g)], [1.0] * g
+    # R is within unit h_i h_k = drift 2u h_i h_k max|Y| of _act(A, Y); unit is 0 while
+    # R decides as _act(A, Y) does: Y exact, at the start, just recomputed (as Rf)
+    drift, unit, Rf = 2 * g + 2, 0.0, None
     for _ in range(32):
-        Rl = R.tolist()
-        order = sorted(range(g), key=lambda i: Rl[i][i])
+        order = sorted(range(g), key=lambda i: R[i][i])
+        # (not > is true for NaN too)
+        if unit and any(not R[b][b] - R[a][a] > unit * (h[a] * h[a] + h[b] * h[b])
+                        for a, b in zip(order, order[1:])):
+            Rf, drift, unit = _act(np.array(A, dtype=float), Y), 2 * g + 2, 0.0
+            R = Rf.tolist()
+            order = sorted(range(g), key=lambda i: R[i][i])
         if order != list(range(g)):
-            A = [A[i] for i in order]
-            Af = Af[order]
-            R = _act(Af, Y)
-            Rl = R.tolist()
+            A, h = [A[i] for i in order], [h[i] for i in order]
+            R = [[R[a][b] for b in order] for a in order]
+            Rf, unit = None, 0.0 if exact else drift * _ROUNDING * big
         changed = False
         for i in range(g):
             for j in range(g):
                 if i == j:
                     continue
-                q = round(Rl[i][j] / Rl[j][j])
-                if q != 0 and abs(Rl[i][j]) > 0.5 * Rl[j][j] * (1 + 1e-12):
+                if unit and _on_edge(R, i, j, unit * h[i] * h[j], unit * h[j] * h[j]):
+                    Rf, drift, unit = _act(np.array(A, dtype=float), Y), 2 * g + 2, 0.0
+                    R = Rf.tolist()
+                Ri, Rj = R[i], R[j]
+                q = round(Ri[j] / Rj[j])
+                if q != 0 and abs(Ri[j]) > 0.5 * Rj[j] * (1 + 1e-12):
+                    # rows and columns i -= q j: R_ii - q (R_ij + new R_ij) on the diagonal
+                    Ri[i] -= q * (Ri[j] + (Ri[j] - q * Rj[j]))
+                    for k in range(g):
+                        if k != i:
+                            Ri[k] = R[k][i] = Ri[k] - q * Rj[k]
                     A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-                    Af[i] = A[i]
-                    R = _act(Af, Y)
-                    Rl = R.tolist()
-                    changed = True
+                    h[i] += abs(q) * h[j]
+                    exact = exact and h[i] * h[i] * big < 2.0 ** 52
+                    drift, changed = drift + 4, True
+                    Rf, unit = None, 0.0 if exact else drift * _ROUNDING * big
         if not changed:
             break
-    return R, np.array(A, dtype=object)
+    return (_act(np.array(A, dtype=float), Y) if Rf is None else Rf), A
+
+
+def _on_edge(R: list, i: int, j: int, e_ij: float, e_jj: float) -> bool:
+    # whether q or the shear test (its edge is 1e-12 from 1/2) may change
+    # when R_ij and R_jj move by up to e_ij and e_jj; true for NaN
+    gap = R[j][j] - e_jj
+    if not gap > 0:
+        return True
+    x = abs(R[i][j] / R[j][j])
+    return not abs(x % 1.0 - 0.5) > (e_ij + x * e_jj) / gap + 2 * _ROUNDING * x + 1e-12
 
 
 @lru_cache(maxsize=None)
@@ -543,16 +572,20 @@ def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
     if _unit_multiples(diag, max(diag) * (1 + 1e-9) + _TIE) > _ENUMERATION_CAP:
         raise ValueError("form cannot be reduced: short-vector enumeration bound overflow")
     if not _is_certified_reduced(R):
-        R, A = _greedy_reduce(Y, R, A)
-    R, A = _sign_fix(R, A)
-    if not is_unimodular(A):
+        R, A = _greedy_reduce(Y, R, np.array(A, dtype=object))
+    # nonnegative superdiagonal by row sign flips (one forward pass)
+    for k in range(Y.shape[0] - 1):
+        if R[k, k + 1] < 0:
+            A[k + 1] = [-a for a in A[k + 1]]
+            R[k + 1, :] = -R[k + 1, :]
+            R[:, k + 1] = -R[:, k + 1]
+    if abs(_det_rows(A)) != 1:
         raise AssertionError("reduction produced a non-unimodular witness")
-    return R, A
+    return R, np.array(A, dtype=object)
 
 
-def _greedy_reduce(Y: np.ndarray, R: np.ndarray,
-                   A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the greedy construction of minkowski_reduce, from R = A Y tA
+def _greedy_reduce(Y: np.ndarray, R: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, list]:
+    # minkowski_reduce's greedy construction from R = A Y tA; returns R and A's rows
     g = Y.shape[0]
     table = None
     for k in range(g):
@@ -585,7 +618,7 @@ def _greedy_reduce(Y: np.ndarray, R: np.ndarray,
         A = U @ A
         R = _act(A.astype(float), Y)
         table = None
-    return R, A
+    return R, A.tolist()
 
 
 def _neg(x: tuple[int, ...]) -> tuple[int, ...]:

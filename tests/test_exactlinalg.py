@@ -186,6 +186,25 @@ class TestGf2:
     def test_even_entries_vanish(self):
         assert gf2_rank([[2, 4], [6, 8]]) == 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12), cols=st.integers(1, 12),
+           density=st.sampled_from([0.1, 0.5, 0.9]))
+    def test_matches_row_elimination(self, seed, rows, cols, density):
+        N = (np.random.default_rng(seed).random((rows, cols)) < density).astype(np.uint8)
+        M = N.copy()
+        rank = 0
+        for c in range(cols):
+            pivot = next((r for r in range(rank, rows) if M[r, c]), None)
+            if pivot is None:
+                continue
+            M[[rank, pivot]] = M[[pivot, rank]]
+            for r in range(rows):
+                if r != rank and M[r, c]:
+                    M[r] ^= M[rank]
+            rank += 1
+        assert gf2_rank(N) == rank
+        assert gf2_rank(N.T) == rank
+
 
 class TestSmithNormalForm:
     def check(self, M):

@@ -1,4 +1,8 @@
+import functools
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from realtori.exactlinalg import (
 )
 from realtori.moduli import (
     ModuliInvariant,
+    _exact_integers,
     Verdict,
     classify_spd,
     congruence_witnesses,
@@ -455,6 +460,72 @@ class TestRealPpavEquivalence:
             if res.verdict is Verdict.EQUIVALENT:
                 A = res.witness.astype(float)
                 assert np.max(np.abs(A @ om1.imag @ A.T - om2.imag)) < 1e-7
+
+
+class TestTolerance:
+    """A witness search on tolerance tol * max|R2| never goes below the
+    rounding level of the reduced forms: tol below 1e-9 searches as 1e-9."""
+
+    def test_ppav_with_tol_zero_finds_the_witness(self):
+        # 1.3 [[2, 1], [1, 3]], moved by [[1, 1], [0, 1]]
+        X = [[0.5, 0.0], [0.0, 0.0]]
+        om1 = np.array(X) + 1j * np.array([[1.4, 0.7], [0.7, 2.0999999999999996]])
+        om2 = np.array(X) + 1j * np.array([[4.8999999999999995, 2.8], [2.8, 2.0999999999999996]])
+        for tol in (0.0, 1e-12, 1e-9):
+            res = real_ppav_equivalent(om1, om2, tol=tol)
+            assert res.verdict is Verdict.EQUIVALENT
+            assert res.witness.tolist() == [[1, 1], [0, 1]]
+            res = polarized_tori_equivalent(om1.imag, om2.imag, tol=tol)
+            assert res.verdict is Verdict.EQUIVALENT
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_workload_ppav_pairs(self, seed, tol):
+        """The 36 equivalent and 36 inequivalent real-ppav pairs of the
+        ``equiv`` benchmark workload at this seed keep their verdicts."""
+        items = [it for it in _workloads().generate("equiv", seed) if it.check == "equiv_ppav"]
+        assert len(items) == 72
+        for item in items:
+            p = item.payload
+            om1, om2 = (np.array(p[k]["X"]) + 1j * np.array(p[k]["Y"])
+                        for k in ("Omega1", "Omega2"))
+            res = real_ppav_equivalent(om1, om2, tol=tol)
+            assert res.verdict.value == item.ctx["expected"]
+            if res.verdict is Verdict.EQUIVALENT:
+                A = res.witness
+                Af = A.astype(float)
+                assert np.max(np.abs(Af @ om1.imag @ Af.T - om2.imag)) < 1e-8
+                N1, N2 = (int_matrix(np.round(2 * om.real).astype(int)) for om in (om1, om2))
+                assert all(v % 2 == 0 for v in (A @ N1 @ A.T - N2).flat)
+
+
+@functools.lru_cache(maxsize=None)
+def _workloads():
+    """The ``perfbench`` request generators, imported from the checkout."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestExactIntegers:
+    def test_integers_below_2_53(self):
+        big = 2.0 ** 53 - 1
+        Z1, Z2 = _exact_integers(np.array([[big, -big], [-big, big]]),
+                                 np.array([[-0.0, 1.0], [3.0, -7.0]]))
+        assert Z1.dtype == object
+        assert Z1.tolist() == [[2**53 - 1, 1 - 2**53], [1 - 2**53, 2**53 - 1]]
+        assert Z2.tolist() == [[0, 1], [3, -7]]
+        assert all(type(v) is int for v in Z2.flat)
+        assert str(Z2[0, 0]) == "0"
+
+    @pytest.mark.parametrize("v", [2.0 ** 53, -(2.0 ** 53), 2.0 ** 60, 0.5, -1.25, 1e-300,
+                                   2.0 ** 51 + 0.5])
+    def test_others_are_refused(self, v):
+        assert _exact_integers(np.eye(2), np.array([[1.0, v], [v, 1.0]])) is None
+        assert _exact_integers(np.array([[v]])) is None
 
 
 class TestClassifySpd:

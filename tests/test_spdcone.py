@@ -547,6 +547,109 @@ class TestMinkowskiCertificate:
         assert A.tolist() == np.eye(4, dtype=int).tolist()
 
 
+def _size_reduce_recomputing(Y):
+    """Reference size reduction: every sort and every shear decision reads R
+    recomputed by ``_act`` from the current A."""
+    g = Y.shape[0]
+    A = [[int(i == j) for j in range(g)] for i in range(g)]
+    Af = np.eye(g)
+    R = spdcone._act(Af, Y)
+    for _ in range(32):
+        Rl = R.tolist()
+        order = sorted(range(g), key=lambda i: Rl[i][i])
+        if order != list(range(g)):
+            A = [A[i] for i in order]
+            Af = Af[order]
+            R = spdcone._act(Af, Y)
+            Rl = R.tolist()
+        changed = False
+        for i in range(g):
+            for j in range(g):
+                if i == j:
+                    continue
+                q = round(Rl[i][j] / Rl[j][j])
+                if q != 0 and abs(Rl[i][j]) > 0.5 * Rl[j][j] * (1 + 1e-12):
+                    A[i] = [a - q * b for a, b in zip(A[i], A[j])]
+                    Af[i] = A[i]
+                    R = spdcone._act(Af, Y)
+                    Rl = R.tolist()
+                    changed = True
+        if not changed:
+            break
+    return R, A
+
+
+def _moved_form(rng, g, kind):
+    """A form moved off the reduced domain by a unimodular matrix: a small
+    integer form, the same times a real factor in [0.5, 2] (ties at rounding
+    level), or a float form with cond(Y) up to 1e12 before the move."""
+    U = random_unimodular(g, rng, max_entry=3).astype(float)
+    if kind == "float":
+        cond = 10.0 ** rng.uniform(0.0, 12.0)
+        eig = np.exp(rng.uniform(0.0, np.log(cond), size=g))
+        eig[0] = 1.0
+        Q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+        Z = (Q * eig) @ Q.T
+    else:
+        M = rng.integers(-2, 3, size=(g, g))
+        Z = (M @ M.T + np.diag(rng.integers(1, 4, size=g))).astype(float)
+    Y = U @ Z @ U.T
+    Y = 0.5 * (Y + Y.T)
+    if kind == "scaled":
+        Y = Y * float(rng.uniform(0.5, 2.0))
+    return require_spd(Y)
+
+
+class TestSizeReduce:
+    """Shears applied to R in place give the bytes of R recomputed by
+    ``_act`` after every step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), g=st.integers(1, 4),
+           kind=st.sampled_from(["integer", "scaled", "float"]))
+    def test_matches_recomputing_every_step(self, seed, g, kind):
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            Y = _moved_form(rng, g, kind)
+            R, A = spdcone._size_reduce(Y)
+            R0, A0 = _size_reduce_recomputing(Y)
+            assert R.tobytes() == R0.tobytes()
+            assert A == A0
+
+    def test_integer_forms_are_never_recomputed(self, monkeypatch):
+        calls = []
+        act = spdcone._act
+        monkeypatch.setattr(spdcone, "_act", lambda A, Y: calls.append(1) or act(A, Y))
+        rng = np.random.default_rng(5)
+        moved = 0
+        for g in (2, 3, 4):
+            for _ in range(50):
+                Y = _moved_form(rng, g, "integer")
+                calls.clear()
+                R, A = spdcone._size_reduce(Y)
+                # one _act, for R at the end
+                assert len(calls) == 1
+                moved += A != np.eye(g, dtype=int).tolist()
+                assert R.tobytes() == _size_reduce_recomputing(Y)[0].tobytes()
+        assert moved > 100
+
+    @pytest.mark.parametrize("s", [1.3, 0.7, 1.9])
+    def test_tie_at_rounding_level_is_decided_on_recomputed_r(self, monkeypatch, s):
+        """s [[2, 1], [1, 3]] moved by a unimodular U: R_ij / R_jj lands on
+        1/2 only up to rounding, inside the band."""
+        edges = []
+        on_edge = spdcone._on_edge
+        monkeypatch.setattr(spdcone, "_on_edge",
+                            lambda *args: edges.append(on_edge(*args)) or edges[-1])
+        for U in ([[1, 1], [0, 1]], [[1, 0], [1, 1]], [[2, 1], [1, 1]], [[3, 2], [1, 1]]):
+            U = np.array(U, dtype=float)
+            Y = require_spd(s * (U @ np.array([[2.0, 1.0], [1.0, 3.0]]) @ U.T))
+            R, A = spdcone._size_reduce(Y)
+            R0, A0 = _size_reduce_recomputing(Y)
+            assert R.tobytes() == R0.tobytes() and A == A0
+        assert any(edges)
+
+
 class TestIwasawa:
     def test_identity(self):
         b = partial_iwasawa(np.eye(2), 1)
