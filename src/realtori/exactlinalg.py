@@ -1,9 +1,11 @@
 """Exact integer, rational, and GF(2) matrix arithmetic.
 
-Every equivalence and classification test in the package bottoms out here:
-determinants and Smith normal forms are computed fraction-free over Python's
-arbitrary-precision integers (stored in ``dtype=object`` numpy arrays), so
-unimodular witnesses are exact no matter how fast their entries grow.
+Every equivalence and classification test in the package bottoms out here,
+over Python's arbitrary-precision integers (stored in ``dtype=object`` numpy
+arrays), so unimodular witnesses are exact no matter how large their entries.
+Determinants and inverses use fraction-free (Bareiss) elimination.  One
+integer column echelon serves the Smith normal form, integer solutions,
+kernels and unimodular completions.
 """
 
 from __future__ import annotations
@@ -227,147 +229,17 @@ def gf2_rank(N) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form and consequences
+# integer column echelon and its consequences
 
 
-def smith_normal_form(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Smith normal form ``U @ M @ V = D`` over the integers, exactly.
-
-    U and V are unimodular; D is diagonal with d_i | d_{i+1} and d_i >= 0.
-    """
-    M = _as_exact(M)
-    n, m = M.shape
-    A = [[int(M[i, j]) for j in range(m)] for i in range(n)]
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
-    V = [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in range(n):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(m):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    def add_row(src, dst, q):
-        # row dst += q * row src
-        for c in range(m):
-            A[dst][c] += q * A[src][c]
-        for c in range(n):
-            U[dst][c] += q * U[src][c]
-
-    def add_col(src, dst, q):
-        for r in range(n):
-            A[r][dst] += q * A[r][src]
-        for r in range(m):
-            V[r][dst] += q * V[r][src]
-
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-
-    t = 0
-    while t < min(n, m):
-        # locate a pivot: any nonzero entry with minimal absolute value
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, n):
-                if A[i][t] != 0:
-                    q = A[i][t] // A[t][t]
-                    add_row(t, i, -q)
-                    if A[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, m):
-                if A[t][j] != 0:
-                    q = A[t][j] // A[t][t]
-                    add_col(t, j, -q)
-                    if A[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # divisibility: pivot must divide the rest of the block
-            offender = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, m):
-                    if A[i][j] % A[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(offender, t, 1)
-        if A[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    D = np.zeros((n, m), dtype=object)
-    for i in range(min(n, m)):
-        D[i, i] = A[i][i]
-    Uo = np.array(U, dtype=object)
-    Vo = np.array(V, dtype=object)
-    return Uo, D, Vo
-
-
-def integer_solve(G, x) -> np.ndarray | None:
-    """One integer solution m of ``G @ m = x``, or None if none exists."""
-    G = _as_exact(G)
-    xv = [int(v) for v in np.asarray(x, dtype=object).ravel()]
-    n, m = G.shape
-    if len(xv) != n:
-        raise ValueError("dimension mismatch")
-    U, D, V = smith_normal_form(G)
-    y = [sum(int(U[i, j]) * xv[j] for j in range(n)) for i in range(n)]
-    z = [0] * m
-    for i in range(min(n, m)):
-        d = int(D[i, i])
-        if d != 0:
-            if y[i] % d != 0:
-                return None
-            z[i] = y[i] // d
-        elif y[i] != 0:
-            return None
-    for i in range(min(n, m), n):
-        if y[i] != 0:
-            return None
-    sol = np.empty(m, dtype=object)
-    for i in range(m):
-        sol[i] = sum(int(V[i, j]) * z[j] for j in range(m))
-    return sol
-
-
-def kernel_basis(M) -> np.ndarray:
-    """Columns: the Hermite basis of the saturated integer kernel of M.
-
-    Integer column operations bring [M; I] to echelon form one row at a time.
-    Once the rows of M are cleared, the remaining columns are (0, x) with x
-    running over a basis of the kernel; their pivots are made positive and
-    every entry above a pivot is reduced modulo it.  This basis is unique.
-    On the 8 x 8 involutions of ``cohomology`` its entries keep within twice
-    the digits of M, where the transformation of ``smith_normal_form``
-    reaches thousands of digits.
-    """
-    M = _as_exact(M)
-    n, m = M.shape
-    vecs = [[int(v) for v in M[:, j]] + [int(i == j) for i in range(m)] for j in range(m)]
-    basis: list[list[int]] = []
-    for i in range(n + m):
+def _echelon(vecs: list[list[int]]) -> list[tuple[int, list[int]]]:
+    # Integer column operations on the columns ``vecs`` (lists of Python
+    # ints, changed in place), one coordinate at a time: Euclid on the
+    # entries at coordinate i leaves one live column, the pivot of i, which
+    # leaves the pool.  Returns (i, column) for every pivot in order of i; a
+    # column that ends up all zero is never a pivot.
+    pivots = []
+    for i in range(len(vecs[0]) if vecs else 0):
         live = [v for v in vecs if v[i]]
         while len(live) > 1:
             p = min(live, key=lambda v: abs(v[i]))
@@ -376,10 +248,96 @@ def kernel_basis(M) -> np.ndarray:
                     q = v[i] // p[i]
                     v[:] = [a - q * b for a, b in zip(v, p)]
             live = [v for v in live if v[i]]
-        if not live:
+        if live:
+            vecs = [v for v in vecs if v is not live[0]]
+            pivots.append((i, live[0]))
+    return pivots
+
+
+def _with_identity(M) -> list[list[int]]:
+    # the columns of [M; I]; after ``_echelon`` their heads are H = M W and
+    # their tails W
+    M = _as_exact(M)
+    n, m = M.shape
+    return [[int(v) for v in M[:, j]] + [int(i == j) for i in range(m)] for j in range(m)]
+
+
+def _object_matrix(rows, n: int, m: int) -> np.ndarray:
+    return np.array(rows, dtype=object).reshape(n, m)
+
+
+def smith_normal_form(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Smith normal form ``U @ M @ V = D`` over the integers, exactly.
+
+    U and V are unimodular; D is diagonal with d_i | d_{i+1} and d_i >= 0.
+    Column and row echelon passes alternate until D is diagonal (each pass
+    can only shrink the first pivot that is not yet alone in its row and
+    column); a pair d_i, d_{i+1} out of divisibility order is merged by
+    adding row i + 1 to row i and the passes resume.
+    """
+    M = _as_exact(M)
+    n, m = M.shape
+    A = [[int(v) for v in row] for row in M]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    Vt = [[int(i == j) for j in range(m)] for i in range(m)]
+    while True:
+        cols = [p for _, p in _echelon([[a[j] for a in A] + Vt[j] for j in range(m)])]
+        Vt = [c[n:] for c in cols]
+        rows = [p for _, p in _echelon([[c[i] for c in cols] + U[i] for i in range(n)])]
+        A, U = [r[:m] for r in rows], [r[m:] for r in rows]
+        if any(A[i][j] for i in range(n) for j in range(m) if i != j):
             continue
-        p = live[0]
-        vecs = [v for v in vecs if v is not p]
+        d = [A[i][i] for i in range(min(n, m))]
+        bad = next((i for i in range(len(d) - 1) if d[i] and d[i + 1] % d[i]), None)
+        if bad is None:
+            break
+        A[bad] = [a + b for a, b in zip(A[bad], A[bad + 1])]
+        U[bad] = [a + b for a, b in zip(U[bad], U[bad + 1])]
+    for i, v in enumerate(d):
+        if v < 0:
+            A[i], U[i] = [-a for a in A[i]], [-a for a in U[i]]
+    return _object_matrix(U, n, n), _object_matrix(A, n, m), _object_matrix(Vt, m, m).T
+
+
+def integer_solve(G, x) -> np.ndarray | None:
+    """One integer solution m of ``G @ m = x``, or None if none exists.
+
+    The pivots of G W = H are taken in order, each fixing one coefficient
+    exactly; m is W times those coefficients.
+    """
+    G = _as_exact(G)
+    n, m = G.shape
+    xv = list(int_matrix(np.asarray(x, dtype=object).reshape(1, -1))[0])
+    if len(xv) != n:
+        raise ValueError("dimension mismatch")
+    # rest = [x; 0] - sum q_j [h_j; w_j] ends as [0; -m] when x = G m; a
+    # remainder left at a pivot's row is never touched by a later pivot
+    rest = xv + [0] * m
+    for i, p in _echelon(_with_identity(G)):
+        if i >= n:
+            break
+        q = rest[i] // p[i]
+        rest = [a - q * b for a, b in zip(rest, p)]
+    if any(rest[:n]):
+        return None
+    return np.array([-v for v in rest[n:]], dtype=object)
+
+
+def kernel_basis(M) -> np.ndarray:
+    """Columns: the Hermite basis of the saturated integer kernel of M.
+
+    The column echelon of [M; I] (the one that also serves ``integer_solve``,
+    ``complete_to_unimodular`` and ``smith_normal_form``) ends with the
+    columns (0, x) for x running over a basis of the kernel; their pivots
+    are made positive and every entry above a pivot is reduced modulo it.
+    This basis is unique.  On the 8 x 8 involutions of ``cohomology`` its
+    entries keep within twice the digits of M, where a Smith transformation
+    reaches thousands of digits.
+    """
+    M = _as_exact(M)
+    n, m = M.shape
+    basis: list[list[int]] = []
+    for i, p in _echelon(_with_identity(M)):
         if i < n:  # M x != 0 for this column
             continue
         if p[i] < 0:
@@ -388,30 +346,28 @@ def kernel_basis(M) -> np.ndarray:
             q = b[i] // p[i]
             b[:] = [a - q * c for a, c in zip(b, p)]
         basis.append(p)
-    out = np.zeros((m, len(basis)), dtype=object)
-    for j, b in enumerate(basis):
-        out[:, j] = b[n:]
-    return out
+    return _object_matrix([b[n:] for b in basis], len(basis), m).T
 
 
 def complete_to_unimodular(rows) -> np.ndarray:
     """Extend a primitive k x g integer matrix to a unimodular g x g matrix.
 
-    The given rows become the first k rows of the result.  Raises if the rows
-    do not span a primitive sublattice (Smith form not all ones).
+    The given rows become the first k rows of the result.  B W = (H, 0) with
+    W unimodular, so B = H (W^-1)_{:k}; H is unimodular exactly when the rows
+    span a primitive sublattice (else this raises), and the last g - k rows
+    of W^-1 complete B.
     """
     B = _as_exact(rows)
     k, g = B.shape
     if k > g:
         raise ValueError("more rows than columns")
-    U, D, V = smith_normal_form(B)
-    for i in range(k):
-        if int(D[i, i]) != 1:
-            raise ValueError("rows are not primitive; no unimodular completion")
-    Vinv = unimodular_inverse(V)
+    pivots = _echelon(_with_identity(B))
+    if any(i != j or abs(p[i]) != 1 for j, (i, p) in enumerate(pivots[:k])):
+        raise ValueError("rows are not primitive; no unimodular completion")
+    W = _object_matrix([p[k:] for _, p in pivots], g, g).T
     out = np.empty((g, g), dtype=object)
     out[:k, :] = B
-    out[k:, :] = Vinv[k:, :]
+    out[k:, :] = unimodular_inverse(W)[k:, :]
     if abs(det_int(out)) != 1:
         raise AssertionError("completion failed to be unimodular")
     return out

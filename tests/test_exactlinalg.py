@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import gcd, prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,22 @@ def det_cofactor(rows):
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * det_cofactor(minor)
     return total
+
+
+def determinantal_divisor(M, r):
+    """Independent oracle: the gcd of the r x r minors of M, each by ``det_int``."""
+    M = int_matrix(M)
+    n, m = M.shape
+    return gcd(*(det_int(M[np.ix_(rows, cols)])
+                 for rows in combinations(range(n), r) for cols in combinations(range(m), r)))
+
+
+def rank_and_divisor(M):
+    """The rank r of M and the gcd of its r x r minors (1 for r = 0)."""
+    r = min(int_matrix(M).shape)
+    while r and determinantal_divisor(M, r) == 0:
+        r -= 1
+    return r, determinantal_divisor(M, r)
 
 
 class TestDet:
@@ -218,6 +237,9 @@ class TestSmithNormalForm:
             if b != 0:
                 assert a != 0 and b % a == 0
             assert a >= 0
+        # d_1 ... d_r is the gcd of the r x r minors
+        for r in range(1, len(diag) + 1):
+            assert prod(diag[:r]) == determinantal_divisor(Me, r)
         return diag
 
     def test_identity(self):
@@ -225,6 +247,8 @@ class TestSmithNormalForm:
 
     def test_already_diagonal(self):
         assert self.check([[2, 0], [0, 4]]) == [2, 4]
+        assert self.check([[4, 0], [0, 6]]) == [2, 12]
+        assert self.check([[0, 0, 0], [0, 6, 0], [0, 0, 10]]) == [2, 30, 0]
 
     def test_hand_elimination(self):
         assert self.check([[1, 1], [1, -1]]) == [1, 2]
@@ -236,19 +260,79 @@ class TestSmithNormalForm:
             M = rng.integers(-9, 10, size=tuple(shape))
             self.check(M)
 
-    def test_integer_solve(self):
+    def test_empty_shapes(self):
+        for n, m in [(0, 2), (2, 0), (0, 0)]:
+            U, D, V = smith_normal_form(int_matrix(np.zeros((n, m), dtype=int)))
+            assert (U.shape, D.shape, V.shape) == ((n, n), (n, m), (m, m))
+
+
+class TestIntegerSolve:
+    def test_hand_example(self):
         G = int_matrix([[2, 0], [0, 3]])
         m = integer_solve(G, [4, -9])
         assert [int(v) for v in m] == [2, -3]
         assert integer_solve(G, [1, 0]) is None
 
-    def test_complete_to_unimodular(self):
+    def test_inexact_right_hand_side(self):
+        with pytest.raises(ValueError):
+            integer_solve([[2]], [2.5])
+        assert integer_solve([[2]], [4.0]).tolist() == [2]
+
+    def test_random(self):
+        # solvable exactly when G and [G | x] have one rank r and one gcd of r x r minors
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            n, m = (int(v) for v in rng.choice([(1, 2), (2, 3), (3, 3), (3, 5), (4, 4)]))
+            G = rng.integers(-6, 7, size=(n, m)) * int(rng.choice([1, 1, 2, 3]))
+            if rng.random() < 0.3:
+                G[-1] = G[0] * rng.integers(-2, 3)
+            if rng.random() < 0.5:
+                x = G @ rng.integers(-5, 6, size=m)
+            else:
+                x = rng.integers(-9, 10, size=n)
+            sol = integer_solve(G, x)
+            solvable = rank_and_divisor(G) == rank_and_divisor(np.column_stack([G, x]))
+            assert (sol is not None) == solvable
+            if sol is not None:
+                assert list(int_matrix(G) @ sol) == [int(v) for v in x]
+
+    def test_solution_size(self):
+        # a Smith-form solve of these systems reaches about 1,000 digits
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            G = rng.integers(-99, 100, size=(6, 12))
+            x = G @ rng.integers(-9, 10, size=12)
+            sol = integer_solve(G, x)
+            assert list(int_matrix(G) @ sol) == [int(v) for v in x]
+            assert max(len(str(abs(v))) for v in sol) < 100
+
+
+class TestCompleteToUnimodular:
+    def test_hand_example(self):
         rows = int_matrix([[2, 3, 5]])
         U = complete_to_unimodular(rows)
         assert is_unimodular(U)
         assert [int(v) for v in U[0]] == [2, 3, 5]
         with pytest.raises(ValueError):
             complete_to_unimodular(int_matrix([[2, 4, 6]]))
+
+    def test_random(self):
+        # k rows extend to a basis of Z^g exactly when their k x k minors have gcd 1
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            g = int(rng.integers(1, 6))
+            k = int(rng.integers(0, g + 1))
+            if rng.random() < 0.5:
+                B = rng.integers(-5, 6, size=(k, g))
+            else:
+                B = np.array(random_unimodular(g, rng)[:k].tolist(), dtype=int).reshape(k, g)
+            if rank_and_divisor(B) != (k, 1):
+                with pytest.raises(ValueError):
+                    complete_to_unimodular(B)
+                continue
+            U = complete_to_unimodular(B)
+            assert U[:k].tolist() == B.tolist()
+            assert abs(det_int(U)) == 1
 
 
 class TestKernelBasis:
@@ -260,10 +344,10 @@ class TestKernelBasis:
             M[-1] = M[0] * rng.integers(-2, 3)
             K = kernel_basis(M)
             assert all(v == 0 for v in (int_matrix(M) @ K).flat)
-            rank = sum(1 for v in np.diag(smith_normal_form(M)[1]) if v != 0)
+            rank, _ = rank_and_divisor(M)
             assert K.shape == (m, m - rank)
             # saturated: the columns extend to a basis of Z^m
-            assert all(v == 1 for v in np.diag(smith_normal_form(K)[1]))
+            assert rank_and_divisor(K) == (m - rank, 1)
 
     def test_hand_examples(self):
         assert kernel_basis([[2, 4]]).tolist() == [[2], [-1]]
