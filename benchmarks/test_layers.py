@@ -1,9 +1,9 @@
-"""Per-layer timings of SPD validation, reduction, enumeration,
-congruence-witness search, equivalence of polarized tori and of real
-ppavs, exact determinant and inverse, Smith normal form, coboundary
-witnesses, theta summation, theta requests and the JSON decode/encode round
-trip, and of the CLI end to end (in process) on the golden batch of
-``tests/golden/cli_in.json``.
+"""Per-layer timings of SPD validation, reduction (also of forms that take a
+descent step), enumeration, congruence-witness search, equivalence of
+polarized tori and of real ppavs, exact determinant and inverse, Smith
+normal form, coboundary witnesses, theta summation, theta requests and the
+JSON decode/encode round trip, and of the CLI end to end (in process) on the
+golden batch of ``tests/golden/cli_in.json``.
 
 Run from the root of a checkout (not part of the tier-1 tests):
 
@@ -17,11 +17,12 @@ reduced domain by a unimodular matrix with entries up to 3, as in
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from realtori import cli
+from realtori import cli, spdcone
 from realtori.cohomology import coboundary_witness
 from realtori.exactlinalg import (
     det_int,
@@ -70,16 +71,42 @@ def test_minkowski_reduce(benchmark, g, cond):
     benchmark(lambda: [minkowski_reduce(Y) for Y in forms])
 
 
+def _enumerations(forms) -> int:
+    """Enumeration boxes sized while ``minkowski_reduce`` runs on ``forms``."""
+    with mock.patch.object(spdcone._Ellipsoid, "box", autospec=True,
+                           side_effect=spdcone._Ellipsoid.box) as box:
+        for Y in forms:
+            minkowski_reduce(Y)
+    return box.call_count
+
+
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_minkowski_reduce_tied(benchmark, g):
     """10 copies of the tied form, each moved by a unimodular matrix and
-    scaled by a real factor in [0.5, 2] (ties at rounding level)."""
+    scaled by a real factor in [0.5, 2] (ties at rounding level).  Some fail
+    the certificate only within the tie width; none is enumerated."""
     rng = np.random.default_rng(700 + g)
     G = np.array(TIED[g], dtype=float)
     forms = []
     for _ in range(10):
         U = random_unimodular(g, rng, max_entry=3).astype(float)
         forms.append((U @ G @ U.T) * float(rng.uniform(0.5, 2.0)))
+    assert _enumerations(forms) == 0
+    benchmark(lambda: [minkowski_reduce(Y) for Y in forms])
+
+
+@pytest.mark.parametrize("g", [3, 4])
+def test_minkowski_reduce_greedy_step(benchmark, g):
+    """The first 10 badly conditioned forms (seeds from 1300) that still fail
+    the reduction certificate after size reduction, so every call takes at
+    least one descent step.  Size reduction settles every g = 2 form."""
+    forms, seed = [], 1300
+    while len(forms) < 10:
+        Y = require_spd(_form(g, CONDITIONING["bad"], seed))
+        if not spdcone._is_certified_reduced(spdcone._size_reduce(Y)[0]):
+            forms.append(Y)
+        seed += 1
+    assert _enumerations(forms) == 0
     benchmark(lambda: [minkowski_reduce(Y) for Y in forms])
 
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactlinalg import _det_rows, complete_to_unimodular
+from .exactlinalg import _det_rows
 
 __all__ = [
     "require_spd",
@@ -46,6 +46,8 @@ _CHUNK = 1 << 16
 _ROUNDING = 2.0 ** -52
 # width, relative to max(1, value), within which two values of the form tie
 _TIE = 1e-12
+# descent steps after which minkowski_reduce gives up as on a broken invariant
+_DESCENT_STEPS = 1000
 
 
 def _symmetric(M, name: str, dtype=float) -> np.ndarray:
@@ -388,49 +390,24 @@ def _unit_multiples(diag: list[float], bound: float) -> float:
     return total
 
 
-def _short_table(Y: np.ndarray,
-                 bound: float) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
-    """Short vectors of Y up to ``bound``, their values x Y tx, and suffix gcds.
-
-    Column k of the gcd table is gcd(|x_k|, ..., |x_{g-1}|).
-    """
-    g = Y.shape[0]
-    vecs = quadratic_short_vectors(Y, bound)
-    X = np.array(vecs, dtype=np.int64).reshape(len(vecs), g)
-    Xf = X.astype(float)
-    values = np.einsum("ni,ij,nj->n", Xf, Y, Xf)
-    gcds = np.abs(X)
-    for k in range(g - 2, -1, -1):
-        gcds[:, k] = np.gcd(gcds[:, k], gcds[:, k + 1])
-    return vecs, values, gcds
-
-
 def is_minkowski_reduced(Y, tol: float = 1e-10) -> bool:
-    """Reduction test: superdiagonal signs plus the finite minimality check.
-
-    Minimality asks a Y ta >= y_kk for every integer a whose entries from
-    position k on are coprime; all candidates lie in the certified finite set
-    {a : a Y ta <= max_k y_kk + tol}.
-    """
+    """Reduction test at tolerance ``tol``: superdiagonal signs, and every
+    Minkowski condition q(s) - y_kk with s in {0, +-1}^g at least -tol, which
+    for g <= 4 is every condition (see ``minkowski_reduce``)."""
     Y = require_spd(Y)
     g = Y.shape[0]
     if g > MAX_REDUCTION_DIM:
         raise ValueError(f"reduction support is limited to g <= {MAX_REDUCTION_DIM}")
-    diag = np.diag(Y)
-    for k in range(g - 1):
-        if Y[k, k + 1] < -tol:
-            return False
-    _, values, gcds = _short_table(Y, float(np.max(diag)) + tol)
-    for k in range(g):
-        if np.any((gcds[:, k] == 1) & (values < diag[k] - tol)):
-            return False
-    return True
+    if any(Y[k, k + 1] < -tol for k in range(g - 1)):
+        return False
+    upper, C, _, _ = _minkowski_conditions(g)
+    return bool((C @ Y[upper] >= -tol).all())
 
 
 def _size_reduce(Y: np.ndarray) -> tuple[np.ndarray, list]:
     """R = _act(A, Y) and the rows of A (Python ints) that sort a validated Y
-    by diagonal and shear off large off-diagonal multiples, a cheap pass that
-    keeps the later certified enumeration small.
+    by diagonal and shear off large off-diagonal multiples, a cheap pass after
+    which most forms pass the reduction certificate.
 
     Swaps and shears act on R in place, in Python floats, yet every decision
     (the sort, q and the test of each shear) is the one made on R = _act(A, Y)
@@ -505,23 +482,27 @@ def _on_edge(R: list, i: int, j: int, e_ij: float, e_jj: float) -> bool:
 def _minkowski_conditions(g: int) -> tuple:
     """Minkowski's conditions q(s) - R_kk >= 0 of a g x g form.
 
-    One condition for each s in {0, +-1}^g (up to sign) and each k such that
-    s has a nonzero entry at position k or later and is not e_k.  Returns
-    the upper-triangle indices of R, the matrix C whose row c holds the
-    integer coefficients of condition c on those entries, and |C|.
+    One condition for each s in {0, +-1}^g (up to sign, first nonzero entry
+    positive) and each k such that s has a nonzero entry at position k or
+    later and is not e_k.  Returns the upper-triangle indices of R, the
+    matrix C whose row c holds the integer coefficients of condition c on
+    those entries, |C|, and (k, s, j) for each row, j the last index with
+    s_j != 0.
     """
     upper = np.triu_indices(g)
     iu = list(zip(*upper))
-    rows = []
+    rows, steps = [], []
     for s in itertools.product((0, 1, -1), repeat=g):
         if not any(s) or _canon(s) != s:
             continue
-        for k in range(g):
-            if not any(s[k:]) or s == tuple(int(i == k) for i in range(g)):
+        j = max(i for i in range(g) if s[i])
+        for k in range(j + 1):
+            if s == tuple(int(i == k) for i in range(g)):
                 continue
-            rows.append([(1 if i == j else 2) * s[i] * s[j] - (i == j == k) for i, j in iu])
+            rows.append([(1 if a == b else 2) * s[a] * s[b] - (a == b == k) for a, b in iu])
+            steps.append((k, s, j))
     C = np.array(rows, dtype=float).reshape(len(rows), len(iu))
-    return upper, C, np.abs(C)
+    return upper, C, np.abs(C), steps
 
 
 def _is_certified_reduced(R: np.ndarray) -> bool:
@@ -533,7 +514,7 @@ def _is_certified_reduced(R: np.ndarray) -> bool:
     exact in floats, so the sign is exact.
     """
     g = R.shape[0]
-    upper, C, Cabs = _minkowski_conditions(g)
+    upper, C, Cabs, _ = _minkowski_conditions(g)
     r = R[upper]
     slack = C @ r
     band = (g * g + 2) * _ROUNDING * (Cabs @ abs(r))
@@ -552,29 +533,38 @@ def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
     not +-e_k (Minkowski 1905; Nguyen & Stehle, "Low-dimensional lattice
     basis reduction revisited", ACM TALG 2009, section 2).  The check is
     exact: floats with a rigorous rounding band, then ``math.fsum`` inside
-    it.  A form that passes is returned with fixed signs, because the greedy
-    construction below would keep every row.
+    it.  A form that passes is returned with fixed signs.
 
-    Greedy construction: row k is chosen to minimize the form over all
-    integer vectors whose coordinates from k on are coprime, the preceding
-    rows staying fixed; ties are broken toward the current basis vector and
-    then lexicographically, so the output is deterministic.  One enumeration,
-    up to the largest diagonal entry still to be processed, serves every row
-    until a row changes.  A form too skewed to enumerate raises ValueError.
+    A form that fails takes descent steps while one is left.  Among the
+    conditions whose slack q(s) - R_kk is below -_TIE max(1, R_kk), a step
+    takes the one with the smallest k, then the smallest q(s), then the
+    smallest s as a tuple (first nonzero entry positive).  With j the last
+    index where s_j != 0, row j of A becomes sum_i s_i A_i, unimodular since
+    s_j = +-1, and moves to position k; the new basis is size-reduced and R
+    recomputed as A Y tA.  The descent stops: R_jj >= R_kk gives way to
+    q(s) < R_kk - _TIE max(1, R_kk), and size reduction never raises the
+    trace, so each step lowers tr R by more than _TIE max(1, R_kk), and only
+    finitely many bases of the lattice have a trace below that of the input.
+    In floats R is A Y tA only up to rounding, which on a badly conditioned
+    input can exceed the tie width: a step that does not lower the computed
+    trace is not taken, and the descent ends there.  It also ends on a form
+    that fails the exact check only within the tie width; its rows tie with
+    the vectors that beat them.
+
+    Signs: row 0 takes the sign that gives its coordinates in the
+    size-reduced basis a positive first nonzero entry, and each later row the
+    one that makes the superdiagonal nonnegative, so a form off the ties with
+    a nonzero superdiagonal has one output.
     """
     Y = require_spd(Y)
-    if Y.shape[0] > MAX_REDUCTION_DIM:
+    g = Y.shape[0]
+    if g > MAX_REDUCTION_DIM:
         raise ValueError(f"reduction support is limited to g <= {MAX_REDUCTION_DIM}")
     R, A = _size_reduce(Y)
-    # refuse before any work when the first enumeration could not hold even
-    # the multiples of the unit vectors
-    diag = R.diagonal().tolist()
-    if _unit_multiples(diag, max(diag) * (1 + 1e-9) + _TIE) > _ENUMERATION_CAP:
-        raise ValueError("form cannot be reduced: short-vector enumeration bound overflow")
     if not _is_certified_reduced(R):
-        R, A = _greedy_reduce(Y, R, np.array(A, dtype=object))
+        R, A = _descend(Y, R, A)
     # nonnegative superdiagonal by row sign flips (one forward pass)
-    for k in range(Y.shape[0] - 1):
+    for k in range(g - 1):
         if R[k, k + 1] < 0:
             A[k + 1] = [-a for a in A[k + 1]]
             R[k + 1, :] = -R[k + 1, :]
@@ -584,51 +574,47 @@ def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
     return R, np.array(A, dtype=object)
 
 
-def _greedy_reduce(Y: np.ndarray, R: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, list]:
-    # minkowski_reduce's greedy construction from R = A Y tA; returns R and A's rows
+def _descend(Y: np.ndarray, R: np.ndarray, S: list) -> tuple[np.ndarray, list]:
+    # minkowski_reduce's descent from R = S Y tS, which fails the certificate;
+    # returns R and the rows of A = T S, T the change from the basis S
     g = Y.shape[0]
-    table = None
-    for k in range(g):
-        if table is None:
-            bound = float(np.max(np.diag(R)[k:])) * (1 + 1e-9) + _TIE
-            try:
-                table = _short_table(R, bound)
-            except RuntimeError as exc:
-                raise ValueError(f"form cannot be reduced: {exc}") from exc
-        vecs, values, gcds = table
-        best_val = float(R[k, k])
-        scale = max(1.0, best_val)
-        best_vec: tuple[int, ...] | None = None
-        e_k = tuple(int(i == k) for i in range(g))
-        # a vector above R[k, k] + _TIE * scale can neither win nor tie
-        for idx in np.flatnonzero((gcds[:, k] == 1) & (values <= best_val + _TIE * scale)):
-            x = vecs[idx]
-            q = float(values[idx])
-            if q < best_val - _TIE * scale:
-                best_val = q
-                best_vec = x
-            elif abs(q - best_val) <= _TIE * scale and best_vec is not None:
-                if _canon(x) < _canon(best_vec):
-                    best_vec = x
-        if best_vec is None or best_vec == e_k or _neg(best_vec) == e_k:
-            continue
-        prefix = np.eye(k + 1, g, dtype=object)
-        prefix[k] = _canon(best_vec)
-        U = complete_to_unimodular(prefix)
-        A = U @ A
-        R = _act(A.astype(float), Y)
-        table = None
-    return R, A.tolist()
+    upper, C, _, steps = _minkowski_conditions(g)
+    A, T = S, [[int(i == j) for j in range(g)] for i in range(g)]
+    for _ in range(_DESCENT_STEPS):
+        diag = R.diagonal().tolist()
+        failed = [(k, x + diag[k], s, j) for x, (k, s, j) in zip((C @ R[upper]).tolist(), steps)
+                  if x < -_TIE * max(1.0, diag[k])]
+        if not failed:
+            break
+        k, _, s, j = min(failed)
+        row = [sum(si * t for si, t in zip(s, column)) for column in zip(*T)]
+        U = T[:k] + [row] + T[k:j] + T[j + 1:]
+        U = _compose(_size_reduce(_act(np.array(_compose(U, S), dtype=float), Y))[1], U)
+        A_next = _compose(U, S)
+        R_next = _act(np.array(A_next, dtype=float), Y)
+        if not R_next.trace() < R.trace():
+            break
+        T, A, R = U, A_next, R_next
+        if _is_certified_reduced(R):
+            break
+    else:
+        raise AssertionError("reduction did not settle within its step bound")
+    if _canon(tuple(T[0])) != tuple(T[0]):
+        # -A: R keeps its bytes
+        A = [[-a for a in row] for row in A]
+    return R, A
 
 
-def _neg(x: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-v for v in x)
+def _compose(B: list, A: list) -> list:
+    # the product B A of two matrices given as rows of Python ints
+    return [[sum(b * a for b, a in zip(row, column)) for column in zip(*A)] for row in B]
 
 
 def _canon(x: tuple[int, ...]) -> tuple[int, ...]:
+    # x or -x, whichever has a positive first nonzero entry
     for v in x:
         if v != 0:
-            return x if v > 0 else _neg(x)
+            return x if v > 0 else tuple(-t for t in x)
     return x
 
 

@@ -200,11 +200,11 @@ def theta_eval(spec: ThetaSpec, v, eps: float = 1e-12) -> complex:
         raise ValueError("argument dimension mismatch")
     m = np.round(np.linalg.solve(spec.Pi, v))
     v_red = v - spec.Pi @ m
-    base = _sum_with_tail(spec, v_red, eps, oscillatory=False)
     if not m.any():
-        return base
+        return _sum_with_tail(spec, v_red, eps, oscillatory=False)
+    # the factor first: one that overflows is refused before the sum's walk
     factor = factor_i_b_rho(spec, m, v_red)
-    return factor * base
+    return factor * _sum_with_tail(spec, v_red, eps, oscillatory=False)
 
 
 def theta_transform_residual(spec: ThetaSpec, lam_int, v,

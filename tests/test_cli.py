@@ -104,9 +104,19 @@ class TestSingleRequest:
 
 
 class TestUnreducibleForm:
-    """diag(1e-12, 1) has more short vectors than the enumeration cap."""
+    """diag(1e-12, 1) has more short vectors than the enumeration cap, yet it
+    is reduced: reduction, which enumerates nothing, answers at once, and so
+    does equivalence with itself.  Its canonical theta request puts the
+    argument 1e11 cells away, so the factor of the translate overflows and
+    is refused before any sum."""
 
     SKEWED = [[1e-12, 0], [0, 1]]
+    ANSWERS = {
+        "reduce": (0, {"status": "ok", "R": SKEWED, "A": [[1, 0], [0, 1]]}),
+        "equiv": (0, {"status": "ok", "verdict": "EQUIVALENT", "tol": 1e-9,
+                      "A": [[1, 0], [0, 1]]}),
+        "theta": (2, {"status": "error", "error": "math range error"}),
+    }
 
     @pytest.mark.parametrize("request_", [
         {"cmd": "reduce", "Y": SKEWED},
@@ -117,17 +127,22 @@ class TestUnreducibleForm:
         start = time.perf_counter()
         code, out = run_cli(json.dumps(request_))
         assert time.perf_counter() - start < 0.5
-        assert code == 2
-        assert json.loads(out) == {"status": "error", "error": "form cannot be reduced: "
-                                   "short-vector enumeration bound overflow"}
+        assert (code, json.loads(out)) == self.ANSWERS[request_["cmd"]]
 
     def test_subnormal_form_is_refused_without_warning(self, run_cli):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out = run_cli('{"cmd":"reduce","Y":[[1e-320,0],[0,1]]}')
-        assert code == 2
-        assert json.loads(out) == {"status": "error", "error": "form cannot be reduced: "
-                                   "short-vector enumeration bound overflow"}
+        """diag(1e-320, 1): reduced, and answered without a warning."""
+        for request_, answer in (
+                ('{"cmd":"reduce","Y":[[1e-320,0],[0,1]]}',
+                 {"status": "ok", "R": [[1e-320, 0.0], [0.0, 1.0]], "A": [[1, 0], [0, 1]]}),
+                ('{"cmd":"equiv","Y1":[[1e-320,0],[0,1]],"Y2":[[1e-320,0],[0,1]]}',
+                 {"status": "ok", "verdict": "EQUIVALENT", "tol": 1e-9, "A": [[1, 0], [0, 1]]})):
+            start = time.perf_counter()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out = run_cli(request_)
+            assert time.perf_counter() - start < 0.5
+            assert code == 0
+            assert json.loads(out) == answer
 
 
 _OM1 = '{"X":[[0]],"Y":[[1]]}'

@@ -4,7 +4,6 @@ import re
 import time
 import warnings
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realtori import geodesics, siegel, spdcone, theta, tori
-from realtori.exactlinalg import det_int, is_unimodular, random_unimodular
+from realtori.exactlinalg import (
+    complete_to_unimodular,
+    det_int,
+    is_unimodular,
+    random_unimodular,
+)
 from realtori.spdcone import (
     JacobiFactors,
     gl_act,
@@ -369,17 +373,24 @@ class TestShortVectors:
         assert time.perf_counter() - start < 0.5
 
     def test_reduce_refuses_hopeless_form(self):
-        with pytest.raises(ValueError, match="cannot be reduced"):
-            minkowski_reduce(np.diag([1e-12, 1.0]))
+        """The hopeless bound above belongs to enumeration only: the form is
+        reduced, and reduction, which enumerates nothing, returns it."""
+        Y = np.diag([1e-12, 1.0])
+        R, A = minkowski_reduce(Y)
+        assert R.tobytes() == Y.tobytes()
+        assert A.tolist() == np.eye(2, dtype=int).tolist()
 
     def test_subnormal_diagonal_is_refused_without_warning(self):
-        # 1 / 1e-320 overflows: the count of unit multiples is infinite
+        # 1 / 1e-320 overflows: the count of unit multiples is infinite, so
+        # enumeration refuses; reduction returns the form, which is reduced
+        Y = np.diag([1e-320, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="cannot be reduced"):
-                minkowski_reduce(np.diag([1e-320, 1.0]))
+            R, A = minkowski_reduce(Y)
             with pytest.raises(RuntimeError, match="overflow"):
-                quadratic_short_vectors(np.diag([1e-320, 1.0]), 2.0)
+                quadratic_short_vectors(Y, 2.0)
+        assert R.tobytes() == Y.tobytes()
+        assert A.tolist() == np.eye(2, dtype=int).tolist()
 
     def test_unit_multiples_match_the_array_formula(self):
         """The scalar count equals sum(2 floor(sqrt(bound (1 - 1e-9) / diag)))
@@ -405,13 +416,15 @@ class TestShortVectors:
 
 
 def _counting_enumerations(monkeypatch):
+    """The bounds of every enumeration box sized while the test runs."""
     calls = []
+    box = spdcone._Ellipsoid.box
 
-    def counting(Y, bound, *args):
+    def counting(self, bound):
         calls.append(bound)
-        return quadratic_short_vectors(Y, bound, *args)
+        return box(self, bound)
 
-    monkeypatch.setattr(spdcone, "quadratic_short_vectors", counting)
+    monkeypatch.setattr(spdcone._Ellipsoid, "box", counting)
     return calls
 
 
@@ -438,8 +451,79 @@ def _brute_force_reduced(Z):
     return all(not np.any((gcds[:, k] == 1) & (values < Z[k, k])) for k in range(g))
 
 
+def _exactly_reduced(Y, A):
+    """Whether A Y tA, in exact rational arithmetic on the floats of Y,
+    satisfies every Minkowski condition of ``spdcone._minkowski_conditions``."""
+    g = Y.shape[0]
+    Yq = [[Fraction(x) for x in row] for row in Y.tolist()]
+    A = A.tolist()
+    Z = [[sum(A[i][a] * Yq[a][b] * A[j][b] for a in range(g) for b in range(g))
+          for j in range(g)] for i in range(g)]
+    upper, C, _, _ = spdcone._minkowski_conditions(g)
+    r = [Z[i][j] for i, j in zip(*upper)]
+    return all(sum(int(c) * x for c, x in zip(row, r)) >= 0 for row in C.tolist())
+
+
+def _short_table(Y, bound):
+    """Short vectors of Y up to ``bound``, their values x Y tx, and suffix
+    gcds: column k of the gcd table is gcd(|x_k|, ..., |x_{g-1}|)."""
+    g = Y.shape[0]
+    vecs = quadratic_short_vectors(Y, bound)
+    X = np.array(vecs, dtype=np.int64).reshape(len(vecs), g)
+    Xf = X.astype(float)
+    values = np.einsum("ni,ij,nj->n", Xf, Y, Xf)
+    gcds = np.abs(X)
+    for k in range(g - 2, -1, -1):
+        gcds[:, k] = np.gcd(gcds[:, k], gcds[:, k + 1])
+    return vecs, values, gcds
+
+
+def _greedy_reference(Y):
+    """Reference Minkowski reduction by enumeration.  After size reduction, a
+    form that fails the certificate is rebuilt row by row: row k minimizes the
+    form over all integer vectors whose coordinates from k on are coprime, the
+    preceding rows staying fixed, with ties (within 1e-12 max(1, R_kk))
+    broken toward the current basis vector and then lexicographically; the
+    basis is completed by ``complete_to_unimodular``.  One short-vector table,
+    up to the largest diagonal entry still to be processed, serves every row
+    until a row changes; it raises RuntimeError past the enumeration cap."""
+    Y = require_spd(Y)
+    g = Y.shape[0]
+    R, A = spdcone._size_reduce(Y)
+    A = np.array(A, dtype=object)
+    table = None
+    for k in range(0 if spdcone._is_certified_reduced(R) else g):
+        if table is None:
+            table = _short_table(R, float(np.max(np.diag(R)[k:])) * (1 + 1e-9) + 1e-12)
+        vecs, values, gcds = table
+        best_val = float(R[k, k])
+        scale = max(1.0, best_val)
+        best_vec = None
+        for idx in np.flatnonzero((gcds[:, k] == 1) & (values <= best_val + 1e-12 * scale)):
+            x, q = vecs[idx], float(values[idx])
+            if q < best_val - 1e-12 * scale:
+                best_val, best_vec = q, x
+            elif abs(q - best_val) <= 1e-12 * scale and best_vec is not None:
+                if spdcone._canon(x) < spdcone._canon(best_vec):
+                    best_vec = x
+        if best_vec is None or spdcone._canon(best_vec) == tuple(int(i == k) for i in range(g)):
+            continue
+        prefix = np.eye(k + 1, g, dtype=object)
+        prefix[k] = spdcone._canon(best_vec)
+        A = complete_to_unimodular(prefix) @ A
+        R = spdcone._act(A.astype(float), Y)
+        table = None
+    for k in range(g - 1):
+        if R[k, k + 1] < 0:
+            A[k + 1] = -A[k + 1]
+            R[k + 1, :] = -R[k + 1, :]
+            R[:, k + 1] = -R[:, k + 1]
+    return R, A
+
+
 class TestMinkowskiCertificate:
-    """The {0, +-1} conditions checked after size reduction, against enumeration."""
+    """The {0, +-1} conditions checked after size reduction, and the descent
+    on a failed one, against enumeration."""
 
     @pytest.mark.parametrize("g, diagonal, off, sorted_only", [
         (2, range(1, 5), range(-3, 4), False),
@@ -467,32 +551,58 @@ class TestMinkowskiCertificate:
                 assert cert == _brute_force_reduced(Z), Z.tolist()
         assert 0 < certified < seen
 
-    @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), g=st.integers(1, 4),
-           kind=st.sampled_from(["random", "integer", "scaled"]))
-    def test_enumeration_path_gives_identical_bytes(self, seed, g, kind):
-        """With the certificate switched off, the greedy enumeration returns
-        the same bytes: random forms up to cond 1e6, small integer forms with
-        exact ties, and the same times a random real factor (ties at rounding
-        level), all moved by a unimodular matrix."""
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), g=st.integers(2, 4))
+    def test_enumeration_path_gives_identical_bytes(self, seed, g):
+        """Float forms that fail the certificate after size reduction: the
+        descent returns the bytes of the greedy enumeration reference.  The
+        forms have cond(Y) <= 1e12; above about 1e13 the rounding of A Y tA
+        can exceed the tie width, and the two may then end on different
+        bases.  Size reduction settles every g = 2 form."""
         rng = np.random.default_rng(seed)
-        U = random_unimodular(g, rng, max_entry=3).astype(float)
-        if kind == "random":
-            eig = np.exp(rng.uniform(0.0, np.log(1e6), size=g))
-            Q, _ = np.linalg.qr(rng.normal(size=(g, g)))
-            Z = (Q * eig) @ Q.T
-        else:
-            M = rng.integers(-1, 2, size=(g, g))
-            Z = (M @ M.T + np.diag(rng.integers(1, 3, size=g))).astype(float)
-        Y = U @ Z @ U.T
-        Y = 0.5 * (Y + Y.T)
-        if kind == "scaled":
-            Y = Y * float(rng.uniform(0.5, 2.0))
-        R, A = minkowski_reduce(Y)
-        with mock.patch.object(spdcone, "_is_certified_reduced", lambda R: False):
-            R2, A2 = minkowski_reduce(Y)
-        assert R.tobytes() == R2.tobytes()
-        assert A.tolist() == A2.tolist()
+        failing = 0
+        for _ in range(200):
+            Y = _moved_form(rng, g, "float")
+            if np.linalg.cond(Y) > 1e12 or spdcone._is_certified_reduced(spdcone._size_reduce(Y)[0]):
+                continue
+            try:
+                R0, A0 = _greedy_reference(Y)
+            except RuntimeError:  # the reference's table would exceed its cap
+                continue
+            R, A = minkowski_reduce(Y)
+            assert R.tobytes() == R0.tobytes()
+            assert A.tolist() == A0.tolist()
+            failing += 1
+            if failing == 3:
+                break
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), g=st.integers(2, 4),
+           kind=st.sampled_from(["integer", "eighths", "scaled"]))
+    def test_tied_forms_keep_the_reference_diagonal(self, seed, g, kind):
+        """Tied forms that fail the certificate: small integer forms, the same
+        times k/8 (ties stay exact) or a real factor in [0.5, 2] (ties at
+        rounding level).  Where ties let the descent and the greedy reference
+        pick different bases, the diagonal is the same (to rounding for the
+        real factor), A is unimodular, and exact forms pass the brute-force
+        check in integers."""
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            Z = _moved_form(rng, g, "integer")
+            factor = {"integer": 1.0, "eighths": int(rng.integers(1, 17)) / 8,
+                      "scaled": float(rng.uniform(0.5, 2.0))}[kind]
+            Y = require_spd(Z * factor)
+            if spdcone._is_certified_reduced(spdcone._size_reduce(Y)[0]):
+                continue
+            R, A = minkowski_reduce(Y)
+            R0, _ = _greedy_reference(Y)
+            assert is_unimodular(A)
+            if kind == "scaled":
+                assert np.allclose(R.diagonal(), R0.diagonal(), rtol=1e-12, atol=0)
+            else:
+                assert R.diagonal().tolist() == R0.diagonal().tolist()
+                An = A.astype(np.int64)
+                assert _brute_force_reduced(An @ Z.astype(np.int64) @ An.T)
 
     @pytest.mark.parametrize("b, reduced", [
         (0.5, True),
@@ -505,15 +615,17 @@ class TestMinkowskiCertificate:
 
     @pytest.mark.parametrize("g", [3, 4])
     def test_violated_condition_goes_to_the_enumeration(self, monkeypatch, g):
-        """q(1, ..., 1) below R_kk by a relative 1e-9: the form is enumerated
-        and its basis changes."""
+        """q(1, ..., 1) below R_kk by a relative 1e-9: the form takes a
+        descent step, not an enumeration, and its basis changes."""
         calls = _counting_enumerations(monkeypatch)
         Y = _equicorrelated(g, 1e-9)
         assert not spdcone._is_certified_reduced(Y)
         R, A = minkowski_reduce(Y)
-        assert calls
+        assert calls == []
         assert [abs(v) for v in A[0]] == [1] * g
-        assert spdcone._is_certified_reduced(R)
+        # rows 1 and 2 tie, and q(1, -1, 1) - R_11 = 0 exactly: certified in
+        # exact arithmetic, as the rounded R need not be
+        assert _exactly_reduced(Y, A)
         assert np.max(np.abs(A.astype(float) @ Y @ A.astype(float).T - R)) < 1e-12
 
     def test_reduced_form_is_not_enumerated(self, monkeypatch):
@@ -525,13 +637,14 @@ class TestMinkowskiCertificate:
         assert A2.tolist() == np.eye(4, dtype=int).tolist()
 
     def test_failing_form_is_enumerated_once(self, monkeypatch):
-        """q(1, 1, 1, 1) = 1 - 3e-14 fails the exact certificate; the greedy
-        construction sees a tie, keeps every row and enumerates once."""
+        """q(1, 1, 1, 1) = 1 - 3e-14 fails the exact certificate, inside the
+        tie width: no descent step is taken, every row is kept and nothing
+        is enumerated."""
         calls = _counting_enumerations(monkeypatch)
         Y = _equicorrelated(4, 1e-14)
         assert not spdcone._is_certified_reduced(Y)
         R, A = minkowski_reduce(Y)
-        assert len(calls) == 1
+        assert calls == []
         assert np.array_equal(np.abs(A.astype(int)), np.eye(4, dtype=int))
 
     def test_skewed_diagonal_form_reduces_at_once(self, monkeypatch):
@@ -545,6 +658,46 @@ class TestMinkowskiCertificate:
         assert calls == []
         assert R.tobytes() == Y.tobytes()
         assert A.tolist() == np.eye(4, dtype=int).tolist()
+
+
+def _near_condition(R, M, offset):
+    """R moved along the symmetric direction M (or -M, where no condition
+    falls along M) to where the first Minkowski condition that falls along it
+    has slack ``offset``."""
+    upper, C, _, _ = spdcone._minkowski_conditions(R.shape[0])
+    slack, rate = C @ R[upper], C @ M[upper]
+    if not (rate < 0).any():
+        M, rate = -M, -rate
+    falling = np.flatnonzero(rate < 0)
+    c = falling[np.argmin(slack[falling] / -rate[falling])]
+    return R + ((slack[c] - offset) / -rate[c]) * M
+
+
+class TestIsMinkowskiReduced:
+    """``is_minkowski_reduced`` agrees with ``reduced_by_definition`` at its
+    tolerance 1e-10, here over the box |a_i| <= 2."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), g=st.integers(2, 4))
+    def test_random_forms(self, seed, g):
+        rng = np.random.default_rng(seed)
+        Y = random_spd(g, rng)
+        for Z in (Y, minkowski_reduce(Y)[0], _moved_form(rng, g, "integer")):
+            assert is_minkowski_reduced(Z) == reduced_by_definition(Z, box=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), g=st.integers(2, 4))
+    def test_forms_just_off_a_condition(self, seed, g):
+        """1e-9 inside and 1e-9 outside the first condition crossed."""
+        rng = np.random.default_rng(seed)
+        R, _ = minkowski_reduce(random_spd(g, rng))
+        M = rng.normal(size=(g, g))
+        for offset in (1e-9, -1e-9):
+            Z = _near_condition(R, M + M.T, offset)
+            if np.min(np.linalg.eigvalsh(Z)) <= 0:
+                continue
+            assert is_minkowski_reduced(Z) == reduced_by_definition(Z, box=2)
+            assert offset > 0 or not is_minkowski_reduced(Z)
 
 
 def _size_reduce_recomputing(Y):

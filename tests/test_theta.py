@@ -253,11 +253,12 @@ class TestReducedSummation:
         assert abs(theta_eval(spec, v) - ref) < 1e-10 * max(1.0, abs(ref))
 
     def test_reduction_overflow_is_bad_input(self):
-        # Y = diag(1e-12, 1): the 2e6 multiples of e_1 alone exceed the
-        # short-vector cap, so the reduction refuses before enumerating
+        # Y = diag(1e-12, 1): the argument lies about 1e11 cells away, so the
+        # factor of the translate overflows; it is evaluated, and refused,
+        # before the sum walks its box of ~8e7 points
         bundle = canonical_line_bundle_data(np.diag([1e-12, 1.0]))
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="cannot be reduced"):
+        with pytest.raises(OverflowError):
             bundle.section([0.1, 0.2])
         assert time.perf_counter() - start < 0.5
 
