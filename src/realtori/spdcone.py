@@ -525,36 +525,35 @@ def _is_certified_reduced(R: np.ndarray) -> bool:
 
 
 def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
-    """Minkowski reduction: returns (R, A) with R = A Y tA reduced, A unimodular.
+    """Minkowski reduction: returns (R, A) with R = A Y tA reduced, A unimodular
+    (up to rounding on badly conditioned input; see below).
 
     After size reduction, R is checked against Minkowski's finite conditions:
     for g <= 4 a form is reduced exactly when q(s) >= R_kk for every
     s in {0, +-1}^g that has a nonzero entry at position k or later and is
     not +-e_k (Minkowski 1905; Nguyen & Stehle, "Low-dimensional lattice
-    basis reduction revisited", ACM TALG 2009, section 2).  The check is
-    exact: floats with a rigorous rounding band, then ``math.fsum`` inside
-    it.  A form that passes is returned with fixed signs.
+    basis reduction revisited", ACM TALG 2009, section 2), exactly
+    (``_is_certified_reduced``).
 
-    A form that fails takes descent steps while one is left.  Among the
-    conditions whose slack q(s) - R_kk is below -_TIE max(1, R_kk), a step
-    takes the one with the smallest k, then the smallest q(s), then the
-    smallest s as a tuple (first nonzero entry positive).  With j the last
-    index where s_j != 0, row j of A becomes sum_i s_i A_i, unimodular since
-    s_j = +-1, and moves to position k; the new basis is size-reduced and R
-    recomputed as A Y tA.  The descent stops: R_jj >= R_kk gives way to
-    q(s) < R_kk - _TIE max(1, R_kk), and size reduction never raises the
-    trace, so each step lowers tr R by more than _TIE max(1, R_kk), and only
-    finitely many bases of the lattice have a trace below that of the input.
-    In floats R is A Y tA only up to rounding, which on a badly conditioned
-    input can exceed the tie width: a step that does not lower the computed
-    trace is not taken, and the descent ends there.  It also ends on a form
-    that fails the exact check only within the tie width; its rows tie with
-    the vectors that beat them.
+    A form that fails takes descent steps.  Among the conditions whose slack
+    q(s) - R_kk is below -_TIE max(1, R_kk), a step takes the one with the
+    smallest k, then the smallest q(s), then the smallest s as a tuple (first
+    nonzero entry positive).  With j the last index where s_j != 0, row j of
+    A becomes sum_i s_i A_i (s_j = +-1 keeps A unimodular) and moves to row
+    k; the basis is size-reduced, R = A Y tA.  Each step lowers tr R by more
+    than _TIE max(1, R_kk), as R_jj >= R_kk gives way to q(s) and size
+    reduction never raises the trace, and finitely many bases have a trace
+    below that of the input, so the descent stops.  In floats, where rounding
+    can exceed the tie width on a badly conditioned input, it also stops
+    before a step that does not lower the computed trace or leaves a computed
+    form indefinite, and when every failed condition fails only within the
+    tie width.  Then the first failed step, in the order above, is taken if
+    its R passes the check; if not, R is reduced only to within the tie
+    width or the rounding of A Y tA, and nothing says so.  A form whose
+    size-reduced R is not positive definite in floats raises ValueError.
 
-    Signs: row 0 takes the sign that gives its coordinates in the
-    size-reduced basis a positive first nonzero entry, and each later row the
-    one that makes the superdiagonal nonnegative, so a form off the ties with
-    a nonzero superdiagonal has one output.
+    Signs: row 0 gets a positive first nonzero coordinate in the size-reduced
+    basis, and each later row a nonnegative entry on the superdiagonal.
     """
     Y = require_spd(Y)
     g = Y.shape[0]
@@ -577,32 +576,46 @@ def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
 def _descend(Y: np.ndarray, R: np.ndarray, S: list) -> tuple[np.ndarray, list]:
     # minkowski_reduce's descent from R = S Y tS, which fails the certificate;
     # returns R and the rows of A = T S, T the change from the basis S
-    g = Y.shape[0]
-    upper, C, _, steps = _minkowski_conditions(g)
-    A, T = S, [[int(i == j) for j in range(g)] for i in range(g)]
+    if not (np.isfinite(R).all() and (np.linalg.eigvalsh(R) > 0).all()):
+        raise ValueError("form cannot be reduced: rounding leaves it indefinite")
+    upper, C, _, steps = _minkowski_conditions(len(S))
+    A, T = S, np.eye(len(S), dtype=int).tolist()
     for _ in range(_DESCENT_STEPS):
         diag = R.diagonal().tolist()
-        failed = [(k, x + diag[k], s, j) for x, (k, s, j) in zip((C @ R[upper]).tolist(), steps)
-                  if x < -_TIE * max(1.0, diag[k])]
-        if not failed:
+        # (tied, k, q(s), step) of every condition whose float slack is negative
+        failed = sorted((x >= -_TIE * max(1.0, diag[st[0]]), st[0], x + diag[st[0]], st)
+                        for x, st in zip((C @ R[upper]).tolist(), steps) if x < 0)
+        if not failed or failed[0][0]:
             break
-        k, _, s, j = min(failed)
-        row = [sum(si * t for si, t in zip(s, column)) for column in zip(*T)]
-        U = T[:k] + [row] + T[k:j] + T[j + 1:]
-        U = _compose(_size_reduce(_act(np.array(_compose(U, S), dtype=float), Y))[1], U)
-        A_next = _compose(U, S)
-        R_next = _act(np.array(A_next, dtype=float), Y)
-        if not R_next.trace() < R.trace():
+        taken = _step(Y, S, T, *failed[0][3])
+        if taken is None or not taken[2].trace() < R.trace():
             break
-        T, A, R = U, A_next, R_next
+        T, A, R = taken
         if _is_certified_reduced(R):
+            failed = []
             break
     else:
         raise AssertionError("reduction did not settle within its step bound")
-    if _canon(tuple(T[0])) != tuple(T[0]):
-        # -A: R keeps its bytes
-        A = [[-a for a in row] for row in A]
-    return R, A
+    # a form left uncertified takes its first failed step if that R certifies
+    taken = _step(Y, S, T, *failed[0][3]) if failed else None
+    if taken is not None and _is_certified_reduced(taken[2]):
+        T, A, R = taken
+    # -A where row 0 of T is not canonical: R keeps its bytes
+    return R, A if _canon(tuple(T[0])) == tuple(T[0]) else [[-a for a in row] for row in A]
+
+
+def _step(Y: np.ndarray, S: list, T: list, k: int, s: tuple, j: int) -> tuple | None:
+    # the descent step on condition (k, s, j) from the basis T S: row j of T
+    # becomes sum_i s_i T_i, moves to row k, and the basis is size-reduced;
+    # returns T, A = T S and R = A Y tA, or None if rounding left a form indefinite
+    U = T[:k] + _compose([s], T) + T[k:j] + T[j + 1:]
+    try:
+        P = require_spd(_act(np.array(_compose(U, S), dtype=float), Y))
+        U = _compose(_size_reduce(P)[1], U)
+        A = _compose(U, S)
+        return U, A, require_spd(_act(np.array(A, dtype=float), Y))
+    except ValueError:
+        return None
 
 
 def _compose(B: list, A: list) -> list:

@@ -451,19 +451,6 @@ def _brute_force_reduced(Z):
     return all(not np.any((gcds[:, k] == 1) & (values < Z[k, k])) for k in range(g))
 
 
-def _exactly_reduced(Y, A):
-    """Whether A Y tA, in exact rational arithmetic on the floats of Y,
-    satisfies every Minkowski condition of ``spdcone._minkowski_conditions``."""
-    g = Y.shape[0]
-    Yq = [[Fraction(x) for x in row] for row in Y.tolist()]
-    A = A.tolist()
-    Z = [[sum(A[i][a] * Yq[a][b] * A[j][b] for a in range(g) for b in range(g))
-          for j in range(g)] for i in range(g)]
-    upper, C, _, _ = spdcone._minkowski_conditions(g)
-    r = [Z[i][j] for i, j in zip(*upper)]
-    return all(sum(int(c) * x for c, x in zip(row, r)) >= 0 for row in C.tolist())
-
-
 def _short_table(Y, bound):
     """Short vectors of Y up to ``bound``, their values x Y tx, and suffix
     gcds: column k of the gcd table is gcd(|x_k|, ..., |x_{g-1}|)."""
@@ -552,16 +539,16 @@ class TestMinkowskiCertificate:
         assert 0 < certified < seen
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), g=st.integers(2, 4))
+    @given(seed=st.integers(0, 2**32 - 1), g=st.integers(3, 4))
     def test_enumeration_path_gives_identical_bytes(self, seed, g):
         """Float forms that fail the certificate after size reduction: the
         descent returns the bytes of the greedy enumeration reference.  The
         forms have cond(Y) <= 1e12; above about 1e13 the rounding of A Y tA
         can exceed the tie width, and the two may then end on different
-        bases.  Size reduction settles every g = 2 form."""
+        bases.  Size reduction settles every g = 2 form, so g starts at 3."""
         rng = np.random.default_rng(seed)
         failing = 0
-        for _ in range(200):
+        for _ in range(1000):
             Y = _moved_form(rng, g, "float")
             if np.linalg.cond(Y) > 1e12 or spdcone._is_certified_reduced(spdcone._size_reduce(Y)[0]):
                 continue
@@ -575,9 +562,10 @@ class TestMinkowskiCertificate:
             failing += 1
             if failing == 3:
                 break
+        assert failing
 
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), g=st.integers(2, 4),
+    @given(seed=st.integers(0, 2**32 - 1), g=st.integers(3, 4),
            kind=st.sampled_from(["integer", "eighths", "scaled"]))
     def test_tied_forms_keep_the_reference_diagonal(self, seed, g, kind):
         """Tied forms that fail the certificate: small integer forms, the same
@@ -585,9 +573,11 @@ class TestMinkowskiCertificate:
         rounding level).  Where ties let the descent and the greedy reference
         pick different bases, the diagonal is the same (to rounding for the
         real factor), A is unimodular, and exact forms pass the brute-force
-        check in integers."""
+        check in integers.  Size reduction settles the exact g = 2 forms, so
+        g starts at 3."""
         rng = np.random.default_rng(seed)
-        for _ in range(20):
+        compared = 0
+        for _ in range(400):
             Z = _moved_form(rng, g, "integer")
             factor = {"integer": 1.0, "eighths": int(rng.integers(1, 17)) / 8,
                       "scaled": float(rng.uniform(0.5, 2.0))}[kind]
@@ -603,6 +593,10 @@ class TestMinkowskiCertificate:
                 assert R.diagonal().tolist() == R0.diagonal().tolist()
                 An = A.astype(np.int64)
                 assert _brute_force_reduced(An @ Z.astype(np.int64) @ An.T)
+            compared += 1
+            if compared == 3:
+                break
+        assert compared
 
     @pytest.mark.parametrize("b, reduced", [
         (0.5, True),
@@ -623,9 +617,7 @@ class TestMinkowskiCertificate:
         R, A = minkowski_reduce(Y)
         assert calls == []
         assert [abs(v) for v in A[0]] == [1] * g
-        # rows 1 and 2 tie, and q(1, -1, 1) - R_11 = 0 exactly: certified in
-        # exact arithmetic, as the rounded R need not be
-        assert _exactly_reduced(Y, A)
+        assert spdcone._is_certified_reduced(R)
         assert np.max(np.abs(A.astype(float) @ Y @ A.astype(float).T - R)) < 1e-12
 
     def test_reduced_form_is_not_enumerated(self, monkeypatch):
@@ -658,6 +650,28 @@ class TestMinkowskiCertificate:
         assert calls == []
         assert R.tobytes() == Y.tobytes()
         assert A.tolist() == np.eye(4, dtype=int).tolist()
+
+    def test_form_left_indefinite_by_rounding_is_refused(self):
+        """cond(Y) ~ 3e16, below the rounding of its entries: size reduction
+        in floats leaves a negative diagonal entry, and the reduction refuses
+        the form instead of descending from it."""
+        Y = np.array([
+            [6.002820250717284e+16, -4.281690300298462e+16, -2.2529316779466244e+16],
+            [-4.281690300298462e+16, 3.054043110066363e+16, 1.6069706087811824e+16],
+            [-2.2529316779466244e+16, 1.6069706087811824e+16, 8455527457929380.0]])
+        assert spdcone._size_reduce(require_spd(Y))[0][0, 0] < 0
+        with pytest.raises(ValueError, match="cannot be reduced"):
+            minkowski_reduce(Y)
+
+    def test_step_to_an_indefinite_form_is_not_taken(self):
+        """cond(Y) ~ 3e16: the descent step on the failed condition gives an
+        A Y tA that is indefinite in floats, so it is not taken, and R stays
+        positive definite (the greedy construction returned an indefinite R)."""
+        Y = np.array([[1.0311924448930676e+16, -1.3562062047058534e+16],
+                      [-1.3562062047058534e+16, 1.783658597182009e+16]])
+        R, A = minkowski_reduce(Y)
+        assert is_unimodular(A)
+        assert np.linalg.eigvalsh(R).min() > 0
 
 
 def _near_condition(R, M, offset):
