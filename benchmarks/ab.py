@@ -17,8 +17,10 @@ differ in bytes, by command, with the largest relative change of a number
 (a complex number as one value), then the median of the per-round time
 ratios work / base with their quartiles, and in how many rounds the
 working tree was faster: for the whole batch, then for the requests of each
-command.  An A/B of HEAD against an unchanged tree reads 1.00 within a few
-percent.
+command.  Last, for each tree, it prints the p50 and p90 latency as
+``perfbench/run.py`` computes them: percentiles of each request's median
+time over the rounds.  An A/B of HEAD against an unchanged tree reads 1.00
+within a few percent.
 """
 
 from __future__ import annotations
@@ -79,11 +81,12 @@ def largest_change(a, b) -> float:
     return 0.0 if a == b else math.inf
 
 
-def timed_round(base, work, texts, cmds, first: int) -> dict[str | None, float]:
+def timed_round(base, work, texts, cmds, first: int, latencies) -> dict[str | None, float]:
     """Time work / base over one pass of each tree, request by request, the
     tree that answers first alternating from one request to the next; returns
     the ratio for each command in ``cmds`` (the command of each text) and,
-    under None, for the whole batch."""
+    under None, for the whole batch.  Appends each request's seconds to
+    ``latencies[side][i]``, side 0 for base and 1 for work."""
     gc.collect()
     spent = defaultdict(lambda: [0.0, 0.0])
     clock = time.perf_counter
@@ -91,7 +94,9 @@ def timed_round(base, work, texts, cmds, first: int) -> dict[str | None, float]:
         for side in ((i + first) % 2, (i + first + 1) % 2):
             start = clock()
             run.call((base, work)[side], text)
-            spent[cmd][side] += clock() - start
+            took = clock() - start
+            spent[cmd][side] += took
+            latencies[side][i].append(took)
     spent[None] = [sum(s[side] for s in spent.values()) for side in (0, 1)]
     return {cmd: s[1] / s[0] for cmd, s in spent.items()}
 
@@ -126,7 +131,8 @@ def main(argv=None) -> int:
     else:
         print("every answer is byte-identical")
 
-    rounds = [timed_round(base, work, texts, cmds, r % 2) for r in range(args.rounds)]
+    latencies = [[[] for _ in texts] for _ in range(2)]
+    rounds = [timed_round(base, work, texts, cmds, r % 2, latencies) for r in range(args.rounds)]
     for cmd in [None, *sorted(total)]:
         ratios = [r[cmd] for r in rounds]
         q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
@@ -134,6 +140,10 @@ def main(argv=None) -> int:
         what = "time work/base" if cmd is None else f"  {cmd} ({total[cmd]} requests)"
         print(f"{what} over {len(ratios)} rounds: median {median:.3f} "
               f"(quartiles {q1:.3f}-{q3:.3f}); work faster in {wins} of {len(ratios)}")
+    for side, tree in enumerate(("base", "work")):
+        ordered = sorted(statistics.median(times) for times in latencies[side])
+        p50, p90 = (1e3 * run.percentile(ordered, q) for q in (0.50, 0.90))
+        print(f"{tree} latency over per-request medians: p50 {p50:.3f} ms, p90 {p90:.3f} ms")
     return 0
 
 

@@ -1,9 +1,9 @@
 """Per-layer timings of SPD validation, reduction (also of forms that take a
 descent step), enumeration, congruence-witness search, equivalence of
 polarized tori and of real ppavs, exact determinant and inverse, Smith
-normal form, coboundary witnesses, theta summation, theta requests and the
-JSON decode/encode round trip, and of the CLI end to end (in process) on the
-golden batch of ``tests/golden/cli_in.json``.
+normal form, coboundary witnesses, theta summation, theta, distance and
+degenerate requests and the JSON decode/encode round trip, and of the CLI
+end to end (in process) on the golden batch of ``tests/golden/cli_in.json``.
 
 Run from the root of a checkout (not part of the tier-1 tests):
 
@@ -22,7 +22,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from realtori import cli, spdcone
+from realtori import cli, geodesics, spdcone
 from realtori.cohomology import coboundary_witness
 from realtori.exactlinalg import (
     det_int,
@@ -282,6 +282,55 @@ def test_theta_request(benchmark, g, spec):
         return [cli.canonical_json(cli.dispatch(cli.parse_request(text))[0]) for text in texts]
 
     benchmark(run)
+
+
+def _answer(text: str) -> str:
+    """One request through ``cli.parse_request`` -> ``cli.dispatch`` ->
+    ``cli.canonical_json``; the message of a refused request."""
+    try:
+        return cli.canonical_json(cli.dispatch(cli.parse_request(text))[0])
+    except cli.InputError as exc:
+        return str(exc)
+
+
+# a 2 x 2 request whose path length settles at 16 nodes, and a 1 x 1 one whose
+# length (about 3e13) never meets the absolute tolerance: refused at 256 nodes
+DISTANCE = {
+    "settles": ('{"cmd":"distance","Y0":[[2,1],[1,2]],"V0":[[0,1]],'
+                '"Y1":[[1,0],[0,3]],"V1":[[1,0]]}', 16),
+    "refused": ('{"cmd":"distance","Y0":[[1]],"V0":[[0]],"Y1":[[1e-30]],"V1":[[1]]}', 256),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISTANCE))
+def test_distance_request(benchmark, case):
+    text, nodes = DISTANCE[case]
+    with mock.patch.object(geodesics, "_gauss_legendre_rule",
+                           side_effect=geodesics._gauss_legendre_rule) as rule:
+        _answer(text)
+    assert max(call.args[0] for call in rule.call_args_list) == nodes
+    answer = benchmark(_answer, text)
+    assert ("did not settle" in answer) == (case == "refused")
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_degenerate_request(benchmark, kind):
+    """One ``degenerate`` request as in ``test_distance_request``: four samples
+    at g = 3 of tW diag(d) W with d = (1.2 + xi, 1.7 + xi, 1.4 / xi^2), a
+    half-space family with a fixed real part for ``complex``; its last index
+    diverges."""
+    rng = np.random.default_rng(1400)
+    W = np.eye(3) + np.triu(rng.uniform(-0.5, 0.5, size=(3, 3)), 1)
+    X = np.round(rng.uniform(-0.5, 0.5, size=(3, 3)), 2)
+    X = (X + X.T).tolist()
+    params = [0.1, 0.01, 0.001, 0.0001]
+    mats = [(W.T @ np.diag([1.2 + xi, 1.7 + xi, 1.4 / xi ** 2]) @ W).tolist() for xi in params]
+    if kind == "complex":
+        mats = [{"X": X, "Y": Y} for Y in mats]
+    text = json.dumps({"cmd": "degenerate", "complex": kind == "complex",
+                       "params": params, "matrices": mats})
+    answer = benchmark(_answer, text)
+    assert json.loads(answer)["t"] == 1
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])

@@ -11,12 +11,13 @@ saturated fixed and anti-fixed sublattices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .exactlinalg import det_int, int_matrix, kernel_basis
 from .siegel import require_siegel
-from .spdcone import jacobi_decomposition, require_spd
+from .spdcone import JacobiFactors, _symmetric, jacobi_decomposition, require_spd
 
 __all__ = [
     "FamilySample",
@@ -43,7 +44,20 @@ class FamilySample:
             raise ValueError("one matrix per parameter is required")
         if np.any(params <= 0) or np.any(np.diff(params) >= 0):
             raise ValueError("parameters must be strictly decreasing and positive")
+        if len({np.shape(M) for M in self.matrices}) > 1:
+            raise ValueError("all samples must have the same shape")
         object.__setattr__(self, "params", params)
+
+    # the Jacobi factors of each sample, built on first read; jacobi_decomposition
+    # validates a real sample, and with _symmetric a half-space one as require_siegel does
+    @cached_property
+    def _real_factors(self) -> list[JacobiFactors]:
+        return [jacobi_decomposition(M) for M in self.matrices]
+
+    @cached_property
+    def _siegel_factors(self) -> list[JacobiFactors]:
+        return [jacobi_decomposition(_symmetric(M, "half-space point", complex).imag)
+                for M in self.matrices]
 
 
 # finite-sample stand-ins for the analytic limit conditions
@@ -62,16 +76,8 @@ class DivergenceReport:
 
 
 def _family_jacobi(sample: FamilySample, complex_family: bool):
-    ws, ds = [], []
-    for M in sample.matrices:
-        if complex_family:
-            om = require_siegel(M)
-            fac = jacobi_decomposition(om.imag)
-        else:
-            fac = jacobi_decomposition(require_spd(M))
-        ws.append(fac.W)
-        ds.append(fac.d)
-    return ws, ds
+    factors = sample._siegel_factors if complex_family else sample._real_factors
+    return [fac.W for fac in factors], [fac.d for fac in factors]
 
 
 def detect_divergence(sample: FamilySample, complex_family: bool = False) -> DivergenceReport:

@@ -7,12 +7,14 @@ a rotated diagonal frame.  ``distance`` returns an upper bound on the
 geodesic distance: the length of one explicit path (Y along its cone
 geodesic, V linear), a one-dimensional integral in the generalized
 eigenvalues of the endpoint pencil handled by node-doubling Gauss-Legendre
-quadrature; a length that has not settled at 256 nodes is refused.
+quadrature, where each rule is built once per process; a length that has not
+settled at 256 nodes is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -120,8 +122,11 @@ def whitening_frame(Y0, Y1) -> tuple[np.ndarray, np.ndarray]:
     the whitened pencil; eigenvalues are sorted ascending and eigenvector
     signs fixed by the first nonzero component.
     """
-    Y0 = require_spd(Y0)
-    Y1 = require_spd(Y1)
+    return _whitening_frame(require_spd(Y0), require_spd(Y1))
+
+
+def _whitening_frame(Y0: np.ndarray, Y1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # whitening_frame on validated forms
     L = np.linalg.cholesky(Y0)
     Linv = np.linalg.inv(L)
     # a product that overflows comes back as inf or NaN for the caller to refuse
@@ -141,18 +146,27 @@ def whitening_frame(Y0, Y1) -> tuple[np.ndarray, np.ndarray]:
 
 
 # absolute tolerance between successive rules, and the largest rule: each
-# doubling solves a dense eigenproblem of the rule's size
+# rule is built once per process
 _QUADRATURE_TOL = 1e-11
 _MAX_NODES = 256
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes of the ``nodes``-point Gauss-Legendre rule mapped from
+    [-1, 1] to [0, 1], and its weights (for [-1, 1])."""
+    x, wts = np.polynomial.legendre.leggauss(nodes)
+    xm = 0.5 * (x + 1.0)
+    xm.flags.writeable = False
+    wts.flags.writeable = False
+    return xm, wts
 
 
 def _gauss_legendre_adaptive(f) -> float:
     nodes = 8
     prev = None
     while nodes <= _MAX_NODES:
-        x, wts = np.polynomial.legendre.leggauss(nodes)
-        # map [-1, 1] -> [0, 1]
-        xm = 0.5 * (x + 1.0)
+        xm, wts = _gauss_legendre_rule(nodes)
         val = 0.5 * float(np.sum(wts * f(xm)))
         if prev is not None and abs(val - prev) < _QUADRATURE_TOL:
             return val
@@ -176,7 +190,7 @@ def distance(p0: MinkowskiEuclidPoint, p1: MinkowskiEuclidPoint,
         raise ValueError("points live in different spaces")
     if A_c <= 0 or B_c <= 0:
         raise ValueError("metric constants must be positive")
-    w, tvals = whitening_frame(p0.Y, p1.Y)
+    w, tvals = _whitening_frame(p0.Y, p1.Y)
     if np.any(tvals <= 0):
         raise ArithmeticError("pencil eigenvalues must be positive")
     logs = np.log(tvals)

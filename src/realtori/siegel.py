@@ -63,7 +63,11 @@ def sp_act(M, omega) -> np.ndarray:
     M = np.asarray(M)
     if not is_symplectic(M):
         raise ValueError("matrix is not symplectic")
-    Mf = M.astype(float)
+    return _sp_act(M.astype(float), om)
+
+
+def _sp_act(Mf: np.ndarray, om: np.ndarray) -> np.ndarray:
+    # sp_act of a symplectic float matrix on a validated point
     A, B, C, D = _blocks(Mf)
     num = A @ om + B
     den = C @ om + D
@@ -253,7 +257,7 @@ def jacobi_group_act(elem: JacobiGroupElement, omega, Z) -> tuple[np.ndarray, np
     Mf = np.asarray(elem.M).astype(float)
     g = om.shape[0]
     C, D = Mf[g:, :g], Mf[g:, g:]
-    om_new = sp_act(elem.M, om)
+    om_new = _sp_act(Mf, om)
     den = C @ om + D
     Z_new = np.linalg.solve(den.T, (Z + elem.lam @ om + elem.mu).T).T
     return om_new, Z_new

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from realtori import cli, theta
+from realtori import cli, siegel, spdcone, theta
 
 INVARIANTS = '{"cmd":"invariants","g":2}'
 NOT_SPD = '{"cmd":"reduce","Y":[[1,2],[2,1]]}'
@@ -398,6 +398,67 @@ class TestBatchIsolation:
         code, out = run_cli("[" + ",".join(items) + "]")
         assert code == expected
         assert len(json.loads(out)) == len(items)
+
+
+# four samples diag(1 + xi, 1.5 / xi^2): the second index diverges, t = 1
+_DIVERGING = [[[1 + xi, 0], [0, 1.5 / xi ** 2]] for xi in (0.1, 0.01, 0.001, 0.0001)]
+
+
+def _counting(monkeypatch, module, name) -> list:
+    """Record each call of ``module.name`` in the returned list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args):
+        calls.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestWorkDoneOnce:
+    """Each input is validated, and each family sample factored, once."""
+
+    def test_distance_validates_each_point_once(self, run_cli, monkeypatch):
+        factored = _counting(monkeypatch, spdcone, "_spd_factor")
+        code, out = run_cli('{"cmd":"distance","Y0":[[2,1],[1,2]],"V0":[[0,1]],'
+                            '"Y1":[[1,0],[0,3]],"V1":[[1,0]]}')
+        assert code == 0 and json.loads(out)["status"] == "ok"
+        assert len(factored) == 2
+
+    def test_jacobi_act_validates_omega_once(self, run_cli, monkeypatch):
+        validated = _counting(monkeypatch, siegel, "require_siegel")
+        code, out = run_cli('{"cmd":"jacobi-act","M":[[-1,1],[-1,0]],"lam":[[-0.4]],'
+                            '"mu":[[0.9]],"kappa":[[-0.2]],"Omega":{"X":[[0.05]],"Y":[[0.84]]},'
+                            '"Z":[[{"re":-0.6,"im":-1.4}]]}')
+        assert code == 0 and json.loads(out)["status"] == "ok"
+        # the point, then the image
+        assert len(validated) == 2
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_degenerate_factors_each_sample_once(self, run_cli, monkeypatch, complex_):
+        factored = _counting(monkeypatch, spdcone, "_spd_factor")
+        mats = [{"X": [[0.5, 0], [0, 0]], "Y": Y} for Y in _DIVERGING] if complex_ else _DIVERGING
+        code, out = run_cli(json.dumps({"cmd": "degenerate", "complex": complex_,
+                                        "params": [0.1, 0.01, 0.001, 0.0001], "matrices": mats}))
+        assert code == 0 and json.loads(out)["t"] == 1
+        # four samples, then the core of the limit
+        assert len(factored) == 5
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("small_first", [False, True], ids=["large_first", "small_first"])
+    def test_samples_of_different_sizes_are_bad_input(self, run_cli, complex_, small_first):
+        mats = [[[2, 0], [0, 2]], [[2]], [[2, 0], [0, 2]]]
+        if small_first:
+            mats[:2] = mats[1::-1]
+        if complex_:
+            mats = [{"X": [[0] * len(Y)] * len(Y), "Y": Y} for Y in mats]
+        code, out = run_cli(json.dumps({"cmd": "degenerate", "complex": complex_,
+                                        "params": [0.1, 0.01, 0.001], "matrices": mats}))
+        assert code == 2
+        assert json.loads(out) == {"status": "error",
+                                   "error": "all samples must have the same shape"}
 
 
 def _theta_requests() -> list[str]:

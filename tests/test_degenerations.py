@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from realtori import spdcone
 from realtori.degenerations import (
     FamilySample,
     detect_divergence,
@@ -87,6 +88,40 @@ class TestDetectDivergence:
         assert report.status == "undecided"
         assert report.verdicts == ["convergent", "convergent"]
         assert report.detail == "unit-triangular factor is not settling"
+
+    @pytest.mark.parametrize("complex_family", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("small_first", [False, True], ids=["large_first", "small_first"])
+    def test_samples_of_different_sizes_are_refused(self, complex_family, small_first,
+                                                    monkeypatch):
+        def refuse(Y):
+            pytest.fail("a sample was factored")
+
+        monkeypatch.setattr(spdcone, "_spd_factor", refuse)
+        mats = [2.0 * np.eye(2), 2.0 * np.eye(1), 2.0 * np.eye(2)]
+        if small_first:
+            mats[:2] = mats[1::-1]
+        if complex_family:
+            mats = [0.5 + 1j * M for M in mats]
+        with pytest.raises(ValueError, match="same shape"):
+            FamilySample(params=PARAMS[:3], matrices=mats)
+
+    @pytest.mark.parametrize("complex_family", [False, True], ids=["real", "complex"])
+    def test_each_sample_is_factored_once(self, complex_family, monkeypatch):
+        factored = []
+        spd_factor = spdcone._spd_factor
+
+        def counting(Y):
+            factored.append(1)
+            return spd_factor(Y)
+
+        monkeypatch.setattr(spdcone, "_spd_factor", counting)
+        rng = np.random.default_rng(4)
+        X = np.array([[0.5, 0.25], [0.25, 0.0]]) if complex_family else None
+        sample = family(unit_upper(2, rng), degenerating(2, 1, rng), X)
+        report = detect_divergence(sample, complex_family=complex_family)
+        limit_matrix(sample, report.t, complex_family=complex_family)
+        detect_divergence(sample, complex_family=complex_family)
+        assert len(factored) == len(PARAMS)
 
     def test_needs_three_samples(self):
         with pytest.raises(ValueError, match="three samples"):

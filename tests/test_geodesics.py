@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from realtori import geodesics
 from realtori.geodesics import MinkowskiEuclidPoint, distance, metric_value
 from realtori.spdcone import random_spd
 
@@ -88,3 +90,37 @@ class TestDistance:
         p1 = MinkowskiEuclidPoint(Y=np.eye(2), V=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             distance(p0, p1)
+
+
+class TestQuadratureRules:
+    @pytest.mark.parametrize("nodes", [8, 16, 32, 64, 128, 256])
+    def test_cached_rule_is_leggauss_on_the_unit_interval(self, nodes):
+        xm, wts = geodesics._gauss_legendre_rule(nodes)
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        assert xm.tobytes() == (0.5 * (x + 1.0)).tobytes()
+        assert wts.tobytes() == w.tobytes()
+        assert not xm.flags.writeable and not wts.flags.writeable
+        with pytest.raises(ValueError):
+            xm[0] = 0.0
+
+    def test_each_rule_is_built_once(self, monkeypatch):
+        built = Counter()
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(nodes):
+            built[nodes] += 1
+            return leggauss(nodes)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        geodesics._gauss_legendre_rule.cache_clear()
+        rng = np.random.default_rng(25)
+        p0, p1 = random_pair(rng, 2, 1)
+        # the path length is about 3e13 and never settles: every rule is tried
+        far0 = MinkowskiEuclidPoint(Y=[[1.0]], V=[[0.0]])
+        far1 = MinkowskiEuclidPoint(Y=[[1e-30]], V=[[1.0]])
+        for _ in range(3):
+            assert distance(p0, p1) == distance(p0, p1)
+            with pytest.raises(ValueError, match="did not settle"):
+                distance(far0, far1)
+        assert sorted(built) == [8, 16, 32, 64, 128, 256]
+        assert set(built.values()) == {1}
