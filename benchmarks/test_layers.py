@@ -4,6 +4,8 @@ polarized tori and of real ppavs, exact determinant and inverse, Smith
 normal form, coboundary witnesses, theta summation, theta, distance and
 degenerate requests and the JSON decode/encode round trip, and of the CLI
 end to end (in process) on the golden batch of ``tests/golden/cli_in.json``.
+The JSON round trip is timed on four kinds of payload: real forms, exact
+rationals, integer symplectic matrices and half-space points.
 
 Run from the root of a checkout (not part of the tier-1 tests):
 
@@ -341,17 +343,47 @@ def test_require_spd(benchmark, g):
     benchmark(lambda: [require_spd(Y) for Y in forms])
 
 
-def test_json_round_trip(benchmark):
-    """Decode 50 g = 4 ``reduce`` requests and encode their matrices back."""
-    texts = [json.dumps({"cmd": "reduce", "Y": _form(4, 10.0, seed).tolist()})
-             for seed in range(50)]
+def _round_trip_request(kind: str, seed: int) -> dict:
+    """One request of ``test_json_round_trip``: a g = 4 ``reduce`` form, an
+    ``ext-normal`` datum of three 3 x 3 "p/q" matrices, an 8 x 8 integer
+    symplectic ``coboundary`` gamma, or a g = 3 half-space point."""
+    rng = np.random.default_rng(1500 + seed)
+    if kind == "real":
+        return {"cmd": "reduce", "Y": _form(4, 10.0, seed).tolist()}
+    if kind == "rational":
+        def fractions():
+            p, q = rng.integers(-9, 10, size=(3, 3)), rng.integers(1, 10, size=(3, 3))
+            return [[f"{a}/{b}" for a, b in zip(*rows)] for rows in zip(p.tolist(), q.tolist())]
+        return {"cmd": "ext-normal", "Pi1": fractions(), "Pi2": fractions(),
+                "sigma": fractions()}
+    if kind == "integer":
+        return {"cmd": "coboundary", "gamma": random_symplectic(4, rng, length=6).tolist()}
+    X = rng.uniform(-0.5, 0.5, size=(3, 3))
+    return {"cmd": "act", "kind": "sp", "M": np.eye(6).tolist(),
+            "Omega": {"X": (X + X.T).tolist(), "Y": _form(3, 10.0, seed).tolist()}}
+
+
+# each request kind's fields, decoded and encoded back as the handlers do
+ROUND_TRIP = {
+    "real": lambda p: {"R": cli.encode_matrix(cli.decode_matrix(p["Y"], "real", square=True))},
+    "rational": lambda p: {key: cli.encode_matrix(cli.decode_matrix(p[key], "rational"))
+                           for key in ("Pi1", "Pi2", "sigma")},
+    "integer": lambda p: {"witness": cli.encode_matrix(
+        cli.decode_matrix(p["gamma"], "int", square=True))},
+    "siegel": lambda p: {"Omega": cli.encode_siegel(cli.decode_siegel(p["Omega"]))},
+}
+
+
+@pytest.mark.parametrize("kind", list(ROUND_TRIP))
+def test_json_round_trip(benchmark, kind):
+    """Decode 50 requests of one kind and encode their matrices back."""
+    texts = [json.dumps(_round_trip_request(kind, seed)) for seed in range(50)]
 
     def round_trip():
         out = []
         for text in texts:
             _, payload = cli.parse_request(text)
-            Y = cli.decode_matrix(payload["Y"], "real", square=True)
-            out.append(cli.canonical_json({"status": "ok", "R": cli.encode_matrix(Y)}))
+            out.append(cli.canonical_json({"status": "ok", **ROUND_TRIP[kind](payload)}))
         return out
 
     benchmark(round_trip)

@@ -15,6 +15,15 @@ are {"X":..., "Y":...}.  Exit codes: 0 ok, 1 internal error, 2 bad input,
 that overflows.  Output bytes are a pure function of the input: fixed key
 order and 17-significant-digit floats.
 
+Each field is decoded once, by its kind.  A real field takes a number or
+a numeric string such as "3/4"; an integer field an integer or a float
+with an integral value; a rational field an integer or a "p/q" string; a
+complex field a number, a decimal string or {"re":..., "im":...} (a
+missing part is 0).  A boolean is refused in every numeric field and
+numeric option: JSON true and false are not 1 and 0.  The ``ext-*``
+commands take rational matrices when each of their three matrices holds a
+string or only integral numbers, and complex matrices otherwise.
+
 A JSON array of requests is a batch: the output is an array with one entry
 per item, in order.  An item that fails gets its own entry
 {"status":"error","error":"<msg>"} ("internal: <msg>" for an internal error)
@@ -31,6 +40,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -70,46 +80,59 @@ class InputError(Exception):
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise InputError("result is not finite: a value overflows")
-    if x == int(x) and abs(x) < 1e16:
+    if x.is_integer() and abs(x) < 1e16:
         return format(x, ".1f")
     return format(x, ".17g")
 
 
 def canonical_json(obj) -> str:
     out: list[str] = []
+    append = out.append
 
     def emit(o):
-        if o is None:
-            out.append("null")
+        # the exact types of decoded JSON and of tolist() first; subclasses,
+        # numpy scalars and arrays, complex numbers and Fractions after them
+        t = type(o)
+        if t is float:
+            append(_fmt_float(o))
+        elif t is list or t is tuple:
+            append("[")
+            for i, v in enumerate(o):
+                if i:
+                    append(",")
+                emit(v)
+            append("]")
+        elif t is dict:
+            append("{")
+            for i, (k, v) in enumerate(o.items()):
+                if i:
+                    append(",")
+                append(_quote(str(k)))
+                append(":")
+                emit(v)
+            append("}")
+        elif t is str:
+            append(_quote(o))
+        elif t is int:
+            append(str(o))
+        elif o is None:
+            append("null")
         elif isinstance(o, bool):
-            out.append("true" if o else "false")
+            append("true" if o else "false")
         elif isinstance(o, (int, np.integer)):
-            out.append(str(int(o)))
+            append(str(int(o)))
         elif isinstance(o, (float, np.floating)):
-            out.append(_fmt_float(float(o)))
+            append(_fmt_float(float(o)))
         elif isinstance(o, (complex, np.complexfloating)):
             emit({"re": float(o.real), "im": float(o.imag)})
         elif isinstance(o, Fraction):
-            out.append(json.dumps(f"{o.numerator}/{o.denominator}"))
+            append(_quote(f"{o.numerator}/{o.denominator}"))
         elif isinstance(o, str):
-            out.append(json.dumps(o))
+            append(_quote(o))
         elif isinstance(o, dict):
-            out.append("{")
-            for i, (k, v) in enumerate(o.items()):
-                if i:
-                    out.append(",")
-                out.append(json.dumps(str(k)))
-                out.append(":")
-                emit(v)
-            out.append("}")
+            emit(dict(o))
         elif isinstance(o, (list, tuple, np.ndarray)):
-            seq = o.tolist() if isinstance(o, np.ndarray) else list(o)
-            out.append("[")
-            for i, v in enumerate(seq):
-                if i:
-                    out.append(",")
-                emit(v)
-            out.append("]")
+            emit(list(o.tolist() if isinstance(o, np.ndarray) else o))
         else:
             raise ValueError(f"cannot serialize {type(o).__name__}")
 
@@ -128,6 +151,13 @@ def _need(payload: dict, key: str):
 
 
 def _decode_scalar(v, kind: str):
+    t = type(v)
+    if t is float and kind == "real" and math.isfinite(v):
+        return v
+    if t is int and kind == "int":
+        return v
+    if t is bool and kind in ("real", "complex"):
+        raise InputError(f"bad {kind} value {v!r}: a boolean is not a number")
     try:
         if kind == "int":
             if isinstance(v, float) and not math.isfinite(v):
@@ -138,8 +168,12 @@ def _decode_scalar(v, kind: str):
         if kind == "real":
             x = float(Fraction(v)) if isinstance(v, str) else float(v)
         elif kind == "complex":
-            x = complex(float(v.get("re", 0.0)), float(v.get("im", 0.0))) \
-                if isinstance(v, dict) else complex(float(v))
+            if not isinstance(v, dict):
+                x = complex(float(v))
+            elif isinstance(v.get("re"), bool) or isinstance(v.get("im"), bool):
+                raise InputError(f"bad complex value {v!r}: a boolean is not a number")
+            else:
+                x = complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
         elif kind == "rational":
             if isinstance(v, str):
                 return Fraction(v)
@@ -249,6 +283,8 @@ def _opt_float(payload: dict, key: str, default: float) -> float:
     v = payload.get(key)
     if v is None:
         return default
+    if isinstance(v, bool):
+        raise InputError(f"option {key} must be a number")
     try:
         x = float(v)
     except (TypeError, ValueError) as exc:

@@ -14,14 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from .exactlinalg import (
+    _symplectic_form,
     int_matrix,
     is_symplectic,
     kernel_basis,
-    symplectic_form,
     symplectic_inverse,
     unimodular_inverse,
 )
-from .siegel import sp_act, tau_group
+from .siegel import _tau, sp_act
 
 __all__ = [
     "is_cocycle",
@@ -39,7 +39,7 @@ def is_cocycle(gamma) -> bool:
     M = np.asarray(gamma)
     if not is_symplectic(M):
         raise ValueError("matrix is not symplectic")
-    P = M @ tau_group(M)
+    P = M @ _tau(M)
     I = np.eye(P.shape[0], dtype=int)
     if _is_exact(M):
         return bool(np.all(P == I))
@@ -68,9 +68,10 @@ def coboundary_witness(gamma) -> np.ndarray | None:
     sigma[:, g:] = -sigma[:, g:]
     plus = kernel_basis(sigma - eye)
     minus = kernel_basis(sigma + eye)
-    P = plus.T @ symplectic_form(g) @ minus
+    P = plus.T @ _symplectic_form(g) @ minus
     k = np.concatenate([plus, minus @ unimodular_inverse(P)], axis=1)
-    h = tau_group(k)
+    h = _tau(k)
+    # symplectic_inverse checks that h, and so k, is symplectic
     if not np.array_equal(k @ symplectic_inverse(h), gamma):  # k = tau(h)
         raise AssertionError("witness verification failed")
     return h

@@ -11,6 +11,7 @@ kernels and unimodular completions.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,19 +43,17 @@ def int_matrix(data) -> np.ndarray:
     arr = np.array(data, dtype=object)
     if arr.ndim != 2:
         raise ValueError("integer matrix must be two-dimensional")
-    out = np.empty(arr.shape, dtype=object)
-    for idx, val in np.ndenumerate(arr):
-        if isinstance(val, (bool, np.bool_)):
-            out[idx] = int(val)
-        elif isinstance(val, (int, np.integer)):
-            out[idx] = int(val)
-        elif isinstance(val, float) and float(val).is_integer():
-            out[idx] = int(val)
-        elif isinstance(val, Fraction) and val.denominator == 1:
-            out[idx] = int(val)
-        else:
-            raise ValueError(f"entry {val!r} at {idx} is not an exact integer")
-    return out
+    for i, row in enumerate(arr.tolist()):
+        for j, val in enumerate(row):
+            if type(val) is int:
+                continue
+            if (isinstance(val, (int, np.integer, np.bool_))
+                    or isinstance(val, float) and val.is_integer()
+                    or isinstance(val, Fraction) and val.denominator == 1):
+                arr[i, j] = int(val)
+            else:
+                raise ValueError(f"entry {val!r} at {(i, j)} is not an exact integer")
+    return arr
 
 
 def rat_matrix(data) -> np.ndarray:
@@ -62,10 +61,11 @@ def rat_matrix(data) -> np.ndarray:
     arr = np.array(data, dtype=object)
     if arr.ndim != 2:
         raise ValueError("rational matrix must be two-dimensional")
-    out = np.empty(arr.shape, dtype=object)
-    for idx, val in np.ndenumerate(arr):
-        out[idx] = Fraction(val)
-    return out
+    for i, row in enumerate(arr.tolist()):
+        for j, val in enumerate(row):
+            if type(val) is not Fraction:
+                arr[i, j] = Fraction(val)
+    return arr
 
 
 def _as_exact(M) -> np.ndarray:
@@ -154,9 +154,16 @@ def unimodular_inverse(A) -> np.ndarray:
 
 def symplectic_form(g: int) -> np.ndarray:
     """The standard alternating form (0, I_g; -I_g, 0) as an exact matrix."""
+    return _symplectic_form(g).copy()
+
+
+@lru_cache(maxsize=8)
+def _symplectic_form(g: int) -> np.ndarray:
+    # symplectic_form, built on first use of each size and shared read-only
     J = np.zeros((2 * g, 2 * g), dtype=object)
     J[:g, g:] = np.eye(g, dtype=object)
     J[g:, :g] = -np.eye(g, dtype=object)
+    J.flags.writeable = False
     return J
 
 
@@ -171,18 +178,17 @@ def is_symplectic(M, tol: float | None = None) -> bool:
         raise ValueError("symplectic test requires a square matrix")
     if n % 2 != 0:
         raise ValueError("symplectic matrices have even dimension")
-    g = n // 2
+    J = _symplectic_form(n // 2)
     exact = M.dtype == object or np.issubdtype(M.dtype, np.integer)
     if tol is None:
         tol = 0.0 if exact else 1e-10
     if exact and tol == 0.0:
         Me = _as_exact(M)
-        J = symplectic_form(g)
         R = Me.T @ J @ Me - J
         return all(v == 0 for v in R.flat)
     Mf = M.astype(float)
-    J = symplectic_form(g).astype(float)
-    return float(np.max(np.abs(Mf.T @ J @ Mf - J))) <= tol
+    Jf = J.astype(float)
+    return float(np.max(np.abs(Mf.T @ Jf @ Mf - Jf))) <= tol
 
 
 def symplectic_inverse(M) -> np.ndarray:
@@ -216,7 +222,12 @@ def gf2_matrix(data, symmetric: bool = False) -> np.ndarray:
 
 def gf2_rank(N) -> int:
     """Rank over GF(2): elimination on the rows held as bit masks."""
-    rows = [sum(1 << c for c, v in enumerate(row) if v) for row in gf2_matrix(N).tolist()]
+    return _gf2_rank(gf2_matrix(N))
+
+
+def _gf2_rank(N: np.ndarray) -> int:
+    # gf2_rank of a matrix gf2_matrix has built
+    rows = [sum(1 << c for c, v in enumerate(row) if v) for row in N.tolist()]
     rank = 0
     while rows:
         pivot = rows.pop()

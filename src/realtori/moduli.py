@@ -16,11 +16,11 @@ import numpy as np
 
 from .exactlinalg import (
     _det_rows,
+    _gf2_rank,
+    _symplectic_form,
     gf2_matrix,
-    gf2_rank,
     int_matrix,
     is_unimodular,
-    symplectic_form,
     unimodular_inverse,
 )
 from .siegel import _half_integral, require_siegel
@@ -71,10 +71,13 @@ class ModuliInvariant:
 
 def mod2_invariants(N) -> ModuliInvariant:
     """Invariants of a symmetric GF(2) matrix: rank and product of (1 - n_kk)."""
-    N = gf2_matrix(N, symmetric=True)
-    lam = gf2_rank(N)
+    return _mod2_invariants(gf2_matrix(N, symmetric=True))
+
+
+def _mod2_invariants(N: np.ndarray) -> ModuliInvariant:
+    # mod2_invariants of a matrix gf2_matrix has built and checked symmetric
     parity = 1 if not np.any(np.diag(N)) else 0
-    return ModuliInvariant(lam=lam, i=parity)
+    return ModuliInvariant(lam=_gf2_rank(N), i=parity)
 
 
 def _anti_identity(lam: int) -> np.ndarray:
@@ -187,7 +190,7 @@ def mod2_standard_form(N) -> tuple[np.ndarray, np.ndarray]:
         diag_ones += 2
         pairs -= 1
 
-    inv = mod2_invariants(N0)
+    inv = _mod2_invariants(N0)
     if inv.i == 1 and pairs > 0:
         # permute adjacent pairs (2m, 2m+1) into the anti-diagonal layout
         lam = 2 * pairs
@@ -265,7 +268,7 @@ def sigma_M_matrix(M) -> np.ndarray:
     top = np.concatenate([-M, I], axis=1)
     bot = np.concatenate([-(I + M @ M), M], axis=1)
     S = np.concatenate([top, bot], axis=0)
-    J = symplectic_form(g)
+    J = _symplectic_form(g)
     if any(v != 0 for v in (S.T @ J @ S - J).flat):
         raise AssertionError("involution matrix is not symplectic")
     if not np.all(S @ (-S) == np.eye(2 * g, dtype=int)):
@@ -305,7 +308,7 @@ def real_structure_matrix(omega, tol: float = 1e-9) -> np.ndarray:
     Ms[:g, :g] = -np.eye(g, dtype=object)
     Ms[g:, g:] = np.eye(g, dtype=object)
     Ms[g:, :g] = twoX
-    J = symplectic_form(g)
+    J = _symplectic_form(g)
     if any(v != 0 for v in (Ms.T @ J @ Ms + J).flat):
         raise AssertionError("real-structure matrix failed the anti-symplectic identity")
     return Ms

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactlinalg import (
+    _symplectic_form,
     int_matrix,
     is_symplectic,
     is_unimodular,
     random_unimodular,
-    symplectic_form,
     unimodular_inverse,
 )
 from .spdcone import _symmetric, require_spd
@@ -87,6 +87,11 @@ def tau_group(x) -> np.ndarray:
     x = np.asarray(x)
     if not is_symplectic(x):
         raise ValueError("matrix is not symplectic")
+    return _tau(x)
+
+
+def _tau(x: np.ndarray) -> np.ndarray:
+    # tau_group of a matrix known to be symplectic
     g = x.shape[0] // 2
     out = x.copy()
     out[:g, g:] = -out[:g, g:]
@@ -317,7 +322,7 @@ def random_symplectic(g: int, rng: np.random.Generator, length: int = 6,
     (I, B; 0, I), diag(A, tA^-1), and the standard form J."""
     n = 2 * g
     M = np.eye(n, dtype=object)
-    J = symplectic_form(g)
+    J = _symplectic_form(g)
     for _ in range(length):
         kind = int(rng.integers(0, 3))
         if kind == 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +49,8 @@ _ROUNDING = 2.0 ** -52
 _TIE = 1e-12
 # descent steps after which minkowski_reduce gives up as on a broken invariant
 _DESCENT_STEPS = 1000
+# the largest entry of a matrix that can be symmetrized without overflow
+_HALF_MAX = sys.float_info.max / 2
 
 
 def _symmetric(M, name: str, dtype=float) -> np.ndarray:
@@ -60,6 +63,9 @@ def _symmetric(M, name: str, dtype=float) -> np.ndarray:
     # false for NaN and inf alike, before M - tM could turn inf into NaN
     if not size < math.inf:
         raise ValueError(f"{name} must have finite entries")
+    # M - tM and M + tM below cannot overflow
+    if size > _HALF_MAX:
+        raise ValueError(f"{name} must have entries of magnitude at most {_HALF_MAX:.4g}")
     if float(abs(M - M.T).max()) > 1e-9 * max(1.0, size):
         raise ValueError(f"{name} must be symmetric")
     return 0.5 * (M + M.T)

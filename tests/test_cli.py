@@ -1,15 +1,17 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from realtori import cli, siegel, spdcone, theta
+from realtori import cli, cohomology, exactlinalg, moduli, siegel, spdcone, theta
 
 INVARIANTS = '{"cmd":"invariants","g":2}'
 NOT_SPD = '{"cmd":"reduce","Y":[[1,2],[2,1]]}'
@@ -101,6 +103,70 @@ class TestSingleRequest:
         assert code == 2
         err = json.loads(out)
         assert err["status"] == "error" and err["error"].startswith("invalid JSON")
+
+
+# one value per branch of the encoder, each with the bytes it has always had
+CANONICAL = {
+    "numpy float": (np.float64(0.1), '0.10000000000000001'),
+    "numpy float32": (np.float32(0.1), '0.10000000149011612'),
+    "numpy int": (np.int64(-7), '-7'),
+    "numpy complex": (np.complex128(1.5 - 2j), '{"re":1.5,"im":-2.0}'),
+    "complex": (complex(0.25, -0.0), '{"re":0.25,"im":-0.0}'),
+    "negative zero": (-0.0, '-0.0'),
+    "below 1e16": (1e16 - 2, '9999999999999998.0'),
+    "1e16": (1e16, '10000000000000000'),
+    "above 1e16": (1e16 + 2, '10000000000000002'),
+    "int 2**53": (2 ** 53, '9007199254740992'),
+    "float 2**53": (float(2 ** 53), '9007199254740992.0'),
+    "object ints above 2**63": (np.array([[2 ** 64, -(2 ** 70)], [0, 1]], dtype=object),
+                                '[[18446744073709551616,-1180591620717411303424],[0,1]]'),
+    "float array": (np.array([[1.0, 0.5], [-3.0, 1e-300]]), '[[1.0,0.5],[-3.0,1e-300]]'),
+    "Fraction": ([Fraction(-3, 4), Fraction(5)], '["-3/4","5/1"]'),
+    "tuple": ((1, 2.0, "a", (None,)), '[1,2.0,"a",[null]]'),
+    "nested dict": ({"a": {"b": [None, True, False]}, 3: "\u00e9\n"},
+                    '{"a":{"b":[null,true,false]},"3":"\\u00e9\\n"}'),
+}
+
+
+class TestCanonicalJson:
+    @pytest.mark.parametrize("case", list(CANONICAL))
+    def test_bytes(self, case):
+        value, expected = CANONICAL[case]
+        assert cli.canonical_json(value) == expected
+
+    @pytest.mark.parametrize("value", [math.nan, np.float64("inf"), complex(math.inf, 0),
+                                       [1.0, -math.inf]], ids=["nan", "numpy inf",
+                                                               "complex inf", "in a list"])
+    def test_non_finite_output_is_refused(self, value):
+        with pytest.raises(cli.InputError, match="result is not finite: a value overflows"):
+            cli.canonical_json(value)
+
+    @pytest.mark.parametrize("value", [np.True_, object()], ids=["numpy bool", "object"])
+    def test_unknown_type_is_refused(self, value):
+        with pytest.raises(ValueError, match="cannot serialize"):
+            cli.canonical_json(value)
+
+
+class TestBooleans:
+    """JSON true and false are not numbers in a numeric field or option."""
+
+    @pytest.mark.parametrize("text, error", [
+        ('{"cmd":"reduce","Y":[[true,0],[0,1]]}', "bad real value True: a boolean is not a number"),
+        ('{"cmd":"theta","Y":[[1]],"v":[false]}', "bad real value False: a boolean is not a number"),
+        ('{"cmd":"geodesic","k":[[1]],"lambdas":[1],"Z":[[0]],"t":true}',
+         "bad real value True: a boolean is not a number"),
+        ('{"cmd":"cayley","direction":"to_halfspace","W":[[false]]}',
+         "bad complex value False: a boolean is not a number"),
+        ('{"cmd":"factor","kind":"J_H_alpha","Y":[[1]],"lam":[1,0],"arg":[{"re":0,"im":true}]}',
+         "bad complex value {'re': 0, 'im': True}: a boolean is not a number"),
+        ('{"cmd":"equiv","Y1":[[1]],"Y2":[[1]],"tol":true}', "option tol must be a number"),
+        ('{"cmd":"theta","Y":[[1]],"v":[0.1],"eps":false}', "option eps must be a number"),
+        ('{"cmd":"cocycle","gamma":[[true,0],[0,1]]}', "expected integer, got True"),
+    ])
+    def test_refused(self, run_cli, text, error):
+        code, out = run_cli(text)
+        assert code == 2
+        assert json.loads(out) == {"status": "error", "error": error}
 
 
 class TestUnreducibleForm:
@@ -226,6 +292,21 @@ class TestNonFiniteNumbers:
         assert json.loads(captured.out) == {"status": "error",
                                             "error": "result is not finite: a value overflows"}
         assert captured.err.splitlines() == ["input error: result is not finite: a value overflows"]
+
+    @pytest.mark.parametrize("text", [
+        '{"cmd":"distance","Y0":[[1,0],[0,1e308]],"V0":[[0,0]],"Y1":[[1,0],[0,1]],"V1":[[0,0]]}',
+        '{"cmd":"reduce","Y":[[1e308,0],[0,1]]}',
+    ])
+    def test_entries_too_large_to_symmetrize_are_bad_input(self, text, tmp_path, capsys):
+        # finite, but M + tM overflows; refused in this process, where a numpy
+        # RuntimeWarning is an error
+        src = tmp_path / "in.json"
+        src.write_text(text, encoding="utf-8")
+        assert cli.main(["--input", str(src)]) == 2
+        captured = capsys.readouterr()
+        error = "SPD matrix must have entries of magnitude at most 8.988e+307"
+        assert json.loads(captured.out) == {"status": "error", "error": error}
+        assert captured.err.splitlines() == [f"input error: {error}"]
 
     def test_unsettled_distance_is_refused_at_once(self, tmp_path):
         # the path length is about 3e13, so the quadrature's absolute
@@ -404,31 +485,50 @@ class TestBatchIsolation:
 _DIVERGING = [[[1 + xi, 0], [0, 1.5 / xi ** 2]] for xi in (0.1, 0.01, 0.001, 0.0001)]
 
 
-def _counting(monkeypatch, module, name) -> list:
-    """Record each call of ``module.name`` in the returned list."""
+def _counting(monkeypatch, name, *modules) -> list:
+    """Record each call of ``name`` through any of ``modules`` in the
+    returned list; each module keeps its own binding."""
     calls = []
-    fn = getattr(module, name)
+    for module in modules:
+        fn = getattr(module, name)
 
-    def counting(*args):
-        calls.append(1)
-        return fn(*args)
+        def counting(*args, fn=fn, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
 class TestWorkDoneOnce:
-    """Each input is validated, and each family sample factored, once."""
+    """Each input is validated, and each family sample factored, once; each
+    GF(2) matrix is built, and each symplectic matrix checked, once per
+    public call."""
+
+    def test_classify_mod2_converts_to_gf2_twice(self, run_cli, monkeypatch):
+        converted = _counting(monkeypatch, "gf2_matrix", exactlinalg, moduli)
+        code, out = run_cli('{"cmd":"classify-mod2","N":[[0,1,0],[1,0,0],[0,0,1]]}')
+        assert code == 0 and json.loads(out)["lambda"] == 3
+        # mod2_standard_form, then mod2_invariants
+        assert len(converted) == 2
+
+    @pytest.mark.parametrize("cmd, checks", [("cocycle", 1), ("coboundary", 2)])
+    def test_symplectic_checks(self, run_cli, monkeypatch, cmd, checks):
+        checked = _counting(monkeypatch, "is_symplectic", exactlinalg, siegel, cohomology)
+        code, out = run_cli(json.dumps({"cmd": cmd, "gamma": [[1, 2], [0, 1]]}))
+        assert code == 0 and json.loads(out)["status"] == "ok"
+        # gamma in is_cocycle, then the witness in symplectic_inverse
+        assert len(checked) == checks
 
     def test_distance_validates_each_point_once(self, run_cli, monkeypatch):
-        factored = _counting(monkeypatch, spdcone, "_spd_factor")
+        factored = _counting(monkeypatch, "_spd_factor", spdcone)
         code, out = run_cli('{"cmd":"distance","Y0":[[2,1],[1,2]],"V0":[[0,1]],'
                             '"Y1":[[1,0],[0,3]],"V1":[[1,0]]}')
         assert code == 0 and json.loads(out)["status"] == "ok"
         assert len(factored) == 2
 
     def test_jacobi_act_validates_omega_once(self, run_cli, monkeypatch):
-        validated = _counting(monkeypatch, siegel, "require_siegel")
+        validated = _counting(monkeypatch, "require_siegel", siegel)
         code, out = run_cli('{"cmd":"jacobi-act","M":[[-1,1],[-1,0]],"lam":[[-0.4]],'
                             '"mu":[[0.9]],"kappa":[[-0.2]],"Omega":{"X":[[0.05]],"Y":[[0.84]]},'
                             '"Z":[[{"re":-0.6,"im":-1.4}]]}')
@@ -438,7 +538,7 @@ class TestWorkDoneOnce:
 
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     def test_degenerate_factors_each_sample_once(self, run_cli, monkeypatch, complex_):
-        factored = _counting(monkeypatch, spdcone, "_spd_factor")
+        factored = _counting(monkeypatch, "_spd_factor", spdcone)
         mats = [{"X": [[0.5, 0], [0, 0]], "Y": Y} for Y in _DIVERGING] if complex_ else _DIVERGING
         code, out = run_cli(json.dumps({"cmd": "degenerate", "complex": complex_,
                                         "params": [0.1, 0.01, 0.001, 0.0001], "matrices": mats}))

@@ -1,3 +1,5 @@
+import re
+from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 
@@ -16,6 +18,7 @@ from realtori.exactlinalg import (
     is_symplectic,
     is_unimodular,
     random_unimodular,
+    rat_matrix,
     smith_normal_form,
     symplectic_form,
     symplectic_inverse,
@@ -155,6 +158,13 @@ class TestSymplectic:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
             is_symplectic(np.eye(3))
+
+    def test_form_is_a_fresh_writable_array(self):
+        J = symplectic_form(2)
+        J[0, 2] = 7
+        again = symplectic_form(2)
+        assert again is not J and again.flags.writeable
+        assert again[0, 2] == 1 and is_symplectic(again)
 
     def test_inverse_blocks(self):
         J = symplectic_form(2)
@@ -366,6 +376,35 @@ class TestExactEntries:
     def test_symplectic_form(self):
         for g in range(1, 5):
             assert self.all_int(symplectic_form(g))
+
+    @pytest.mark.parametrize("data", [
+        [[np.int64(3), True], [2.0, Fraction(-4)]],
+        np.array([[3, 1], [2, -4]]),
+        np.array([[3.0, 1.0], [2.0, -4.0]]),
+        np.array([[3, 1], [2, -4]], dtype=object),
+    ], ids=["mixed", "int64", "float", "object"])
+    def test_int_matrix(self, data):
+        M = int_matrix(data)
+        assert self.all_int(M) and M.tolist() == [[3, 1], [2, -4]]
+        M[0, 0] = 5
+        assert np.asarray(data, dtype=object)[0, 0] == 3
+
+    @pytest.mark.parametrize("data, error", [
+        ([[1, 0.5]], "entry 0.5 at (0, 1) is not an exact integer"),
+        ([[1], [Fraction(1, 3)]], "entry Fraction(1, 3) at (1, 0) is not an exact integer"),
+        ([[1, "2"]], "entry '2' at (0, 1) is not an exact integer"),
+        ([1, 2], "integer matrix must be two-dimensional"),
+    ])
+    def test_int_matrix_refuses(self, data, error):
+        with pytest.raises(ValueError, match=re.escape(error)):
+            int_matrix(data)
+
+    def test_rat_matrix(self):
+        M = rat_matrix([["1/2", 3], [Fraction(2, 4), True]])
+        assert all(type(v) is Fraction for v in M.flat)
+        assert M.tolist() == [[Fraction(1, 2), 3], [Fraction(1, 2), 1]]
+        with pytest.raises(ValueError, match="rational matrix must be two-dimensional"):
+            rat_matrix(["1/2"])
 
     def test_random_symplectic(self):
         from realtori.siegel import random_symplectic

@@ -97,6 +97,21 @@ class TestSharedChecks:
         with pytest.raises(ValueError, match=re.escape(f"{name} must have finite entries")):
             call(np.array([[bad, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("site", ["require_spd", "jacobi_decomposition",
+                                      "quadratic_short_vectors", "metric_norm",
+                                      "require_siegel", "sp_act", "is_polarized_symmetric"])
+    def test_entries_too_large_to_symmetrize_are_refused(self, site):
+        # M + tM would overflow; refused without a RuntimeWarning, which is
+        # an error under this suite's settings
+        name, call = _CHECKED_INPUTS[site]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must have entries of magnitude at most 8.988e+307")):
+            call(np.array([[1e308, 0.0], [0.0, 1.0]]))
+
+    def test_entries_up_to_half_the_largest_float_are_accepted(self):
+        Y = np.array([[8.98e307, -8.98e307], [-8.98e307, 8.985e307]])
+        assert require_spd(Y).tobytes() == Y.tobytes()
+
     @pytest.mark.parametrize("omega", [1e290j, -1e290 + 1j])
     def test_sp_act_refuses_an_image_that_overflows(self, omega):
         # diag(1e10, 1e-10) is symplectic and sends omega to 1e20 omega
