@@ -168,7 +168,7 @@ def test_polarized_tori_equivalent(benchmark, g):
     assert [v is Verdict.EQUIVALENT for v in verdicts] == [e for _, _, e in pairs]
 
 
-@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("g", [2, 3, 4])
 def test_real_ppav_equivalent(benchmark, g):
     """The pairs of ``test_polarized_tori_equivalent`` as imaginary parts,
     with real parts M / 2 and A M tA / 2 + K for a random symmetric 0-1

@@ -539,13 +539,13 @@ def _cmd_degenerate(payload: dict) -> dict:
             else decode_siegel(m) if isinstance(m, dict) else decode_matrix(m, "complex", square=True)
             for m in _need(payload, "matrices")]
     sample = degenerations.FamilySample(params=params, matrices=mats)
-    report = degenerations.detect_divergence(sample, complex_family=complex_family)
+    report = degenerations.detect_divergence(sample)
     out = {"status": report.status, "verdicts": list(report.verdicts)}
     if report.status != "ok":
         out["detail"] = report.detail
         return out
     out["t"] = report.t
-    limit = degenerations.limit_matrix(sample, report.t, complex_family=complex_family)
+    limit = degenerations.limit_matrix(sample, report.t)
     if complex_family:
         core, rows = degenerations.semi_abelian_limit(limit, report.t)
         out["Z0"] = encode_matrix(limit)

@@ -33,7 +33,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FamilySample:
-    """Samples of a matrix family along strictly decreasing positive parameters."""
+    """Samples of a matrix family along strictly decreasing positive parameters;
+    the family is complex (Siegel half-space points) when any sample is."""
 
     params: np.ndarray
     matrices: list
@@ -47,17 +48,17 @@ class FamilySample:
         if len({np.shape(M) for M in self.matrices}) > 1:
             raise ValueError("all samples must have the same shape")
         object.__setattr__(self, "params", params)
+        object.__setattr__(self, "_complex", any(np.iscomplexobj(M) for M in self.matrices))
 
-    # the Jacobi factors of each sample, built on first read; jacobi_decomposition
-    # validates a real sample, and with _symmetric a half-space one as require_siegel does
+    # the Jacobi factors of each sample (of Im Z for a complex family), built on
+    # first read; jacobi_decomposition validates a real sample, and with
+    # _symmetric a half-space one as require_siegel does
     @cached_property
-    def _real_factors(self) -> list[JacobiFactors]:
+    def _factors(self) -> list[JacobiFactors]:
+        if self._complex:
+            return [jacobi_decomposition(_symmetric(M, "half-space point", complex).imag)
+                    for M in self.matrices]
         return [jacobi_decomposition(M) for M in self.matrices]
-
-    @cached_property
-    def _siegel_factors(self) -> list[JacobiFactors]:
-        return [jacobi_decomposition(_symmetric(M, "half-space point", complex).imag)
-                for M in self.matrices]
 
 
 # finite-sample stand-ins for the analytic limit conditions
@@ -75,12 +76,7 @@ class DivergenceReport:
     detail: str = ""
 
 
-def _family_jacobi(sample: FamilySample, complex_family: bool):
-    factors = sample._siegel_factors if complex_family else sample._real_factors
-    return [fac.W for fac in factors], [fac.d for fac in factors]
-
-
-def detect_divergence(sample: FamilySample, complex_family: bool = False) -> DivergenceReport:
+def detect_divergence(sample: FamilySample) -> DivergenceReport:
     """Per-index limit verdicts for the Jacobi diagonal of a sampled family.
 
     An index is convergent when its last steps are Cauchy, divergent when it
@@ -90,7 +86,7 @@ def detect_divergence(sample: FamilySample, complex_family: bool = False) -> Div
     """
     if len(sample.matrices) < 3:
         raise ValueError("at least three samples are required")
-    ws, ds = _family_jacobi(sample, complex_family)
+    ds = [fac.d for fac in sample._factors]
     g = ds[0].shape[0]
     d2, d1, d0 = ds[-3], ds[-2], ds[-1]
     verdicts = []
@@ -117,23 +113,24 @@ def detect_divergence(sample: FamilySample, complex_family: bool = False) -> Div
     if div and div != list(range(g - len(div), g)):
         return DivergenceReport(status="undecided", t=None, verdicts=verdicts,
                                 detail="divergent indices are not trailing")
-    w_drift = float(np.max(np.abs(ws[-1] - ws[-2])))
-    if w_drift > _W_RTOL * max(1.0, float(np.max(np.abs(ws[-1])))):
+    W1, W0 = sample._factors[-2].W, sample._factors[-1].W
+    w_drift = float(np.max(np.abs(W0 - W1)))
+    if w_drift > _W_RTOL * max(1.0, float(np.max(np.abs(W0)))):
         return DivergenceReport(status="undecided", t=None, verdicts=verdicts,
                                 detail="unit-triangular factor is not settling")
     return DivergenceReport(status="ok", t=len(div), verdicts=verdicts)
 
 
-def limit_matrix(sample: FamilySample, t: int, complex_family: bool = False) -> np.ndarray:
+def limit_matrix(sample: FamilySample, t: int) -> np.ndarray:
     """Assemble the limit matrix: converged entries in the leading g - t
-    columns, zeros in the trailing t columns.
+    columns, zeros in the trailing t columns; for a complex family the real
+    part of those columns is the last sample's.
 
     Only the first min(i, j) + 1 Jacobi terms contribute to entry (i, j) with
     j below the cutoff, and those terms converge, so the last sample's
     factors give the limit.
     """
-    ws, ds = _family_jacobi(sample, complex_family)
-    W, d = ws[-1], ds[-1]
+    W, d = sample._factors[-1].W, sample._factors[-1].d
     g = W.shape[0]
     if not 0 <= t <= g:
         raise ValueError("rank of the multiplicative part out of range")
@@ -143,7 +140,7 @@ def limit_matrix(sample: FamilySample, t: int, complex_family: bool = False) -> 
         for j in range(lead):
             m_top = min(i, j)
             imag[i, j] = sum(W[m, i] * d[m] * W[m, j] for m in range(m_top + 1))
-    if not complex_family:
+    if not sample._complex:
         return imag
     out = np.zeros((g, g), dtype=complex)
     X = np.asarray(sample.matrices[-1], dtype=complex).real

@@ -4,6 +4,11 @@ Two layers: a discrete one (symmetric GF(2) matrices up to congruence, their
 rank/parity invariants, and the integral symplectic involutions built from
 the standard forms) and a continuous one (GL(g,Z)-equivalence of SPD matrices
 decided by Minkowski reduction plus a certified finite witness search).
+
+One engine decides both equivalence problems.  Polarized real tori are
+equivalent when a unimodular A gives A Y1 tA = Y2; two real ppavs with
+half-integral real part are equivalent when such an A between their
+imaginary parts also gives A (2 Re Omega1) tA = 2 Re Omega2 (mod 2).
 """
 
 from __future__ import annotations
@@ -415,21 +420,12 @@ def _transports(A: np.ndarray, Y1: np.ndarray, Y2: np.ndarray,
     return float(np.max(np.abs(Af @ Y1 @ Af.T - Y2))) <= limit
 
 
-def polarized_tori_equivalent(Y1, Y2, tol: float = 1e-9,
-                              cap: int = 200_000) -> EquivalenceResult:
-    """GL(g,Z)-equivalence of SPD matrices: Y2 = A Y1 tA for unimodular A.
-
-    Both inputs are Minkowski reduced; matching reduced forms give an
-    immediate composed witness, otherwise a certified finite search between
-    the reduced forms decides the boundary-ambiguous cases.  A witness is
-    verified exactly, A Y1 tA = Y2 in integers, when every input entry is an
-    integer below 2^53, and within ``tol`` otherwise.
-    """
-    Y1 = require_spd(Y1)
-    Y2 = require_spd(Y2)
+def _equivalent(Y1: np.ndarray, Y2: np.ndarray, tol: float, cap: int,
+                keep=None) -> EquivalenceResult:
+    """Y2 = A Y1 tA for unimodular A with ``keep(A)``, for validated forms of
+    one size: the witness search between the Minkowski-reduced forms is
+    complete, so when no candidate is kept the pair is inequivalent."""
     g = Y1.shape[0]
-    if Y2.shape[0] != g:
-        return EquivalenceResult(Verdict.INEQUIVALENT, detail="dimension mismatch")
     if g > MAX_REDUCTION_DIM:
         raise ValueError(f"equivalence supported for g <= {MAX_REDUCTION_DIM}")
     d1, d2 = np.linalg.det(Y1), np.linalg.det(Y2)
@@ -447,7 +443,7 @@ def polarized_tori_equivalent(Y1, Y2, tol: float = 1e-9,
     try:
         for B in candidates:
             A = A2inv @ B @ A1
-            if _transports(A, Y1, Y2, exact, max(tol, 1e-9) * scale):
+            if _transports(A, Y1, Y2, exact, max(tol, 1e-9) * scale) and (keep is None or keep(A)):
                 return EquivalenceResult(Verdict.EQUIVALENT, witness=A)
     except RuntimeError:
         return EquivalenceResult(Verdict.UNDECIDED, detail="candidate cap exceeded")
@@ -455,50 +451,43 @@ def polarized_tori_equivalent(Y1, Y2, tol: float = 1e-9,
                              detail="no witness in the complete candidate set")
 
 
+def polarized_tori_equivalent(Y1, Y2, tol: float = 1e-9,
+                              cap: int = 200_000) -> EquivalenceResult:
+    """GL(g,Z)-equivalence of SPD matrices: Y2 = A Y1 tA for unimodular A.
+
+    Both inputs are Minkowski reduced; matching reduced forms give an
+    immediate composed witness, otherwise a certified finite search between
+    the reduced forms decides the boundary-ambiguous cases.  A witness is
+    verified exactly, A Y1 tA = Y2 in integers, when every input entry is an
+    integer below 2^53, and otherwise within max(tol, 1e-9) max(1, max|Y2|)
+    in every entry.
+    """
+    Y1 = require_spd(Y1)
+    Y2 = require_spd(Y2)
+    if Y2.shape[0] != Y1.shape[0]:
+        return EquivalenceResult(Verdict.INEQUIVALENT, detail="dimension mismatch")
+    return _equivalent(Y1, Y2, tol, cap)
+
+
 def real_ppav_equivalent(omega1, omega2, bound: int = 200_000,
                          tol: float = 1e-9) -> EquivalenceResult:
     """Equivalence of two points with half-integral real part.
 
-    A witness A must transport the imaginary parts by congruence and match
-    twice-real parts mod 2; the imaginary-part witnesses form a certified
-    finite set obtained from Minkowski reduction, so failure of all of them
-    refutes equivalence.  The transport is checked as in
-    ``polarized_tori_equivalent``: in integers on integer imaginary parts.
+    A witness A transports the imaginary parts as in
+    ``polarized_tori_equivalent`` and also matches twice the real parts mod
+    2: A (2 Re omega1) tA = 2 Re omega2 (mod 2).  ``bound`` caps the search.
     """
     om1 = require_siegel(omega1)
     om2 = require_siegel(omega2)
     if not (_half_integral(om1, tol) and _half_integral(om2, tol)):
         raise ValueError("both points must have half-integral real part")
-    g = om1.shape[0]
-    if om2.shape[0] != g:
+    if om2.shape[0] != om1.shape[0]:
         return EquivalenceResult(Verdict.INEQUIVALENT, detail="dimension mismatch")
-    if g > 3:
-        raise ValueError("equivalence of real ppav points supported for g <= 3")
     M1 = np.round(2.0 * om1.real).astype(int)
     M2 = np.round(2.0 * om2.real).astype(int)
     if mod2_invariants(M1 % 2) != mod2_invariants(M2 % 2):
         return EquivalenceResult(Verdict.INEQUIVALENT,
                                  detail="component invariants differ")
-    Y1, Y2 = om1.imag, om2.imag
-    d1, d2 = np.linalg.det(Y1), np.linalg.det(Y2)
-    if abs(d1 - d2) > 1e-8 * max(1.0, abs(d1), abs(d2)):
-        return EquivalenceResult(Verdict.INEQUIVALENT,
-                                 detail="imaginary determinant differs")
-    R1, A1 = minkowski_reduce(Y1)
-    R2, A2 = minkowski_reduce(Y2)
-    A2inv = unimodular_inverse(A2)
-    scale = max(1.0, float(np.max(np.abs(Y2))))
     N1, N2 = int_matrix(M1), int_matrix(M2)
-    exact = _exact_integers(Y1, Y2)
-    try:
-        for B in _witness_search(R1, R2, max(tol, 1e-9) * max(1.0, float(np.max(np.abs(R2)))),
-                                 bound):
-            A = A2inv @ B @ A1
-            if not _transports(A, Y1, Y2, exact, max(tol, 1e-8) * scale):
-                continue
-            if np.all((A @ N1 @ A.T - N2) % 2 == 0):
-                return EquivalenceResult(Verdict.EQUIVALENT, witness=A)
-    except RuntimeError:
-        return EquivalenceResult(Verdict.UNDECIDED, detail="witness cap exceeded")
-    return EquivalenceResult(Verdict.INEQUIVALENT,
-                             detail="all imaginary-part witnesses fail the mod-2 condition")
+    return _equivalent(om1.imag, om2.imag, tol, bound,
+                       keep=lambda A: bool(np.all((A @ N1 @ A.T - N2) % 2 == 0)))

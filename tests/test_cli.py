@@ -15,9 +15,10 @@ from realtori import cli, cohomology, exactlinalg, moduli, siegel, spdcone, thet
 
 INVARIANTS = '{"cmd":"invariants","g":2}'
 NOT_SPD = '{"cmd":"reduce","Y":[[1,2],[2,1]]}'
-# the witness search stops at its cap of one node, so the verdict is undecided
-_I2 = '{"X":[[0,0],[0,0]],"Y":[[1,0],[0,1]]}'
-UNDECIDED = f'{{"cmd":"equiv","Omega1":{_I2},"Omega2":{_I2},"bound":1}}'
+# an inequivalent pair of equal determinants whose witness search stops at
+# its cap of one vector, so the verdict is undecided
+UNDECIDED = ('{"cmd":"equiv","Omega1":{"X":[[0,0],[0,0]],"Y":[[1,0],[0,6]]},'
+             '"Omega2":{"X":[[0,0],[0,0]],"Y":[[2,0],[0,3]]},"bound":1}')
 
 
 class TestRemovedFlags:
@@ -162,6 +163,8 @@ class TestBooleans:
         ('{"cmd":"equiv","Y1":[[1]],"Y2":[[1]],"tol":true}', "option tol must be a number"),
         ('{"cmd":"theta","Y":[[1]],"v":[0.1],"eps":false}', "option eps must be a number"),
         ('{"cmd":"cocycle","gamma":[[true,0],[0,1]]}', "expected integer, got True"),
+        ('{"cmd":"ext-normal","Pi1":[[2]],"Pi2":[[3]],"sigma":[["1/2",true]]}',
+         "boolean is not a rational"),
     ])
     def test_refused(self, run_cli, text, error):
         code, out = run_cli(text)
@@ -324,6 +327,8 @@ class TestRequestLimits:
         ('{"cmd":"invariants","g":1000}', 0),
         ('{"cmd":"invariants","g":1001}', 2),
         ('{"cmd":"invariants","g":0}', 2),
+        # an integral float in an integer field is that integer
+        ('{"cmd":"classify-mod2","N":[[1.0,0],[0,1]]}', 0),
         ('{"cmd":"coboundary","gamma":[[0,1],[-1,0]],"bound":5}', 2),
         ('{"cmd":"coboundary","gamma":[[0,1],[-1,0]],"bound":6}', 2),
         ('{"cmd":"coboundary","gamma":[[0,1],[-1,0]],"bound":-1}', 2),

@@ -50,7 +50,7 @@ class TestDetectDivergence:
         A = rng.uniform(-1, 1, (g, g))
         X = 0.5 * (A + A.T) if complex_family else None
         sample = family(unit_upper(g, rng), degenerating(g, t, rng), X)
-        report = detect_divergence(sample, complex_family=complex_family)
+        report = detect_divergence(sample)
         assert report.status == "ok" and report.t == t
         assert report.verdicts == ["convergent"] * (g - t) + ["divergent"] * t
 
@@ -118,9 +118,9 @@ class TestDetectDivergence:
         rng = np.random.default_rng(4)
         X = np.array([[0.5, 0.25], [0.25, 0.0]]) if complex_family else None
         sample = family(unit_upper(2, rng), degenerating(2, 1, rng), X)
-        report = detect_divergence(sample, complex_family=complex_family)
-        limit_matrix(sample, report.t, complex_family=complex_family)
-        detect_divergence(sample, complex_family=complex_family)
+        report = detect_divergence(sample)
+        limit_matrix(sample, report.t)
+        detect_divergence(sample)
         assert len(factored) == len(PARAMS)
 
     def test_needs_three_samples(self):
@@ -145,12 +145,23 @@ class TestLimitMatrix:
         A = rng.uniform(-1, 1, (g, g))
         X = 0.5 * (A + A.T)
         sample = family(unit_upper(g, rng), degenerating(g, t, rng), X)
-        limit = limit_matrix(sample, t, complex_family=True)
+        limit = limit_matrix(sample, t)
         lead = g - t
         assert np.array_equal(limit[:, :lead].real, X[:, :lead])
         assert np.allclose(limit[:, :lead].imag, sample.matrices[-1].imag[:, :lead],
                            rtol=1e-12, atol=1e-12)
         assert np.all(limit[:, lead:] == 0)
+
+    def test_dtype_decides_the_family(self):
+        """The same samples held as complex points X + iY with X = 0 give a
+        complex limit whose imaginary part is the real family's limit."""
+        rng = np.random.default_rng(300)
+        real = family(unit_upper(3, rng), degenerating(3, 1, rng))
+        cplx = FamilySample(params=real.params, matrices=[1j * M for M in real.matrices])
+        assert detect_divergence(cplx) == detect_divergence(real)
+        limit, ref = limit_matrix(cplx, 1), limit_matrix(real, 1)
+        assert ref.dtype == float and limit.dtype == complex
+        assert np.all(limit.real == 0) and np.array_equal(limit.imag, ref)
 
     @pytest.mark.parametrize("t", [-1, 3])
     def test_rank_out_of_range(self, t):

@@ -124,3 +124,31 @@ class TestQuadratureRules:
                 distance(far0, far1)
         assert sorted(built) == [8, 16, 32, 64, 128, 256]
         assert set(built.values()) == {1}
+
+
+class TestWhiteningFrame:
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_whitens_and_diagonalizes(self, g):
+        rng = np.random.default_rng(30 + g)
+        for _ in range(10):
+            Y0, Y1 = random_spd(g, rng), random_spd(g, rng)
+            w, vals = geodesics.whitening_frame(Y0, Y1)
+            assert np.max(np.abs(w @ Y0 @ w.T - np.eye(g))) < 1e-12
+            assert np.max(np.abs(w @ Y1 @ w.T - np.diag(vals))) < 1e-12 * np.max(vals)
+            assert np.all(np.diff(vals) >= 0)
+            # the pencil's eigenvalues, from Y0^-1 Y1
+            ref = np.sort(np.linalg.eigvals(np.linalg.solve(Y0, Y1)).real)
+            assert np.max(np.abs(vals - ref)) < 1e-10 * np.max(ref)
+            # each eigenvector w_j L (L the Cholesky factor of Y0) starts positive
+            for row in w @ np.linalg.cholesky(Y0):
+                assert row[np.flatnonzero(np.abs(row) > 1e-12)[0]] > 0
+
+    def test_sign_rule_on_a_known_pencil(self):
+        w, vals = geodesics.whitening_frame(np.eye(2), [[2.0, -1.0], [-1.0, 2.0]])
+        r = 1 / math.sqrt(2)
+        assert np.allclose(vals, [1.0, 3.0], rtol=0, atol=1e-14)
+        assert np.allclose(w, [[r, r], [r, -r]], rtol=0, atol=1e-14)
+
+    def test_refuses_a_form_off_the_cone(self):
+        with pytest.raises(ValueError, match="positive definite"):
+            geodesics.whitening_frame(np.eye(2), [[1.0, 2.0], [2.0, 1.0]])

@@ -20,6 +20,7 @@ from realtori.exactlinalg import (
 from realtori.moduli import (
     ModuliInvariant,
     _exact_integers,
+    _witness_search,
     Verdict,
     classify_spd,
     congruence_witnesses,
@@ -298,6 +299,27 @@ class TestCongruenceWitnesses:
         for w in ws:
             assert np.max(np.abs(gl_act(w.astype(float), Y) - Y2)) < 1e-8
 
+    def test_dimension_mismatch_has_no_witness(self):
+        assert congruence_witnesses(np.eye(2), np.eye(3)) == ([], True)
+
+    def test_truncated_at_max_witnesses(self):
+        # Aut(I_2) has 8 elements, the signed permutations
+        ws, complete = congruence_witnesses(np.eye(2), np.eye(2), max_witnesses=3)
+        assert len(ws) == 3 and not complete
+        ws, complete = congruence_witnesses(np.eye(2), np.eye(2))
+        assert len(ws) == 8 and complete
+
+    def test_enumeration_cap(self):
+        # I_2 has four vectors of value 1, more than the cap
+        assert congruence_witnesses(np.eye(2), np.eye(2), cap=3) == ([], False)
+
+    def test_node_cap(self):
+        # the eight vectors of value 1 fit the cap; the rows tried do not
+        with pytest.raises(RuntimeError, match="witness search cap exceeded"):
+            list(_witness_search(np.eye(4), np.eye(4), 1e-9, 8))
+        ws, complete = congruence_witnesses(np.eye(4), np.eye(4), cap=8)
+        assert not complete
+
 
     @pytest.mark.parametrize("Y1, B", [
         ([[1.0, 0.5], [0.5, 1.0]], [[1, 0], [0, 1]]),
@@ -450,6 +472,53 @@ class TestRealPpavEquivalence:
         om2 = 0.5 * np.eye(2) + 1j * np.eye(2)
         res = real_ppav_equivalent(om1, om2)
         assert res.verdict is Verdict.INEQUIVALENT
+
+    def test_dimension_mismatch(self):
+        res = real_ppav_equivalent(1j * np.eye(2), 1j * np.eye(3))
+        assert res.verdict is Verdict.INEQUIVALENT and res.detail == "dimension mismatch"
+
+    @pytest.mark.parametrize("inv", valid_invariants(4), ids=lambda inv: f"{inv.lam}-{inv.i}")
+    def test_g4_transports_of_each_standard_form(self, inv):
+        """Y1 = W D tW with D diagonal of distinct increasing entries, so
+        every automorphism of Y1 is W S W^-1 with S a diagonal sign matrix,
+        which is the identity mod 2.  The witnesses from Y1 to U Y1 tU are
+        then U W S W^-1, all congruent to U mod 2: the pair with 2 Re Omega2
+        = U N tU + 2 K is EQUIVALENT, and one whose 2 Re Omega2 is not
+        U N tU mod 2 is INEQUIVALENT."""
+        def point(M, Y):
+            return (np.array(M.tolist(), dtype=float) / 2
+                    + 1j * np.array(Y.tolist(), dtype=float))
+
+        N = int_matrix(standard_form_matrix(4, inv))
+        rng = np.random.default_rng(400 + 10 * inv.lam + inv.i)
+        for _ in range(8):
+            D = np.diag(np.sort(rng.choice(np.arange(1, 16), 4, replace=False)))
+            W = random_unimodular(4, rng, max_entry=2)
+            Y1 = W @ int_matrix(D) @ W.T
+            U = random_unimodular(4, rng, max_entry=2)
+            Y2 = U @ Y1 @ U.T
+            K = rng.integers(-1, 2, (4, 4))
+            N2 = U @ N @ U.T + 2 * int_matrix(K + K.T)
+            res = real_ppav_equivalent(point(N, Y1), point(N2, Y2))
+            assert res.verdict is Verdict.EQUIVALENT
+            A = res.witness
+            assert np.all(A @ Y1 @ A.T == Y2)
+            assert all(v % 2 == 0 for v in (A @ N @ A.T - N2).flat)
+            # another matrix of the same component where there is one, else a flip
+            broken = None
+            for _ in range(50):
+                V = random_unimodular(4, rng, max_entry=2)
+                B = (V @ N @ V.T) % 2
+                if any(v % 2 for v in (B - N2).flat):
+                    broken = B
+                    break
+            if broken is None:
+                broken = N2.copy()
+                broken[0, 0] += 1
+            res = real_ppav_equivalent(point(N, Y1), point(broken, Y2))
+            assert res.verdict is Verdict.INEQUIVALENT and res.witness is None
+            if inv != ModuliInvariant(0, 1):
+                assert res.detail == "no witness in the complete candidate set"
 
     def test_never_equivalent_without_witness(self):
         rng = np.random.default_rng(13)
