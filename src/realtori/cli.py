@@ -338,16 +338,17 @@ def _cmd_equiv(payload: dict) -> dict:
 
 
 def _cmd_classify_mod2(payload: dict) -> dict:
-    N = decode_matrix(_need(payload, "N"), "int", square=True) % 2
+    N = decode_matrix(_need(payload, "N"), "int", square=True)
     S, A = moduli.mod2_standard_form(N)
-    inv = moduli.mod2_invariants(N)
+    # S is diag(I_lambda, 0), or the lambda x lambda anti-identity when i = 1
+    i = 0 if S.diagonal().any() else 1
     return {
         "status": "ok",
-        "lambda": inv.lam,
-        "i": inv.i,
-        "form": "II" if inv.i == 1 else "I",
-        "S": encode_matrix(S.astype(int)),
-        "A": encode_matrix(A.astype(int)),
+        "lambda": int(S.sum()),
+        "i": i,
+        "form": "II" if i == 1 else "I",
+        "S": encode_matrix(S),
+        "A": encode_matrix(A),
     }
 
 
@@ -461,7 +462,7 @@ def _cmd_factor(payload: dict) -> dict:
     lam = decode_vector(_need(payload, "lam"), "int")
     data = _theta_spec(payload) if kind == "I_B_rho" else _canonical_bundle(payload)
     arg =decode_vector(_need(payload, "arg"), "complex" if kind == "J_H_alpha" else "real")
-    value = theta.automorphic_factor_eval(kind, data, lam.astype(int), arg)
+    value = theta.automorphic_factor_eval(kind, data, lam, arg)
     return {"status": "ok", "value": complex(value)}
 
 

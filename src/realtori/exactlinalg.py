@@ -6,6 +6,12 @@ arrays), so unimodular witnesses are exact no matter how large their entries.
 Determinants and inverses use fraction-free (Bareiss) elimination.  One
 integer column echelon serves the Smith normal form, integer solutions,
 kernels and unimodular completions.
+
+One rule, that of ``int_matrix``, turns outside data into exact integers:
+an exact integer or an integral float is taken, anything else (NaN
+included) raises ValueError, and nothing is rounded or truncated, so a
+rounded float beyond 2^63 keeps its digits.  GF(2) matrices are integer
+matrices mod 2.  tM J M = J is tested only in ``is_symplectic``.
 """
 
 from __future__ import annotations
@@ -39,7 +45,8 @@ __all__ = [
 
 
 def int_matrix(data) -> np.ndarray:
-    """Build an exact integer matrix (``dtype=object`` with Python ints)."""
+    """Build an exact integer matrix (``dtype=object`` with Python ints);
+    an entry that is not an exact integer or an integral float raises."""
     arr = np.array(data, dtype=object)
     if arr.ndim != 2:
         raise ValueError("integer matrix must be two-dimensional")
@@ -68,8 +75,20 @@ def rat_matrix(data) -> np.ndarray:
     return arr
 
 
+def _object_matrix(rows, n: int, m: int) -> np.ndarray:
+    return np.array(rows, dtype=object).reshape(n, m)
+
+
+def _int_vector(v) -> list[int]:
+    # the entries of v, of any shape, as Python ints under the rule of int_matrix
+    return int_matrix(np.asarray(v, dtype=object).reshape(1, -1))[0].tolist()
+
+
 def _as_exact(M) -> np.ndarray:
-    return M if (isinstance(M, np.ndarray) and M.dtype == object) else int_matrix(M)
+    # an object array of Python ints as it is, anything else through int_matrix
+    if isinstance(M, np.ndarray) and M.dtype == object and all(type(v) is int for v in M.flat):
+        return M
+    return int_matrix(M)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +101,7 @@ def det_int(M) -> int:
     n, m = M.shape
     if n != m:
         raise ValueError("determinant requires a square matrix")
-    return _det_rows([[int(M[i, j]) for j in range(n)] for i in range(n)])
+    return _det_rows(M.tolist())
 
 
 def _det_rows(rows: list) -> int:
@@ -124,7 +143,7 @@ def unimodular_inverse(A) -> np.ndarray:
     n, m = A.shape
     if n != m:
         raise ValueError("inverse requires a square matrix")
-    aug = [[int(v) for v in A[i]] + [int(i == j) for j in range(n)] for i in range(n)]
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(A.tolist())]
     prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
@@ -141,11 +160,7 @@ def unimodular_inverse(A) -> np.ndarray:
         prev = p
     if abs(prev) != 1:
         raise ValueError("matrix is not unimodular; inverse is not integral")
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = prev * aug[i][j + n]
-    return out
+    return _object_matrix([[prev * v for v in row[n:]] for row in aug], n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +224,8 @@ def symplectic_inverse(M) -> np.ndarray:
 
 
 def gf2_matrix(data, symmetric: bool = False) -> np.ndarray:
-    """Build a GF(2) matrix (uint8, entries reduced mod 2)."""
-    N = np.array(data)
-    if N.ndim != 2:
-        raise ValueError("GF(2) matrix must be two-dimensional")
-    N = np.asarray(np.round(N.astype(float)) if N.dtype != object else N, dtype=np.int64)
-    N = (N % 2).astype(np.uint8)
+    """Build a GF(2) matrix (uint8): the integer matrix of ``data`` mod 2."""
+    N = (int_matrix(data) % 2).astype(np.uint8)
     if symmetric and not np.array_equal(N, N.T):
         raise ValueError("matrix is not symmetric over GF(2)")
     return N
@@ -270,11 +281,7 @@ def _with_identity(M) -> list[list[int]]:
     # their tails W
     M = _as_exact(M)
     n, m = M.shape
-    return [[int(v) for v in M[:, j]] + [int(i == j) for i in range(m)] for j in range(m)]
-
-
-def _object_matrix(rows, n: int, m: int) -> np.ndarray:
-    return np.array(rows, dtype=object).reshape(n, m)
+    return [col + [int(i == j) for i in range(m)] for j, col in enumerate(M.T.tolist())]
 
 
 def smith_normal_form(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -288,7 +295,7 @@ def smith_normal_form(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     M = _as_exact(M)
     n, m = M.shape
-    A = [[int(v) for v in row] for row in M]
+    A = M.tolist()
     U = [[int(i == j) for j in range(n)] for i in range(n)]
     Vt = [[int(i == j) for j in range(m)] for i in range(m)]
     while True:
@@ -318,7 +325,7 @@ def integer_solve(G, x) -> np.ndarray | None:
     """
     G = _as_exact(G)
     n, m = G.shape
-    xv = list(int_matrix(np.asarray(x, dtype=object).reshape(1, -1))[0])
+    xv = _int_vector(x)
     if len(xv) != n:
         raise ValueError("dimension mismatch")
     # rest = [x; 0] - sum q_j [h_j; w_j] ends as [0; -m] when x = G m; a

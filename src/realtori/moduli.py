@@ -22,9 +22,9 @@ import numpy as np
 from .exactlinalg import (
     _det_rows,
     _gf2_rank,
-    _symplectic_form,
     gf2_matrix,
     int_matrix,
+    is_symplectic,
     is_unimodular,
     unimodular_inverse,
 )
@@ -195,7 +195,7 @@ def mod2_standard_form(N) -> tuple[np.ndarray, np.ndarray]:
         diag_ones += 2
         pairs -= 1
 
-    inv = _mod2_invariants(N0)
+    inv = ModuliInvariant(lam=diag_ones + 2 * pairs, i=int(diag_ones == 0))
     if inv.i == 1 and pairs > 0:
         # permute adjacent pairs (2m, 2m+1) into the anti-diagonal layout
         lam = 2 * pairs
@@ -249,13 +249,6 @@ def classify_spd(M, Y) -> ModuliClass:
 # the involution matrices
 
 
-def _is_standard(M: np.ndarray) -> bool:
-    g = M.shape[0]
-    inv = mod2_invariants(M % 2)
-    return np.array_equal(np.asarray(M, dtype=np.int64),
-                          standard_form_matrix(g, inv).astype(np.int64))
-
-
 def sigma_M_matrix(M) -> np.ndarray:
     """Integral symplectic involution (-M, I; -(I + M^2), M) attached to M.
 
@@ -269,12 +262,11 @@ def sigma_M_matrix(M) -> np.ndarray:
     M3 = M @ M @ M
     if not np.array_equal(M3, M):
         raise ValueError("M^3 = M is required")
-    I = int_matrix(np.eye(g, dtype=int))
+    I = np.eye(g, dtype=object)
     top = np.concatenate([-M, I], axis=1)
     bot = np.concatenate([-(I + M @ M), M], axis=1)
     S = np.concatenate([top, bot], axis=0)
-    J = _symplectic_form(g)
-    if any(v != 0 for v in (S.T @ J @ S - J).flat):
+    if not is_symplectic(S):
         raise AssertionError("involution matrix is not symplectic")
     if not np.all(S @ (-S) == np.eye(2 * g, dtype=int)):
         raise AssertionError("inverse of the involution matrix is not its negative")
@@ -289,7 +281,7 @@ def sigma_involution_image(M, Y) -> np.ndarray:
     which agrees with the fractional linear action of the involution matrix.
     """
     M = int_matrix(M)
-    if not _is_standard(M):
+    if not np.array_equal(M, standard_form_matrix(M.shape[0], mod2_invariants(M))):
         raise ValueError("M must be a standard-form matrix")
     Y = require_spd(Y)
     g = M.shape[0]
@@ -308,14 +300,12 @@ def real_structure_matrix(omega, tol: float = 1e-9) -> np.ndarray:
     if not _half_integral(om, tol):
         raise ValueError("point must have half-integral real part")
     g = om.shape[0]
-    twoX = int_matrix(np.round(2.0 * om.real).astype(int))
-    Ms = np.zeros((2 * g, 2 * g), dtype=object)
-    Ms[:g, :g] = -np.eye(g, dtype=object)
-    Ms[g:, g:] = np.eye(g, dtype=object)
-    Ms[g:, :g] = twoX
-    J = _symplectic_form(g)
-    if any(v != 0 for v in (Ms.T @ J @ Ms + J).flat):
+    Ms = np.eye(2 * g, dtype=object)
+    Ms[g:, :g] = int_matrix(np.round(2.0 * om.real))
+    # diag(-I, I) is anti-symplectic, so Ms is when (I, 0; 2X, I) is symplectic
+    if not is_symplectic(Ms):
         raise AssertionError("real-structure matrix failed the anti-symplectic identity")
+    Ms[:g, :g] = -Ms[:g, :g]
     return Ms
 
 
@@ -353,9 +343,10 @@ def congruence_witnesses(Y1, Y2, tol: float = 1e-9, max_witnesses: int = 64,
     found: list[np.ndarray] = []
     try:
         for B in _witness_search(Y1, Y2, tol * max(1.0, float(np.max(np.abs(Y2)))), cap):
-            found.append(B)
-            if len(found) >= max_witnesses:
+            # a witness beyond max_witnesses shows that the list is truncated
+            if len(found) == max_witnesses:
                 return found, False
+            found.append(B)
     except RuntimeError:
         return found, False
     return found, True
@@ -406,7 +397,7 @@ def _exact_integers(*forms: np.ndarray) -> list[np.ndarray] | None:
     rows = [Y.tolist() for Y in forms]
     if not all(abs(v) < 2.0 ** 53 and v.is_integer() for Z in rows for row in Z for v in row):
         return None
-    return [np.array([[int(v) for v in row] for row in Z], dtype=object) for Z in rows]
+    return [int_matrix(Z) for Z in rows]
 
 
 def _transports(A: np.ndarray, Y1: np.ndarray, Y2: np.ndarray,
@@ -428,14 +419,13 @@ def _equivalent(Y1: np.ndarray, Y2: np.ndarray, tol: float, cap: int,
     g = Y1.shape[0]
     if g > MAX_REDUCTION_DIM:
         raise ValueError(f"equivalence supported for g <= {MAX_REDUCTION_DIM}")
-    d1, d2 = np.linalg.det(Y1), np.linalg.det(Y2)
-    if abs(d1 - d2) > 1e-8 * max(1.0, abs(d1), abs(d2)):
+    exact = _exact_integers(Y1, Y2)
+    if exact is not None and _det_rows(exact[0].tolist()) != _det_rows(exact[1].tolist()):
         return EquivalenceResult(Verdict.INEQUIVALENT, detail="determinant invariant differs")
     R1, A1 = minkowski_reduce(Y1)
     R2, A2 = minkowski_reduce(Y2)
     scale = max(1.0, float(np.max(np.abs(Y2))))
     A2inv = unimodular_inverse(A2)
-    exact = _exact_integers(Y1, Y2)
     candidates = _witness_search(R1, R2, max(tol, 1e-9) * max(1.0, float(np.max(np.abs(R2)))),
                                  cap)
     if float(np.max(np.abs(R1 - R2))) <= 1e-8 * scale:
@@ -483,11 +473,10 @@ def real_ppav_equivalent(omega1, omega2, bound: int = 200_000,
         raise ValueError("both points must have half-integral real part")
     if om2.shape[0] != om1.shape[0]:
         return EquivalenceResult(Verdict.INEQUIVALENT, detail="dimension mismatch")
-    M1 = np.round(2.0 * om1.real).astype(int)
-    M2 = np.round(2.0 * om2.real).astype(int)
-    if mod2_invariants(M1 % 2) != mod2_invariants(M2 % 2):
+    N1 = int_matrix(np.round(2.0 * om1.real))
+    N2 = int_matrix(np.round(2.0 * om2.real))
+    if mod2_invariants(N1) != mod2_invariants(N2):
         return EquivalenceResult(Verdict.INEQUIVALENT,
                                  detail="component invariants differ")
-    N1, N2 = int_matrix(M1), int_matrix(M2)
     return _equivalent(om1.imag, om2.imag, tol, bound,
                        keep=lambda A: bool(np.all((A @ N1 @ A.T - N2) % 2 == 0)))

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactlinalg import int_matrix
+from .exactlinalg import _int_vector, _symplectic_form, int_matrix
 from .spdcone import (
     MAX_REDUCTION_DIM,
     _Box,
@@ -269,19 +269,18 @@ class SemiCharacter:
         return self.basis @ n
 
     def pairing(self, n, m) -> int:
-        n = np.asarray(n).ravel()
-        m = np.asarray(m).ravel()
-        return int(sum(int(n[j]) * int(self.E[j, k]) * int(m[k])
+        n, m = _int_vector(n), _int_vector(m)
+        return int(sum(n[j] * self.E[j, k] * m[k]
                        for j in range(len(n)) for k in range(len(m))))
 
     def eval(self, n) -> complex:
-        n = [int(t) for t in np.asarray(n).ravel()]
+        n = _int_vector(n)
         two_g = len(n)
         phase = float(np.dot(np.angle(self.values), n))
         parity = 0
         for j in range(two_g):
             for k in range(j + 1, two_g):
-                parity += n[j] * n[k] * int(self.E[j, k])
+                parity += n[j] * n[k] * self.E[j, k]
         sign = -1.0 if parity % 2 else 1.0
         return sign * cmath.exp(1j * phase)
 
@@ -297,17 +296,15 @@ def canonical_semicharacter_data(Y) -> SemiCharacter:
     basis = np.zeros((g, 2 * g), dtype=complex)
     basis[:, :g] = np.eye(g)
     basis[:, g:] = 1j * Y
-    E = np.zeros((2 * g, 2 * g), dtype=int)
-    E[:g, g:] = -np.eye(g, dtype=int)
-    E[g:, :g] = np.eye(g, dtype=int)
-    return SemiCharacter(basis=basis, values=np.ones(2 * g, dtype=complex), E=E)
+    return SemiCharacter(basis=basis, values=np.ones(2 * g, dtype=complex),
+                         E=-_symplectic_form(g))
 
 
 def canonical_semicharacter(Y, kappa, lam_int) -> complex:
     """Value exp(-pi i t(kappa) lam_int) on the vector kappa + i Y lam_int."""
     require_spd(Y)
-    kappa = [int(t) for t in np.asarray(kappa).ravel()]
-    lam_int = [int(t) for t in np.asarray(lam_int).ravel()]
+    kappa = _int_vector(kappa)
+    lam_int = _int_vector(lam_int)
     dot = sum(a * b for a, b in zip(kappa, lam_int))
     return complex(-1.0 if dot % 2 else 1.0)
 
@@ -384,20 +381,19 @@ def automorphic_factor_eval(kind: str, data, lam, arg) -> complex:
     kind 'I_B_alpha': as 'I_alpha' but with doubled character argument and
     the restricted real form.
     """
+    n = _int_vector(lam)
     if kind == "I_B_rho":
-        return factor_i_b_rho(data, lam, arg)
+        return factor_i_b_rho(data, n, arg)
     if not isinstance(data, CanonicalBundle):
         raise ValueError(f"factor kind {kind!r} needs canonical bundle data")
     Y = data.Y
     g = Y.shape[0]
     if kind == "J_H_alpha":
-        n = np.asarray(lam)
         ell = data.alpha.vector(n)
         z = np.asarray(arg, dtype=complex).ravel()
         expo = 0.5 * math.pi * data.hermitian(ell, ell) + math.pi * data.hermitian(z, ell)
         return data.alpha.eval(n) * cmath.exp(expo)
-    n = np.asarray(lam).ravel()
-    lam_vec = Y @ n.astype(float)
+    lam_vec = Y @ np.array(n, dtype=float)
     v = np.asarray(arg, dtype=float).ravel()
     if kind == "I_alpha":
         val = data.alpha.eval(_imag_multi(g, n, 1))
@@ -413,7 +409,5 @@ def automorphic_factor_eval(kind: str, data, lam, arg) -> complex:
     raise ValueError(f"unknown factor kind {kind!r}")
 
 
-def _imag_multi(g: int, n: np.ndarray, mult: int) -> np.ndarray:
-    out = np.zeros(2 * g, dtype=int)
-    out[g:] = mult * np.asarray(n, dtype=int)
-    return out
+def _imag_multi(g: int, n: list[int], mult: int) -> list[int]:
+    return [0] * g + [mult * k for k in n]

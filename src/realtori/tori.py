@@ -89,7 +89,7 @@ def rational_representation(Phi, T: RealTorus, Tp: RealTorus,
     R = np.round(R_real)
     if float(np.max(np.abs(Tp.Pi @ R - target))) > tol:
         return None
-    return int_matrix(R.astype(int))
+    return int_matrix(R)
 
 
 def isogeny_degree(R) -> int:

@@ -64,6 +64,12 @@ class TestSingleRequest:
         assert code == 0
         assert json.loads(out)["alpha"] == [[{"re": 0.2 - 0.1 * 0.5, "im": 0.0}]]
 
+    def test_real_structure_beyond_int64(self, run_cli):
+        # 2X = 2e20 is an integral float above 2^63: it keeps its digits
+        code, out = run_cli('{"cmd":"real-structure","Omega":{"X":[[1e20]],"Y":[[1]]}}')
+        assert code == 0
+        assert json.loads(out)["M"] == [[-1, 0], [2 * 10**20, 1]]
+
     def test_sigma_size_mismatch_is_bad_input(self, run_cli):
         code, out = run_cli('{"cmd":"sigma","M":[[1,0],[0,1]],"Y":[[1]]}')
         assert code == 2
@@ -510,12 +516,12 @@ class TestWorkDoneOnce:
     GF(2) matrix is built, and each symplectic matrix checked, once per
     public call."""
 
-    def test_classify_mod2_converts_to_gf2_twice(self, run_cli, monkeypatch):
+    def test_classify_mod2_converts_to_gf2_once(self, run_cli, monkeypatch):
         converted = _counting(monkeypatch, "gf2_matrix", exactlinalg, moduli)
         code, out = run_cli('{"cmd":"classify-mod2","N":[[0,1,0],[1,0,0],[0,0,1]]}')
         assert code == 0 and json.loads(out)["lambda"] == 3
-        # mod2_standard_form, then mod2_invariants
-        assert len(converted) == 2
+        # in mod2_standard_form; lambda and i are read from S
+        assert len(converted) == 1
 
     @pytest.mark.parametrize("cmd, checks", [("cocycle", 1), ("coboundary", 2)])
     def test_symplectic_checks(self, run_cli, monkeypatch, cmd, checks):
@@ -531,6 +537,14 @@ class TestWorkDoneOnce:
                             '"Y1":[[1,0],[0,3]],"V1":[[1,0]]}')
         assert code == 0 and json.loads(out)["status"] == "ok"
         assert len(factored) == 2
+
+    def test_gamma_star_act_validates_omega_once(self, run_cli, monkeypatch):
+        validated = _counting(monkeypatch, "require_siegel", siegel)
+        code, out = run_cli('{"cmd":"act","kind":"gamma_star","M":[[1,1],[0,1]],'
+                            '"Omega":{"X":[[0.5]],"Y":[[2]]}}')
+        assert code == 0 and json.loads(out)["Omega"] == {"X": [[1.5]], "Y": [[2.0]]}
+        # the point, then the image
+        assert len(validated) == 2
 
     def test_jacobi_act_validates_omega_once(self, run_cli, monkeypatch):
         validated = _counting(monkeypatch, "require_siegel", siegel)

@@ -429,3 +429,61 @@ class TestExactEntries:
         Ms = real_structure_matrix(om)
         assert self.all_int(Ms)
         assert Ms.tolist() == [[-1, 0, 0, 0], [0, -1, 0, 0], [1, -2, 1, 0], [-2, 3, 0, 1]]
+
+
+def _integer_inputs():
+    """Every public function that takes integer data, as a call with one entry
+    ``x``: the GF(2), unimodular, symplectic, Smith/kernel/solve and lattice
+    functions and the semi-character coordinates."""
+    from realtori import degenerations, moduli, theta, tori
+    from realtori.exactlinalg import gf2_matrix
+
+    bundle = theta.canonical_line_bundle_data(np.eye(1))
+    alpha = bundle.alpha
+
+    def exact(rows):
+        return np.array(rows, dtype=object)
+
+    return {
+        "int_matrix": lambda x: int_matrix([[1, x]]),
+        "gf2_matrix": lambda x: gf2_matrix([[x, 0], [0, 0]]),
+        "gf2_rank": lambda x: gf2_rank([[x, 0], [0, 1]]),
+        "mod2_invariants": lambda x: moduli.mod2_invariants([[x]]),
+        "mod2_standard_form": lambda x: moduli.mod2_standard_form([[x, 0], [0, 0]]),
+        "stabilizer_mod2_member": lambda x: moduli.stabilizer_mod2_member([[1]], [[x]]),
+        "sigma_M_matrix": lambda x: moduli.sigma_M_matrix([[x]]),
+        "det_int": lambda x: det_int([[x]]),
+        "det_int_object": lambda x: det_int(exact([[x]])),
+        "is_unimodular": lambda x: is_unimodular([[1, x], [0, 1]]),
+        "unimodular_inverse": lambda x: unimodular_inverse([[1, x], [0, 1]]),
+        "unimodular_inverse_object": lambda x: unimodular_inverse(exact([[1, x], [0, 1]])),
+        "is_symplectic_object": lambda x: is_symplectic(exact([[1, x], [0, 1]])),
+        "symplectic_inverse_object": lambda x: symplectic_inverse(exact([[1, x], [0, 1]])),
+        "smith_normal_form": lambda x: smith_normal_form([[2, x]]),
+        "integer_solve_matrix": lambda x: integer_solve([[2, x]], [2]),
+        "integer_solve_vector": lambda x: integer_solve([[2]], [x]),
+        "kernel_basis": lambda x: kernel_basis([[1, x]]),
+        "complete_to_unimodular": lambda x: complete_to_unimodular([[1, x]]),
+        "isogeny_degree": lambda x: tori.isogeny_degree([[x]]),
+        "involution_splitting_type": lambda x: degenerations.involution_splitting_type([[x]]),
+        "SemiCharacter_E": lambda x: theta.SemiCharacter(basis=alpha.basis, values=alpha.values,
+                                                         E=[[0, x], [-x, 0]]),
+        "SemiCharacter_eval": lambda x: alpha.eval([x, 1]),
+        "SemiCharacter_pairing": lambda x: alpha.pairing([1, 0], [x, 1]),
+        "canonical_semicharacter": lambda x: theta.canonical_semicharacter([[1.0]], [x], [1]),
+        "J_H_alpha": lambda x: theta.automorphic_factor_eval("J_H_alpha", bundle, [x, 1], [0.1]),
+        "I_alpha": lambda x: theta.automorphic_factor_eval("I_alpha", bundle, [x], [0.1]),
+        "I_B_alpha": lambda x: theta.automorphic_factor_eval("I_B_alpha", bundle, [x], [0.1]),
+        "I_B_rho": lambda x: theta.automorphic_factor_eval("I_B_rho", bundle.spec, [x], [0.1]),
+    }
+
+
+@pytest.mark.parametrize("x", [0.5, 1.9, float("nan")], ids=["half", "1.9", "nan"])
+@pytest.mark.parametrize("name", list(_integer_inputs()))
+def test_integer_inputs_refuse_non_integers(name, x):
+    """One rule for integer data: an entry that is not an exact integer or an
+    integral float raises ValueError, nothing rounds or truncates it."""
+    call = _integer_inputs()[name]
+    call(1)
+    with pytest.raises(ValueError, match="not an exact integer"):
+        call(x)

@@ -308,6 +308,11 @@ class TestCongruenceWitnesses:
         assert len(ws) == 3 and not complete
         ws, complete = congruence_witnesses(np.eye(2), np.eye(2))
         assert len(ws) == 8 and complete
+        # a list of exactly max_witnesses is complete when no witness follows
+        ws, complete = congruence_witnesses(np.eye(2), np.eye(2), max_witnesses=8)
+        assert len(ws) == 8 and complete
+        ws, complete = congruence_witnesses(np.eye(2), np.eye(2), max_witnesses=7)
+        assert len(ws) == 7 and not complete
 
     def test_enumeration_cap(self):
         # I_2 has four vectors of value 1, more than the cap
@@ -369,6 +374,29 @@ class TestPolarizedToriEquivalence:
     def test_determinant_obstruction(self):
         res = polarized_tori_equivalent(np.eye(2), np.diag([1.0, 2.0]))
         assert res.verdict is Verdict.INEQUIVALENT
+
+    def test_ill_conditioned_transported_pairs(self):
+        """Float determinants of equivalent forms with cond(Y) up to 1e12 can
+        differ by more than 1e-8 relative; no verdict rests on them."""
+        rng = np.random.default_rng(0)
+        for g in (2, 3, 4):
+            for _ in range(300):
+                Q, _ = np.linalg.qr(rng.standard_normal((g, g)))
+                Y1 = Q @ np.diag(10.0 ** rng.uniform(0, 12, size=g)) @ Q.T
+                Y1 = 0.5 * (Y1 + Y1.T)
+                Y2 = gl_act(random_unimodular(g, rng, max_entry=3).astype(float), Y1)
+                res = polarized_tori_equivalent(Y1, Y2)
+                assert res.verdict is Verdict.EQUIVALENT
+                A = res.witness.astype(float)
+                assert np.max(np.abs(A @ Y1 @ A.T - Y2)) <= 1e-9 * max(1.0, np.max(np.abs(Y2)))
+
+    def test_determinant_decides_integer_pairs_only(self):
+        res = polarized_tori_equivalent(np.eye(4), 1000 * np.eye(4))
+        assert (res.verdict, res.detail) == (Verdict.INEQUIVALENT, "determinant invariant differs")
+        # a non-integral pair rests on the witness search, whose candidates
+        # here exceed the cap
+        res = polarized_tori_equivalent(np.eye(4), 1000.5 * np.eye(4))
+        assert (res.verdict, res.detail) == (Verdict.UNDECIDED, "candidate cap exceeded")
 
     def test_same_det_inequivalent(self):
         # diag(2, 1/2) and I have equal determinant but different minima

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from realtori.exactlinalg import symplectic_form
+from realtori.exactlinalg import (
+    int_matrix,
+    is_unimodular,
+    random_unimodular,
+    symplectic_form,
+    unimodular_inverse,
+)
 from realtori.siegel import (
     JacobiGroupElement,
     cayley_to_disk,
@@ -216,6 +224,53 @@ class TestGammaStar:
                             np.zeros((2, 2), dtype=int))
             assert gamma_star_member(M @ M2)
         assert count >= 90
+
+
+def gamma_star_blocks(M) -> bool:
+    """Reference for an exact 2g x 2g matrix M = (A, B; C, D): C = 0, A
+    unimodular, D = tA^-1 and A tB = B tA, each tested on its own."""
+    g = M.shape[0] // 2
+    A, B, C, D = M[:g, :g], M[:g, g:], M[g:, :g], M[g:, g:]
+    if any(C.flat) or not is_unimodular(A):
+        return False
+    return np.array_equal(D, unimodular_inverse(A).T) and np.array_equal(A @ B.T, B @ A.T)
+
+
+class TestGammaStarMember:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), g=st.integers(1, 3),
+           block=st.sampled_from(["A", "B", "C", "D", "none"]), delta=st.integers(-1, 1))
+    def test_agrees_with_block_conditions(self, seed, g, block, delta):
+        """A member (A, S tA^-1; 0, tA^-1), S symmetric, with one entry of one
+        block moved by delta, is a member exactly when the block conditions
+        hold."""
+        rng = np.random.default_rng(seed)
+        A = random_unimodular(g, rng, max_entry=2)
+        S = rng.integers(-2, 3, size=(g, g))
+        Dt = unimodular_inverse(A).T
+        M = np.zeros((2 * g, 2 * g), dtype=object)
+        M[:g, :g] = A
+        M[:g, g:] = int_matrix(S + S.T) @ Dt
+        M[g:, g:] = Dt
+        if block != "none":
+            i, j = rng.integers(0, g, size=2) + (g * (block in "CD"), g * (block in "BD"))
+            M[i, j] += delta
+        expected = gamma_star_blocks(M)
+        assert gamma_star_member(M) is expected
+        assert gamma_star_member(M.astype(float)) is expected
+
+    @pytest.mark.parametrize("M", [
+        [[1, 0.5], [0, 1]],
+        [[1, float("nan")], [0, 1]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[1, 0], [0, 1], [0, 0]],
+    ], ids=["half", "nan", "odd", "not_square"])
+    def test_non_members(self, M):
+        assert gamma_star_member(np.array(M)) is False
+
+    def test_beyond_int64(self):
+        assert gamma_star_member(np.array([[1.0, 1e20], [0.0, 1.0]]))
+        assert not gamma_star_member(np.array([[1.0, 1e20], [1.0, 1.0]]))
 
 
 class TestScriptH:
