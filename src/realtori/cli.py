@@ -535,7 +535,9 @@ def _cmd_ext_equiv(payload: dict) -> dict:
 
 def _cmd_degenerate(payload: dict) -> dict:
     params = decode_vector(_need(payload, "params"), "real")
-    complex_family = bool(payload.get("complex", False))
+    complex_family = payload.get("complex", False)
+    if type(complex_family) is not bool:
+        raise InputError("field 'complex' must be a boolean")
     mats = [decode_matrix(m, "real", square=True) if not complex_family
             else decode_siegel(m) if isinstance(m, dict) else decode_matrix(m, "complex", square=True)
             for m in _need(payload, "matrices")]

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .exactlinalg import (
+    _as_exact,
     _symplectic_form,
-    int_matrix,
     is_symplectic,
     kernel_basis,
     symplectic_inverse,
@@ -56,7 +56,7 @@ def coboundary_witness(gamma) -> np.ndarray | None:
     unimodular P = tL+ J L-, so k = [L+ | L- P^-1] is symplectic with
     sigma = k E k^-1, and h = tau(k).  The witness is verified exactly.
     """
-    gamma = int_matrix(gamma)
+    gamma = _as_exact(gamma)
     if not is_cocycle(gamma):
         raise ValueError("not a cocycle: gamma tau(gamma) differs from the identity")
     n = gamma.shape[0]

@@ -15,9 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactlinalg import det_int, int_matrix, kernel_basis
-from .siegel import require_siegel
-from .spdcone import JacobiFactors, _symmetric, jacobi_decomposition, require_spd
+from .exactlinalg import _as_exact, det_int, kernel_basis
+from .siegel import _siegel_factor, require_siegel
+from .spdcone import JacobiFactors, _jacobi, jacobi_decomposition, require_spd
 
 __all__ = [
     "FamilySample",
@@ -51,13 +51,11 @@ class FamilySample:
         object.__setattr__(self, "_complex", any(np.iscomplexobj(M) for M in self.matrices))
 
     # the Jacobi factors of each sample (of Im Z for a complex family), built on
-    # first read; jacobi_decomposition validates a real sample, and with
-    # _symmetric a half-space one as require_siegel does
+    # first read from the factor that validates the sample
     @cached_property
     def _factors(self) -> list[JacobiFactors]:
         if self._complex:
-            return [jacobi_decomposition(_symmetric(M, "half-space point", complex).imag)
-                    for M in self.matrices]
+            return [_jacobi(_siegel_factor(M)[1]) for M in self.matrices]
         return [jacobi_decomposition(M) for M in self.matrices]
 
 
@@ -204,7 +202,7 @@ def involution_splitting_type(S) -> tuple[int, int, int]:
     pairs; p is read off from the index of the direct sum of the saturated
     (anti-)fixed sublattices, which must be a power of two.
     """
-    S = int_matrix(S)
+    S = _as_exact(S)
     n = S.shape[0]
     if S.shape[1] != n:
         raise ValueError("involution matrix must be square")

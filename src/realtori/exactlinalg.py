@@ -10,7 +10,9 @@ kernels and unimodular completions.
 One rule, that of ``int_matrix``, turns outside data into exact integers:
 an exact integer or an integral float is taken, anything else (NaN
 included) raises ValueError, and nothing is rounded or truncated, so a
-rounded float beyond 2^63 keeps its digits.  GF(2) matrices are integer
+rounded float beyond 2^63 keeps its digits.  A matrix that is already
+exact, a 2-D object array of Python ints, is taken as it is
+(``_as_exact``), so each input is built once.  GF(2) matrices are integer
 matrices mod 2.  tM J M = J is tested only in ``is_symplectic``.
 """
 
@@ -85,8 +87,9 @@ def _int_vector(v) -> list[int]:
 
 
 def _as_exact(M) -> np.ndarray:
-    # an object array of Python ints as it is, anything else through int_matrix
-    if isinstance(M, np.ndarray) and M.dtype == object and all(type(v) is int for v in M.flat):
+    # a 2-D object array of Python ints as it is, anything else through int_matrix
+    if (isinstance(M, np.ndarray) and M.dtype == object and M.ndim == 2
+            and all(type(v) is int for v in M.flat)):
         return M
     return int_matrix(M)
 
@@ -225,7 +228,7 @@ def symplectic_inverse(M) -> np.ndarray:
 
 def gf2_matrix(data, symmetric: bool = False) -> np.ndarray:
     """Build a GF(2) matrix (uint8): the integer matrix of ``data`` mod 2."""
-    N = (int_matrix(data) % 2).astype(np.uint8)
+    N = (_as_exact(data) % 2).astype(np.uint8)
     if symmetric and not np.array_equal(N, N.T):
         raise ValueError("matrix is not symmetric over GF(2)")
     return N

@@ -75,9 +75,12 @@ class GroupElementGLgh:
 
 def glgh_act(x: GroupElementGLgh, p: MinkowskiEuclidPoint) -> MinkowskiEuclidPoint:
     """Action (A, a) . (Y, V) = (A Y tA, (V + a) tA)."""
-    Y = x.A @ p.Y @ x.A.T
-    V = (p.V + x.a) @ x.A.T
-    return MinkowskiEuclidPoint(Y=0.5 * (Y + Y.T), V=V)
+    # a product that overflows leaves inf or NaN for MinkowskiEuclidPoint to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = x.A @ p.Y @ x.A.T
+        V = (p.V + x.a) @ x.A.T
+        Y = 0.5 * (Y + Y.T)
+    return MinkowskiEuclidPoint(Y=Y, V=V)
 
 
 def metric_value(p: MinkowskiEuclidPoint, dY, dV, A_c: float = 1.0,
@@ -107,12 +110,15 @@ def geodesic_through_origin(k, lambdas, Z, t: float) -> MinkowskiEuclidPoint:
     if lambdas.shape[0] != g or not np.any(lambdas):
         raise ValueError("need g exponents, not all zero")
     Z = np.asarray(Z, dtype=float)
-    Y = k.T @ np.diag(np.exp(2.0 * lambdas * t)) @ k
-    integr = np.array([
-        (np.expm1(lam * t) / lam) if lam != 0.0 else t for lam in lambdas
-    ])
-    V = Z @ (k.T @ np.diag(integr) @ k)
-    return MinkowskiEuclidPoint(Y=0.5 * (Y + Y.T), V=V)
+    # an exponential that overflows leaves inf or NaN for MinkowskiEuclidPoint to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = k.T @ np.diag(np.exp(2.0 * lambdas * t)) @ k
+        integr = np.array([
+            (np.expm1(lam * t) / lam) if lam != 0.0 else t for lam in lambdas
+        ])
+        V = Z @ (k.T @ np.diag(integr) @ k)
+        Y = 0.5 * (Y + Y.T)
+    return MinkowskiEuclidPoint(Y=Y, V=V)
 
 
 def whitening_frame(Y0, Y1) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +174,8 @@ def _gauss_legendre_adaptive(f) -> float:
     while nodes <= _MAX_NODES:
         xm, wts = _gauss_legendre_rule(nodes)
         val = 0.5 * float(np.sum(wts * f(xm)))
-        if prev is not None and abs(val - prev) < _QUADRATURE_TOL:
+        # a value that is not finite is returned at once, for the caller to refuse
+        if not np.isfinite(val) or prev is not None and abs(val - prev) < _QUADRATURE_TOL:
             return val
         prev = val
         nodes *= 2
@@ -185,6 +192,7 @@ def distance(p0: MinkowskiEuclidPoint, p1: MinkowskiEuclidPoint,
     generalized eigenvalues of (Y1, Y0) and Delta_j the squared column norms
     of the whitened difference of the Euclidean parts.  When V0 = V1 or
     h = 0 the path is a geodesic and the value is exactly sqrt(A) d_SPD.
+    A length that overflows comes back as inf or NaN.
     """
     if p0.g != p1.g or p0.h != p1.h:
         raise ValueError("points live in different spaces")
@@ -195,10 +203,6 @@ def distance(p0: MinkowskiEuclidPoint, p1: MinkowskiEuclidPoint,
         raise ArithmeticError("pencil eigenvalues must be positive")
     logs = np.log(tvals)
     cone = A_c * float(np.sum(logs**2))
-    Vt = (p1.V - p0.V) @ w.T
-    deltas = np.sum(Vt**2, axis=0)
-    if float(np.max(deltas, initial=0.0)) == 0.0 or p0.h == 0:
-        return float(np.sqrt(cone))
 
     def speed(ts: np.ndarray) -> np.ndarray:
         acc = np.full_like(ts, cone)
@@ -206,5 +210,10 @@ def distance(p0: MinkowskiEuclidPoint, p1: MinkowskiEuclidPoint,
             acc = acc + B_c * dj * np.exp(-lg * ts)
         return np.sqrt(acc)
 
-    return _gauss_legendre_adaptive(speed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Vt = (p1.V - p0.V) @ w.T
+        deltas = np.sum(Vt**2, axis=0)
+        if float(np.max(deltas, initial=0.0)) == 0.0 or p0.h == 0:
+            return float(np.sqrt(cone))
+        return _gauss_legendre_adaptive(speed)
 

@@ -20,6 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .exactlinalg import (
+    _as_exact,
     _det_rows,
     _gf2_rank,
     gf2_matrix,
@@ -76,13 +77,8 @@ class ModuliInvariant:
 
 def mod2_invariants(N) -> ModuliInvariant:
     """Invariants of a symmetric GF(2) matrix: rank and product of (1 - n_kk)."""
-    return _mod2_invariants(gf2_matrix(N, symmetric=True))
-
-
-def _mod2_invariants(N: np.ndarray) -> ModuliInvariant:
-    # mod2_invariants of a matrix gf2_matrix has built and checked symmetric
-    parity = 1 if not np.any(np.diag(N)) else 0
-    return ModuliInvariant(lam=_gf2_rank(N), i=parity)
+    N = gf2_matrix(N, symmetric=True)
+    return ModuliInvariant(lam=_gf2_rank(N), i=0 if np.diag(N).any() else 1)
 
 
 def _anti_identity(lam: int) -> np.ndarray:
@@ -221,10 +217,10 @@ def mod2_standard_form(N) -> tuple[np.ndarray, np.ndarray]:
 
 def stabilizer_mod2_member(A, M) -> bool:
     """Exact test A M tA = M (mod 2) for unimodular integral A."""
-    A = int_matrix(A)
+    A = _as_exact(A)
     if not is_unimodular(A):
         raise ValueError("stabilizer elements must be unimodular")
-    M = int_matrix(M)
+    M = _as_exact(M)
     return bool(np.all((A @ M @ A.T - M) % 2 == 0))
 
 
@@ -255,7 +251,7 @@ def sigma_M_matrix(M) -> np.ndarray:
     Requires M^3 = M exactly (true for the standard forms); the result is
     verified to be symplectic with inverse equal to its negative.
     """
-    M = int_matrix(M)
+    M = _as_exact(M)
     g = M.shape[0]
     if not np.array_equal(M, M.T):
         raise ValueError("M must be symmetric")
@@ -280,7 +276,7 @@ def sigma_involution_image(M, Y) -> np.ndarray:
 
     which agrees with the fractional linear action of the involution matrix.
     """
-    M = int_matrix(M)
+    M = _as_exact(M)
     if not np.array_equal(M, standard_form_matrix(M.shape[0], mod2_invariants(M))):
         raise ValueError("M must be a standard-form matrix")
     Y = require_spd(Y)
@@ -289,8 +285,11 @@ def sigma_involution_image(M, Y) -> np.ndarray:
         raise ValueError(f"M is {g} x {g} but Y is {Y.shape[0]} x {Y.shape[0]}")
     Mf = M.astype(float)
     D = np.eye(g) - 0.5 * (Mf @ Mf)
-    out = 0.5 * Mf + 1j * (D @ np.linalg.inv(Y) @ D)
-    return require_siegel(0.5 * (out + out.T))
+    # an inverse that overflows (subnormal Y) leaves inf or NaN for require_siegel to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = 0.5 * Mf + 1j * (D @ np.linalg.inv(Y) @ D)
+        out = 0.5 * (out + out.T)
+    return require_siegel(out)
 
 
 def real_structure_matrix(omega, tol: float = 1e-9) -> np.ndarray:

@@ -6,6 +6,9 @@ transformations.  The module also hosts the involution that conjugates the
 real sublocus, the Cayley transforms to the bounded disk model, the integral
 upper-triangular subgroup acting on half-integral-real points, and the
 Jacobi-group action on pairs (Omega, Z).
+
+As in ``spdcone``, a public function checks each argument once and passes
+the checked values to a private core (``_sp_act``, ``_tau``, ...).
 """
 
 from __future__ import annotations
@@ -15,13 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactlinalg import (
+    _as_exact,
     _symplectic_form,
     int_matrix,
     is_symplectic,
     random_unimodular,
     unimodular_inverse,
 )
-from .spdcone import _symmetric, require_spd
+from .spdcone import _cholesky, _jacobi, _symmetric, require_spd
 
 __all__ = [
     "require_siegel",
@@ -46,9 +50,13 @@ __all__ = [
 
 def require_siegel(omega) -> np.ndarray:
     """Validate a half-space point: symmetric with SPD imaginary part."""
+    return _siegel_factor(omega)[0]
+
+
+def _siegel_factor(omega) -> tuple[np.ndarray, np.ndarray]:
+    # the validated point and the Cholesky factor of its (exactly symmetric) Im
     om = _symmetric(omega, "half-space point", complex)
-    require_spd(om.imag)
-    return om
+    return om, _cholesky(om.imag)
 
 
 def _blocks(M: np.ndarray):
@@ -174,7 +182,7 @@ def gamma_star_member(gamma) -> bool:
     if n != m or n % 2 != 0:
         return False
     try:
-        M = int_matrix(M)
+        M = _as_exact(M)
     except ValueError:
         return False
     g = n // 2
@@ -259,7 +267,9 @@ def jacobi_group_act(elem: JacobiGroupElement, omega, Z) -> tuple[np.ndarray, np
     C, D = Mf[g:, :g], Mf[g:, g:]
     om_new = _sp_act(Mf, om)
     den = C @ om + D
-    Z_new = np.linalg.solve(den.T, (Z + elem.lam @ om + elem.mu).T).T
+    # a value that overflows comes back as inf or NaN for the caller to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z_new = np.linalg.solve(den.T, (Z + elem.lam @ om + elem.mu).T).T
     return om_new, Z_new
 
 
@@ -275,24 +285,12 @@ def in_siegel_fundamental_set(omega, u: float) -> bool:
     """
     if u <= 1:
         raise ValueError("parameter u must exceed 1")
-    om = require_siegel(omega)
-    X = om.real
-    if float(np.max(np.abs(X))) >= u:
-        return False
-    from .spdcone import jacobi_decomposition
-
-    fac = jacobi_decomposition(om.imag)
-    g = om.shape[0]
-    strict_upper = fac.W - np.eye(g)
-    if float(np.max(np.abs(strict_upper))) >= u:
-        return False
+    om, L = _siegel_factor(omega)
+    fac = _jacobi(L)
     d = fac.d
-    if not 1.0 < u * d[0]:
-        return False
-    for i in range(g - 1):
-        if not d[i] < u * d[i + 1]:
-            return False
-    return True
+    return bool(float(np.max(np.abs(om.real))) < u
+                and float(np.max(np.abs(fac.W - np.eye(len(d))))) < u
+                and 1.0 < u * d[0] and all(d[i] < u * d[i + 1] for i in range(len(d) - 1)))
 
 
 def real_locus_embed(Y, V=None) -> tuple[np.ndarray, np.ndarray | None]:

@@ -4,6 +4,10 @@ GL(g,R) acts by congruence A o Y = A Y tA.  This module provides the Jacobi
 (unit-triangular LDL) decomposition, Minkowski reduction with an exact
 unimodular witness, partial Iwasawa coordinates, the invariant metric and
 volume densities, and numerically applied invariant differential operators.
+
+A public function checks each argument once, with ``_symmetric``,
+``_invertible`` and ``_cholesky``, and passes the checked values to a private
+core ``_name``, which package code holding checked values calls directly.
 """
 
 from __future__ import annotations
@@ -90,22 +94,20 @@ def _invertible(A, name: str) -> np.ndarray:
     return A
 
 
-def _spd_factor(Y) -> tuple[np.ndarray, np.ndarray]:
-    """Validated, symmetrized Y and its Cholesky factor L, Y = L tL."""
-    Y = _symmetric(Y, "SPD matrix")
+def _cholesky(Y: np.ndarray) -> np.ndarray:
+    """Cholesky factor L of an exactly symmetric Y = L tL; raises unless Y is SPD."""
     try:
-        L = np.linalg.cholesky(Y)
+        return np.linalg.cholesky(Y)
     except np.linalg.LinAlgError as exc:
         raise ValueError("matrix is not positive definite") from exc
-    return Y, L
 
 
 def require_spd(Y) -> np.ndarray:
-    """Validate and symmetrize an SPD matrix; raises on failure.
-
-    Positivity is certified by a successful Cholesky factorization.
-    """
-    return _spd_factor(Y)[0]
+    """Validate and symmetrize an SPD matrix; raises on failure.  Positivity
+    is certified by a successful Cholesky factorization."""
+    Y = _symmetric(Y, "SPD matrix")
+    _cholesky(Y)
+    return Y
 
 
 def random_spd(g: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -146,11 +148,13 @@ class JacobiFactors:
 
 
 def jacobi_decomposition(Y) -> JacobiFactors:
-    _, L = _spd_factor(Y)
+    return _jacobi(_cholesky(_symmetric(Y, "SPD matrix")))
+
+
+def _jacobi(L: np.ndarray) -> JacobiFactors:
+    # jacobi_decomposition from the Cholesky factor L of Y
     diag = np.diag(L).copy()
-    W = (L / diag).T
-    d = diag**2
-    return JacobiFactors(W=W, d=d)
+    return JacobiFactors(W=(L / diag).T, d=diag**2)
 
 
 # ---------------------------------------------------------------------------

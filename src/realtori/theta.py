@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactlinalg import _int_vector, _symplectic_form, int_matrix
+from .exactlinalg import _as_exact, _int_vector, _symplectic_form
 from .spdcone import (
     MAX_REDUCTION_DIM,
     _Box,
@@ -31,6 +31,7 @@ from .spdcone import (
     minkowski_reduce,
     require_spd,
 )
+from .tori import _hermitian
 
 __all__ = [
     "ThetaSpec",
@@ -91,23 +92,19 @@ class ThetaSpec:
         return np.angle(self.rho)
 
 
-def _rho_eval(spec: ThetaSpec, n: np.ndarray) -> complex:
-    """Character value on the lattice vector with integer coordinates n."""
-    phase = float(np.dot(spec.character_angles(), n))
-    return cmath.exp(1j * phase)
-
-
-def _bilinear(B: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    return float(x @ B @ y)
-
-
 def factor_i_b_rho(spec: ThetaSpec, lam_int, v) -> complex:
-    """Automorphic factor rho(lam) exp(pi B(lam,lam) + 2 pi B(v,lam))."""
-    n = np.asarray(lam_int, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
+    """Automorphic factor rho(lam) exp(pi B(lam,lam) + 2 pi B(v,lam)), lam = Pi lam_int."""
+    return _factor_i_b_rho(spec, np.array(_int_vector(lam_int), dtype=float),
+                           np.asarray(v, dtype=float).ravel())
+
+
+def _factor_i_b_rho(spec: ThetaSpec, n: np.ndarray, v: np.ndarray) -> complex:
+    # factor_i_b_rho at integral coordinates n and a flat v; an exponent that
+    # overflows raises OverflowError or leaves inf or NaN for the caller to refuse
     lam = spec.Pi @ n
-    expo = math.pi * _bilinear(spec.B, lam, lam) + 2.0 * math.pi * _bilinear(spec.B, v, lam)
-    return _rho_eval(spec, n) * math.exp(expo)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = math.pi * float(lam @ spec.B @ lam) + 2.0 * math.pi * float(v @ spec.B @ lam)
+    return cmath.exp(1j * float(np.dot(spec.character_angles(), n))) * math.exp(expo)
 
 
 # ---------------------------------------------------------------------------
@@ -203,18 +200,18 @@ def theta_eval(spec: ThetaSpec, v, eps: float = 1e-12) -> complex:
     if not m.any():
         return _sum_with_tail(spec, v_red, eps, oscillatory=False)
     # the factor first: one that overflows is refused before the sum's walk
-    factor = factor_i_b_rho(spec, m, v_red)
+    factor = _factor_i_b_rho(spec, m, v_red)
     return factor * _sum_with_tail(spec, v_red, eps, oscillatory=False)
 
 
 def theta_transform_residual(spec: ThetaSpec, lam_int, v,
                              eps: float = 1e-13) -> float:
-    """Residual |theta(v + lam) - I(lam, v) theta(v)| with both sides summed directly."""
+    """Residual |theta(v + lam) - I(lam, v) theta(v)|, lam = Pi lam_int, both sides summed."""
     v = np.asarray(v, dtype=float).ravel()
-    n = np.asarray(lam_int)
-    lam = spec.Pi @ n.astype(float)
+    n = np.array(_int_vector(lam_int), dtype=float)
+    lam = spec.Pi @ n
     lhs = _sum_with_tail(spec, v + lam, eps, oscillatory=False)
-    rhs = factor_i_b_rho(spec, n, v) * _sum_with_tail(spec, v, eps, oscillatory=False)
+    rhs = _factor_i_b_rho(spec, n, v) * _sum_with_tail(spec, v, eps, oscillatory=False)
     return abs(lhs - rhs)
 
 
@@ -251,7 +248,7 @@ class SemiCharacter:
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=complex)
         values = np.asarray(self.values, dtype=complex).ravel()
-        E = int_matrix(self.E)
+        E = _as_exact(self.E)
         if basis.ndim != 2 or basis.shape[1] != 2 * basis.shape[0]:
             raise ValueError("basis must be g x 2g")
         if values.shape[0] != basis.shape[1]:
@@ -291,7 +288,11 @@ def canonical_semicharacter_data(Y) -> SemiCharacter:
     All basis values are one; the Gram matrix of the polarization on the
     basis (e_j, i Y e_j) is the standard alternating form with a sign.
     """
-    Y = require_spd(Y)
+    return _canonical_semicharacter_data(require_spd(Y))
+
+
+def _canonical_semicharacter_data(Y: np.ndarray) -> SemiCharacter:
+    # canonical_semicharacter_data of a validated Y
     g = Y.shape[0]
     basis = np.zeros((g, 2 * g), dtype=complex)
     basis[:, :g] = np.eye(g)
@@ -337,6 +338,7 @@ class CanonicalBundle:
     Holds the positive Hermitian form t(x) Y^-1 conj(y), its canonical
     semi-character on Z^g + i Y Z^g, the restricted real form B = Y^-1 on
     the lattice Y Z^g, and the theta datum evaluating the global section.
+    ``canonical_line_bundle_data`` builds it from a validated Y.
     """
 
     Y: np.ndarray
@@ -346,12 +348,10 @@ class CanonicalBundle:
     def alpha(self) -> SemiCharacter:
         """The canonical semi-character, built on first read: a theta value
         needs only ``spec``."""
-        return canonical_semicharacter_data(self.Y)
+        return _canonical_semicharacter_data(self.Y)
 
     def hermitian(self, x, y) -> complex:
-        x = np.asarray(x, dtype=complex).ravel()
-        y = np.asarray(y, dtype=complex).ravel()
-        return complex(x @ np.linalg.solve(self.Y, np.conj(y)))
+        return _hermitian(self.Y, x, y)
 
     def section(self, v, eps: float = 1e-12) -> complex:
         """Global section theta value at a real argument."""
@@ -383,7 +383,8 @@ def automorphic_factor_eval(kind: str, data, lam, arg) -> complex:
     """
     n = _int_vector(lam)
     if kind == "I_B_rho":
-        return factor_i_b_rho(data, n, arg)
+        return _factor_i_b_rho(data, np.array(n, dtype=float),
+                               np.asarray(arg, dtype=float).ravel())
     if not isinstance(data, CanonicalBundle):
         raise ValueError(f"factor kind {kind!r} needs canonical bundle data")
     Y = data.Y

@@ -64,7 +64,11 @@ def associated_lattice_basis(T: RealTorus) -> np.ndarray:
 
 def hermitian_form_eval(Y, x, y) -> complex:
     """The form tx Y^-1 conj(y) attached to the lattice Y Z^g."""
-    Y = require_spd(Y)
+    return _hermitian(require_spd(Y), x, y)
+
+
+def _hermitian(Y: np.ndarray, x, y) -> complex:
+    # hermitian_form_eval on a validated Y
     x = np.asarray(x, dtype=complex).ravel()
     y = np.asarray(y, dtype=complex).ravel()
     return complex(x @ np.linalg.solve(Y, np.conj(y)))
@@ -94,9 +98,6 @@ def rational_representation(Phi, T: RealTorus, Tp: RealTorus,
 
 def isogeny_degree(R) -> int:
     """Kernel order |det R| of the lattice map, 0 for a degenerate map."""
-    R = int_matrix(R)
-    if R.shape[0] != R.shape[1]:
-        raise ValueError("rational representation must be square")
     return abs(det_int(R))
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from realtori import cli, cohomology, exactlinalg, moduli, siegel, spdcone, theta
+from realtori import cli, exactlinalg, spdcone, theta
 
 INVARIANTS = '{"cmd":"invariants","g":2}'
 NOT_SPD = '{"cmd":"reduce","Y":[[1,2],[2,1]]}'
@@ -177,6 +177,15 @@ class TestBooleans:
         assert code == 2
         assert json.loads(out) == {"status": "error", "error": error}
 
+    @pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1", "null"])
+    def test_complex_flag_is_a_boolean(self, run_cli, value):
+        # a string or a number is not a boolean, whatever bool() would make of it
+        code, out = run_cli('{"cmd":"degenerate","complex":' + value + ','
+                            '"params":[0.1,0.01,0.001],"matrices":[[[1]],[[1]],[[1]]]}')
+        assert code == 2
+        assert json.loads(out) == {"status": "error",
+                                   "error": "field 'complex' must be a boolean"}
+
 
 class TestUnreducibleForm:
     """diag(1e-12, 1) has more short vectors than the enumeration cap, yet it
@@ -301,6 +310,26 @@ class TestNonFiniteNumbers:
         assert json.loads(captured.out) == {"status": "error",
                                             "error": "result is not finite: a value overflows"}
         assert captured.err.splitlines() == ["input error: result is not finite: a value overflows"]
+
+    @pytest.mark.parametrize("text", [
+        '{"cmd":"geodesic","k":[[1]],"lambdas":[1],"Z":[[0]],"t":1000}',
+        '{"cmd":"theta","Y":[[1]],"v":[1e300]}',
+        '{"cmd":"jacobi-act","M":[[1,0],[0,1]],"lam":[[1e200]],"mu":[[0]],"kappa":[[0]],'
+        '"Omega":{"X":[[0]],"Y":[[1e200]]},"Z":[[0]]}',
+        '{"cmd":"act","kind":"glgh","A":[[1e200]],"a":[[0]],"Y":[[1e200]],"V":[[0]]}',
+        '{"cmd":"sigma","M":[[0]],"Y":[[1e-320]]}',
+        '{"cmd":"distance","Y0":[[1]],"V0":[[0]],"Y1":[[1e300]],"V1":[[1e300]]}',
+    ], ids=["geodesic", "theta", "jacobi-act", "act_glgh", "sigma", "distance"])
+    def test_overflow_is_refused_without_warning(self, text, tmp_path, capsys):
+        # in this process a numpy RuntimeWarning is an error, and exits 1; the
+        # result, or the value built from it, is refused as not finite
+        src = tmp_path / "in.json"
+        src.write_text(text, encoding="utf-8")
+        assert cli.main(["--input", str(src)]) == 2
+        captured = capsys.readouterr()
+        error = json.loads(captured.out)["error"]
+        assert "finite" in error
+        assert captured.err.splitlines() == [f"input error: {error}"]
 
     @pytest.mark.parametrize("text", [
         '{"cmd":"distance","Y0":[[1,0],[0,1e308]],"V0":[[0,0]],"Y1":[[1,0],[0,1]],"V1":[[0,0]]}',
@@ -496,19 +525,93 @@ class TestBatchIsolation:
 _DIVERGING = [[[1 + xi, 0], [0, 1.5 / xi ** 2]] for xi in (0.1, 0.01, 0.001, 0.0001)]
 
 
-def _counting(monkeypatch, name, *modules) -> list:
-    """Record each call of ``name`` through any of ``modules`` in the
-    returned list; each module keeps its own binding."""
+def _counting(monkeypatch, module, name: str) -> list:
+    """Record each call of ``module.name`` in the returned list, through
+    every binding of it in the package."""
+    fn = getattr(module, name)
     calls = []
-    for module in modules:
-        fn = getattr(module, name)
 
-        def counting(*args, fn=fn, **kwargs):
-            calls.append(1)
-            return fn(*args, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counting)
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "realtori" and vars(mod).get(name) is fn:
+            monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+_OMEGA = '{"X":[[0.5]],"Y":[[2]]}'
+# one request per command (two for act, cayley, equiv and degenerate), and
+# its calls of each validator; a validator not named is not called
+_VALIDATED = {
+    "reduce": ('{"cmd":"reduce","Y":[[2,1],[1,2]]}', {"_symmetric": 1, "_cholesky": 1}),
+    # each form, again in minkowski_reduce; the forms as exact integers
+    "equiv_Y": ('{"cmd":"equiv","Y1":[[2,1],[1,2]],"Y2":[[2,-1],[-1,2]]}',
+                {"_symmetric": 4, "_cholesky": 4, "int_matrix": 2}),
+    # each point, Im Omega again in minkowski_reduce; 2 Re Omega and Im Omega
+    # of each point as exact integers
+    "equiv_Omega": ('{"cmd":"equiv","Omega1":{"X":[[0.5,0],[0,0]],"Y":[[2,1],[1,2]]},'
+                    '"Omega2":{"X":[[0.5,0],[0,0]],"Y":[[2,-1],[-1,2]]}}',
+                    {"_symmetric": 4, "_cholesky": 4, "int_matrix": 4}),
+    "classify-mod2": ('{"cmd":"classify-mod2","N":[[0,1,0],[1,0,0],[0,0,1]]}',
+                      {"int_matrix": 1}),
+    "invariants": (INVARIANTS, {}),
+    # M; Y, then the image
+    "sigma": ('{"cmd":"sigma","M":[[1,0],[0,1]],"Y":[[1,0],[0,1]]}',
+              {"_symmetric": 2, "_cholesky": 2, "int_matrix": 1}),
+    # Omega; 2 Re Omega
+    "real-structure": ('{"cmd":"real-structure","Omega":' + _OMEGA + '}',
+                       {"_symmetric": 1, "_cholesky": 1, "int_matrix": 1}),
+    # the point, then its image
+    "cayley_to_disk": ('{"cmd":"cayley","direction":"to_disk","Omega":' + _OMEGA + '}',
+                       {"_symmetric": 2, "_cholesky": 1}),
+    "cayley_to_halfspace": ('{"cmd":"cayley","direction":"to_halfspace","W":[[0.5]]}',
+                            {"_symmetric": 2, "_cholesky": 1}),
+    "act_gl": ('{"cmd":"act","kind":"gl","A":[[1,1],[0,1]],"Y":[[2,1],[1,2]]}',
+               {"_symmetric": 1, "_cholesky": 1}),
+    "act_sp": ('{"cmd":"act","kind":"sp","M":[[1,1],[0,1]],"Omega":' + _OMEGA + '}',
+               {"_symmetric": 2, "_cholesky": 2}),
+    "act_disk": ('{"cmd":"act","kind":"disk","M":[[1,1],[0,1]],"W":[[0.1]]}',
+                 {"_symmetric": 2}),
+    "act_gamma_star": ('{"cmd":"act","kind":"gamma_star","M":[[1,1],[0,1]],"Omega":'
+                       + _OMEGA + '}', {"_symmetric": 2, "_cholesky": 2, "int_matrix": 1}),
+    "act_glgh": ('{"cmd":"act","kind":"glgh","A":[[2]],"a":[[1]],"Y":[[1]],"V":[[0]]}',
+                 {"_symmetric": 2, "_cholesky": 2}),
+    # kappa + mu t(lam), then the point and its image
+    "jacobi-act": ('{"cmd":"jacobi-act","M":[[-1,1],[-1,0]],"lam":[[-0.4]],"mu":[[0.9]],'
+                   '"kappa":[[-0.2]],"Omega":{"X":[[0.05]],"Y":[[0.84]]},'
+                   '"Z":[[{"re":-0.6,"im":-1.4}]]}', {"_symmetric": 3, "_cholesky": 2}),
+    # Y, then the Gram form Y^-1
+    "theta": ('{"cmd":"theta","Y":[[1]],"v":[0.3]}', {"_symmetric": 2, "_cholesky": 2}),
+    # as theta; lam, then its coordinates as a vector of the doubled lattice
+    "factor": ('{"cmd":"factor","kind":"I_alpha","Y":[[1]],"lam":[1],"arg":[0.1]}',
+               {"_symmetric": 2, "_cholesky": 2, "int_matrix": 2}),
+    "distance": ('{"cmd":"distance","Y0":[[2,1],[1,2]],"V0":[[0,1]],"Y1":[[1,0],[0,3]],'
+                 '"V1":[[1,0]]}', {"_symmetric": 2, "_cholesky": 2}),
+    "geodesic": ('{"cmd":"geodesic","k":[[1]],"lambdas":[1],"Z":[[1]],"t":0.5}',
+                 {"_symmetric": 1, "_cholesky": 1}),
+    "iwasawa": ('{"cmd":"iwasawa","Y":[[2,1],[1,2]],"r":1}', {"_symmetric": 1, "_cholesky": 1}),
+    "ext-normal": ('{"cmd":"ext-normal","Pi1":[[1]],"Pi2":[[2]],"sigma":[[3,1]]}', {}),
+    "ext-add": ('{"cmd":"ext-add","Pi1":[[1]],"Pi2":[[2]],"sigma1":[[3,1]],'
+                '"sigma2":[[1,0]]}', {}),
+    # the lattice generators, then the difference of normal forms
+    "ext-equiv": ('{"cmd":"ext-equiv","Pi1":[[1]],"Pi2":[[2]],"sigma1":[[3,1]],'
+                  '"sigma2":[[1,0]]}', {"int_matrix": 2}),
+    # four samples, then the core of the limit
+    "degenerate_real": (json.dumps({"cmd": "degenerate", "params": [0.1, 0.01, 0.001, 0.0001],
+                                    "matrices": _DIVERGING}), {"_symmetric": 5, "_cholesky": 5}),
+    "degenerate_complex": (json.dumps({"cmd": "degenerate", "complex": True,
+                                       "params": [0.1, 0.01, 0.001, 0.0001],
+                                       "matrices": [{"X": [[0.5, 0], [0, 0]], "Y": Y}
+                                                    for Y in _DIVERGING]}),
+                           {"_symmetric": 5, "_cholesky": 5}),
+    "split-involution": ('{"cmd":"split-involution","S":[[0,1],[1,0]]}', {"int_matrix": 1}),
+    "cocycle": ('{"cmd":"cocycle","gamma":[[1,2],[0,1]]}', {"int_matrix": 1}),
+    "coboundary": ('{"cmd":"coboundary","gamma":[[1,2],[0,1]]}', {"int_matrix": 1}),
+    "fixed-locus": ('{"cmd":"fixed-locus","gamma":[[-1,0],[0,-1]],'
+                    '"Omega":{"X":[[0]],"Y":[[1]]}}', {"_symmetric": 2, "_cholesky": 2}),
+}
 
 
 class TestWorkDoneOnce:
@@ -516,8 +619,20 @@ class TestWorkDoneOnce:
     GF(2) matrix is built, and each symplectic matrix checked, once per
     public call."""
 
+    def test_every_command_is_covered(self):
+        assert {json.loads(text)["cmd"] for text, _ in _VALIDATED.values()} == set(cli.COMMANDS)
+
+    @pytest.mark.parametrize("request_", list(_VALIDATED))
+    def test_validators(self, run_cli, monkeypatch, request_):
+        text, expected = _VALIDATED[request_]
+        calls = {name: _counting(monkeypatch, module, name) for module, name in
+                 ((spdcone, "_symmetric"), (spdcone, "_cholesky"), (exactlinalg, "int_matrix"))}
+        code, out = run_cli(text)
+        assert code == 0 and json.loads(out)["status"] == "ok"
+        assert {name: len(c) for name, c in calls.items() if c} == expected
+
     def test_classify_mod2_converts_to_gf2_once(self, run_cli, monkeypatch):
-        converted = _counting(monkeypatch, "gf2_matrix", exactlinalg, moduli)
+        converted = _counting(monkeypatch, exactlinalg, "gf2_matrix")
         code, out = run_cli('{"cmd":"classify-mod2","N":[[0,1,0],[1,0,0],[0,0,1]]}')
         assert code == 0 and json.loads(out)["lambda"] == 3
         # in mod2_standard_form; lambda and i are read from S
@@ -525,39 +640,15 @@ class TestWorkDoneOnce:
 
     @pytest.mark.parametrize("cmd, checks", [("cocycle", 1), ("coboundary", 2)])
     def test_symplectic_checks(self, run_cli, monkeypatch, cmd, checks):
-        checked = _counting(monkeypatch, "is_symplectic", exactlinalg, siegel, cohomology)
+        checked = _counting(monkeypatch, exactlinalg, "is_symplectic")
         code, out = run_cli(json.dumps({"cmd": cmd, "gamma": [[1, 2], [0, 1]]}))
         assert code == 0 and json.loads(out)["status"] == "ok"
         # gamma in is_cocycle, then the witness in symplectic_inverse
         assert len(checked) == checks
 
-    def test_distance_validates_each_point_once(self, run_cli, monkeypatch):
-        factored = _counting(monkeypatch, "_spd_factor", spdcone)
-        code, out = run_cli('{"cmd":"distance","Y0":[[2,1],[1,2]],"V0":[[0,1]],'
-                            '"Y1":[[1,0],[0,3]],"V1":[[1,0]]}')
-        assert code == 0 and json.loads(out)["status"] == "ok"
-        assert len(factored) == 2
-
-    def test_gamma_star_act_validates_omega_once(self, run_cli, monkeypatch):
-        validated = _counting(monkeypatch, "require_siegel", siegel)
-        code, out = run_cli('{"cmd":"act","kind":"gamma_star","M":[[1,1],[0,1]],'
-                            '"Omega":{"X":[[0.5]],"Y":[[2]]}}')
-        assert code == 0 and json.loads(out)["Omega"] == {"X": [[1.5]], "Y": [[2.0]]}
-        # the point, then the image
-        assert len(validated) == 2
-
-    def test_jacobi_act_validates_omega_once(self, run_cli, monkeypatch):
-        validated = _counting(monkeypatch, "require_siegel", siegel)
-        code, out = run_cli('{"cmd":"jacobi-act","M":[[-1,1],[-1,0]],"lam":[[-0.4]],'
-                            '"mu":[[0.9]],"kappa":[[-0.2]],"Omega":{"X":[[0.05]],"Y":[[0.84]]},'
-                            '"Z":[[{"re":-0.6,"im":-1.4}]]}')
-        assert code == 0 and json.loads(out)["status"] == "ok"
-        # the point, then the image
-        assert len(validated) == 2
-
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     def test_degenerate_factors_each_sample_once(self, run_cli, monkeypatch, complex_):
-        factored = _counting(monkeypatch, "_spd_factor", spdcone)
+        factored = _counting(monkeypatch, spdcone, "_cholesky")
         mats = [{"X": [[0.5, 0], [0, 0]], "Y": Y} for Y in _DIVERGING] if complex_ else _DIVERGING
         code, out = run_cli(json.dumps({"cmd": "degenerate", "complex": complex_,
                                         "params": [0.1, 0.01, 0.001, 0.0001], "matrices": mats}))

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from realtori import spdcone
+from realtori import siegel, spdcone
 from realtori.degenerations import (
     FamilySample,
     detect_divergence,
@@ -96,7 +96,8 @@ class TestDetectDivergence:
         def refuse(Y):
             pytest.fail("a sample was factored")
 
-        monkeypatch.setattr(spdcone, "_spd_factor", refuse)
+        monkeypatch.setattr(spdcone, "_cholesky", refuse)
+        monkeypatch.setattr(siegel, "_cholesky", refuse)
         mats = [2.0 * np.eye(2), 2.0 * np.eye(1), 2.0 * np.eye(2)]
         if small_first:
             mats[:2] = mats[1::-1]
@@ -108,13 +109,15 @@ class TestDetectDivergence:
     @pytest.mark.parametrize("complex_family", [False, True], ids=["real", "complex"])
     def test_each_sample_is_factored_once(self, complex_family, monkeypatch):
         factored = []
-        spd_factor = spdcone._spd_factor
+        cholesky = spdcone._cholesky
 
         def counting(Y):
             factored.append(1)
-            return spd_factor(Y)
+            return cholesky(Y)
 
-        monkeypatch.setattr(spdcone, "_spd_factor", counting)
+        # a real sample is factored in spdcone, a complex one in siegel
+        monkeypatch.setattr(spdcone, "_cholesky", counting)
+        monkeypatch.setattr(siegel, "_cholesky", counting)
         rng = np.random.default_rng(4)
         X = np.array([[0.5, 0.25], [0.25, 0.0]]) if complex_family else None
         sample = family(unit_upper(2, rng), degenerating(2, 1, rng), X)

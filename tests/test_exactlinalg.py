@@ -399,6 +399,12 @@ class TestExactEntries:
         with pytest.raises(ValueError, match=re.escape(error)):
             int_matrix(data)
 
+    @pytest.mark.parametrize("call", [gf2_rank, det_int, kernel_basis, unimodular_inverse])
+    def test_exact_vector_is_refused(self, call):
+        # an exact matrix is taken as it is, and an exact vector is not one
+        with pytest.raises(ValueError, match="integer matrix must be two-dimensional"):
+            call(np.array([1, 0], dtype=object))
+
     def test_rat_matrix(self):
         M = rat_matrix([["1/2", 3], [Fraction(2, 4), True]])
         assert all(type(v) is Fraction for v in M.flat)
@@ -475,6 +481,9 @@ def _integer_inputs():
         "I_alpha": lambda x: theta.automorphic_factor_eval("I_alpha", bundle, [x], [0.1]),
         "I_B_alpha": lambda x: theta.automorphic_factor_eval("I_B_alpha", bundle, [x], [0.1]),
         "I_B_rho": lambda x: theta.automorphic_factor_eval("I_B_rho", bundle.spec, [x], [0.1]),
+        "factor_i_b_rho": lambda x: theta.factor_i_b_rho(bundle.spec, [x], [0.1]),
+        "theta_transform_residual": lambda x: theta.theta_transform_residual(bundle.spec, [x],
+                                                                             [0.1]),
     }
 
 
