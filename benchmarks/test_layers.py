@@ -1,9 +1,10 @@
 """Per-layer timings of SPD validation, reduction (also of forms that take a
 descent step), enumeration, congruence-witness search, equivalence of
-polarized tori and of real ppavs, exact determinant and inverse, Smith
-normal form, coboundary witnesses, theta summation, theta, distance and
-degenerate requests and the JSON decode/encode round trip, and of the CLI
-end to end (in process) on the golden batch of ``tests/golden/cli_in.json``.
+polarized tori (also of tied pairs at cond 10^6-10^10) and of real ppavs,
+exact determinant and inverse, Smith normal form, coboundary witnesses,
+theta summation, theta, distance and degenerate requests and the JSON
+decode/encode round trip, and of the CLI end to end (in process) on the
+golden batch of ``tests/golden/cli_in.json``.
 The JSON round trip is timed on four kinds of payload: real forms, exact
 rationals, integer symplectic matrices and half-space points.
 
@@ -166,6 +167,27 @@ def test_polarized_tori_equivalent(benchmark, g):
     verdicts = benchmark(lambda: [polarized_tori_equivalent(Y1, Y2).verdict
                                   for Y1, Y2, _ in pairs])
     assert [v is Verdict.EQUIVALENT for v in verdicts] == [e for _, _, e in pairs]
+
+
+def test_polarized_tori_equivalent_tied_ill_conditioned(benchmark):
+    """Five tied pairs Y1 = M + M (block sum), M = Q diag(1, c) tQ with
+    c = 10^6, ..., 10^10, against Y2 = U Y1 tU for a unimodular U with
+    entries up to 3: the reduced forms tie, so the minima test or the witness
+    search decides, at the search tolerance that covers the rounding of the
+    reduced forms."""
+    rng = np.random.default_rng(1500)
+    pairs = []
+    for e in range(6, 11):
+        Q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        M = (Q * [1.0, 10.0 ** e]) @ Q.T
+        Y1 = np.kron(np.eye(2), 0.5 * (M + M.T))
+        U = random_unimodular(4, rng, max_entry=3).astype(float)
+        pairs.append((Y1, U @ Y1 @ U.T))
+    results = benchmark(lambda: [polarized_tori_equivalent(Y1, Y2) for Y1, Y2 in pairs])
+    for (Y1, Y2), res in zip(pairs, results):
+        if res.verdict is Verdict.EQUIVALENT:
+            A = res.witness.astype(float)
+            assert np.max(np.abs(A @ Y1 @ A.T - Y2)) <= 1e-9 * np.max(np.abs(Y2))
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])

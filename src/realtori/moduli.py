@@ -9,11 +9,28 @@ One engine decides both equivalence problems.  Polarized real tori are
 equivalent when a unimodular A gives A Y1 tA = Y2; two real ppavs with
 half-integral real part are equivalent when such an A between their
 imaginary parts also gives A (2 Re Omega1) tA = 2 Re Omega2 (mod 2).
+
+On float input an INEQUIVALENT answer rests on one rounding-aware bound
+between the reduced forms R1 = A1 Y1 tA1 and R2 = A2 Y2 tA2
+(``_equivalent``): for any A that passes the transport check, within
+t_Y = max(tol, 1e-9) max(1, max|Y2|), row j of B = A2 A A1^-1, however long,
+has q_R1(b_j) <= q_j = (R2_jj + d_jj) / (1 - rho), and B R1 tB fits R2
+within tau_ij = max(t max(1, max|R2|), d_ij + rho sqrt(q_i q_j)), the
+tolerance of the witness search's row and cross filters.  Here
+d = t_Y |A2|_inf^2 + gamma_{2g+1} |A2||Y2||tA2| bounds the transport
+mismatch and the rounding of R2, rho the relative rounding of q_R1 (of R1
+and of the search's own products), and gamma_n = n u / (1 - n u) (Higham
+2002, section 3.5).  Before the search, the successive minima decide: when
+R1 passes the reduction certificate and R1_kk > q_j for every j <= k, no
+witness exists.  Only this direction is proved, so I_4 against 1000.5 I_4
+stays UNDECIDED (its candidates exceed the cap) while the reversed pair
+answers INEQUIVALENT.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,6 +49,8 @@ from .exactlinalg import (
 from .siegel import _half_integral, require_siegel
 from .spdcone import (
     MAX_REDUCTION_DIM,
+    _ROUNDING,
+    _is_certified_reduced,
     minkowski_reduce,
     quadratic_short_vectors,
     require_spd,
@@ -351,34 +370,43 @@ def congruence_witnesses(Y1, Y2, tol: float = 1e-9, max_witnesses: int = 64,
     return found, True
 
 
-def _witness_search(Y1: np.ndarray, Y2: np.ndarray, tau: float, cap: int):
+def _witness_search(Y1: np.ndarray, Y2: np.ndarray, tau, cap: int):
     """Yield, in search order, the witnesses of ``congruence_witnesses`` for
-    validated forms of one size within the absolute tolerance ``tau``.
+    validated forms of one size within the absolute tolerance ``tau``, one
+    number or one per entry of Y2.
 
     Raises RuntimeError when the enumeration or the node count exceeds ``cap``.
     """
     g = Y1.shape[0]
+    tau = np.broadcast_to(tau, Y2.shape)
     diag2 = np.diag(Y2)
-    vecs = quadratic_short_vectors(Y1, float(np.max(diag2)) + tau, cap=cap)
+    vecs = quadratic_short_vectors(Y1, float(np.max(diag2 + tau.diagonal())), cap=cap)
     X = np.array(vecs, dtype=float).reshape(len(vecs), g)
     values = np.einsum("ni,ij,nj->n", X, Y1, X)
-    rows = [np.flatnonzero(np.abs(values - diag2[i]) <= tau).tolist() for i in range(g)]
+    rows = [np.flatnonzero(np.abs(values - diag2[i]) <= tau[i, i]).tolist() for i in range(g)]
     # row i's candidates times Y1: one product with a chosen row j < i gives
     # the cross term (Y2)_ij of every candidate at once
     products = [X[r] @ Y1 for r in rows]
+    last = np.array(rows[-1], dtype=np.intp)
     chosen: list[int] = []
     nodes = 0
 
     def backtrack(i: int):
         nonlocal nodes
-        if i == g:
-            B = [list(vecs[c]) for c in chosen]
-            if abs(_det_rows(B)) == 1:
-                yield np.array(B, dtype=object)
-            return
         cross = products[i] @ X[chosen].T
-        fits = np.all(np.abs(cross - Y2[i, :i]) <= tau, axis=1).tolist()
-        for cand, fit in zip(rows[i], fits):
+        fits = np.all(np.abs(cross - Y2[i, :i]) <= tau[i, :i], axis=1)
+        if i == g - 1:
+            # the last row's candidates at once: candidate k is node start + k + 1,
+            # and only nodes within the cap are tried
+            start, nodes = nodes, nodes + len(rows[i])
+            tried = slice(cap - start)
+            B = [list(vecs[c]) for c in chosen]
+            for k in _unimodular_completions(B, last[tried][fits[tried]], vecs, X):
+                yield np.array(B + [list(vecs[k])], dtype=object)
+            if nodes > cap:
+                raise RuntimeError("witness search cap exceeded")
+            return
+        for cand, fit in zip(rows[i], fits.tolist()):
             nodes += 1
             if nodes > cap:
                 raise RuntimeError("witness search cap exceeded")
@@ -388,6 +416,21 @@ def _witness_search(Y1: np.ndarray, Y2: np.ndarray, tau: float, cap: int):
                 chosen.pop()
 
     yield from backtrack(0)
+
+
+def _unimodular_completions(B: list, cands: np.ndarray, vecs: list, X: np.ndarray) -> list[int]:
+    """The k in ``cands``, in order, whose row vecs[k] completes the rows B
+    (Python ints) to a unimodular matrix: the determinant is x.C, C the
+    cofactors of the last row, in floats where every term and partial sum is
+    an integer below 2^53."""
+    g = len(B) + 1
+    if not len(cands):
+        return []
+    C = [(-1) ** (g - 1 + j) * _det_rows([r[:j] + r[j + 1:] for r in B]) for j in range(g)]
+    Xc = X[cands]
+    if g * max(map(abs, C)) * float(np.abs(Xc).max()) < 2.0 ** 53:
+        return cands[np.abs(Xc @ np.array(C, dtype=float)) == 1].tolist()
+    return [k for k in cands.tolist() if abs(sum(c * x for c, x in zip(C, vecs[k]))) == 1]
 
 
 def _exact_integers(*forms: np.ndarray) -> list[np.ndarray] | None:
@@ -410,11 +453,80 @@ def _transports(A: np.ndarray, Y1: np.ndarray, Y2: np.ndarray,
     return float(np.max(np.abs(Af @ Y1 @ Af.T - Y2))) <= limit
 
 
+# one sign vector per pair +-s, with s_0 = 1
+_SIGNS = {g: np.array([(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=g - 1)])
+          for g in range(1, MAX_REDUCTION_DIM + 1)}
+
+
+def _search_tolerance(Y1: np.ndarray, R1: np.ndarray, A1: np.ndarray,
+                      Y2: np.ndarray, R2: np.ndarray, A2: np.ndarray,
+                      t: float, t_Y: float) -> tuple[np.ndarray, np.ndarray]:
+    """The search tolerance tau, one per entry, between R1 = A1 Y1 tA1 and
+    R2 = A2 Y2 tA2, and the bound q_j on q_R1 of row j of a witness, at the
+    transport tolerance t_Y = t max(1, max|Y2|) (see ``_equivalent``)."""
+    g = Y1.shape[0]
+    u = _ROUNDING / 2
+    B1, B2 = abs(A1.astype(float)), abs(A2.astype(float))
+    row = float(B2.sum(axis=1).max())
+    n = (2 * g + 1) * u
+    d = t_Y * row * row + n / (1 - n) * (B2 @ abs(Y2) @ B2.T)
+    S = _SIGNS[g] * (B1 @ np.sqrt(Y1.diagonal()))
+    kappa = float(np.einsum("ij,ji->i", S, np.linalg.solve(R1, S.T)).max())
+    n = (g * g + 2 * g + 3) * u
+    rho = n / (1 - n) * kappa
+    if not rho < 1:
+        # no bound on a witness's rows: every candidate passes
+        return np.full((g, g), math.inf), np.full(g, math.inf)
+    q = (R2.diagonal() + d.diagonal()) / (1 - rho)
+    tau = np.maximum(t * max(1.0, float(np.max(np.abs(R2)))), d + rho * np.sqrt(np.outer(q, q)))
+    return tau, q
+
+
 def _equivalent(Y1: np.ndarray, Y2: np.ndarray, tol: float, cap: int,
                 keep=None) -> EquivalenceResult:
     """Y2 = A Y1 tA for unimodular A with ``keep(A)``, for validated forms of
-    one size: the witness search between the Minkowski-reduced forms is
-    complete, so when no candidate is kept the pair is inequivalent."""
+    one size: the witness search between the Minkowski-reduced forms
+    R1 = A1 Y1 tA1 and R2 = A2 Y2 tA2 is complete, so when no candidate is
+    kept the pair is inequivalent.
+
+    The search looks for B = A2 A A1^-1 with B R1 tB = R2 within tau_ij in
+    entry ij.  With t = max(tol, 1e-9) and t_Y = t max(1, max|Y2|) the
+    tolerance of the transport check, any A that the check accepts,
+    A Y1 tA = Y2 + D with |D| <= t_Y, gives
+
+        B R1 tB - R2 = A2 D tA2 + B E1 tB - E2,
+
+    Ei the rounding of Ri.  ``minkowski_reduce`` returns R as one product:
+    size reduction updates R in Python scalars only to decide, and returns R
+    recomputed as ``spdcone._act(A, Y)`` after its last step; a descent
+    step's R is ``_act(A, Y)`` too, and the sign flips negate rows and
+    columns exactly.  So |Ei| <= gamma_{2g+1} |Ai||Yi||tAi| (Higham 2002,
+    section 3.5: two products of length g, then the sum Z + tZ;
+    gamma_n = n u / (1 - n u), u the unit roundoff), and
+
+        d = t_Y |A2|_inf^2 + gamma_{2g+1} |A2||Y2||tA2|
+
+    bounds A2 D tA2 - E2 in every entry.  B E1 tB grows with the rows of B,
+    which may be long: |Y1_kl| <= sqrt(Y1_kk Y1_ll) gives
+    |A1||Y1||tA1| <= w tw with w = |A1| sqrt(diag Y1), and by Cauchy-Schwarz
+    in the inner product of R1, (|x|.w)^2 <= kappa q_R1(x) with
+    kappa = max over sign vectors s of (s w) R1^-1 t(s w).  So
+    |x E1 ty| <= rho sqrt(q_R1(x) q_R1(y)), where
+    rho = gamma_{g^2+2g+3} kappa also covers the search's own evaluation of
+    x R1 ty (g^2 triple products).  A witness's row b_j then has
+    q_R1(b_j) <= R2_jj + d_jj + rho q_R1(b_j), that is, when rho < 1,
+
+        q_R1(b_j) <= q_j = (R2_jj + d_jj) / (1 - rho),
+
+    and every entry of B R1 tB, as the search computes it, is within
+
+        tau_ij = max(t max(1, max|R2|), d_ij + rho sqrt(q_i q_j))
+
+    of R2_ij.  These bounds are to first order in u, as kappa is computed
+    in floats.  When rho >= 1, tau is infinite and the search ends at its
+    cap.  The q_j also decide the successive minima before the search (see
+    ``polarized_tori_equivalent``).
+    """
     g = Y1.shape[0]
     if g > MAX_REDUCTION_DIM:
         raise ValueError(f"equivalence supported for g <= {MAX_REDUCTION_DIM}")
@@ -424,15 +536,28 @@ def _equivalent(Y1: np.ndarray, Y2: np.ndarray, tol: float, cap: int,
     R1, A1 = minkowski_reduce(Y1)
     R2, A2 = minkowski_reduce(Y2)
     scale = max(1.0, float(np.max(np.abs(Y2))))
-    A2inv = unimodular_inverse(A2)
-    candidates = _witness_search(R1, R2, max(tol, 1e-9) * max(1.0, float(np.max(np.abs(R2)))),
-                                 cap)
-    if float(np.max(np.abs(R1 - R2))) <= 1e-8 * scale:
-        candidates = itertools.chain([np.eye(g, dtype=object)], candidates)
+    t = max(tol, 1e-9)
+
+    def accepts(A) -> bool:
+        return _transports(A, Y1, Y2, exact, t * scale) and (keep is None or keep(A))
+
+    identity = float(np.max(np.abs(R1 - R2))) <= 1e-8 * scale
+    if identity:
+        # matching reduced forms: the composed witness before the search
+        A2inv = unimodular_inverse(A2)
+        A = A2inv @ A1
+        if accepts(A):
+            return EquivalenceResult(Verdict.EQUIVALENT, witness=A)
+    tau, q = _search_tolerance(Y1, R1, A1, Y2, R2, A2, t, t * scale)
+    if not identity:
+        d1, q = R1.diagonal().tolist(), q.tolist()
+        if _is_certified_reduced(R1) and any(d1[k] > max(q[: k + 1]) for k in range(g)):
+            return EquivalenceResult(Verdict.INEQUIVALENT, detail="successive minima differ")
+        A2inv = unimodular_inverse(A2)
     try:
-        for B in candidates:
+        for B in _witness_search(R1, R2, tau, cap):
             A = A2inv @ B @ A1
-            if _transports(A, Y1, Y2, exact, max(tol, 1e-9) * scale) and (keep is None or keep(A)):
+            if accepts(A):
                 return EquivalenceResult(Verdict.EQUIVALENT, witness=A)
     except RuntimeError:
         return EquivalenceResult(Verdict.UNDECIDED, detail="candidate cap exceeded")
@@ -444,12 +569,26 @@ def polarized_tori_equivalent(Y1, Y2, tol: float = 1e-9,
                               cap: int = 200_000) -> EquivalenceResult:
     """GL(g,Z)-equivalence of SPD matrices: Y2 = A Y1 tA for unimodular A.
 
-    Both inputs are Minkowski reduced; matching reduced forms give an
-    immediate composed witness, otherwise a certified finite search between
-    the reduced forms decides the boundary-ambiguous cases.  A witness is
-    verified exactly, A Y1 tA = Y2 in integers, when every input entry is an
-    integer below 2^53, and otherwise within max(tol, 1e-9) max(1, max|Y2|)
-    in every entry.
+    Both inputs are Minkowski reduced; matching reduced forms (within
+    1e-8 max(1, max|Y2|)) give an immediate composed witness, otherwise a
+    certified finite search between the reduced forms decides the
+    boundary-ambiguous cases.  A witness is verified exactly, A Y1 tA = Y2 in
+    integers, when every input entry is an integer below 2^53, and otherwise
+    within max(tol, 1e-9) max(1, max|Y2|) in every entry.
+
+    INEQUIVALENT comes from the determinants of integer input, from the
+    successive minima, or from a search that ends without a witness.  The
+    minima decide when the reduced forms do not match, R1 passes the
+    reduction certificate and R1_kk > q_j for every j <= k, q_j the bound of
+    the module docstring on q_R1 of row j of any witness B between the
+    reduced forms, whatever its length: the rows b_0..b_k of B would be
+    k + 1 independent vectors with q_R1(b_j) <= q_j < R1_kk, yet for g <= 4
+    the diagonal of a Minkowski-reduced form holds its successive minima
+    (Nguyen & Stehle, ACM TALG 2009).  The reverse test, R2_kk above R1_jj,
+    is not made: it would bound the rows of B^-1, which carry the mismatch
+    B R1 tB - R2 times the square of B^-1, which may be large.  So
+    np.eye(4) against 1000.5 * np.eye(4) is UNDECIDED, and the reversed pair
+    INEQUIVALENT.
     """
     Y1 = require_spd(Y1)
     Y2 = require_spd(Y2)

@@ -94,16 +94,17 @@ class ThetaSpec:
 
 def factor_i_b_rho(spec: ThetaSpec, lam_int, v) -> complex:
     """Automorphic factor rho(lam) exp(pi B(lam,lam) + 2 pi B(v,lam)), lam = Pi lam_int."""
-    return _factor_i_b_rho(spec, np.array(_int_vector(lam_int), dtype=float),
-                           np.asarray(v, dtype=float).ravel())
+    n = np.array(_int_vector(lam_int), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _factor_i_b_rho(spec, n, np.asarray(v, dtype=float).ravel())
 
 
 def _factor_i_b_rho(spec: ThetaSpec, n: np.ndarray, v: np.ndarray) -> complex:
-    # factor_i_b_rho at integral coordinates n and a flat v; an exponent that
-    # overflows raises OverflowError or leaves inf or NaN for the caller to refuse
+    # factor_i_b_rho at integral coordinates n and a flat v, called under
+    # np.errstate(over="ignore", invalid="ignore"): an exponent that overflows
+    # raises OverflowError or leaves inf or NaN for the caller to refuse
     lam = spec.Pi @ n
-    with np.errstate(over="ignore", invalid="ignore"):
-        expo = math.pi * float(lam @ spec.B @ lam) + 2.0 * math.pi * float(v @ spec.B @ lam)
+    expo = math.pi * float(lam @ spec.B @ lam) + 2.0 * math.pi * float(v @ spec.B @ lam)
     return cmath.exp(1j * float(np.dot(spec.character_angles(), n))) * math.exp(expo)
 
 
@@ -196,11 +197,16 @@ def theta_eval(spec: ThetaSpec, v, eps: float = 1e-12) -> complex:
     if v.shape[0] != spec.g:
         raise ValueError("argument dimension mismatch")
     m = np.round(np.linalg.solve(spec.Pi, v))
-    v_red = v - spec.Pi @ m
     if not m.any():
-        return _sum_with_tail(spec, v_red, eps, oscillatory=False)
-    # the factor first: one that overflows is refused before the sum's walk
-    factor = _factor_i_b_rho(spec, m, v_red)
+        return _sum_with_tail(spec, v - spec.Pi @ m, eps, oscillatory=False)
+    # the factor first: one that overflows is refused, or returned for the
+    # caller to refuse when it is not finite, before the sum's walk; overflowing
+    # coordinates leave inf or NaN in m, and so in the factor
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_red = v - spec.Pi @ m
+        factor = _factor_i_b_rho(spec, m, v_red)
+    if not cmath.isfinite(factor):
+        return factor
     return factor * _sum_with_tail(spec, v_red, eps, oscillatory=False)
 
 
@@ -211,7 +217,9 @@ def theta_transform_residual(spec: ThetaSpec, lam_int, v,
     n = np.array(_int_vector(lam_int), dtype=float)
     lam = spec.Pi @ n
     lhs = _sum_with_tail(spec, v + lam, eps, oscillatory=False)
-    rhs = _factor_i_b_rho(spec, n, v) * _sum_with_tail(spec, v, eps, oscillatory=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = _factor_i_b_rho(spec, n, v)
+    rhs = factor * _sum_with_tail(spec, v, eps, oscillatory=False)
     return abs(lhs - rhs)
 
 
@@ -271,7 +279,10 @@ class SemiCharacter:
                        for j in range(len(n)) for k in range(len(m))))
 
     def eval(self, n) -> complex:
-        n = _int_vector(n)
+        return self._eval(_int_vector(n))
+
+    def _eval(self, n: list[int]) -> complex:
+        # eval at coordinates given as Python ints
         two_g = len(n)
         phase = float(np.dot(np.angle(self.values), n))
         parity = 0
@@ -380,11 +391,14 @@ def automorphic_factor_eval(kind: str, data, lam, arg) -> complex:
     i lam.
     kind 'I_B_alpha': as 'I_alpha' but with doubled character argument and
     the restricted real form.
+
+    A value that overflows is returned as inf or NaN for the caller to refuse.
     """
     n = _int_vector(lam)
     if kind == "I_B_rho":
-        return _factor_i_b_rho(data, np.array(n, dtype=float),
-                               np.asarray(arg, dtype=float).ravel())
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _factor_i_b_rho(data, np.array(n, dtype=float),
+                                   np.asarray(arg, dtype=float).ravel())
     if not isinstance(data, CanonicalBundle):
         raise ValueError(f"factor kind {kind!r} needs canonical bundle data")
     Y = data.Y
@@ -392,20 +406,23 @@ def automorphic_factor_eval(kind: str, data, lam, arg) -> complex:
     if kind == "J_H_alpha":
         ell = data.alpha.vector(n)
         z = np.asarray(arg, dtype=complex).ravel()
-        expo = 0.5 * math.pi * data.hermitian(ell, ell) + math.pi * data.hermitian(z, ell)
-        return data.alpha.eval(n) * cmath.exp(expo)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expo = 0.5 * math.pi * data.hermitian(ell, ell) + math.pi * data.hermitian(z, ell)
+        return data.alpha._eval(n) * cmath.exp(expo)
     lam_vec = Y @ np.array(n, dtype=float)
     v = np.asarray(arg, dtype=float).ravel()
     if kind == "I_alpha":
-        val = data.alpha.eval(_imag_multi(g, n, 1))
-        expo = 0.5 * math.pi * data.hermitian(lam_vec, lam_vec) \
-            + math.pi * data.hermitian(v, lam_vec)
+        val = data.alpha._eval(_imag_multi(g, n, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expo = 0.5 * math.pi * data.hermitian(lam_vec, lam_vec) \
+                + math.pi * data.hermitian(v, lam_vec)
         return val * cmath.exp(expo)
     if kind == "I_B_alpha":
-        val = data.alpha.eval(_imag_multi(g, n, 2))
+        val = data.alpha._eval(_imag_multi(g, n, 2))
         Binv = np.linalg.solve(Y, np.eye(g))
-        expo = math.pi * float(lam_vec @ Binv @ lam_vec) \
-            + 2.0 * math.pi * float(v @ Binv @ lam_vec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expo = math.pi * float(lam_vec @ Binv @ lam_vec) \
+                + 2.0 * math.pi * float(v @ Binv @ lam_vec)
         return val * cmath.exp(expo)
     raise ValueError(f"unknown factor kind {kind!r}")
 

@@ -245,13 +245,14 @@ def _equiv(rng):
                            "Omega2": {"X": _fl(0.5 * M2), "Y": _il(Z1 + np.eye(g, dtype=int))}}))
     I2 = {"X": [[0, 0], [0, 0]], "Y": [[1, 0], [0, 1]]}
     H2 = {"X": [[0.5, 0], [0, 0]], "Y": [[1, 0], [0, 1]]}
-    # inequivalent with equal determinants: a search capped at one vector is undecided
-    D16 = {"X": [[0, 0], [0, 0]], "Y": [[1, 0], [0, 6]]}
-    D23 = {"X": [[0, 0], [0, 0]], "Y": [[2, 0], [0, 3]]}
+    # inequivalent with equal reduced diagonals, so the minima do not decide:
+    # a search capped at one vector is undecided
+    D = {"X": [[0, 0], [0, 0]], "Y": [[2, 0], [0, 3.5]]}
+    S = {"X": [[0, 0], [0, 0]], "Y": [[2, 0.5], [0.5, 3.5]]}
     cases += [
-        ([], {"cmd": "equiv", "Omega1": D16, "Omega2": D23, "bound": 1}),
-        (["--bound", "50"], {"cmd": "equiv", "Omega1": D16, "Omega2": D23}),
-        (["--bound", "1"], {"cmd": "equiv", "Omega1": D16, "Omega2": D23, "bound": 50}),
+        ([], {"cmd": "equiv", "Omega1": D, "Omega2": S, "bound": 1}),
+        (["--bound", "50"], {"cmd": "equiv", "Omega1": D, "Omega2": S}),
+        (["--bound", "1"], {"cmd": "equiv", "Omega1": D, "Omega2": S, "bound": 50}),
         ([], {"cmd": "equiv", "Omega1": I2, "Omega2": H2}),
         ([], {"cmd": "equiv", "Omega1": I2, "Omega2": I2, "bound": "x"}),
         ([], {"cmd": "equiv", "Omega1": I2, "Omega2": I2, "bound": 2.5}),

@@ -15,10 +15,11 @@ from realtori import cli, exactlinalg, spdcone, theta
 
 INVARIANTS = '{"cmd":"invariants","g":2}'
 NOT_SPD = '{"cmd":"reduce","Y":[[1,2],[2,1]]}'
-# an inequivalent pair of equal determinants whose witness search stops at
-# its cap of one vector, so the verdict is undecided
-UNDECIDED = ('{"cmd":"equiv","Omega1":{"X":[[0,0],[0,0]],"Y":[[1,0],[0,6]]},'
-             '"Omega2":{"X":[[0,0],[0,0]],"Y":[[2,0],[0,3]]},"bound":1}')
+# an inequivalent pair of equal reduced diagonals, which the successive minima
+# do not decide, whose witness search stops at its cap of one vector, so the
+# verdict is undecided
+UNDECIDED = ('{"cmd":"equiv","Omega1":{"X":[[0,0],[0,0]],"Y":[[2,0],[0,3.5]]},'
+             '"Omega2":{"X":[[0,0],[0,0]],"Y":[[2,0.5],[0.5,3.5]]},"bound":1}')
 
 
 class TestRemovedFlags:
@@ -319,7 +320,13 @@ class TestNonFiniteNumbers:
         '{"cmd":"act","kind":"glgh","A":[[1e200]],"a":[[0]],"Y":[[1e200]],"V":[[0]]}',
         '{"cmd":"sigma","M":[[0]],"Y":[[1e-320]]}',
         '{"cmd":"distance","Y0":[[1]],"V0":[[0]],"Y1":[[1e300]],"V1":[[1e300]]}',
-    ], ids=["geodesic", "theta", "jacobi-act", "act_glgh", "sigma", "distance"])
+        '{"cmd":"theta","Pi":[[1e-200]],"B":[[1e-200]],"v":[1e300]}',
+        '{"cmd":"theta","Pi":[[1e-200,0],[0,1]],"B":[[1,0],[0,1]],"v":[1e300,0.3]}',
+        '{"cmd":"factor","kind":"I_B_alpha","Y":[[1e-300]],"lam":[1],"arg":[1e300]}',
+        '{"cmd":"factor","kind":"J_H_alpha","Y":[[1e-300]],"lam":[1,1],"arg":[1e300]}',
+        '{"cmd":"factor","kind":"I_alpha","Y":[[1e-300]],"lam":[10000000000],"arg":[1e300]}',
+    ], ids=["geodesic", "theta", "jacobi-act", "act_glgh", "sigma", "distance",
+            "theta_coordinates", "theta_coordinates_2d", "factor_I_B_alpha", "factor_J_H_alpha", "factor_I_alpha"])
     def test_overflow_is_refused_without_warning(self, text, tmp_path, capsys):
         # in this process a numpy RuntimeWarning is an error, and exits 1; the
         # result, or the value built from it, is refused as not finite
@@ -462,9 +469,10 @@ class TestExactEquiv:
 
 
 class TestEquivBound:
-    """``bound`` caps the candidate search for both input forms."""
+    """``bound`` caps the candidate search for both input forms; the reduced
+    diagonals agree, so the successive minima do not decide first."""
 
-    Y1, Y2 = [[1, 0], [0, 4]], [[2, 1], [1, 2.5]]
+    Y1, Y2 = [[2, 0], [0, 3.5]], [[2, 0.5], [0.5, 3.5]]
     FORMS = [{"Y1": Y1, "Y2": Y2},
              {"Omega1": {"X": [[0, 0], [0, 0]], "Y": Y1},
               "Omega2": {"X": [[0, 0], [0, 0]], "Y": Y2}}]
@@ -584,9 +592,9 @@ _VALIDATED = {
                    '"Z":[[{"re":-0.6,"im":-1.4}]]}', {"_symmetric": 3, "_cholesky": 2}),
     # Y, then the Gram form Y^-1
     "theta": ('{"cmd":"theta","Y":[[1]],"v":[0.3]}', {"_symmetric": 2, "_cholesky": 2}),
-    # as theta; lam, then its coordinates as a vector of the doubled lattice
+    # as theta; lam
     "factor": ('{"cmd":"factor","kind":"I_alpha","Y":[[1]],"lam":[1],"arg":[0.1]}',
-               {"_symmetric": 2, "_cholesky": 2, "int_matrix": 2}),
+               {"_symmetric": 2, "_cholesky": 2, "int_matrix": 1}),
     "distance": ('{"cmd":"distance","Y0":[[2,1],[1,2]],"V0":[[0,1]],"Y1":[[1,0],[0,3]],'
                  '"V1":[[1,0]]}', {"_symmetric": 2, "_cholesky": 2}),
     "geodesic": ('{"cmd":"geodesic","k":[[1]],"lambdas":[1],"Z":[[1]],"t":0.5}',

@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import itertools
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,9 @@ from realtori.moduli import (
     standard_form_matrix,
     valid_invariants,
 )
+from realtori import moduli
 from realtori.siegel import sp_act
-from realtori.spdcone import gl_act, random_spd
+from realtori.spdcone import gl_act, minkowski_reduce, quadratic_short_vectors, random_spd
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +328,64 @@ class TestCongruenceWitnesses:
         assert not complete
 
 
+    def test_matches_a_row_by_row_search(self):
+        """The witnesses, their order and the point where the node cap stops
+        the search are those of a plain row-by-row backtracking with one
+        exact determinant per complete matrix; integer forms keep every float
+        value exact."""
+
+        def reference(Y1, Y2, tau, cap):
+            g = Y1.shape[0]
+            out, nodes = [], 0
+
+            def walk(chosen):
+                nonlocal nodes
+                i = len(chosen)
+                if i == g:
+                    if abs(det_int(int_matrix([vecs[c] for c in chosen]))) == 1:
+                        out.append([list(vecs[c]) for c in chosen])
+                    return
+                for c in rows[i]:
+                    nodes += 1
+                    if nodes > cap:
+                        raise RuntimeError
+                    if all(abs(X[c] @ Y1 @ X[j] - Y2[i, k]) <= tau for k, j in enumerate(chosen)):
+                        walk(chosen + [c])
+
+            try:
+                vecs = quadratic_short_vectors(Y1, float(np.max(np.diag(Y2))) + tau, cap=cap)
+                X = np.array(vecs, dtype=float).reshape(len(vecs), g)
+                rows = [[c for c in range(len(vecs)) if abs(X[c] @ Y1 @ X[c] - Y2[i, i]) <= tau]
+                        for i in range(g)]
+                walk([])
+            except RuntimeError:
+                return out, False
+            return out, True
+
+        rng = np.random.default_rng(12)
+        cases = []
+        for trial in range(120):
+            # transported pairs, and self-pairs at a tolerance wide enough
+            # that the last row has many candidates
+            g = 2 + trial % 3
+            M = rng.integers(-2, 3, size=(g, g))
+            Z = M @ M.T + np.diag(rng.integers(1, 3, size=g))
+            U = random_unimodular(g, rng, max_entry=2).astype(np.int64)
+            cases.append((Z, U @ Z @ U.T, 1e-9, (7, 40, 300, 10**6)))
+            if trial % 4 == 0:
+                cases.append((Z, Z, 2.5, (7, 300, 2000)))
+        for Z1, Z2, tau, caps in cases:
+            Y1, Y2 = (np.array(W, dtype=float) for W in (Z1, Z2))
+            for cap in caps:
+                out = []
+                try:
+                    for B in _witness_search(Y1, Y2, tau, cap):
+                        out.append(B.tolist())
+                    done = True
+                except RuntimeError:
+                    done = False
+                assert (out, done) == reference(Y1, Y2, tau, cap)
+
     @pytest.mark.parametrize("Y1, B", [
         ([[1.0, 0.5], [0.5, 1.0]], [[1, 0], [0, 1]]),
         ([[1.0, 0.5], [0.5, 1.0]], [[1, 0], [1, 1]]),
@@ -465,6 +525,127 @@ class TestExactEquivalence:
                     continue
                 res = polarized_tori_equivalent(as_float(Z1), as_float(Z))
                 assert res.verdict is Verdict.INEQUIVALENT
+
+
+def _tied_pair(rng: np.random.Generator, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Y1 = M + M (block sum) with M = Q diag(1, c) tQ, Q a random rotation,
+    and Y2 = U Y1 tU for a random unimodular U with entries up to 3."""
+    Q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    M = Q @ np.diag([1.0, c]) @ Q.T
+    Y1 = np.kron(np.eye(2), 0.5 * (M + M.T))
+    return Y1, gl_act(random_unimodular(4, rng, max_entry=3).astype(float), Y1)
+
+
+class TestSuccessiveMinima:
+    """Where the identity shortcut does not apply and R1 passes the reduction
+    certificate, R1_kk > R2_jj + tau for every j <= k is INEQUIVALENT before
+    any enumeration.  The reverse test is not made."""
+
+    def test_minima_decide_without_enumerating(self, monkeypatch):
+        enumerated = []
+        monkeypatch.setattr(moduli, "quadratic_short_vectors",
+                            lambda *a, **k: enumerated.append(1) or quadratic_short_vectors(*a, **k))
+        # second minima 1 < 2 and third minima 4 > 2: each order has a k
+        a, b = np.diag([1.0, 1.0, 4.0]), np.diag([1.0, 2.0, 2.0])
+        for Y1, Y2 in ((a, b), (b, a)):
+            res = polarized_tori_equivalent(Y1, Y2)
+            assert (res.verdict, res.detail) == (Verdict.INEQUIVALENT, "successive minima differ")
+            res = real_ppav_equivalent(1j * Y1, 1j * Y2)
+            assert (res.verdict, res.detail) == (Verdict.INEQUIVALENT, "successive minima differ")
+        assert not enumerated
+
+    @pytest.mark.parametrize("small, large, search", [
+        (np.eye(3), np.diag([1.0, 1.0, 1.5]),
+         (Verdict.INEQUIVALENT, "no witness in the complete candidate set")),
+        (np.eye(4), 1000.5 * np.eye(4), (Verdict.UNDECIDED, "candidate cap exceeded")),
+    ])
+    def test_one_sided(self, small, large, search):
+        """Minima of Y1 below those of Y2 go to the witness search; the
+        reversed pair is decided by its minima."""
+        res = polarized_tori_equivalent(small, large)
+        assert (res.verdict, res.detail) == search
+        res = polarized_tori_equivalent(large, small)
+        assert (res.verdict, res.detail) == (Verdict.INEQUIVALENT, "successive minima differ")
+
+    def test_equal_diagonals_go_to_the_search(self):
+        res = polarized_tori_equivalent(np.diag([2.0, 3.5]), np.array([[2.0, 0.5], [0.5, 3.5]]))
+        assert (res.verdict, res.detail) == (Verdict.INEQUIVALENT,
+                                             "no witness in the complete candidate set")
+
+
+class TestTransportedTiedPairs:
+    """Pairs whose reduced forms tie, so that the identity shortcut seldom
+    applies and the minima test or the witness search decides: none may
+    answer INEQUIVALENT.  A cap of 2,000 keeps each to milliseconds; the
+    searches it stops answer UNDECIDED, as they do at the default cap."""
+
+    def test_seeded_pairs(self):
+        rng = np.random.default_rng(5)
+        for _ in range(600):
+            Y1, Y2 = _tied_pair(rng, 10.0 ** rng.uniform(0, 11))
+            res = polarized_tori_equivalent(Y1, Y2, cap=2000)
+            assert res.verdict is not Verdict.INEQUIVALENT
+            if res.verdict is Verdict.EQUIVALENT:
+                A = res.witness.astype(float)
+                assert np.max(np.abs(A @ Y1 @ A.T - Y2)) <= 1e-9 * np.max(np.abs(Y2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), decades=st.floats(0, 10))
+    def test_up_to_cond_1e10(self, seed, decades):
+        Y1, Y2 = _tied_pair(np.random.default_rng(seed), 10.0 ** decades)
+        for a, b in ((Y1, Y2), (Y2, Y1)):
+            assert polarized_tori_equivalent(a, b, cap=2000).verdict is not Verdict.INEQUIVALENT
+
+
+class TestLongRowWitnesses:
+    """Hexagonal ties give witnesses between the reduced forms with rows of
+    1-norm 2, whose rounding the search tolerance must cover as well."""
+
+    HEX3 = np.array([[1, 0, 0], [1, -1, 0], [0, 0, 1]])
+
+    def test_search_finds_a_long_row(self):
+        # cond about 1e5: the reduced forms differ beyond the identity shortcut
+        R = np.array([[2, 1, 0.3], [1, 2, 0.9], [0.3, 0.9, 1e5]])
+        T = random_unimodular(3, np.random.default_rng(3), max_entry=3).astype(float)
+        Y1, Y2 = gl_act(T, R), gl_act(self.HEX3.astype(float), R)
+        (R1, A1), (R2, A2) = minkowski_reduce(Y1), minkowski_reduce(Y2)
+        assert np.max(np.abs(R1 - R2)) > 1e-8 * np.max(np.abs(Y2))
+        res = polarized_tori_equivalent(Y1, Y2)
+        assert res.verdict is Verdict.EQUIVALENT
+        B = A2 @ res.witness @ unimodular_inverse(A1)
+        assert max(sum(abs(int(x)) for x in row) for row in B.tolist()) == 2
+
+    def test_transported_witnesses_fit_the_tolerance(self):
+        # U passes the transport check at t = the exact mismatch of
+        # Y2 = fl(U Y1 tU), so that rounding, not t, sets most of tau; then
+        # B = A2 U A1^-1 must fit R1 to R2 within tau and keep q_R1 of its rows
+        # below q, up to cond 1e10
+        rng = np.random.default_rng(7)
+        hexagonal = np.array([[2.0, 1.0], [1.0, 2.0]])
+        long_rows = 0
+        for _ in range(120):
+            c = 10.0 ** rng.uniform(0, 10)
+            g = int(rng.integers(2, 5))
+            M = np.diag([2.0, 2.0] + [c] * (g - 2))
+            M[:2, :2] = hexagonal
+            if g == 4:
+                M[2:, 2:] = c * hexagonal
+            Y1 = gl_act(random_unimodular(g, rng, max_entry=3).astype(float), M)
+            U = random_unimodular(g, rng, max_entry=3)
+            Y2 = gl_act(U.astype(float), Y1)
+            (R1, A1), (R2, A2) = minkowski_reduce(Y1), minkowski_reduce(Y2)
+            Uq = [[Fraction(int(x)) for x in row] for row in U.tolist()]
+            exact = np.array(Uq, dtype=object) @ np.vectorize(Fraction, otypes=[object])(Y1) \
+                @ np.array(Uq, dtype=object).T
+            t_Y = float(np.max(np.abs(exact - np.vectorize(Fraction, otypes=[object])(Y2))))
+            tau, q = moduli._search_tolerance(Y1, R1, A1, Y2, R2, A2,
+                                              t_Y / max(1.0, float(np.max(np.abs(Y2)))), t_Y)
+            B = (A2 @ U @ unimodular_inverse(A1)).astype(float)
+            assert np.all(np.abs(B @ R1 @ B.T - R2) <= tau)
+            assert np.all(np.einsum("ij,jk,ik->i", B, R1, B) <= q)
+            long_rows += np.abs(B).sum(axis=1).max() > 1
+            assert polarized_tori_equivalent(Y1, Y2, cap=2000).verdict is Verdict.EQUIVALENT
+        assert long_rows > 60
 
 
 class TestRealPpavEquivalence:

@@ -185,6 +185,24 @@ def reduced_by_definition(Y, tol=1e-10, box=4):
 
 
 class TestMinkowskiReduce:
+    def test_reduced_form_is_one_product(self, monkeypatch):
+        """R is ``_act(A, Y)`` in every bit, sign flips and descent steps
+        included: the equivalence search's rounding bound rests on it."""
+        descents = []
+        descend = spdcone._descend
+        monkeypatch.setattr(spdcone, "_descend",
+                            lambda *args: descents.append(1) or descend(*args))
+        rng = np.random.default_rng(31)
+        for g in (2, 3, 4):
+            for _ in range(150):
+                Q, _ = np.linalg.qr(rng.standard_normal((g, g)))
+                Y = (Q * 10.0 ** rng.uniform(0, 8, size=g)) @ Q.T
+                U = random_unimodular(g, rng, max_entry=3).astype(float)
+                for Z in (gl_act(U, 0.5 * (Y + Y.T)), random_spd(g, rng)):
+                    R, A = minkowski_reduce(Z)
+                    assert np.array_equal(R, spdcone._act(A.astype(float), Z))
+        assert len(descents) >= 10
+
     def test_already_reduced(self):
         R, A = minkowski_reduce(np.diag([1.0, 2.0]))
         assert np.allclose(R, np.diag([1.0, 2.0]))
