@@ -124,7 +124,11 @@ def canonical_json(obj) -> str:
         elif isinstance(o, (float, np.floating)):
             append(_fmt_float(float(o)))
         elif isinstance(o, (complex, np.complexfloating)):
-            emit({"re": float(o.real), "im": float(o.imag)})
+            append('{"re":')
+            append(_fmt_float(float(o.real)))
+            append(',"im":')
+            append(_fmt_float(float(o.imag)))
+            append("}")
         elif isinstance(o, Fraction):
             append(_quote(f"{o.numerator}/{o.denominator}"))
         elif isinstance(o, str):
@@ -152,8 +156,6 @@ def _need(payload: dict, key: str):
 
 def _decode_scalar(v, kind: str):
     t = type(v)
-    if t is float and kind == "real" and math.isfinite(v):
-        return v
     if t is int and kind == "int":
         return v
     if t is bool and kind in ("real", "complex"):
@@ -192,13 +194,23 @@ def _decode_scalar(v, kind: str):
     return x
 
 
+def _decode_reals(values: list) -> list[float]:
+    # the values of a real field: a finite float as it is, anything else
+    # through _decode_scalar
+    return [v if type(v) is float and math.isfinite(v) else _decode_scalar(v, "real")
+            for v in values]
+
+
 def decode_matrix(obj, kind: str = "real", square: bool | None = None) -> np.ndarray:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise InputError("matrix must be a nonempty nested array")
     width = len(obj[0])
     if width == 0 or any(len(r) != width for r in obj):
         raise InputError("matrix rows must be nonempty with equal length")
-    rows = [[_decode_scalar(v, kind) for v in r] for r in obj]
+    if kind == "real":
+        rows = [_decode_reals(r) for r in obj]
+    else:
+        rows = [[_decode_scalar(v, kind) for v in r] for r in obj]
     if square and len(rows) != width:
         raise InputError("matrix must be square")
     if kind == "int":
@@ -212,7 +224,7 @@ def decode_matrix(obj, kind: str = "real", square: bool | None = None) -> np.nda
 def decode_vector(obj, kind: str = "real") -> np.ndarray:
     if not isinstance(obj, list) or any(isinstance(v, list) for v in obj):
         raise InputError("vector must be a flat array")
-    vals = [_decode_scalar(v, kind) for v in obj]
+    vals = _decode_reals(obj) if kind == "real" else [_decode_scalar(v, kind) for v in obj]
     if kind == "int":
         return np.array(vals, dtype=object)
     return np.array(vals, dtype=complex if kind == "complex" else float)

@@ -5,6 +5,11 @@ GL(g,R) acts by congruence A o Y = A Y tA.  This module provides the Jacobi
 unimodular witness, partial Iwasawa coordinates, the invariant metric and
 volume densities, and numerically applied invariant differential operators.
 
+Short-vector search and the theta sums walk the integer points of an
+ellipsoid's bounding box.  Box shapes repeat from call to call, so the index
+grid of a box of at most ``_GRID_CACHED`` points is built once per shape and
+kept, read-only, in a per-process cache of at most ``_GRID_SHAPES`` shapes.
+
 A public function checks each argument once, with ``_symmetric``,
 ``_invertible`` and ``_cholesky``, and passes the checked values to a private
 core ``_name``, which package code holding checked values calls directly.
@@ -47,6 +52,10 @@ _ENUMERATION_CAP = 2_000_000
 _BOX_LIMIT = 121 ** 4
 # box points per numpy pass of an enumeration: bounds its working memory
 _CHUNK = 1 << 16
+# box points up to which the index grid of a box shape is kept, and the number
+# of shapes kept (32 KB each at most)
+_GRID_CACHED = 4096
+_GRID_SHAPES = 128
 # twice the unit roundoff of a double
 _ROUNDING = 2.0 ** -52
 # width, relative to max(1, value), within which two values of the form tie
@@ -332,11 +341,17 @@ class _Box(NamedTuple):
 
     def _walk(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         P, bl, U = self.ellipsoid.rows, self.ellipsoid.b, self.ellipsoid.U
-        g, lo, sides = len(P), self.lo, self.sides
+        g, sides = len(P), self.sides
+        lo = np.array(self.lo, dtype=float)[:, None]
         limit = self.bound * (1 + 1e-12) + 1e-12 - self.ellipsoid.offset
         for start in range(0, self.count, _CHUNK):
-            idx = np.unravel_index(np.arange(start, min(start + _CHUNK, self.count)), sides[::-1])
-            k = [idx[g - 1 - i] + float(lo[i]) for i in range(g)]
+            if self.count <= _CHUNK:
+                grid = _index_grid(tuple(sides))
+            else:
+                idx = np.unravel_index(np.arange(start, min(start + _CHUNK, self.count)), sides[::-1])
+                grid = np.array(idx[::-1])
+            K = grid + lo
+            k = list(K)
             values = 0.0
             for i in range(g):
                 row = P[i][i] * k[i] + bl[i]
@@ -345,8 +360,24 @@ class _Box(NamedTuple):
                 values += row * k[i]
             keep = values <= limit
             if U:
-                k = [sum(U[j][i] * k[j] for j in range(g)) for i in range(g)]
-            yield np.array(k)[:, keep], values[keep]
+                K = np.array([sum(U[j][i] * k[j] for j in range(g)) for i in range(g)])
+            yield K[:, keep], values[keep]
+
+
+def _index_grid(sides: tuple) -> np.ndarray:
+    """Row i holds k_i - lo_i at every point of a box of one chunk with these
+    sides, in the flat C order of the reversed axes; grids of at most
+    ``_GRID_CACHED`` points are read-only int16 and built once per shape."""
+    if math.prod(sides) <= _GRID_CACHED:
+        return _cached_index_grid(sides)
+    return np.indices(sides[::-1]).reshape(len(sides), -1)[::-1]
+
+
+@lru_cache(maxsize=_GRID_SHAPES)
+def _cached_index_grid(sides: tuple) -> np.ndarray:
+    grid = np.ascontiguousarray(np.indices(sides[::-1], dtype=np.int16).reshape(len(sides), -1)[::-1])
+    grid.flags.writeable = False
+    return grid
 
 
 def _congruent(U: list, Q: list) -> list:

@@ -85,11 +85,18 @@ class ThetaSpec:
         """Gram matrix of B on the lattice basis, symmetrized: the rounding of
         the product need not be symmetric, and a sum over the lattice reads
         one triangle of it."""
-        Q = self.Pi.T @ self.B @ self.Pi
-        return 0.5 * (Q + Q.T)
+        return _gram(self.Pi.T @ self.B, self.Pi)
 
     def character_angles(self) -> np.ndarray:
         return np.angle(self.rho)
+
+
+def _checked_spec(Pi: np.ndarray, B: np.ndarray, rho: np.ndarray) -> ThetaSpec:
+    # a ThetaSpec of values that have passed its checks, without repeating them
+    spec = object.__new__(ThetaSpec)
+    for name, value in (("Pi", Pi), ("B", B), ("rho", rho)):
+        object.__setattr__(spec, name, value)
+    return spec
 
 
 def factor_i_b_rho(spec: ThetaSpec, lam_int, v) -> complex:
@@ -101,11 +108,25 @@ def factor_i_b_rho(spec: ThetaSpec, lam_int, v) -> complex:
 
 def _factor_i_b_rho(spec: ThetaSpec, n: np.ndarray, v: np.ndarray) -> complex:
     # factor_i_b_rho at integral coordinates n and a flat v, called under
-    # np.errstate(over="ignore", invalid="ignore"): an exponent that overflows
-    # raises OverflowError or leaves inf or NaN for the caller to refuse
+    # np.errstate(over="ignore", invalid="ignore"): a factor that overflows
+    # is inf or NaN, for the caller to refuse
     lam = spec.Pi @ n
     expo = math.pi * float(lam @ spec.B @ lam) + 2.0 * math.pi * float(v @ spec.B @ lam)
-    return cmath.exp(1j * float(np.dot(spec.character_angles(), n))) * math.exp(expo)
+    return cmath.exp(1j * float(np.dot(spec.character_angles(), n))) * _exp(math.exp, expo)
+
+
+def _gram(PtB: np.ndarray, Pi: np.ndarray) -> np.ndarray:
+    # the symmetrized Gram form (tPi B) Pi, from tPi B
+    Q = PtB @ Pi
+    return 0.5 * (Q + Q.T)
+
+
+def _exp(exp, x):
+    # exp(x) by math.exp or cmath.exp, inf where it overflows
+    try:
+        return exp(x)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +156,9 @@ def _sum_with_tail(spec: ThetaSpec, v: np.ndarray, eps: float, oscillatory: bool
     if not eps > 0:
         raise ValueError("tolerance must be positive")
     g = spec.g
-    Q = spec.gram()
-    w = spec.Pi.T @ spec.B @ v
+    PtB = spec.Pi.T @ spec.B
+    Q = _gram(PtB, spec.Pi)
+    w = PtB @ v
     angles = spec.character_angles()
     box = _tail_box(Q, w, eps, oscillatory)
     if 1 < g <= MAX_REDUCTION_DIM and box.count > _REDUCE_ABOVE:
@@ -198,10 +220,10 @@ def theta_eval(spec: ThetaSpec, v, eps: float = 1e-12) -> complex:
         raise ValueError("argument dimension mismatch")
     m = np.round(np.linalg.solve(spec.Pi, v))
     if not m.any():
-        return _sum_with_tail(spec, v - spec.Pi @ m, eps, oscillatory=False)
-    # the factor first: one that overflows is refused, or returned for the
-    # caller to refuse when it is not finite, before the sum's walk; overflowing
-    # coordinates leave inf or NaN in m, and so in the factor
+        return _sum_with_tail(spec, v, eps, oscillatory=False)
+    # the factor first: one that overflows is inf or NaN, returned for the
+    # caller to refuse before the sum's walk; overflowing coordinates leave
+    # inf or NaN in m, and so in the factor
     with np.errstate(over="ignore", invalid="ignore"):
         v_red = v - spec.Pi @ m
         factor = _factor_i_b_rho(spec, m, v_red)
@@ -371,11 +393,12 @@ class CanonicalBundle:
 
 def canonical_line_bundle_data(Y) -> CanonicalBundle:
     Y = require_spd(Y)
-    g = Y.shape[0]
-    # character on the real lattice Y Z^g: rho_j = alpha(2 i lam_j) = 1, since
-    # every basis value of alpha is one and 2 e_{g+j} has no parity term
-    rho = np.ones(g, dtype=complex)
-    spec = ThetaSpec(Pi=Y, B=np.linalg.inv(Y), rho=rho)
+    B = np.linalg.inv(Y)
+    # the checks of ThetaSpec on Pi = Y and B = Y^-1; the character on the
+    # real lattice Y Z^g is rho_j = alpha(2 i lam_j) = 1, since every basis
+    # value of alpha is one and 2 e_{g+j} has no parity term
+    spec = _checked_spec(_invertible(Y, "lattice basis"), require_spd(B),
+                         np.ones(Y.shape[0], dtype=complex))
     return CanonicalBundle(Y=Y, spec=spec)
 
 
@@ -408,7 +431,7 @@ def automorphic_factor_eval(kind: str, data, lam, arg) -> complex:
         z = np.asarray(arg, dtype=complex).ravel()
         with np.errstate(over="ignore", invalid="ignore"):
             expo = 0.5 * math.pi * data.hermitian(ell, ell) + math.pi * data.hermitian(z, ell)
-        return data.alpha._eval(n) * cmath.exp(expo)
+        return data.alpha._eval(n) * _exp(cmath.exp, expo)
     lam_vec = Y @ np.array(n, dtype=float)
     v = np.asarray(arg, dtype=float).ravel()
     if kind == "I_alpha":
@@ -416,14 +439,14 @@ def automorphic_factor_eval(kind: str, data, lam, arg) -> complex:
         with np.errstate(over="ignore", invalid="ignore"):
             expo = 0.5 * math.pi * data.hermitian(lam_vec, lam_vec) \
                 + math.pi * data.hermitian(v, lam_vec)
-        return val * cmath.exp(expo)
+        return val * _exp(cmath.exp, expo)
     if kind == "I_B_alpha":
         val = data.alpha._eval(_imag_multi(g, n, 2))
         Binv = np.linalg.solve(Y, np.eye(g))
         with np.errstate(over="ignore", invalid="ignore"):
             expo = math.pi * float(lam_vec @ Binv @ lam_vec) \
                 + 2.0 * math.pi * float(v @ Binv @ lam_vec)
-        return val * cmath.exp(expo)
+        return val * _exp(cmath.exp, expo)
     raise ValueError(f"unknown factor kind {kind!r}")
 
 

@@ -193,14 +193,14 @@ class TestUnreducibleForm:
     is reduced: reduction, which enumerates nothing, answers at once, and so
     does equivalence with itself.  Its canonical theta request puts the
     argument 1e11 cells away, so the factor of the translate overflows and
-    is refused before any sum."""
+    is refused as not finite before any sum."""
 
     SKEWED = [[1e-12, 0], [0, 1]]
     ANSWERS = {
         "reduce": (0, {"status": "ok", "R": SKEWED, "A": [[1, 0], [0, 1]]}),
         "equiv": (0, {"status": "ok", "verdict": "EQUIVALENT", "tol": 1e-9,
                       "A": [[1, 0], [0, 1]]}),
-        "theta": (2, {"status": "error", "error": "math range error"}),
+        "theta": (2, {"status": "error", "error": "result is not finite: a value overflows"}),
     }
 
     @pytest.mark.parametrize("request_", [
@@ -325,8 +325,15 @@ class TestNonFiniteNumbers:
         '{"cmd":"factor","kind":"I_B_alpha","Y":[[1e-300]],"lam":[1],"arg":[1e300]}',
         '{"cmd":"factor","kind":"J_H_alpha","Y":[[1e-300]],"lam":[1,1],"arg":[1e300]}',
         '{"cmd":"factor","kind":"I_alpha","Y":[[1e-300]],"lam":[10000000000],"arg":[1e300]}',
+        # finite exponents beyond the range of math.exp and cmath.exp
+        '{"cmd":"factor","kind":"I_alpha","Y":[[1e-300]],"lam":[1],"arg":[1e300]}',
+        '{"cmd":"factor","kind":"I_B_rho","Pi":[[1]],"B":[[1]],"lam":[1],"arg":[1e300]}',
+        '{"cmd":"factor","kind":"J_H_alpha","Y":[[1]],"lam":[1,0],"arg":[1e300]}',
+        '{"cmd":"factor","kind":"I_B_alpha","Y":[[1]],"lam":[1],"arg":[1e300]}',
     ], ids=["geodesic", "theta", "jacobi-act", "act_glgh", "sigma", "distance",
-            "theta_coordinates", "theta_coordinates_2d", "factor_I_B_alpha", "factor_J_H_alpha", "factor_I_alpha"])
+            "theta_coordinates", "theta_coordinates_2d", "factor_I_B_alpha", "factor_J_H_alpha",
+            "factor_I_alpha", "factor_I_alpha_exponent", "factor_I_B_rho_exponent",
+            "factor_J_H_alpha_exponent", "factor_I_B_alpha_exponent"])
     def test_overflow_is_refused_without_warning(self, text, tmp_path, capsys):
         # in this process a numpy RuntimeWarning is an error, and exits 1; the
         # result, or the value built from it, is refused as not finite

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realtori.exactlinalg import (
+    _det_rows,
     det_int,
     int_matrix,
     is_symplectic,
@@ -386,6 +387,29 @@ class TestCongruenceWitnesses:
                     done = False
                 assert (out, done) == reference(Y1, Y2, tau, cap)
 
+    def test_completions_with_large_entries_are_exact(self):
+        """Rows with entries near 1e10 put x.C beyond 2^53, where floats
+        round: the completions are decided in Python ints, as by _det_rows."""
+        rng = np.random.default_rng(3)
+        for g in (2, 3, 4):
+            # R L, unit upper and lower triangular with entries near 1e5
+            L = [[int(rng.integers(50_000, 100_000)) if i > j else int(i == j) for j in range(g)]
+                 for i in range(g)]
+            R = [[int(rng.integers(50_000, 100_000)) if i < j else int(i == j) for j in range(g)]
+                 for i in range(g)]
+            U = [[sum(R[i][k] * L[k][j] for k in range(g)) for j in range(g)] for i in range(g)]
+            B, last = U[:-1], U[-1]
+            vecs = [tuple(last), tuple(-x for x in last), tuple(2 * x for x in last),
+                    tuple(x + y for x, y in zip(last, B[0])), tuple(x + 1 for x in last),
+                    (1,) + tuple(last[1:])]
+            vecs += [tuple(int(x) for x in rng.integers(-10**10, 10**10, size=g)) for _ in range(20)]
+            X = np.array(vecs, dtype=float)
+            C = [_det_rows([r[:j] + r[j + 1:] for r in B]) for j in range(g)]
+            assert g * max(map(abs, C)) * float(np.abs(X).max()) >= 2.0 ** 53
+            expected = [k for k, x in enumerate(vecs) if abs(_det_rows(B + [list(x)])) == 1]
+            assert expected[:3] == [0, 1, 3]
+            assert moduli._unimodular_completions(B, np.arange(len(vecs)), vecs, X) == expected
+
     @pytest.mark.parametrize("Y1, B", [
         ([[1.0, 0.5], [0.5, 1.0]], [[1, 0], [0, 1]]),
         ([[1.0, 0.5], [0.5, 1.0]], [[1, 0], [1, 1]]),
@@ -646,6 +670,38 @@ class TestLongRowWitnesses:
             long_rows += np.abs(B).sum(axis=1).max() > 1
             assert polarized_tori_equivalent(Y1, Y2, cap=2000).verdict is Verdict.EQUIVALENT
         assert long_rows > 60
+
+
+class TestUnboundedTolerance:
+    """At cond(Y1) about 1e14-1e15 in a skewed basis the rounding bound rho
+    of ``_search_tolerance`` can reach 1: tau is then infinite, every
+    candidate passes the filters, and the search ends at its cap."""
+
+    def test_transported_pairs_are_undecided(self, monkeypatch):
+        unbounded = []
+        search_tolerance = moduli._search_tolerance
+
+        def recording(*args):
+            tau, q = search_tolerance(*args)
+            unbounded.append(bool(np.isinf(tau).all() and np.isinf(q).all()))
+            return tau, q
+
+        monkeypatch.setattr(moduli, "_search_tolerance", recording)
+        rng = np.random.default_rng(14)
+        undecided = 0
+        for i in range(40):
+            g = 2 + i % 2
+            Q, _ = np.linalg.qr(rng.standard_normal((g, g)))
+            M = Q @ np.diag([1.0] + [1e13] * (g - 1)) @ Q.T
+            Y1 = gl_act(random_unimodular(g, rng, max_entry=3).astype(float), 0.5 * (M + M.T))
+            Y2 = gl_act(random_unimodular(g, rng, max_entry=3).astype(float), Y1)
+            unbounded.clear()
+            res = polarized_tori_equivalent(Y1, Y2, cap=50)
+            assert res.verdict is not Verdict.INEQUIVALENT
+            if unbounded == [True]:
+                assert (res.verdict, res.detail) == (Verdict.UNDECIDED, "candidate cap exceeded")
+                undecided += 1
+        assert undecided >= 2
 
 
 class TestRealPpavEquivalence:

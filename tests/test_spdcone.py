@@ -79,6 +79,7 @@ _CHECKED_INPUTS = {
     "RealTorus": ("period matrix", lambda X: tori.RealTorus(Pi=X)),
     "ThetaSpec": ("lattice basis",
                   lambda X: theta.ThetaSpec(Pi=X, B=_I2, rho=np.ones(2, dtype=complex))),
+    "canonical_line_bundle_data": ("SPD matrix", lambda X: theta.canonical_line_bundle_data(X)),
 }
 # the invertible-matrix inputs, built from A at the scale s of A
 _INVERTIBLE_INPUTS = {
@@ -446,6 +447,74 @@ class TestShortVectors:
                 assert new == old
             else:
                 assert new == old or math.isclose(new, old, rel_tol=1e-15)
+
+
+def _unravel_walk(box):
+    """``_Box._walk`` with the flat index grid of each chunk from
+    np.unravel_index."""
+    P, bl, U = box.ellipsoid.rows, box.ellipsoid.b, box.ellipsoid.U
+    g, lo, sides = len(P), box.lo, box.sides
+    limit = box.bound * (1 + 1e-12) + 1e-12 - box.ellipsoid.offset
+    for start in range(0, box.count, spdcone._CHUNK):
+        idx = np.unravel_index(np.arange(start, min(start + spdcone._CHUNK, box.count)), sides[::-1])
+        k = [idx[g - 1 - i] + float(lo[i]) for i in range(g)]
+        values = 0.0
+        for i in range(g):
+            row = P[i][i] * k[i] + bl[i]
+            for j in range(i + 1, g):
+                row += 2.0 * P[i][j] * k[j]
+            values += row * k[i]
+        keep = values <= limit
+        if U:
+            k = [sum(U[j][i] * k[j] for j in range(g)) for i in range(g)]
+        yield np.array(k)[:, keep], values[keep]
+
+
+class TestIndexGrid:
+    """A box of one chunk walks an index grid from np.indices; grids of at
+    most ``_GRID_CACHED`` points are built once per shape."""
+
+    def test_walk_matches_unravel_index(self):
+        rng = np.random.default_rng(12)
+        boxes = []
+        for trial in range(160):
+            g = 1 + trial % 4
+            Y = random_spd(g, rng) + 0.2 * np.eye(g)
+            b = rng.uniform(-3.0, 3.0, size=g).tolist()
+            # points mapped back by tU, as from an LLL-reduced basis
+            U = random_unimodular(g, rng, max_entry=2).tolist() if trial % 3 == 0 else None
+            boxes.append(spdcone._Ellipsoid(Y, b, U).box(float(10.0 ** rng.uniform(-1.0, 3.5 - g / 2))))
+        # boxes of 301^2 and 51^3 points, walked in two and three chunks
+        boxes += [spdcone._Ellipsoid(np.eye(2), [0.5, 0.0]).box(150.0 ** 2),
+                  spdcone._Ellipsoid(np.eye(3), [0.0] * 3).box(25.0 ** 2)]
+        kinds = set()
+        for box in boxes:
+            kinds.add((box.count > spdcone._GRID_CACHED) + (box.count > spdcone._CHUNK))
+            expected = list(_unravel_walk(box))
+            spdcone._cached_index_grid.cache_clear()
+            for _ in ("cold", "warm"):
+                walked = list(box._walk())
+                assert len(walked) == len(expected)
+                for (K, values), (K0, values0) in zip(walked, expected):
+                    assert (K.dtype, K.shape, K.tobytes()) == (K0.dtype, K0.shape, K0.tobytes())
+                    assert (values.dtype, values.tobytes()) == (values0.dtype, values0.tobytes())
+        # cached, one chunk beyond the cache, and several chunks
+        assert kinds == {0, 1, 2}
+
+    def test_cached_grids_are_read_only_and_small(self):
+        spdcone._cached_index_grid.cache_clear()
+        grid = spdcone._index_grid((16, 256))
+        assert (grid.dtype, grid.shape) == (np.int16, (2, 4096))
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1
+        assert spdcone._index_grid((16, 256)) is grid
+        # C order over the reversed axes: k_0 varies fastest
+        assert grid[:, :3].tolist() == [[0, 1, 2], [0, 0, 0]]
+        large = spdcone._index_grid((17, 256))
+        assert large.shape == (2, 4352) and large[:, -1].tolist() == [16, 255]
+        assert spdcone._cached_index_grid.cache_info().currsize == 1
+        assert spdcone._cached_index_grid.cache_info().maxsize == spdcone._GRID_SHAPES
 
 
 def _counting_enumerations(monkeypatch):

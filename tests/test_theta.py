@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -254,12 +255,12 @@ class TestReducedSummation:
 
     def test_reduction_overflow_is_bad_input(self):
         # Y = diag(1e-12, 1): the argument lies about 1e11 cells away, so the
-        # factor of the translate overflows; it is evaluated, and refused,
-        # before the sum walks its box of ~8e7 points
+        # factor of the translate overflows; it is evaluated, and returned as
+        # inf for the caller to refuse, before the sum walks its box of ~8e7
+        # points
         bundle = canonical_line_bundle_data(np.diag([1e-12, 1.0]))
         start = time.perf_counter()
-        with pytest.raises(OverflowError):
-            bundle.section([0.1, 0.2])
+        assert not cmath.isfinite(bundle.section([0.1, 0.2]))
         assert time.perf_counter() - start < 0.5
 
     def test_large_box_memory_is_bounded(self):
@@ -520,6 +521,27 @@ class TestCanonicalBundle:
         assert isinstance(bundle, CanonicalBundle)
         assert np.allclose(bundle.spec.B, np.eye(2))
         assert np.allclose(bundle.spec.rho, 1.0)
+        # the spec is the one ThetaSpec builds, and checks, from Y, Y^-1 and ones
+        Y = random_spd(3, np.random.default_rng(62)) + np.eye(3)
+        spec = canonical_line_bundle_data(Y).spec
+        expected = ThetaSpec(Pi=Y, B=np.linalg.inv(Y), rho=np.ones(3, dtype=complex))
+        for field in dataclasses.fields(ThetaSpec):
+            got, want = getattr(spec, field.name), getattr(expected, field.name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    @pytest.mark.parametrize("Y, message", [
+        ([[1.0, 0.5], [0.4, 1.0]], "SPD matrix must be symmetric"),
+        ([[1.0, 2.0], [2.0, 1.0]], "matrix is not positive definite"),
+        ([[1.0, math.inf], [math.inf, 1.0]], "SPD matrix must have finite entries"),
+        # Cholesky passes; Y fails the check of the lattice basis
+        ([[1.0, 1 - 1e-14], [1 - 1e-14, 1.0]], "lattice basis must be invertible"),
+        ([[1e-7, 1e-7 - 1e-21], [1e-7 - 1e-21, 1e-7]], "lattice basis must be invertible"),
+        # Y^-1 = diag(1e320, 1) fails the check of the Gram form
+        ([[1e-320, 0.0], [0.0, 1.0]], "SPD matrix must have finite entries"),
+    ])
+    def test_bad_forms_are_refused(self, Y, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            canonical_line_bundle_data(np.array(Y))
 
     def test_alpha_is_the_canonical_semicharacter(self):
         """``alpha`` equals ``canonical_semicharacter_data`` field by field and
