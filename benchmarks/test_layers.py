@@ -1,4 +1,4 @@
-"""Per-layer timings of SPD validation, reduction (also of forms that take a
+"""Per-layer timings of SPD and invertibility checks, reduction (also of forms that take a
 descent step), enumeration, congruence-witness search, equivalence of
 polarized tori (also of tied pairs at cond 10^6-10^10) and of real ppavs,
 exact determinant and inverse, Smith normal form, coboundary witnesses,
@@ -359,10 +359,19 @@ def test_degenerate_request(benchmark, kind):
 
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_require_spd(benchmark, g):
-    """Validate 10 well-conditioned forms: symmetry and scale checks and a
-    Cholesky factorization each."""
+    """Validate 10 well-conditioned forms: symmetry and scale checks and the
+    proof of definiteness, one Cholesky factorization of the form with its
+    diagonal shrunk, each."""
     forms = [_form(g, 10.0, 1000 + seed) for seed in range(10)]
     benchmark(lambda: [require_spd(Y) for Y in forms])
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_invertible(benchmark, g):
+    """Check 10 well-conditioned matrices for invertibility: finiteness and
+    the determinant of the columns scaled to unit maximum each."""
+    matrices = [_form(g, 10.0, 1000 + seed) for seed in range(10)]
+    benchmark(lambda: [spdcone._invertible(A, "matrix") for A in matrices])
 
 
 def _round_trip_request(kind: str, seed: int) -> dict:

@@ -236,12 +236,12 @@ def gf2_matrix(data, symmetric: bool = False) -> np.ndarray:
 
 def gf2_rank(N) -> int:
     """Rank over GF(2): elimination on the rows held as bit masks."""
-    return _gf2_rank(gf2_matrix(N))
+    return _gf2_rank(gf2_matrix(N).tolist())
 
 
-def _gf2_rank(N: np.ndarray) -> int:
-    # gf2_rank of a matrix gf2_matrix has built
-    rows = [sum(1 << c for c, v in enumerate(row) if v) for row in N.tolist()]
+def _gf2_rank(rows: list) -> int:
+    # gf2_rank of an integer matrix, given as rows of Python ints, mod 2
+    rows = [sum(1 << c for c, v in enumerate(row) if v & 1) for row in rows]
     rank = 0
     while rows:
         pivot = rows.pop()

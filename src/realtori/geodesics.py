@@ -8,7 +8,8 @@ geodesic distance: the length of one explicit path (Y along its cone
 geodesic, V linear), a one-dimensional integral in the generalized
 eigenvalues of the endpoint pencil handled by node-doubling Gauss-Legendre
 quadrature, where each rule is built once per process; a length that has not
-settled at 256 nodes is refused.
+settled at 256 nodes is refused, and so is a pencil that rounding leaves
+indefinite (ValueError, like every refusal of bad input).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spdcone import _invertible, require_spd
+from .spdcone import _cholesky, _invertible, require_spd
 
 __all__ = [
     "MinkowskiEuclidPoint",
@@ -125,8 +126,9 @@ def whitening_frame(Y0, Y1) -> tuple[np.ndarray, np.ndarray]:
     """Matrix w with w Y0 tw = I and w Y1 tw diagonal; returns (w, eigenvalues).
 
     Built from the Cholesky factor of Y0 and the spectral decomposition of
-    the whitened pencil; eigenvalues are sorted ascending and eigenvector
-    signs fixed by the first nonzero component.
+    the whitened pencil, proved definite as by ``require_spd``; eigenvalues
+    are sorted ascending and eigenvector signs fixed by the first nonzero
+    component.
     """
     return _whitening_frame(require_spd(Y0), require_spd(Y1))
 
@@ -138,7 +140,10 @@ def _whitening_frame(Y0: np.ndarray, Y1: np.ndarray) -> tuple[np.ndarray, np.nda
     # a product that overflows comes back as inf or NaN for the caller to refuse
     with np.errstate(over="ignore", invalid="ignore"):
         Mid = Linv @ Y1 @ Linv.T
-    vals, vecs = np.linalg.eigh(0.5 * (Mid + Mid.T))
+    pencil = 0.5 * (Mid + Mid.T)
+    if np.isfinite(pencil).all():
+        _cholesky(pencil, factor=False)
+    vals, vecs = np.linalg.eigh(pencil)
     order = np.argsort(vals)
     vals = vals[order]
     vecs = vecs[:, order]
@@ -199,10 +204,6 @@ def distance(p0: MinkowskiEuclidPoint, p1: MinkowskiEuclidPoint,
     if A_c <= 0 or B_c <= 0:
         raise ValueError("metric constants must be positive")
     w, tvals = _whitening_frame(p0.Y, p1.Y)
-    if np.any(tvals <= 0):
-        raise ArithmeticError("pencil eigenvalues must be positive")
-    logs = np.log(tvals)
-    cone = A_c * float(np.sum(logs**2))
 
     def speed(ts: np.ndarray) -> np.ndarray:
         acc = np.full_like(ts, cone)
@@ -210,7 +211,10 @@ def distance(p0: MinkowskiEuclidPoint, p1: MinkowskiEuclidPoint,
             acc = acc + B_c * dj * np.exp(-lg * ts)
         return np.sqrt(acc)
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an eigenvalue that eigh rounds to 0 or below gives a length of inf or NaN
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        logs = np.log(tvals)
+        cone = A_c * float(np.sum(logs**2))
         Vt = (p1.V - p0.V) @ w.T
         deltas = np.sum(Vt**2, axis=0)
         if float(np.max(deltas, initial=0.0)) == 0.0 or p0.h == 0:

@@ -11,20 +11,9 @@ half-integral real part are equivalent when such an A between their
 imaginary parts also gives A (2 Re Omega1) tA = 2 Re Omega2 (mod 2).
 
 On float input an INEQUIVALENT answer rests on one rounding-aware bound
-between the reduced forms R1 = A1 Y1 tA1 and R2 = A2 Y2 tA2
-(``_equivalent``): for any A that passes the transport check, within
-t_Y = max(tol, 1e-9) max(1, max|Y2|), row j of B = A2 A A1^-1, however long,
-has q_R1(b_j) <= q_j = (R2_jj + d_jj) / (1 - rho), and B R1 tB fits R2
-within tau_ij = max(t max(1, max|R2|), d_ij + rho sqrt(q_i q_j)), the
-tolerance of the witness search's row and cross filters.  Here
-d = t_Y |A2|_inf^2 + gamma_{2g+1} |A2||Y2||tA2| bounds the transport
-mismatch and the rounding of R2, rho the relative rounding of q_R1 (of R1
-and of the search's own products), and gamma_n = n u / (1 - n u) (Higham
-2002, section 3.5).  Before the search, the successive minima decide: when
-R1 passes the reduction certificate and R1_kk > q_j for every j <= k, no
-witness exists.  Only this direction is proved, so I_4 against 1000.5 I_4
-stays UNDECIDED (its candidates exceed the cap) while the reversed pair
-answers INEQUIVALENT.
+between the reduced forms, the tolerance of the witness search
+(``_equivalent``), which also lets the successive minima decide before the
+search (``polarized_tori_equivalent``).
 """
 
 from __future__ import annotations
@@ -46,10 +35,11 @@ from .exactlinalg import (
     is_unimodular,
     unimodular_inverse,
 )
-from .siegel import _half_integral, require_siegel
+from .siegel import _twice_real, require_siegel
 from .spdcone import (
     MAX_REDUCTION_DIM,
     _ROUNDING,
+    _compose,
     _is_certified_reduced,
     minkowski_reduce,
     quadratic_short_vectors,
@@ -96,15 +86,12 @@ class ModuliInvariant:
 
 def mod2_invariants(N) -> ModuliInvariant:
     """Invariants of a symmetric GF(2) matrix: rank and product of (1 - n_kk)."""
-    N = gf2_matrix(N, symmetric=True)
-    return ModuliInvariant(lam=_gf2_rank(N), i=0 if np.diag(N).any() else 1)
+    return _invariant(gf2_matrix(N, symmetric=True).tolist())
 
 
-def _anti_identity(lam: int) -> np.ndarray:
-    H = np.zeros((lam, lam), dtype=np.uint8)
-    for k in range(lam):
-        H[k, lam - 1 - k] = 1
-    return H
+def _invariant(rows: list) -> ModuliInvariant:
+    # mod2_invariants of a symmetric integer matrix, given as rows of Python ints
+    return ModuliInvariant(lam=_gf2_rank(rows), i=1 - any(r[k] & 1 for k, r in enumerate(rows)))
 
 
 def standard_form_matrix(g: int, inv: ModuliInvariant) -> np.ndarray:
@@ -115,7 +102,7 @@ def standard_form_matrix(g: int, inv: ModuliInvariant) -> np.ndarray:
     if inv.i == 0:
         S[: inv.lam, : inv.lam] = np.eye(inv.lam, dtype=np.uint8)
     else:
-        S[: inv.lam, : inv.lam] = _anti_identity(inv.lam)
+        S[: inv.lam, : inv.lam] = np.eye(inv.lam, dtype=np.uint8)[::-1]
     return S
 
 
@@ -128,10 +115,6 @@ def valid_invariants(g: int) -> list[ModuliInvariant]:
     out += [ModuliInvariant(lam, 1) for lam in range(2, g + 1, 2)]
     out.sort(key=lambda t: (t.lam, t.i))
     return out
-
-
-def _congruence(A: np.ndarray, N: np.ndarray) -> np.ndarray:
-    return (A @ N @ A.T) % 2
 
 
 def mod2_standard_form(N) -> tuple[np.ndarray, np.ndarray]:
@@ -158,12 +141,9 @@ def mod2_standard_form(N) -> tuple[np.ndarray, np.ndarray]:
         N[dst] ^= N[src]
         N[:, dst] ^= N[:, src]
 
-    pos = 0
-    diag_ones = 0
-    pairs = 0
+    pos = diag_ones = pairs = 0
     while pos < g:
-        block = N[pos:, pos:]
-        if not block.any():
+        if not N[pos:, pos:].any():
             break
         diag_idx = next((i for i in range(pos, g) if N[i, i]), None)
         if diag_idx is not None:
@@ -175,15 +155,7 @@ def mod2_standard_form(N) -> tuple[np.ndarray, np.ndarray]:
             diag_ones += 1
             continue
         # alternating block: carve out a hyperbolic pair
-        found = None
-        for i in range(pos, g):
-            for j in range(i + 1, g):
-                if N[i, j]:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        i, j = found
+        i, j = next((i, j) for i in range(pos, g) for j in range(i + 1, g) if N[i, j])
         swap(pos, i)
         swap(pos + 1, j)
         for r in range(pos + 2, g):
@@ -213,23 +185,15 @@ def mod2_standard_form(N) -> tuple[np.ndarray, np.ndarray]:
     inv = ModuliInvariant(lam=diag_ones + 2 * pairs, i=int(diag_ones == 0))
     if inv.i == 1 and pairs > 0:
         # permute adjacent pairs (2m, 2m+1) into the anti-diagonal layout
-        lam = 2 * pairs
-        perm = np.zeros(g, dtype=int)
+        perm = list(range(g))
         for m in range(pairs):
-            perm[m] = 2 * m
-            perm[lam - 1 - m] = 2 * m + 1
-        for t in range(lam, g):
-            perm[t] = t
-        P = np.zeros((g, g), dtype=np.uint8)
-        for new, old in enumerate(perm):
-            P[new, old] = 1
-        A = (P @ A) % 2
-        N = (P @ N @ P.T) % 2
+            perm[m], perm[2 * pairs - 1 - m] = 2 * m, 2 * m + 1
+        A, N = A[perm], N[np.ix_(perm, perm)]
 
     S = standard_form_matrix(g, inv)
     if not np.array_equal(N, S):
         raise AssertionError("classification did not reach the standard form")
-    if not np.array_equal(_congruence(A, N0), S):
+    if not np.array_equal((A @ N0 @ A.T) % 2, S):
         raise AssertionError("witness does not certify the standard form")
     return S, A
 
@@ -315,11 +279,12 @@ def real_structure_matrix(omega, tol: float = 1e-9) -> np.ndarray:
     """Integral matrix (-I, 0; 2X, I) of the real structure at a point with
     half-integral real part; verified exactly anti-symplectic."""
     om = require_siegel(omega)
-    if not _half_integral(om, tol):
+    N = _twice_real(om, tol)
+    if N is None:
         raise ValueError("point must have half-integral real part")
     g = om.shape[0]
     Ms = np.eye(2 * g, dtype=object)
-    Ms[g:, :g] = int_matrix(np.round(2.0 * om.real))
+    Ms[g:, :g] = int_matrix(N)
     # diag(-I, I) is anti-symplectic, so Ms is when (I, 0; 2X, I) is symplectic
     if not is_symplectic(Ms):
         raise AssertionError("real-structure matrix failed the anti-symplectic identity")
@@ -607,14 +572,20 @@ def real_ppav_equivalent(omega1, omega2, bound: int = 200_000,
     """
     om1 = require_siegel(omega1)
     om2 = require_siegel(omega2)
-    if not (_half_integral(om1, tol) and _half_integral(om2, tol)):
+    N1, N2 = _twice_real(om1, tol), _twice_real(om2, tol)
+    if N1 is None or N2 is None:
         raise ValueError("both points must have half-integral real part")
     if om2.shape[0] != om1.shape[0]:
         return EquivalenceResult(Verdict.INEQUIVALENT, detail="dimension mismatch")
-    N1 = int_matrix(np.round(2.0 * om1.real))
-    N2 = int_matrix(np.round(2.0 * om2.real))
-    if mod2_invariants(N1) != mod2_invariants(N2):
+    N1, N2 = int_matrix(N1).tolist(), int_matrix(N2).tolist()
+    if _invariant(N1) != _invariant(N2):
         return EquivalenceResult(Verdict.INEQUIVALENT,
                                  detail="component invariants differ")
-    return _equivalent(om1.imag, om2.imag, tol, bound,
-                       keep=lambda A: bool(np.all((A @ N1 @ A.T - N2) % 2 == 0)))
+
+    def keep(A) -> bool:
+        # A N1 tA = N2 (mod 2), in Python ints
+        B = A.tolist()
+        image = _compose(_compose(B, N1), list(zip(*B)))
+        return not any((a - b) & 1 for r, s in zip(image, N2) for a, b in zip(r, s))
+
+    return _equivalent(om1.imag, om2.imag, tol, bound, keep=keep)

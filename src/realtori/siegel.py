@@ -25,7 +25,7 @@ from .exactlinalg import (
     random_unimodular,
     unimodular_inverse,
 )
-from .spdcone import _cholesky, _jacobi, _symmetric, require_spd
+from .spdcone import _cholesky, _invertible, _jacobi, _symmetric, require_spd
 
 __all__ = [
     "require_siegel",
@@ -50,7 +50,9 @@ __all__ = [
 
 def require_siegel(omega) -> np.ndarray:
     """Validate a half-space point: symmetric with SPD imaginary part."""
-    return _siegel_factor(omega)[0]
+    om = _symmetric(omega, "half-space point", complex)
+    _cholesky(om.imag, factor=False)
+    return om
 
 
 def _siegel_factor(omega) -> tuple[np.ndarray, np.ndarray]:
@@ -77,9 +79,7 @@ def _sp_act(Mf: np.ndarray, om: np.ndarray) -> np.ndarray:
     # sp_act of a symplectic float matrix on a validated point
     A, B, C, D = _blocks(Mf)
     num = A @ om + B
-    den = C @ om + D
-    if abs(np.linalg.det(den)) < 1e-13 * max(1.0, np.linalg.norm(den)) ** om.shape[0]:
-        raise ValueError("denominator C Omega + D is numerically singular")
+    den = _invertible(C @ om + D, "denominator C Omega + D", complex)
     return require_siegel(np.linalg.solve(den.T, num.T).T)
 
 
@@ -111,19 +111,25 @@ def _tau(x: np.ndarray) -> np.ndarray:
 
 
 def require_disk(W) -> np.ndarray:
-    """Validate a disk point: symmetric with I - conj(W) W positive definite."""
+    """Validate a disk point: symmetric with I - conj(W) W positive definite,
+    proved (as by ``require_spd``) on the real form (Re, -Im; Im, Re) of twice
+    its Hermitian part."""
     W = _symmetric(W, "disk point", complex)
     H = np.eye(W.shape[0]) - np.conj(W) @ W
-    if float(np.min(np.linalg.eigvalsh(0.5 * (H + np.conj(H).T)))) <= 0:
-        raise ValueError("point lies outside the generalized disk")
+    T = H + np.conj(H).T
+    P, Q = T.real, T.imag
+    real_form = np.concatenate([np.concatenate([P, -Q], 1), np.concatenate([Q, P], 1)])
+    try:
+        _cholesky(real_form, factor=False)
+    except ValueError:
+        raise ValueError("point lies outside the generalized disk") from None
     return W
 
 
 def cayley_to_disk(omega) -> np.ndarray:
     """Half-space to disk: (Omega - iI)(Omega + iI)^-1."""
     om = require_siegel(omega)
-    g = om.shape[0]
-    I = np.eye(g)
+    I = np.eye(om.shape[0])
     W = np.linalg.solve((om + 1j * I).T, (om - 1j * I).T).T
     return require_disk(0.5 * (W + W.T))
 
@@ -131,11 +137,9 @@ def cayley_to_disk(omega) -> np.ndarray:
 def cayley_to_halfspace(W) -> np.ndarray:
     """Disk to half-space: i (I + W)(I - W)^-1."""
     W = require_disk(W)
-    g = W.shape[0]
-    I = np.eye(g)
-    if abs(np.linalg.det(I - W)) < 1e-13:
-        raise ValueError("boundary input: I - W is singular")
-    om = 1j * np.linalg.solve((I - W).T, (I + W).T).T
+    I = np.eye(W.shape[0])
+    den = _invertible(I - W, "I - W", complex)
+    om = 1j * np.linalg.solve(den.T, (I + W).T).T
     return require_siegel(0.5 * (om + om.T))
 
 
@@ -148,9 +152,7 @@ def disk_act(M, W) -> np.ndarray:
     A, B, C, D = _blocks(M.astype(float))
     P = 0.5 * ((A + D) + 1j * (B - C))
     Q = 0.5 * ((A - D) - 1j * (B + C))
-    den = np.conj(Q) @ W + np.conj(P)
-    if abs(np.linalg.det(den)) < 1e-13:
-        raise ValueError("disk action denominator is numerically singular")
+    den = _invertible(np.conj(Q) @ W + np.conj(P), "disk action denominator", complex)
     out = np.linalg.solve(den.T, (P @ W + Q).T).T
     return require_disk(0.5 * (out + out.T))
 
@@ -161,13 +163,15 @@ def disk_act(M, W) -> np.ndarray:
 
 def in_script_H(omega, tol: float = 1e-9) -> bool:
     """True iff twice the real part is integral within ``tol``."""
-    return _half_integral(require_siegel(omega), tol)
+    return _twice_real(require_siegel(omega), tol) is not None
 
 
-def _half_integral(om: np.ndarray, tol: float) -> bool:
-    # in_script_H on a validated point
+def _twice_real(om: np.ndarray, tol: float) -> np.ndarray | None:
+    # 2 Re Omega rounded, at a validated point where it is integral within
+    # tol (the test of in_script_H), else None
     twice = 2.0 * om.real
-    return bool(np.max(np.abs(twice - np.round(twice))) <= tol)
+    N = np.round(twice)
+    return N if np.max(np.abs(twice - N)) <= tol else None
 
 
 def gamma_star_member(gamma) -> bool:
@@ -194,7 +198,7 @@ def gamma_star_act(gamma, omega) -> np.ndarray:
     if not gamma_star_member(gamma):
         raise ValueError("matrix is not in the upper-triangular integral subgroup")
     om = require_siegel(omega)
-    if not _half_integral(om, 1e-9):
+    if _twice_real(om, 1e-9) is None:
         raise ValueError("point does not have half-integral real part")
     M = np.asarray(gamma).astype(float)
     g = om.shape[0]

@@ -13,6 +13,9 @@ kept, read-only, in a per-process cache of at most ``_GRID_SHAPES`` shapes.
 A public function checks each argument once, with ``_symmetric``,
 ``_invertible`` and ``_cholesky``, and passes the checked values to a private
 core ``_name``, which package code holding checked values calls directly.
+Two rules decide for the whole package: ``_invertible`` whether a matrix is
+invertible, and ``_cholesky`` whether a symmetric one is positive definite,
+by a proof (see ``require_spd``).
 """
 
 from __future__ import annotations
@@ -84,15 +87,15 @@ def _symmetric(M, name: str, dtype=float) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _invertible(A, name: str) -> np.ndarray:
-    """A as a float matrix, after checking that it is square, finite and
-    invertible; ``name`` names A in the error.
+def _invertible(A, name: str, dtype=float) -> np.ndarray:
+    """A as a float (or ``dtype``) matrix, after checking that it is square,
+    finite and invertible; ``name`` names A in the error.
 
     The test does not change when A is scaled: each column is divided by its
     largest entry (which cannot overflow), and the determinant of the scaled
     columns, at most g^(g/2) in size, must exceed 1e-12.
     """
-    A = np.asarray(A, dtype=float)
+    A = np.asarray(A, dtype=dtype)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square")
     scale = abs(A).max(axis=0)
@@ -103,19 +106,41 @@ def _invertible(A, name: str) -> np.ndarray:
     return A
 
 
-def _cholesky(Y: np.ndarray) -> np.ndarray:
-    """Cholesky factor L of an exactly symmetric Y = L tL; raises unless Y is SPD."""
+@lru_cache(maxsize=16)
+def _shrink(g: int) -> np.ndarray:
+    # read-only factors 1 - c on the diagonal and 1 elsewhere (see _cholesky)
+    n = (g + 1) * _ROUNDING / 2
+    factors = np.ones((g, g))
+    np.fill_diagonal(factors, 1 - (g * n / (1 - 2 * n) + _ROUNDING))
+    factors.flags.writeable = False
+    return factors
+
+
+def _cholesky(Y: np.ndarray, factor: bool = True) -> np.ndarray | None:
+    """Cholesky factor of an exactly symmetric Y without infinite entries
+    (None without ``factor``), once Y is proved positive definite as in
+    ``require_spd``, with a last pivot that is not NaN (a NaN reaches every
+    later pivot); else ValueError."""
     try:
-        return np.linalg.cholesky(Y)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("matrix is not positive definite") from exc
+        proved = not math.isnan(np.linalg.cholesky(Y * _shrink(len(Y)))[-1, -1])
+    except np.linalg.LinAlgError:
+        proved = False
+    if not proved:
+        raise ValueError("matrix is not positive definite")
+    return np.linalg.cholesky(Y) if factor else None
 
 
 def require_spd(Y) -> np.ndarray:
-    """Validate and symmetrize an SPD matrix; raises on failure.  Positivity
-    is certified by a successful Cholesky factorization."""
+    """Validate and symmetrize an SPD matrix; raises ValueError unless it is
+    proved positive definite.  The proof (``_cholesky``; Rump, "Verification
+    of positive definiteness", BIT 46, 2006): floating-point Cholesky of Y
+    with its diagonal shrunk by 1 - c, c = g gamma_{g+1} / (1 - gamma_{g+1})
+    + 2u, gamma_n = n u / (1 - n u), completes.  Its rounding is below the
+    shift c I of the unit-diagonal form, so scale does not matter (away from
+    underflow).  A completed Cholesky of Y itself proves nothing: it
+    completes on the singular [[2, 1, 1], [1, 1, 0], [1, 0, 1]]."""
     Y = _symmetric(Y, "SPD matrix")
-    _cholesky(Y)
+    _cholesky(Y, factor=False)
     return Y
 
 
@@ -209,14 +234,12 @@ def partial_iwasawa(Y, r: int, variant: str = "lower") -> IwasawaBlocks:
     Y11, Y12 = Y[:r, :r], Y[:r, r:]
     Y21, Y22 = Y[r:, :r], Y[r:, r:]
     if variant == "lower":
-        G = Y22
         H = np.linalg.solve(Y22, Y21)
         F = Y11 - Y12 @ H
-        return IwasawaBlocks(F=0.5 * (F + F.T), G=G, H=H, variant="lower")
-    P = Y11
+        return IwasawaBlocks(F=0.5 * (F + F.T), G=Y22, H=H, variant="lower")
     R = np.linalg.solve(Y11, Y12)
     Q = Y22 - Y21 @ R
-    return IwasawaBlocks(F=P, G=0.5 * (Q + Q.T), H=R, variant="upper")
+    return IwasawaBlocks(F=Y11, G=0.5 * (Q + Q.T), H=R, variant="upper")
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +640,13 @@ def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
 def _descend(Y: np.ndarray, R: np.ndarray, S: list) -> tuple[np.ndarray, list]:
     # minkowski_reduce's descent from R = S Y tS, which fails the certificate;
     # returns R and the rows of A = T S, T the change from the basis S
-    if not (np.isfinite(R).all() and (np.linalg.eigvalsh(R) > 0).all()):
-        raise ValueError("form cannot be reduced: rounding leaves it indefinite")
+    try:
+        # a product that overflowed leaves an entry that is not finite
+        if not np.isfinite(R).all():
+            raise ValueError
+        _cholesky(R, factor=False)
+    except ValueError:
+        raise ValueError("form cannot be reduced: rounding leaves it indefinite") from None
     upper, C, _, steps = _minkowski_conditions(len(S))
     A, T = S, np.eye(len(S), dtype=int).tolist()
     for _ in range(_DESCENT_STEPS):
@@ -701,13 +729,9 @@ def _sym_gradient(f, Y: np.ndarray, step: float) -> np.ndarray:
     for i in range(g):
         for j in range(i, g):
             E = np.zeros((g, g))
-            E[i, j] = 1.0
-            E[j, i] = 1.0
+            E[i, j] = E[j, i] = 1.0
             df = (f(Y + step * E) - f(Y - step * E)) / (2.0 * step)
-            if i == j:
-                grad[i, i] = df
-            else:
-                grad[i, j] = grad[j, i] = 0.5 * df
+            grad[i, j] = grad[j, i] = df if i == j else 0.5 * df
     return grad
 
 
@@ -734,13 +758,9 @@ def invariant_operator_apply(k: int, f, Y, step: float = 1e-4) -> float:
     for p in range(g):
         for q in range(p, g):
             E = np.zeros((g, g))
-            E[p, q] = 1.0
-            E[q, p] = 1.0
+            E[p, q] = E[q, p] = 1.0
             dM = (op_matrix(Y + step * E) - op_matrix(Y - step * E)) / (2.0 * step)
-            if p == q:
-                T[p, p] = dM
-            else:
-                T[p, q] = T[q, p] = 0.5 * dM
+            T[p, q] = T[q, p] = dM if p == q else 0.5 * dM
     total = 0.0
     for i in range(g):
         for j in range(g):

@@ -9,13 +9,14 @@ associated complex torus C^g / (Z^g + i Lambda) is an abelian variety.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .exactlinalg import det_int, int_matrix
-from .spdcone import _invertible, _symmetric, require_spd
+from .spdcone import _cholesky, _invertible, _symmetric, require_spd
 
 __all__ = [
     "RealTorus",
@@ -57,8 +58,6 @@ def associated_lattice_basis(T: RealTorus) -> np.ndarray:
     basis = np.zeros((g, 2 * g), dtype=complex)
     basis[:, :g] = np.eye(g)
     basis[:, g:] = 1j * T.Pi
-    if np.linalg.matrix_rank(np.concatenate([basis.real, basis.imag], axis=0)) < 2 * g:
-        raise ValueError("lattice columns are not R-linearly independent")
     return basis
 
 
@@ -111,12 +110,12 @@ def is_polarized_symmetric(Pi) -> Polarization:
 
     Definite (either sign) means the lattice equals that of an SPD period
     matrix and the associated complex torus is an abelian variety; an
-    indefinite symmetric period matrix is not polarized.
+    indefinite symmetric period matrix is not polarized.  For g <= 4, the
+    definiteness of every Pi that ``_invertible`` accepts can be proved.
     """
-    Pi = _symmetric(Pi, "period matrix")
-    eigs = np.linalg.eigvalsh(Pi)
-    if np.min(np.abs(eigs)) < 1e-12 * max(1.0, float(abs(Pi).max())):
-        raise ValueError("period matrix must be invertible")
-    if np.all(eigs > 0) or np.all(eigs < 0):
-        return Polarization.POLARIZED
+    Pi = _invertible(_symmetric(Pi, "period matrix"), "period matrix")
+    for sign in (1.0, -1.0):
+        with suppress(ValueError):
+            _cholesky(sign * Pi, factor=False)
+            return Polarization.POLARIZED
     return Polarization.NOT_POLARIZED

@@ -662,6 +662,30 @@ def _not_commands():
     return cases
 
 
+def _boundary():
+    """Forms at the edge of the cone and of the disk: a singular form that a
+    plain Cholesky factorization passes, which every command taking an SPD
+    form refuses, and two points near the boundary that are answered."""
+    Y = [[2, 1, 1], [1, 1, 0], [1, 0, 1]]
+    om = {"X": np.zeros((3, 3)).tolist(), "Y": Y}
+    I3, V = np.eye(3).tolist(), [[0.5, 0.5, 0.5]]
+    out = [
+        {"cmd": "reduce", "Y": Y},
+        {"cmd": "equiv", "Y1": Y, "Y2": Y},
+        {"cmd": "equiv", "Omega1": om, "Omega2": om},
+        {"cmd": "distance", "Y0": I3, "V0": V, "Y1": Y, "V1": V},
+        {"cmd": "iwasawa", "Y": Y, "r": 1},
+        {"cmd": "act", "kind": "gl", "A": I3, "Y": Y},
+        {"cmd": "cayley", "direction": "to_disk", "Omega": om},
+        {"cmd": "theta", "Y": Y, "v": [0.1, 0.2, 0.3]},
+        {"cmd": "factor", "kind": "I_alpha", "Y": Y, "lam": [1, 0, 0], "arg": [0.1, 0.2, 0.3]},
+        {"cmd": "cayley", "direction": "to_halfspace", "W": _fl(0.9999 * np.eye(4))},
+        {"cmd": "act", "kind": "sp", "M": _il(_J(4)),
+         "Omega": {"X": np.zeros((4, 4)).tolist(), "Y": _fl(1e-4 * np.eye(4))}},
+    ]
+    return [([], r) for r in out]
+
+
 def cases() -> list[dict]:
     rng = np.random.default_rng(20261018)
     groups = [_reduce, _equiv, _classify_mod2, _invariants, _sigma, _real_structure, _cayley,
@@ -671,6 +695,7 @@ def cases() -> list[dict]:
     for make in groups:
         out += make(rng)
     out += _not_commands()
+    out += _boundary()
     return [{"args": args, "input": req if isinstance(req, str) else json.dumps(req)}
             for args, req in out]
 

@@ -578,17 +578,18 @@ _VALIDATED = {
     # Omega; 2 Re Omega
     "real-structure": ('{"cmd":"real-structure","Omega":' + _OMEGA + '}',
                        {"_symmetric": 1, "_cholesky": 1, "int_matrix": 1}),
-    # the point, then its image
+    # the point, then its image (a disk point's I - conj(W) W is proved
+    # definite as an SPD form is)
     "cayley_to_disk": ('{"cmd":"cayley","direction":"to_disk","Omega":' + _OMEGA + '}',
-                       {"_symmetric": 2, "_cholesky": 1}),
+                       {"_symmetric": 2, "_cholesky": 2}),
     "cayley_to_halfspace": ('{"cmd":"cayley","direction":"to_halfspace","W":[[0.5]]}',
-                            {"_symmetric": 2, "_cholesky": 1}),
+                            {"_symmetric": 2, "_cholesky": 2}),
     "act_gl": ('{"cmd":"act","kind":"gl","A":[[1,1],[0,1]],"Y":[[2,1],[1,2]]}',
                {"_symmetric": 1, "_cholesky": 1}),
     "act_sp": ('{"cmd":"act","kind":"sp","M":[[1,1],[0,1]],"Omega":' + _OMEGA + '}',
                {"_symmetric": 2, "_cholesky": 2}),
     "act_disk": ('{"cmd":"act","kind":"disk","M":[[1,1],[0,1]],"W":[[0.1]]}',
-                 {"_symmetric": 2}),
+                 {"_symmetric": 2, "_cholesky": 2}),
     "act_gamma_star": ('{"cmd":"act","kind":"gamma_star","M":[[1,1],[0,1]],"Omega":'
                        + _OMEGA + '}', {"_symmetric": 2, "_cholesky": 2, "int_matrix": 1}),
     "act_glgh": ('{"cmd":"act","kind":"glgh","A":[[2]],"a":[[1]],"Y":[[1]],"V":[[0]]}',
@@ -602,8 +603,9 @@ _VALIDATED = {
     # as theta; lam
     "factor": ('{"cmd":"factor","kind":"I_alpha","Y":[[1]],"lam":[1],"arg":[0.1]}',
                {"_symmetric": 2, "_cholesky": 2, "int_matrix": 1}),
+    # Y0, Y1, then the whitened pencil
     "distance": ('{"cmd":"distance","Y0":[[2,1],[1,2]],"V0":[[0,1]],"Y1":[[1,0],[0,3]],'
-                 '"V1":[[1,0]]}', {"_symmetric": 2, "_cholesky": 2}),
+                 '"V1":[[1,0]]}', {"_symmetric": 2, "_cholesky": 3}),
     "geodesic": ('{"cmd":"geodesic","k":[[1]],"lambdas":[1],"Z":[[1]],"t":0.5}',
                  {"_symmetric": 1, "_cholesky": 1}),
     "iwasawa": ('{"cmd":"iwasawa","Y":[[2,1],[1,2]],"r":1}', {"_symmetric": 1, "_cholesky": 1}),
@@ -627,6 +629,72 @@ _VALIDATED = {
     "fixed-locus": ('{"cmd":"fixed-locus","gamma":[[-1,0],[0,-1]],'
                     '"Omega":{"X":[[0]],"Y":[[1]]}}', {"_symmetric": 2, "_cholesky": 2}),
 }
+
+
+def _rank_deficient(g: int, draws: int) -> list[list[list[float]]]:
+    """B tB for integer B of shape g x (g - 1), entries in -3..3: every one
+    singular, and a plain Cholesky factorization completes on many."""
+    rng = np.random.default_rng(0)
+    forms = [B @ B.T for B in rng.integers(-3, 4, size=(draws, g, g - 1))]
+    return [Y.astype(float).tolist() for Y in forms]
+
+
+def _spd_requests(Y: list) -> list[dict]:
+    # one request per command that takes an SPD form (two for equiv)
+    g = len(Y)
+    I, V, om = np.eye(g).tolist(), [[0.5] * g], {"X": np.zeros((g, g)).tolist(), "Y": Y}
+    return [
+        {"cmd": "reduce", "Y": Y},
+        {"cmd": "equiv", "Y1": Y, "Y2": Y},
+        {"cmd": "equiv", "Omega1": om, "Omega2": om},
+        {"cmd": "distance", "Y0": I, "V0": V, "Y1": Y, "V1": V},
+        {"cmd": "iwasawa", "Y": Y, "r": 1},
+        {"cmd": "act", "kind": "gl", "A": I, "Y": Y},
+        {"cmd": "cayley", "direction": "to_disk", "Omega": om},
+        {"cmd": "theta", "Y": Y, "v": [0.1] * g},
+        {"cmd": "factor", "kind": "I_alpha", "Y": Y, "lam": [1] + [0] * (g - 1), "arg": [0.1] * g},
+    ]
+
+
+class TestRankDeficientForms:
+    """Singular forms that rounding lets through a plain Cholesky
+    factorization: validation refuses every one, and so every command that
+    takes an SPD form exits 2, never 0 with an answer or 1."""
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_validation_accepts_none(self, g):
+        for Y in _rank_deficient(g, 2000):
+            with pytest.raises(ValueError):
+                spdcone.require_spd(Y)
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_commands_refuse_them(self, run_cli, g):
+        for Y in _rank_deficient(g, 25):
+            for request_ in _spd_requests(Y):
+                code, out = run_cli(json.dumps(request_))
+                assert code == 2, (request_, out)
+                assert json.loads(out)["status"] == "error"
+
+    def test_ill_conditioned_forms_never_exit_1(self, run_cli):
+        """Forms up to cond 1e18, moved off the reduced domain: each command
+        answers or refuses them as bad input (the distance pencil of such a
+        form exited 1 when rounding left it indefinite)."""
+        rng = np.random.default_rng(1)
+        for k in range(24):
+            g = 2 + k % 3
+            Q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+            U = exactlinalg.random_unimodular(g, rng, max_entry=3).astype(float)
+            M = U @ (Q * np.geomspace(1.0, 10.0 ** rng.uniform(12, 18), g)) @ Q.T @ U.T
+            for request_ in _spd_requests((0.5 * (M + M.T)).tolist()):
+                code, out = run_cli(json.dumps(request_))
+                assert code in (0, 2, 3), (request_, out)
+
+    def test_the_singular_form_of_the_golden_cases(self, run_cli):
+        Y = [[2, 1, 1], [1, 1, 0], [1, 0, 1]]
+        for request_ in _spd_requests(Y):
+            code, out = run_cli(json.dumps(request_))
+            assert (code, json.loads(out)) == (
+                2, {"status": "error", "error": "matrix is not positive definite"})
 
 
 class TestWorkDoneOnce:

@@ -39,7 +39,13 @@ from realtori.moduli import (
 )
 from realtori import moduli
 from realtori.siegel import sp_act
-from realtori.spdcone import gl_act, minkowski_reduce, quadratic_short_vectors, random_spd
+from realtori.spdcone import (
+    gl_act,
+    minkowski_reduce,
+    quadratic_short_vectors,
+    random_spd,
+    require_spd,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +699,14 @@ class TestUnboundedTolerance:
             g = 2 + i % 2
             Q, _ = np.linalg.qr(rng.standard_normal((g, g)))
             M = Q @ np.diag([1.0] + [1e13] * (g - 1)) @ Q.T
-            Y1 = gl_act(random_unimodular(g, rng, max_entry=3).astype(float), 0.5 * (M + M.T))
-            Y2 = gl_act(random_unimodular(g, rng, max_entry=3).astype(float), Y1)
+            try:
+                Y1 = gl_act(random_unimodular(g, rng, max_entry=3).astype(float), 0.5 * (M + M.T))
+                Y2 = require_spd(gl_act(random_unimodular(g, rng, max_entry=3).astype(float), Y1))
+            except ValueError as exc:
+                # a moved form too near singular for the proof of definiteness
+                # (4 of the 40 draws)
+                assert str(exc) == "matrix is not positive definite"
+                continue
             unbounded.clear()
             res = polarized_tori_equivalent(Y1, Y2, cap=50)
             assert res.verdict is not Verdict.INEQUIVALENT

@@ -4,6 +4,7 @@ import re
 import time
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -81,13 +82,58 @@ _CHECKED_INPUTS = {
                   lambda X: theta.ThetaSpec(Pi=X, B=_I2, rho=np.ones(2, dtype=complex))),
     "canonical_line_bundle_data": ("SPD matrix", lambda X: theta.canonical_line_bundle_data(X)),
 }
+
+
+def _decided_by(module, rule, M, call):
+    """``call()`` with the ``rule`` (``_invertible`` or ``_cholesky``) of
+    ``module`` also applied to M wherever the call applies it.  A site whose
+    own matrix cannot take every scale for valid input (I - W and the disk
+    action's denominator are invertible, and I - conj(W) W at most I, on the
+    disk) shows this way that the rule decides for it."""
+    check = getattr(module, rule)
+
+    def both(X, *args, **kwargs):
+        check(M, *args, **kwargs)
+        return check(X, *args, **kwargs)
+
+    with mock.patch.object(module, rule, both):
+        return call()
+
+
+def _polarized(X):
+    if tori.is_polarized_symmetric(X) is not tori.Polarization.POLARIZED:
+        raise AssertionError("a definite period matrix reads as not polarized")
+
+
 # the invertible-matrix inputs, built from A at the scale s of A
 _INVERTIBLE_INPUTS = {
     "gl_act": lambda A, s: gl_act(A, _I2 / s),
     "GroupElementGLgh": lambda A, s: geodesics.GroupElementGLgh(A=A, a=np.zeros((1, 2))),
     "RealTorus": lambda A, s: tori.RealTorus(Pi=A),
     "ThetaSpec": lambda A, s: theta.ThetaSpec(Pi=A, B=_I2, rho=np.ones(2, dtype=complex)),
+    # C Omega + D = A for M = (A, 0; 0, A), which sends i I to A (i I) A^-1 = i I
+    # for symmetric A; the core does not ask M to be symplectic
+    "sp_act": lambda A, s: siegel._sp_act(np.kron(_I2, A), 1j * _I2),
+    "cayley_to_halfspace": lambda A, s: _decided_by(
+        siegel, "_invertible", A, lambda: siegel.cayley_to_halfspace(0.5 * _I2)),
+    "disk_act": lambda A, s: _decided_by(
+        siegel, "_invertible", A, lambda: siegel.disk_act(np.eye(4, dtype=int), 0.5 * _I2)),
+    "is_polarized_symmetric": lambda A, s: _polarized(A),
 }
+# the positive definite inputs, built from a symmetric X
+_DEFINITE_INPUTS = {
+    "require_spd": require_spd,
+    "jacobi_decomposition": jacobi_decomposition,
+    "require_siegel": lambda X: siegel.require_siegel(1j * X),
+    "require_disk": lambda X: _decided_by(
+        siegel, "_cholesky", X, lambda: siegel.require_disk(0.5 * np.eye(len(X)))),
+    "is_polarized_symmetric": _polarized,
+    "MinkowskiEuclidPoint": lambda X: geodesics.MinkowskiEuclidPoint(Y=X, V=np.zeros((1, len(X)))),
+}
+_DEFINITE = [[[2.0, 1.0], [1.0, 3.0]], [[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]]
+# singular forms; a plain Cholesky factorization completes on the second
+_SINGULAR = [[[1.0, 2.0], [2.0, 4.0]], [[2.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]]
+_SCALES = [1e-200, 1e-7, 1.0, 1e7, 1e200]
 
 
 class TestSharedChecks:
@@ -119,13 +165,23 @@ class TestSharedChecks:
         with pytest.raises(ValueError, match="half-space point must have finite entries"):
             siegel.sp_act(np.diag([1e10, 1e-10]), [[omega]])
 
-    @pytest.mark.parametrize("s", [1e-200, 1e-7, 1.0, 1e7, 1e200])
+    @pytest.mark.parametrize("s", _SCALES)
     @pytest.mark.parametrize("site", list(_INVERTIBLE_INPUTS))
     def test_invertibility_does_not_depend_on_scale(self, site, s):
         build = _INVERTIBLE_INPUTS[site]
         build(s * np.array([[2.0, 1.0], [1.0, 3.0]]), s)
         with pytest.raises(ValueError, match="must be invertible"):
             build(s * np.array([[1.0, 2.0], [2.0, 4.0]]), s)
+
+    @pytest.mark.parametrize("s", _SCALES)
+    @pytest.mark.parametrize("site", list(_DEFINITE_INPUTS))
+    def test_definiteness_does_not_depend_on_scale(self, site, s):
+        build = _DEFINITE_INPUTS[site]
+        for X in _DEFINITE:
+            build(s * np.array(X))
+        for X in _SINGULAR:
+            with pytest.raises(ValueError):
+                build(s * np.array(X))
 
 
 class TestJacobi:
@@ -377,12 +433,18 @@ class TestShortVectors:
         assert is_minkowski_reduced(R)
 
     def test_numerically_singular_form_is_refused(self):
-        # Cholesky passes, but the determinant rounds below zero: the box,
-        # in either basis, cannot be sized and the enumeration is refused
+        # a plain Cholesky factorization passes, but the determinant rounds
+        # below zero: validation refuses the form, and the box of its
+        # ellipsoid, in either basis, cannot be sized and is not walked.
+        # No form that passes validation gave such a box (72,288 seeded
+        # forms near the validation threshold tried)
         Y = np.array([[3.831068845210457, -2.2409968040058126],
                       [-2.2409968040058126, 1.3108787334487022]])
-        with pytest.raises(RuntimeError, match="enumeration box of inf points"):
+        with pytest.raises(ValueError, match="not positive definite"):
             quadratic_short_vectors(Y, 3.831068845210457)
+        box = spdcone._Ellipsoid(Y, [0.0, 0.0]).box(3.831068845210457)
+        with pytest.raises(RuntimeError, match="enumeration box of inf points"):
+            box.points()
 
     def test_box_is_bounded_by_the_cap(self):
         # the ~1.4e6 box points of the ball of radius 17 at g = 4 are more
@@ -754,25 +816,39 @@ class TestMinkowskiCertificate:
         assert A.tolist() == np.eye(4, dtype=int).tolist()
 
     def test_form_left_indefinite_by_rounding_is_refused(self):
-        """cond(Y) ~ 3e16, below the rounding of its entries: size reduction
-        in floats leaves a negative diagonal entry, and the reduction refuses
-        the form instead of descending from it."""
+        """cond(Y) ~ 3e16, below the rounding of its entries: validation
+        refuses the form.  Past validation, size reduction in floats leaves
+        a negative diagonal entry, and the descent refuses the form instead
+        of descending from it.  No form that passes validation reached this
+        guard: 72,288 seeded forms near the validation threshold and 37,181
+        stress forms up to cond 1e16 tried."""
         Y = np.array([
             [6.002820250717284e+16, -4.281690300298462e+16, -2.2529316779466244e+16],
             [-4.281690300298462e+16, 3.054043110066363e+16, 1.6069706087811824e+16],
             [-2.2529316779466244e+16, 1.6069706087811824e+16, 8455527457929380.0]])
-        assert spdcone._size_reduce(require_spd(Y))[0][0, 0] < 0
-        with pytest.raises(ValueError, match="cannot be reduced"):
+        with pytest.raises(ValueError, match="not positive definite"):
             minkowski_reduce(Y)
+        R, A = spdcone._size_reduce(Y)
+        assert R[0, 0] < 0
+        with pytest.raises(ValueError, match="cannot be reduced"):
+            spdcone._descend(Y, R, A)
 
-    def test_step_to_an_indefinite_form_is_not_taken(self):
-        """cond(Y) ~ 3e16: the descent step on the failed condition gives an
-        A Y tA that is indefinite in floats, so it is not taken, and R stays
-        positive definite (the greedy construction returned an indefinite R)."""
+    def test_step_to_an_indefinite_form_is_not_taken(self, monkeypatch):
+        """cond(Y) ~ 3e16: validation refuses the form.  Past validation, the
+        descent step on the failed condition gives an A Y tA that is not
+        positive definite, so it is not taken, and R stays positive definite
+        (the greedy construction returned an indefinite R).  No form that
+        passes validation reached this guard (as above)."""
         Y = np.array([[1.0311924448930676e+16, -1.3562062047058534e+16],
                       [-1.3562062047058534e+16, 1.783658597182009e+16]])
-        R, A = minkowski_reduce(Y)
-        assert is_unimodular(A)
+        with pytest.raises(ValueError, match="not positive definite"):
+            minkowski_reduce(Y)
+        steps = []
+        step = spdcone._step
+        monkeypatch.setattr(spdcone, "_step", lambda *args: steps.append(step(*args)) or steps[-1])
+        R, A = spdcone._descend(Y, *spdcone._size_reduce(Y))
+        assert steps and all(taken is None for taken in steps)
+        assert is_unimodular(np.array(A, dtype=object))
         assert np.linalg.eigvalsh(R).min() > 0
 
 
