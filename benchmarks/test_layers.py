@@ -121,6 +121,21 @@ def test_quadratic_short_vectors(benchmark, g):
     assert vecs
 
 
+# shear per dimension: boxes of 290,037, 390,663 and 41,019,615 points in the
+# given basis at bound 2, walked in a reduced basis of 3^g points
+SKEW = {4: 4, 5: 2, 6: 2}
+
+
+@pytest.mark.parametrize("g", sorted(SKEW))
+def test_quadratic_short_vectors_skewed(benchmark, g):
+    """Z^g in the basis sheared by ``SKEW[g]`` above the diagonal, to bound
+    2: the enumerator walks the box of a reduced basis, Minkowski-reduced at
+    g = 4 and LLL-reduced above."""
+    U = _shear(g, SKEW[g])
+    vecs = benchmark(quadratic_short_vectors, U @ U.T, 2.0)
+    assert len(vecs) == 2 * g * g
+
+
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_congruence_witnesses_automorphisms(benchmark, g):
     R = np.array(TIED[g], dtype=float)
@@ -256,7 +271,8 @@ def test_theta_eval(benchmark, g, shape):
     with eigenvalues in [1, 2], or 1.1 I in the basis sheared by 2 above the
     diagonal (the same lattice, skewed).  Every well-conditioned form and the
     sheared one at g = 2, 3 is summed in the basis given; the sheared boxes
-    at g = 4 hold more than 4,096 points there, so theta reduces them first."""
+    at g = 4 hold more than 4,096 points there, so the enumerator walks the
+    smaller box of the Minkowski-reduced basis."""
     rng = np.random.default_rng(800 + g)
     if shape == "well":
         Q, _ = np.linalg.qr(rng.normal(size=(g, g)))
@@ -271,8 +287,9 @@ def test_theta_eval(benchmark, g, shape):
 
 def test_theta_eval_large_box(benchmark):
     """As ``test_theta_eval``, sheared by 5 at g = 3: the boxes of the given
-    basis hold 47,397-91,935 points, far above the 4,096 where theta reduces
-    the form first, and the reduced boxes a few hundred."""
+    basis hold 47,397-91,935 points, far above the 4,096 where the enumerator
+    compares them with the box of the Minkowski-reduced basis, and the
+    reduced boxes a few hundred."""
     rng = np.random.default_rng(803)
     Y = _shear(3, 5) @ (1.1 * np.eye(3)) @ _shear(3, 5).T
     spec = canonical_line_bundle_data(0.5 * (Y + Y.T)).spec

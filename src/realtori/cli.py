@@ -55,7 +55,7 @@ from . import (
     spdcone,
     theta,
 )
-from .moduli import Verdict
+from .moduli import SEARCH_CAP, Verdict
 
 __all__ = ["main", "parse_request", "dispatch"]
 
@@ -65,8 +65,6 @@ __all__ = ["main", "parse_request", "dispatch"]
 # to the g <= 4 of the other commands
 _MAX_INVARIANTS_G = 1000
 _MAX_COBOUNDARY_G = 4
-# cap on the candidates of an equivalence search; "bound" overrides it
-_DEFAULT_BOUND = 200_000
 
 
 class InputError(Exception):
@@ -333,12 +331,12 @@ def _cmd_equiv(payload: dict) -> dict:
         Y1 = decode_matrix(_need(payload, "Y1"), "real", square=True)
         Y2 = decode_matrix(_need(payload, "Y2"), "real", square=True)
         res = moduli.polarized_tori_equivalent(Y1, Y2, tol=tol,
-                                               cap=_opt_int(payload, "bound", _DEFAULT_BOUND))
+                                               cap=_opt_int(payload, "bound", SEARCH_CAP))
     else:
         om1 = decode_siegel(_need(payload, "Omega1"))
         om2 = decode_siegel(_need(payload, "Omega2"))
         res = moduli.real_ppav_equivalent(om1, om2, tol=tol,
-                                          bound=_opt_int(payload, "bound", _DEFAULT_BOUND))
+                                          bound=_opt_int(payload, "bound", SEARCH_CAP))
     undecided = res.verdict is Verdict.UNDECIDED
     out = {"status": "undecided" if undecided else "ok", "verdict": res.verdict.value,
            "tol": tol}

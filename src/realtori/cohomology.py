@@ -15,6 +15,7 @@ import numpy as np
 
 from .exactlinalg import (
     _as_exact,
+    _exact_dtype,
     _symplectic_form,
     is_symplectic,
     kernel_basis,
@@ -30,10 +31,6 @@ __all__ = [
 ]
 
 
-def _is_exact(M: np.ndarray) -> bool:
-    return M.dtype == object or np.issubdtype(M.dtype, np.integer)
-
-
 def is_cocycle(gamma) -> bool:
     """Exact test gamma tau(gamma) = identity (tolerance 1e-12 for floats)."""
     M = np.asarray(gamma)
@@ -41,7 +38,7 @@ def is_cocycle(gamma) -> bool:
         raise ValueError("matrix is not symplectic")
     P = M @ _tau(M)
     I = np.eye(P.shape[0], dtype=int)
-    if _is_exact(M):
+    if _exact_dtype(M):
         return bool(np.all(P == I))
     return float(np.max(np.abs(P - I))) <= 1e-12
 

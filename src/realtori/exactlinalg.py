@@ -41,6 +41,9 @@ __all__ = [
     "random_unimodular",
 ]
 
+# largest entry of |tM J M - J| that is_symplectic accepts for a float M
+_SYMPLECTIC_TOL = 1e-10
+
 
 # ---------------------------------------------------------------------------
 # constructors / predicates
@@ -185,11 +188,14 @@ def _symplectic_form(g: int) -> np.ndarray:
     return J
 
 
-def is_symplectic(M, tol: float | None = None) -> bool:
-    """True iff tM J M = J within ``tol`` (exact for integer inputs).
+def _exact_dtype(M: np.ndarray) -> bool:
+    # whether M holds exact integers: dtype object (Python ints) or integer
+    return M.dtype == object or np.issubdtype(M.dtype, np.integer)
 
-    ``tol=None`` selects 0 for exact integer matrices and 1e-10 otherwise.
-    """
+
+def is_symplectic(M) -> bool:
+    """True iff tM J M = J: exactly for an object or integer matrix, and
+    within ``_SYMPLECTIC_TOL`` in every entry for a float one."""
     M = np.asarray(M)
     n, m = M.shape
     if n != m:
@@ -197,16 +203,11 @@ def is_symplectic(M, tol: float | None = None) -> bool:
     if n % 2 != 0:
         raise ValueError("symplectic matrices have even dimension")
     J = _symplectic_form(n // 2)
-    exact = M.dtype == object or np.issubdtype(M.dtype, np.integer)
-    if tol is None:
-        tol = 0.0 if exact else 1e-10
-    if exact and tol == 0.0:
+    if _exact_dtype(M):
         Me = _as_exact(M)
-        R = Me.T @ J @ Me - J
-        return all(v == 0 for v in R.flat)
-    Mf = M.astype(float)
-    Jf = J.astype(float)
-    return float(np.max(np.abs(Mf.T @ Jf @ Mf - Jf))) <= tol
+        return all(v == 0 for v in (Me.T @ J @ Me - J).flat)
+    Mf, Jf = M.astype(float), J.astype(float)
+    return float(np.max(np.abs(Mf.T @ Jf @ Mf - Jf))) <= _SYMPLECTIC_TOL
 
 
 def symplectic_inverse(M) -> np.ndarray:

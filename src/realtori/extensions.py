@@ -19,6 +19,9 @@ import numpy as np
 from .exactlinalg import int_matrix, integer_solve
 from .moduli import Verdict
 
+# largest entry difference of two float period matrices taken as equal
+_SAME_TORI_TOL = 1e-12
+
 __all__ = [
     "ExtensionDatum",
     "ext_normal_form",
@@ -67,7 +70,7 @@ class ExtensionDatum:
     def is_exact(self) -> bool:
         return all(_is_exact_array(a) for a in (self.Pi1, self.Pi2, self.sigma))
 
-    def same_tori(self, other: "ExtensionDatum", tol: float = 1e-12) -> bool:
+    def same_tori(self, other: "ExtensionDatum") -> bool:
         if self.g1 != other.g1 or self.g2 != other.g2:
             return False
         if self.is_exact() and other.is_exact():
@@ -75,7 +78,7 @@ class ExtensionDatum:
                         and np.array_equal(self.Pi2, other.Pi2))
         a = np.max(np.abs(_to_complex(self.Pi1) - _to_complex(other.Pi1)))
         b = np.max(np.abs(_to_complex(self.Pi2) - _to_complex(other.Pi2)))
-        return float(max(a, b)) <= tol
+        return float(max(a, b)) <= _SAME_TORI_TOL
 
 
 def _as_matrix(a) -> np.ndarray:

@@ -46,6 +46,9 @@ from .spdcone import (
     require_spd,
 )
 
+# default cap on the candidates of an equivalence or witness search
+SEARCH_CAP = 200_000
+
 __all__ = [
     "ModuliInvariant",
     "ModuliClass",
@@ -310,7 +313,7 @@ class EquivalenceResult:
 
 
 def congruence_witnesses(Y1, Y2, tol: float = 1e-9, max_witnesses: int = 64,
-                         cap: int = 200_000) -> tuple[list[np.ndarray], bool]:
+                         cap: int = SEARCH_CAP) -> tuple[list[np.ndarray], bool]:
     """All unimodular integral B with B Y1 tB = Y2 within ``tol``.
 
     Complete search: row i of B has quadratic value (Y2)_ii, hence lies in a
@@ -531,7 +534,7 @@ def _equivalent(Y1: np.ndarray, Y2: np.ndarray, tol: float, cap: int,
 
 
 def polarized_tori_equivalent(Y1, Y2, tol: float = 1e-9,
-                              cap: int = 200_000) -> EquivalenceResult:
+                              cap: int = SEARCH_CAP) -> EquivalenceResult:
     """GL(g,Z)-equivalence of SPD matrices: Y2 = A Y1 tA for unimodular A.
 
     Both inputs are Minkowski reduced; matching reduced forms (within
@@ -562,7 +565,7 @@ def polarized_tori_equivalent(Y1, Y2, tol: float = 1e-9,
     return _equivalent(Y1, Y2, tol, cap)
 
 
-def real_ppav_equivalent(omega1, omega2, bound: int = 200_000,
+def real_ppav_equivalent(omega1, omega2, bound: int = SEARCH_CAP,
                          tol: float = 1e-9) -> EquivalenceResult:
     """Equivalence of two points with half-integral real part.
 

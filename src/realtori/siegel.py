@@ -131,7 +131,10 @@ def cayley_to_disk(omega) -> np.ndarray:
     om = require_siegel(omega)
     I = np.eye(om.shape[0])
     W = np.linalg.solve((om + 1j * I).T, (om - 1j * I).T).T
-    return require_disk(0.5 * (W + W.T))
+    try:
+        return require_disk(0.5 * (W + W.T))
+    except ValueError:
+        raise ValueError("the image of the point rounds onto or beyond the disk's boundary") from None
 
 
 def cayley_to_halfspace(W) -> np.ndarray:

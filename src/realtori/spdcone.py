@@ -6,7 +6,8 @@ unimodular witness, partial Iwasawa coordinates, the invariant metric and
 volume densities, and numerically applied invariant differential operators.
 
 Short-vector search and the theta sums walk the integer points of an
-ellipsoid's bounding box.  Box shapes repeat from call to call, so the index
+ellipsoid's bounding box, or of the box of a reduced basis where that is
+smaller (``_Box.points``).  Box shapes repeat from call to call, so the index
 grid of a box of at most ``_GRID_CACHED`` points is built once per shape and
 kept, read-only, in a per-process cache of at most ``_GRID_SHAPES`` shapes.
 
@@ -25,7 +26,6 @@ import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -55,6 +55,8 @@ _ENUMERATION_CAP = 2_000_000
 _BOX_LIMIT = 121 ** 4
 # box points per numpy pass of an enumeration: bounds its working memory
 _CHUNK = 1 << 16
+# box points above which a reduced basis is tried (about its break-even, g = 2..4)
+_REBASE_ABOVE = 4096
 # box points up to which the index grid of a box shape is kept, and the number
 # of shapes kept (32 KB each at most)
 _GRID_CACHED = 4096
@@ -260,8 +262,8 @@ def quadratic_short_vectors(Y, bound: float, cap: int = _ENUMERATION_CAP) -> lis
     if _unit_multiples(Y.diagonal().tolist(), bound) > cap:
         raise RuntimeError("short-vector enumeration bound overflow")
     found, total = [], 0
-    # at most a few box points per vector for an LLL-reduced form, so a box
-    # far larger than the cap would take long only to overflow it
+    # at most a few box points per vector in a reduced basis, so a box far
+    # larger than the cap would take long only to overflow it
     box = _Ellipsoid(Y, [0.0] * Y.shape[0]).box(float(bound))
     for K, _ in box.points(box_limit=min(_BOX_LIMIT, 64 * cap)):
         found.append(K[:, K.any(axis=0)])
@@ -344,20 +346,19 @@ class _Box(NamedTuple):
         The walk covers the box in pieces of ``_CHUNK`` box points
         flat-indexed over the reversed axes: the points, the columns of float
         arrays, come in ascending lexicographic order of (k_{g-1}, ..., k_0).
-        A box of more than one piece whose form is not LLL-reduced may be far
-        larger than the ellipsoid; the box of the LLL-reduced form U P tU is
-        then walked instead when it is smaller, and its points are mapped
-        back by k = tU k' in its own order.  Raises RuntimeError, before any
-        work, when the box walked holds more than ``box_limit`` points.
+        A box of more than ``_REBASE_ABOVE`` points may be far larger than
+        the ellipsoid of a skewed form; the box of U P tU, U from
+        ``_reduced_basis``, is then walked instead if smaller, its points
+        mapped back by k = tU k' in its own order.  Raises RuntimeError,
+        before any work, when the box walked holds more than ``box_limit``.
         """
         box = self
-        if self.count > _CHUNK and math.isfinite(self.bound):
+        if self.count > _REBASE_ABOVE and math.isfinite(self.bound):
             P, b = self.ellipsoid.rows, self.ellipsoid.b
-            U = _lll(P)
-            other = _Ellipsoid(np.array(_congruent(U, P)), (np.array(U, dtype=float) @ b).tolist(), U)
-            other = other.box(self.bound)
-            if other.count < self.count:
-                box = other
+            U = _reduced_basis(np.array(P))
+            if U is not None:
+                other = _Ellipsoid(_congruent(U, P), (np.array(U, dtype=float) @ b).tolist(), U)
+                box = min(self, other.box(self.bound), key=lambda x: x.count)
         if box.count > box_limit:
             raise RuntimeError(f"enumeration box of {box.count:.3g} points exceeds {box_limit}")
         return box._walk()
@@ -366,6 +367,7 @@ class _Box(NamedTuple):
         P, bl, U = self.ellipsoid.rows, self.ellipsoid.b, self.ellipsoid.U
         g, sides = len(P), self.sides
         lo = np.array(self.lo, dtype=float)[:, None]
+        Ut = None if U is None else np.array(U, dtype=float).T
         limit = self.bound * (1 + 1e-12) + 1e-12 - self.ellipsoid.offset
         for start in range(0, self.count, _CHUNK):
             if self.count <= _CHUNK:
@@ -382,9 +384,8 @@ class _Box(NamedTuple):
                     row += 2.0 * P[i][j] * k[j]
                 values += row * k[i]
             keep = values <= limit
-            if U:
-                K = np.array([sum(U[j][i] * k[j] for j in range(g)) for i in range(g)])
-            yield K[:, keep], values[keep]
+            # exact: entries of U below 2^20, of K below _BOX_LIMIT < 2^28
+            yield (K[:, keep] if U is None else Ut @ K[:, keep]), values[keep]
 
 
 def _index_grid(sides: tuple) -> np.ndarray:
@@ -403,27 +404,39 @@ def _cached_index_grid(sides: tuple) -> np.ndarray:
     return grid
 
 
-def _congruent(U: list, Q: list) -> list:
-    # U Q tU for integer rows U, each entry rounded once from its exact value
-    g = len(Q)
-    F = [[Fraction(x) for x in row] for row in Q]
-    return [[float(sum(U[i][k] * U[j][l] * F[k][l] for k in range(g) for l in range(g)))
-             for j in range(g)] for i in range(g)]
+def _reduced_basis(P: np.ndarray) -> list | None:
+    """Integer rows U, unimodular, with U P tU Minkowski-reduced (``_reduce``)
+    for g <= ``MAX_REDUCTION_DIM``, its diagonal the successive minima, and
+    LLL-reduced (``_lll``) above; None where P is not finite and positive
+    definite in floats or an entry of U reaches 2^20 (tU k' stays exact)."""
+    try:
+        _cholesky(_symmetric(P, "form"), factor=False)
+        U = _reduce(P)[1] if len(P) <= MAX_REDUCTION_DIM else _lll(P)
+    except ValueError:
+        return None
+    return U if max(abs(a) for row in U for a in row) < 1 << 20 else None
 
 
-def _lll(Q: list) -> list:
+def _congruent(U: list, Q: list) -> np.ndarray:
+    # U Q tU for integer rows U: U N tU / den, Q = N / den, exact in ints, rounded once
+    ratios = [x.as_integer_ratio() for row in Q for x in row]
+    den = max(d for _, d in ratios)
+    N = np.array([n * (den // d) for n, d in ratios], dtype=object).reshape(len(Q), -1)
+    Uo = np.array(U, dtype=object)
+    return (Uo @ N @ Uo.T / den).astype(float)
+
+
+def _lll(Q: np.ndarray) -> list:
     """Integer rows U, unimodular, with U Q tU LLL-reduced (Lovasz constant
     0.99).  The reduction stops early where U Q tU is not numerically
-    positive definite, and gives the identity where an entry of U would reach
-    2^20: tU k' stays exact in floats for every box point k'."""
+    positive definite or an entry of U reaches 2^20."""
     g = len(Q)
-    Qa = np.array(Q)
     U = [[int(i == j) for j in range(g)] for i in range(g)]
     k, steps = 1, 0
     while k < g and steps < 100 * g * g:
         steps += 1
         try:
-            fac = jacobi_decomposition(_act(np.array(U, dtype=float), Qa))
+            fac = jacobi_decomposition(_act(np.array(U, dtype=float), Q))
         except ValueError:
             break
         # Gram-Schmidt coefficients mu (unit lower triangular) and norms d
@@ -434,7 +447,7 @@ def _lll(Q: list) -> list:
                 U[k] = [a - q * e for a, e in zip(U[k], U[j])]
                 mu[k] = [m - q * n for m, n in zip(mu[k], mu[j])]
         if max(map(abs, U[k])) >= 1 << 20:
-            return [[int(i == j) for j in range(g)] for i in range(g)]
+            break
         if d[k] < (0.99 - mu[k][k - 1] ** 2) * d[k - 1]:
             U[k - 1], U[k] = U[k], U[k - 1]
             k = max(k - 1, 1)
@@ -623,9 +636,7 @@ def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
     g = Y.shape[0]
     if g > MAX_REDUCTION_DIM:
         raise ValueError(f"reduction support is limited to g <= {MAX_REDUCTION_DIM}")
-    R, A = _size_reduce(Y)
-    if not _is_certified_reduced(R):
-        R, A = _descend(Y, R, A)
+    R, A = _reduce(Y)
     # nonnegative superdiagonal by row sign flips (one forward pass)
     for k in range(g - 1):
         if R[k, k + 1] < 0:
@@ -635,6 +646,14 @@ def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
     if abs(_det_rows(A)) != 1:
         raise AssertionError("reduction produced a non-unimodular witness")
     return R, np.array(A, dtype=object)
+
+
+def _reduce(Y: np.ndarray) -> tuple[np.ndarray, list]:
+    # R = A Y tA and the rows of A: minkowski_reduce before its sign rules
+    R, A = _size_reduce(Y)
+    if not _is_certified_reduced(R):
+        R, A = _descend(Y, R, A)
+    return R, A
 
 
 def _descend(Y: np.ndarray, R: np.ndarray, S: list) -> tuple[np.ndarray, list]:

@@ -8,9 +8,8 @@ series is a sum over the lattice points of an ellipsoid, listed in numpy
 chunks by the enumerator that also serves short-vector search
 (``spdcone._Ellipsoid``), with a certified Gaussian tail bound on
 everything outside it.  Its value depends only on the GL(g, Z)-class of the
-Gram form, so the sum runs in the basis it is given, unless 1 < g <= 4 and
-the ellipsoid's box there holds more than ``_REDUCE_ABOVE`` points: then the
-form is first Minkowski-reduced.
+Gram form, so the enumerator may walk the ellipsoid in a reduced basis; it
+returns the points in the given one.
 """
 
 from __future__ import annotations
@@ -23,14 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .exactlinalg import _as_exact, _int_vector, _symplectic_form
-from .spdcone import (
-    MAX_REDUCTION_DIM,
-    _Box,
-    _Ellipsoid,
-    _invertible,
-    minkowski_reduce,
-    require_spd,
-)
+from .spdcone import _Box, _Ellipsoid, _invertible, require_spd
 from .tori import _hermitian
 
 __all__ = [
@@ -50,9 +42,8 @@ __all__ = [
 
 # values of t in (0, 1) tried by the tail bound of ``_tail_box``
 _TAIL_SPLITS = (0.5, 0.7, 0.8, 0.9, 0.95, 0.98, 0.99)
-# box points in the given basis above which a theta sum with
-# 1 < g <= MAX_REDUCTION_DIM is taken in the Minkowski-reduced basis
-_REDUCE_ABOVE = 4096
+# largest |Q - round(Q)| of a Gram form Q that periodic_function_eval takes
+_INTEGRALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -140,32 +131,17 @@ def _sum_with_tail(spec: ThetaSpec, v: np.ndarray, eps: float, oscillatory: bool
     in elementwise numpy at the points of the ellipsoid of ``_tail_box``,
     each chunk in sorted order and the chunks in order: (b, c) and (-b, -c),
     whose points are mirror images with equal terms, give equal values on a
-    box of one chunk.
-
-    The sum runs in the basis it is given unless 1 < g <=
-    ``MAX_REDUCTION_DIM`` and the ellipsoid's box in that basis holds more
-    than ``_REDUCE_ABOVE`` points.  Then it runs over n = tA k, with A the
-    Minkowski-reduction witness of Q, on the form A Q tA with the linear
-    coefficients A w and the character angles A angles.  The threshold sits
-    below the break-even: the reduction, with the second box it needs, costs
-    about as much as walking 6,000-7,000 box points at g = 4, 8,000-9,000 at
-    g = 3 and more at g = 2 (timed on sheared forms).  The offset w Q^-1 w
-    and the terms outside the ellipsoid are the same in every basis, so the
-    tail bound holds whichever basis is walked.
+    box of one chunk.  The offset w Q^-1 w and the terms outside the
+    ellipsoid are the same in every basis, so the tail bound holds whichever
+    basis the enumerator walks.
     """
     if not eps > 0:
         raise ValueError("tolerance must be positive")
     g = spec.g
     PtB = spec.Pi.T @ spec.B
-    Q = _gram(PtB, spec.Pi)
     w = PtB @ v
     angles = spec.character_angles()
-    box = _tail_box(Q, w, eps, oscillatory)
-    if 1 < g <= MAX_REDUCTION_DIM and box.count > _REDUCE_ABOVE:
-        Q, A = minkowski_reduce(Q)
-        A = A.astype(float)
-        w, angles = A @ w, A @ angles
-        box = _tail_box(Q, w, eps, oscillatory)
+    box = _tail_box(_gram(PtB, spec.Pi), w, eps, oscillatory)
     c = angles + 2.0 * math.pi * w if oscillatory else -angles
     real = imag = 0.0
     try:
@@ -245,14 +221,13 @@ def theta_transform_residual(spec: ThetaSpec, lam_int, v,
     return abs(lhs - rhs)
 
 
-def periodic_function_eval(spec: ThetaSpec, v, eps: float = 1e-12,
-                           integrality_tol: float = 1e-9) -> complex:
+def periodic_function_eval(spec: ThetaSpec, v, eps: float = 1e-12) -> complex:
     """Lattice-periodic sum rho(lam) exp(-pi B(lam,lam) + 2 pi i B(v,lam)).
 
-    Requires the Gram form to be integral on the lattice.
+    Requires the Gram form to be integral on the lattice (``_INTEGRALITY_TOL``).
     """
     Q = spec.gram()
-    if float(np.max(np.abs(Q - np.round(Q)))) > integrality_tol:
+    if float(np.max(np.abs(Q - np.round(Q)))) > _INTEGRALITY_TOL:
         raise ValueError("Gram form is not integral on the lattice")
     v = np.asarray(v, dtype=float).ravel()
     return _sum_with_tail(spec, v, eps, oscillatory=True)

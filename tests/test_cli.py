@@ -52,6 +52,15 @@ class TestSingleRequest:
         answer = json.loads(out)["value"]
         assert abs(complex(answer["re"], answer["im"]) - value) < 1e-12 * value
 
+    def test_cayley_image_rounding_onto_the_boundary(self, run_cli):
+        """A valid point whose disk image rounds onto the boundary: the
+        refusal names the image, not the point given."""
+        code, out = run_cli('{"cmd":"cayley","direction":"to_disk",'
+                            '"Omega":{"X":[[0,0],[0,0]],"Y":[[1,0],[0,1e17]]}}')
+        assert code == 2
+        assert json.loads(out) == {
+            "status": "error", "error": "the image of the point rounds onto or beyond the disk's boundary"}
+
     def test_float_ext_equiv_is_bad_input(self, run_cli):
         code, out = run_cli('{"cmd":"ext-equiv","Pi1":[[0.5]],"Pi2":[[0.3333]],'
                             '"sigma1":[[0.1,0.2]],"sigma2":[[0.1,1.2]]}')

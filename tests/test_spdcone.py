@@ -383,7 +383,8 @@ class TestShortVectors:
 
     def test_centered_enumeration_of_a_skewed_form(self):
         """A form whose box in its own basis holds ~2e5 points for ~450
-        inside is walked in its LLL-reduced basis, with the same points."""
+        inside is walked in its Minkowski-reduced basis, with the same
+        points."""
         Y = np.array([[1.0, 1 - 1e-5], [1 - 1e-5, 1.0]])
         for b in (np.zeros(2), np.array([0.3, -0.7])):
             inside, near, values = self._brute_force(Y, 1.0, b)
@@ -400,6 +401,30 @@ class TestShortVectors:
                 exact = sum(Yq[i][j] * k[i] * k[j] + (i == j) * Fraction(b[i]) * k[i]
                             for i in range(2) for j in range(2))
                 assert abs(val - exact) <= 1e-12 * max(1.0, abs(val))
+
+    @pytest.mark.parametrize("g, shear", [(2, 1000), (3, 6), (4, 4), (5, 3), (6, 3)])
+    def test_skewed_boxes_above_the_threshold(self, g, shear):
+        """Integer forms U diag(d) tU, U a permuted unit upper triangular
+        shear, whose boxes in the given basis hold 4,096-65,536 points, more
+        than ``_REBASE_ABOVE``: the vectors walked in a reduced basis equal
+        those of a brute-force cube, in exact integer arithmetic (the bounds
+        are half-integers, so no value ties with one)."""
+        rng = np.random.default_rng(140 + g)
+        forms = 0
+        while forms < 4:
+            U = np.eye(g, dtype=np.int64) + np.triu(rng.integers(-shear, shear + 1, size=(g, g)), 1)
+            U, d = U[rng.permutation(g)], rng.integers(1, 4, size=g)
+            Y = (U * d) @ U.T
+            bound = float(rng.integers(1, 3 * int(d.max()) + 1)) + 0.5
+            count = spdcone._Ellipsoid(Y.astype(float), [0.0] * g).box(bound).count
+            if not spdcone._REBASE_ABOVE < count <= 1 << 16:
+                continue
+            forms += 1
+            h = np.floor(np.sqrt(bound * np.diag(np.linalg.inv(Y)))).astype(np.int64) + 1
+            cube = np.indices(tuple(2 * h + 1)).reshape(g, -1) - h[:, None]
+            inside = cube[:, (np.einsum("in,ij,jn->n", cube, Y, cube) <= bound) & cube.any(axis=0)]
+            want = sorted(map(tuple, inside.T.tolist()), key=lambda x: x[::-1])
+            assert quadratic_short_vectors(Y.astype(float), bound) == want
 
     @pytest.mark.parametrize("delta", [1e-6, 1e-9])
     def test_nearly_singular_form(self, delta):
@@ -532,6 +557,41 @@ def _unravel_walk(box):
         yield np.array(k)[:, keep], values[keep]
 
 
+def _congruent_fractions(U, Q):
+    """U Q tU summed in Fractions, each entry rounded once: the reference
+    for ``spdcone._congruent``, which sums in Python ints."""
+    g = len(Q)
+    F = [[Fraction(x) for x in row] for row in Q]
+    return [[float(sum(U[i][k] * U[j][l] * F[k][l] for k in range(g) for l in range(g)))
+             for j in range(g)] for i in range(g)]
+
+
+class TestCongruentForm:
+    def test_matches_fractions_bit_for_bit(self):
+        """g = 1..6, entries of either sign from 1e-300 to 1e300 (some zero)
+        in one matrix or around one scale, rows of U with entries up to
+        2^20: the same bytes, or OverflowError from both."""
+        rng = np.random.default_rng(15)
+
+        def outcome(congruent, U, Q):
+            try:
+                return np.array(congruent(U, Q), dtype=float).tobytes()
+            except OverflowError:
+                return OverflowError
+
+        for trial in range(600):
+            g = 1 + trial % 6
+            exponents = rng.uniform(-300, 300, size=(g, g))
+            if trial % 2:
+                exponents = rng.uniform(-300, 297) + rng.uniform(0, 3, size=(g, g))
+            M = rng.choice([-1.0, 1.0], size=(g, g)) * 10.0 ** exponents
+            M[rng.random((g, g)) < 0.1] = 0.0
+            Q = (np.triu(M) + np.triu(M, 1).T).tolist()
+            U = np.round(rng.choice([-1, 1], size=(g, g)) * 2.0 ** rng.uniform(0, 20, size=(g, g)))
+            U = U.astype(int).tolist()
+            assert outcome(spdcone._congruent, U, Q) == outcome(_congruent_fractions, U, Q)
+
+
 class TestIndexGrid:
     """A box of one chunk walks an index grid from np.indices; grids of at
     most ``_GRID_CACHED`` points are built once per shape."""
@@ -543,7 +603,7 @@ class TestIndexGrid:
             g = 1 + trial % 4
             Y = random_spd(g, rng) + 0.2 * np.eye(g)
             b = rng.uniform(-3.0, 3.0, size=g).tolist()
-            # points mapped back by tU, as from an LLL-reduced basis
+            # points mapped back by tU, as from a reduced basis
             U = random_unimodular(g, rng, max_entry=2).tolist() if trial % 3 == 0 else None
             boxes.append(spdcone._Ellipsoid(Y, b, U).box(float(10.0 ** rng.uniform(-1.0, 3.5 - g / 2))))
         # boxes of 301^2 and 51^3 points, walked in two and three chunks

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from realtori import cli
+from realtori import cli, spdcone
 from realtori import theta as theta_module
 from realtori.spdcone import random_spd
 from realtori.theta import (
@@ -52,15 +52,16 @@ def unit_spec():
 
 @pytest.fixture
 def reductions(monkeypatch):
-    """The Gram forms that theta sums hand to ``minkowski_reduce``."""
+    """The bases that the enumerator's ``_reduced_basis`` returns while theta
+    sums walk their boxes, one for each box it compares with a reduced one."""
     seen = []
-    reduce = theta_module.minkowski_reduce
+    reduced_basis = spdcone._reduced_basis
 
-    def counting(Y):
-        seen.append(Y)
-        return reduce(Y)
+    def counting(P):
+        seen.append(reduced_basis(P))
+        return seen[-1]
 
-    monkeypatch.setattr(theta_module, "minkowski_reduce", counting)
+    monkeypatch.setattr(spdcone, "_reduced_basis", counting)
     return seen
 
 
@@ -280,8 +281,8 @@ class TestReducedSummation:
 
 
 class TestReductionDecision:
-    """A theta sum is Minkowski-reduced first only where the ellipsoid's box
-    in the given basis holds more than ``_REDUCE_ABOVE`` points."""
+    """A theta sum is walked in a reduced basis only where the ellipsoid's
+    box in the given basis holds more than ``spdcone._REBASE_ABOVE`` points."""
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_well_conditioned_forms_are_summed_as_given(self, g, reductions):
@@ -311,7 +312,7 @@ class TestReductionDecision:
         rng = np.random.default_rng(90 + g)
         for _ in range(3):
             spec, v, ref = sheared_spec(U, d, rng.uniform(-0.45, 0.45, size=g))
-            assert theta_module._REDUCE_ABOVE / 2 < box_points(spec, v) <= theta_module._REDUCE_ABOVE
+            assert spdcone._REBASE_ABOVE / 2 < box_points(spec, v) <= spdcone._REBASE_ABOVE
             assert abs(theta_eval(spec, v) - ref) < 1e-13 * abs(ref)
         assert not reductions
 
@@ -329,7 +330,7 @@ class TestReductionDecision:
         spec, v, ref = sheared_spec(U, [1.0, 1.0, 1.0], [0.3, -0.2, 0.1])
         assert box_points(spec, v) > 40_000
         assert abs(theta_eval(spec, v) - ref) < 1e-13 * abs(ref)
-        assert len(reductions) == 1
+        assert len(reductions) == 1 and reductions[0] not in (None, np.eye(3, dtype=int).tolist())
         best = math.inf
         for _ in range(5):
             start = time.perf_counter()
