@@ -2,7 +2,7 @@
 descent step), enumeration, congruence-witness search, equivalence of
 polarized tori (also of tied pairs at cond 10^6-10^10) and of real ppavs,
 exact determinant and inverse, Smith normal form, coboundary witnesses,
-theta summation, theta, distance and degenerate requests and the JSON
+theta summation, theta, equiv, distance and degenerate requests and the JSON
 decode/encode round trip, and of the CLI end to end (in process) on the
 golden batch of ``tests/golden/cli_in.json``.
 The JSON round trip is timed on four kinds of payload: real forms, exact
@@ -205,8 +205,7 @@ def test_polarized_tori_equivalent_tied_ill_conditioned(benchmark):
             assert np.max(np.abs(A @ Y1 @ A.T - Y2)) <= 1e-9 * np.max(np.abs(Y2))
 
 
-@pytest.mark.parametrize("g", [2, 3, 4])
-def test_real_ppav_equivalent(benchmark, g):
+def _ppav_points(g: int) -> list[tuple[np.ndarray, np.ndarray, bool]]:
     """The pairs of ``test_polarized_tori_equivalent`` as imaginary parts,
     with real parts M / 2 and A M tA / 2 + K for a random symmetric 0-1
     matrix M, an even symmetric K and the unimodular A that moves the
@@ -222,6 +221,13 @@ def test_real_ppav_equivalent(benchmark, g):
         K = np.triu(rng.integers(-1, 2, size=(g, g)))
         X2 = 0.5 * (A @ M @ A.T) + K + np.triu(K, 1).T
         points.append((0.5 * M + 1j * Y1, X2 + 1j * Y2, equivalent))
+    return points
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_real_ppav_equivalent(benchmark, g):
+    """``real_ppav_equivalent`` on the pairs of ``_ppav_points``."""
+    points = _ppav_points(g)
     verdicts = benchmark(lambda: [real_ppav_equivalent(om1, om2).verdict
                                   for om1, om2, _ in points])
     assert [v is Verdict.EQUIVALENT for v in verdicts] == [e for _, _, e in points]
@@ -323,6 +329,29 @@ def test_theta_request(benchmark, g, spec):
         return [cli.canonical_json(cli.dispatch(cli.parse_request(text))[0]) for text in texts]
 
     benchmark(run)
+
+
+@pytest.mark.parametrize("kind", ["Y", "Omega"])
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_equiv_request(benchmark, g, kind):
+    """Eight ``equiv`` requests through ``cli.parse_request`` ->
+    ``cli.dispatch`` -> ``cli.canonical_json``: the integer and scaled pairs
+    of ``test_polarized_tori_equivalent`` as ``Y1``, ``Y2``, or the points of
+    ``test_real_ppav_equivalent`` as ``Omega1``, ``Omega2``.  Each form is
+    decoded, proved definite and reduced once per request."""
+    if kind == "Y":
+        pairs = [(Y1.tolist(), Y2.tolist(), e) for Y1, Y2, e in _equivalence_pairs(g, 1100 + g)]
+    else:
+        pairs = [({"X": om1.real.tolist(), "Y": om1.imag.tolist()},
+                  {"X": om2.real.tolist(), "Y": om2.imag.tolist()}, e)
+                 for om1, om2, e in _ppav_points(g)]
+    texts = [json.dumps({"cmd": "equiv", kind + "1": a, kind + "2": b}) for a, b, _ in pairs]
+
+    def run():
+        return [cli.canonical_json(cli.dispatch(cli.parse_request(text))[0]) for text in texts]
+
+    answers = benchmark(run)
+    assert [json.loads(a)["verdict"] == "EQUIVALENT" for a in answers] == [e for _, _, e in pairs]
 
 
 def _answer(text: str) -> str:

@@ -14,6 +14,10 @@ On float input an INEQUIVALENT answer rests on one rounding-aware bound
 between the reduced forms, the tolerance of the witness search
 (``_equivalent``), which also lets the successive minima decide before the
 search (``polarized_tori_equivalent``).
+
+Each form of an equivalence is proved positive definite once, by the public
+``minkowski_reduce`` that the search needs anyway, as the benchmark's tracer
+times public names only (ROADMAP item 7 may move it to ``spdcone._reduce``).
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ from .spdcone import (
     _ROUNDING,
     _compose,
     _is_certified_reduced,
+    _symmetric,
+    _symmetrized,
     minkowski_reduce,
     quadratic_short_vectors,
     require_spd,
@@ -450,12 +456,21 @@ def _search_tolerance(Y1: np.ndarray, R1: np.ndarray, A1: np.ndarray,
     return tau, q
 
 
-def _equivalent(Y1: np.ndarray, Y2: np.ndarray, tol: float, cap: int,
-                keep=None) -> EquivalenceResult:
+def _proved(Y) -> tuple[tuple | None, np.ndarray]:
+    # the reduction (R, A) by minkowski_reduce, the one proof that Y is definite, and Y
+    # symmetrized; require_spd's proof and None unless Y is square of side <= 4
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or not Y.shape[0] == Y.shape[1] <= MAX_REDUCTION_DIM:
+        return None, require_spd(Y)
+    return minkowski_reduce(Y), _symmetrized(Y)
+
+
+def _equivalent(Y1: np.ndarray, reduced1: tuple | None, Y2: np.ndarray,
+                reduced2: tuple | None, tol: float, cap: int, keep=None) -> EquivalenceResult:
     """Y2 = A Y1 tA for unimodular A with ``keep(A)``, for validated forms of
-    one size: the witness search between the Minkowski-reduced forms
-    R1 = A1 Y1 tA1 and R2 = A2 Y2 tA2 is complete, so when no candidate is
-    kept the pair is inequivalent.
+    one size and their reductions (None above g = 4): the witness search
+    between R1 = A1 Y1 tA1 and R2 = A2 Y2 tA2 is complete, so when no
+    candidate is kept the pair is inequivalent.
 
     The search looks for B = A2 A A1^-1 with B R1 tB = R2 within tau_ij in
     entry ij.  With t = max(tol, 1e-9) and t_Y = t max(1, max|Y2|) the
@@ -501,8 +516,7 @@ def _equivalent(Y1: np.ndarray, Y2: np.ndarray, tol: float, cap: int,
     exact = _exact_integers(Y1, Y2)
     if exact is not None and _det_rows(exact[0].tolist()) != _det_rows(exact[1].tolist()):
         return EquivalenceResult(Verdict.INEQUIVALENT, detail="determinant invariant differs")
-    R1, A1 = minkowski_reduce(Y1)
-    R2, A2 = minkowski_reduce(Y2)
+    (R1, A1), (R2, A2) = reduced1, reduced2
     scale = max(1.0, float(np.max(np.abs(Y2))))
     t = max(tol, 1e-9)
 
@@ -556,13 +570,14 @@ def polarized_tori_equivalent(Y1, Y2, tol: float = 1e-9,
     is not made: it would bound the rows of B^-1, which carry the mismatch
     B R1 tB - R2 times the square of B^-1, which may be large.  So
     np.eye(4) against 1000.5 * np.eye(4) is UNDECIDED, and the reversed pair
-    INEQUIVALENT.
+    INEQUIVALENT.  Each form is checked once, Y1 first, by the reduction
+    (see the module docstring).
     """
-    Y1 = require_spd(Y1)
-    Y2 = require_spd(Y2)
+    reduced1, Y1 = _proved(Y1)
+    reduced2, Y2 = _proved(Y2)
     if Y2.shape[0] != Y1.shape[0]:
         return EquivalenceResult(Verdict.INEQUIVALENT, detail="dimension mismatch")
-    return _equivalent(Y1, Y2, tol, cap)
+    return _equivalent(Y1, reduced1, Y2, reduced2, tol, cap)
 
 
 def real_ppav_equivalent(omega1, omega2, bound: int = SEARCH_CAP,
@@ -572,9 +587,12 @@ def real_ppav_equivalent(omega1, omega2, bound: int = SEARCH_CAP,
     A witness A transports the imaginary parts as in
     ``polarized_tori_equivalent`` and also matches twice the real parts mod
     2: A (2 Re omega1) tA = 2 Re omega2 (mod 2).  ``bound`` caps the search.
+    Each point is checked once, omega1 first (see the module docstring).
     """
-    om1 = require_siegel(omega1)
-    om2 = require_siegel(omega2)
+    om1 = _symmetric(omega1, "half-space point", complex)
+    reduced1, Y1 = _proved(om1.imag)
+    om2 = _symmetric(omega2, "half-space point", complex)
+    reduced2, Y2 = _proved(om2.imag)
     N1, N2 = _twice_real(om1, tol), _twice_real(om2, tol)
     if N1 is None or N2 is None:
         raise ValueError("both points must have half-integral real part")
@@ -591,4 +609,4 @@ def real_ppav_equivalent(omega1, omega2, bound: int = SEARCH_CAP,
         image = _compose(_compose(B, N1), list(zip(*B)))
         return not any((a - b) & 1 for r, s in zip(image, N2) for a, b in zip(r, s))
 
-    return _equivalent(om1.imag, om2.imag, tol, bound, keep=keep)
+    return _equivalent(Y1, reduced1, Y2, reduced2, tol, bound, keep=keep)

@@ -14,6 +14,8 @@ kept, read-only, in a per-process cache of at most ``_GRID_SHAPES`` shapes.
 A public function checks each argument once, with ``_symmetric``,
 ``_invertible`` and ``_cholesky``, and passes the checked values to a private
 core ``_name``, which package code holding checked values calls directly.
+Where a form is reduced anyway, ``minkowski_reduce`` is its one check (see
+``moduli``), and ``_symmetrized`` gives the form that ``_symmetric`` returns.
 Two rules decide for the whole package: ``_invertible`` whether a matrix is
 invertible, and ``_cholesky`` whether a symmetric one is positive definite,
 by a proof (see ``require_spd``).
@@ -73,7 +75,7 @@ _HALF_MAX = sys.float_info.max / 2
 
 def _symmetric(M, name: str, dtype=float) -> np.ndarray:
     """M symmetrized, after checking that it is square, finite and symmetric
-    within 1e-9 max(1, max|M|); ``name`` names M in the error."""
+    within 1e-9 max|M|, with no absolute floor; ``name`` names M in the error."""
     M = np.asarray(M, dtype=dtype)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square")
@@ -84,8 +86,13 @@ def _symmetric(M, name: str, dtype=float) -> np.ndarray:
     # M - tM and M + tM below cannot overflow
     if size > _HALF_MAX:
         raise ValueError(f"{name} must have entries of magnitude at most {_HALF_MAX:.4g}")
-    if float(abs(M - M.T).max()) > 1e-9 * max(1.0, size):
+    if float(abs(M - M.T).max()) > 1e-9 * size:
         raise ValueError(f"{name} must be symmetric")
+    return _symmetrized(M)
+
+
+def _symmetrized(M: np.ndarray) -> np.ndarray:
+    # (M + tM) / 2, as _symmetric and _act return it
     return 0.5 * (M + M.T)
 
 
@@ -164,8 +171,7 @@ def gl_act(A, Y) -> np.ndarray:
 
 def _act(Af: np.ndarray, Y: np.ndarray) -> np.ndarray:
     # A Y tA for a float A and a validated Y, without re-validation
-    Z = Af @ Y @ Af.T
-    return 0.5 * (Z + Z.T)
+    return _symmetrized(Af @ Y @ Af.T)
 
 
 # ---------------------------------------------------------------------------
@@ -501,38 +507,47 @@ def _size_reduce(Y: np.ndarray) -> tuple[np.ndarray, list]:
     """
     g = Y.shape[0]
     R = Y.tolist()
-    big = max(max(map(abs, row)) for row in R)
-    exact = big < 2.0 ** 52 and all(v.is_integer() for row in R for v in row)
-    A, h = [[int(i == j) for j in range(g)] for i in range(g)], [1.0] * g
+    ids, identity = range(g), list(range(g))
+    big, exact = 0.0, True
+    for v in itertools.chain.from_iterable(R):
+        if v > big or -v > big:
+            big = abs(v)
+        if exact and not v.is_integer():
+            exact = False
+    exact = exact and big < 2.0 ** 52
+    A, h = [[int(i == j) for j in ids] for i in ids], [1.0] * g
     # R is within unit h_i h_k = drift 2u h_i h_k max|Y| of _act(A, Y); unit is 0 while
     # R decides as _act(A, Y) does: Y exact, at the start, just recomputed (as Rf)
     drift, unit, Rf = 2 * g + 2, 0.0, None
     for _ in range(32):
-        order = sorted(range(g), key=lambda i: R[i][i])
-        # (not > is true for NaN too)
-        if unit and any(not R[b][b] - R[a][a] > unit * (h[a] * h[a] + h[b] * h[b])
-                        for a, b in zip(order, order[1:])):
-            Rf, drift, unit = _act(np.array(A, dtype=float), Y), 2 * g + 2, 0.0
-            R = Rf.tolist()
-            order = sorted(range(g), key=lambda i: R[i][i])
-        if order != list(range(g)):
+        order = sorted(ids, key=lambda i: R[i][i])
+        if unit:  # (not > is true for NaN too)
+            for a, b in zip(order, order[1:]):
+                if not R[b][b] - R[a][a] > unit * (h[a] * h[a] + h[b] * h[b]):
+                    Rf, drift, unit = _act(np.array(A, dtype=float), Y), 2 * g + 2, 0.0
+                    R = Rf.tolist()
+                    order = sorted(ids, key=lambda i: R[i][i])
+                    break
+        if order != identity:
             A, h = [A[i] for i in order], [h[i] for i in order]
             R = [[R[a][b] for b in order] for a in order]
             Rf, unit = None, 0.0 if exact else drift * _ROUNDING * big
         changed = False
-        for i in range(g):
-            for j in range(g):
+        for i in ids:
+            Ri = R[i]
+            for j in ids:
                 if i == j:
                     continue
                 if unit and _on_edge(R, i, j, unit * h[i] * h[j], unit * h[j] * h[j]):
                     Rf, drift, unit = _act(np.array(A, dtype=float), Y), 2 * g + 2, 0.0
                     R = Rf.tolist()
-                Ri, Rj = R[i], R[j]
+                    Ri = R[i]
+                Rj = R[j]
                 q = round(Ri[j] / Rj[j])
                 if q != 0 and abs(Ri[j]) > 0.5 * Rj[j] * (1 + 1e-12):
                     # rows and columns i -= q j: R_ii - q (R_ij + new R_ij) on the diagonal
                     Ri[i] -= q * (Ri[j] + (Ri[j] - q * Rj[j]))
-                    for k in range(g):
+                    for k in ids:
                         if k != i:
                             Ri[k] = R[k][i] = Ri[k] - q * Rj[k]
                     A[i] = [a - q * b for a, b in zip(A[i], A[j])]

@@ -686,6 +686,40 @@ def _boundary():
     return [([], r) for r in out]
 
 
+def _entry_points():
+    """``equiv`` requests whose answer depends on the order in which the two
+    forms are checked: g = 5, sizes that differ, and a bad form next to
+    another bad one.  Then a form that is not symmetric at a small scale,
+    and its symmetric counterpart."""
+    A5 = [[2, 1, 0, 0, 0], [1, 2, 1, 0, 0], [0, 1, 2, 1, 0], [0, 0, 1, 2, 1], [0, 0, 0, 1, 2]]
+    A5_skew = [row[:] for row in A5]
+    A5_skew[0][1] = 0
+    Y2, Y3 = [[2, 1], [1, 2]], [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+    indefinite, skew = [[1, 2], [2, 1]], [[2, 1], [0, 2]]
+
+    def point(Y, X=None):
+        return {"X": X if X is not None else np.zeros((len(Y), len(Y))).tolist(), "Y": Y}
+
+    out = [
+        {"cmd": "equiv", "Y1": A5, "Y2": A5},
+        {"cmd": "equiv", "Y1": A5_skew, "Y2": A5},
+        {"cmd": "equiv", "Y1": Y2, "Y2": A5},
+        {"cmd": "equiv", "Y1": A5, "Y2": Y2},
+        {"cmd": "equiv", "Y1": indefinite, "Y2": skew},
+        {"cmd": "equiv", "Y1": skew, "Y2": indefinite},
+        {"cmd": "equiv", "Omega1": point(A5), "Omega2": point(A5)},
+        {"cmd": "equiv", "Omega1": point(Y2), "Omega2": point(Y3)},
+        {"cmd": "equiv", "Omega1": point(Y2), "Omega2": point(A5)},
+        {"cmd": "equiv", "Omega1": point(indefinite), "Omega2": point(Y2, [[0, 0.5], [0, 0]])},
+        {"cmd": "equiv", "Omega1": point(Y2, [[0, 0.5], [0, 0]]), "Omega2": point(indefinite)},
+        {"cmd": "equiv", "Omega1": point(Y2, [[0.3, 0], [0, 0]]), "Omega2": point(indefinite)},
+        {"cmd": "equiv", "Omega1": point(Y2, [[0.5, 0], [0, 0]]), "Omega2": point(indefinite)},
+        {"cmd": "reduce", "Y": [[2e-10, 1e-10], [0, 2e-10]]},
+        {"cmd": "reduce", "Y": [[2e-10, 1e-10], [1e-10, 2e-10]]},
+    ]
+    return [([], r) for r in out]
+
+
 def cases() -> list[dict]:
     rng = np.random.default_rng(20261018)
     groups = [_reduce, _equiv, _classify_mod2, _invariants, _sigma, _real_structure, _cayley,
@@ -696,6 +730,7 @@ def cases() -> list[dict]:
         out += make(rng)
     out += _not_commands()
     out += _boundary()
+    out += _entry_points()
     return [{"args": args, "input": req if isinstance(req, str) else json.dumps(req)}
             for args, req in out]
 

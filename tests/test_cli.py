@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from realtori import cli, exactlinalg, spdcone, theta
+from realtori import cli, exactlinalg, moduli, spdcone, theta
 
 INVARIANTS = '{"cmd":"invariants","g":2}'
 NOT_SPD = '{"cmd":"reduce","Y":[[1,2],[2,1]]}'
@@ -570,14 +570,14 @@ _OMEGA = '{"X":[[0.5]],"Y":[[2]]}'
 # its calls of each validator; a validator not named is not called
 _VALIDATED = {
     "reduce": ('{"cmd":"reduce","Y":[[2,1],[1,2]]}', {"_symmetric": 1, "_cholesky": 1}),
-    # each form, again in minkowski_reduce; the forms as exact integers
+    # each form, once, in minkowski_reduce; the forms as exact integers
     "equiv_Y": ('{"cmd":"equiv","Y1":[[2,1],[1,2]],"Y2":[[2,-1],[-1,2]]}',
-                {"_symmetric": 4, "_cholesky": 4, "int_matrix": 2}),
-    # each point, Im Omega again in minkowski_reduce; 2 Re Omega and Im Omega
-    # of each point as exact integers
+                {"_symmetric": 2, "_cholesky": 2, "int_matrix": 2}),
+    # each point, then its Im Omega, proved definite only in minkowski_reduce;
+    # 2 Re Omega and Im Omega of each point as exact integers
     "equiv_Omega": ('{"cmd":"equiv","Omega1":{"X":[[0.5,0],[0,0]],"Y":[[2,1],[1,2]]},'
                     '"Omega2":{"X":[[0.5,0],[0,0]],"Y":[[2,-1],[-1,2]]}}',
-                    {"_symmetric": 4, "_cholesky": 4, "int_matrix": 4}),
+                    {"_symmetric": 4, "_cholesky": 2, "int_matrix": 4}),
     "classify-mod2": ('{"cmd":"classify-mod2","N":[[0,1,0],[1,0,0],[0,0,1]]}',
                       {"int_matrix": 1}),
     "invariants": (INVARIANTS, {}),
@@ -722,6 +722,21 @@ class TestWorkDoneOnce:
         code, out = run_cli(text)
         assert code == 0 and json.loads(out)["status"] == "ok"
         assert {name: len(c) for name, c in calls.items() if c} == expected
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    @pytest.mark.parametrize("point", [False, True], ids=["Y", "Omega"])
+    def test_equiv_reduces_each_form_once_through_the_public_binding(self, run_cli, monkeypatch,
+                                                                     g, point):
+        """The one proof that a form is definite is ``moduli.minkowski_reduce``,
+        the public binding that the benchmark's tracer times."""
+        reduced, reduce = [], moduli.minkowski_reduce
+        monkeypatch.setattr(moduli, "minkowski_reduce", lambda Y: reduced.append(1) or reduce(Y))
+        Y = (np.eye(g) + 1).tolist()
+        form = {"X": np.zeros((g, g)).tolist(), "Y": Y} if point else Y
+        key = "Omega" if point else "Y"
+        code, out = run_cli(json.dumps({"cmd": "equiv", key + "1": form, key + "2": form}))
+        assert code == 0 and json.loads(out)["verdict"] == "EQUIVALENT"
+        assert len(reduced) == 2
 
     def test_classify_mod2_converts_to_gf2_once(self, run_cli, monkeypatch):
         converted = _counting(monkeypatch, exactlinalg, "gf2_matrix")
