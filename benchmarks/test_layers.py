@@ -331,19 +331,23 @@ def test_theta_request(benchmark, g, spec):
     benchmark(run)
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -30], ids=["unit", "scaled"])
 @pytest.mark.parametrize("kind", ["Y", "Omega"])
 @pytest.mark.parametrize("g", [2, 3, 4])
-def test_equiv_request(benchmark, g, kind):
+def test_equiv_request(benchmark, g, kind, scale):
     """Eight ``equiv`` requests through ``cli.parse_request`` ->
     ``cli.dispatch`` -> ``cli.canonical_json``: the integer and scaled pairs
     of ``test_polarized_tori_equivalent`` as ``Y1``, ``Y2``, or the points of
     ``test_real_ppav_equivalent`` as ``Omega1``, ``Omega2``.  Each form is
-    decoded, proved definite and reduced once per request."""
+    decoded, proved definite and reduced once per request.  At ``scale``
+    2^-30 the forms (the imaginary parts) are multiplied by 2^-30, so the
+    integer pairs take the float path, which answers as at scale 1."""
     if kind == "Y":
-        pairs = [(Y1.tolist(), Y2.tolist(), e) for Y1, Y2, e in _equivalence_pairs(g, 1100 + g)]
+        pairs = [((scale * Y1).tolist(), (scale * Y2).tolist(), e)
+                 for Y1, Y2, e in _equivalence_pairs(g, 1100 + g)]
     else:
-        pairs = [({"X": om1.real.tolist(), "Y": om1.imag.tolist()},
-                  {"X": om2.real.tolist(), "Y": om2.imag.tolist()}, e)
+        pairs = [({"X": om1.real.tolist(), "Y": (scale * om1.imag).tolist()},
+                  {"X": om2.real.tolist(), "Y": (scale * om2.imag).tolist()}, e)
                  for om1, om2, e in _ppav_points(g)]
     texts = [json.dumps({"cmd": "equiv", kind + "1": a, kind + "2": b}) for a, b, _ in pairs]
 

@@ -4,7 +4,7 @@ A request is a command name and its payload, the JSON object without its
 "cmd" field.  A command given on the command line replaces "cmd"; the flags
 --tol, --bound and --eps are merged into the payload and replace fields of
 the same name.  Each handler reads everything, options included, from the
-payload.
+payload.  The ``tol`` of ``equiv`` is relative to max|Y2|.
 
 All commands are thin adapters around the library; the only logic here is
 serialization.  Matrices are nested arrays (row-major), complex numbers are

@@ -320,7 +320,7 @@ class EquivalenceResult:
 
 def congruence_witnesses(Y1, Y2, tol: float = 1e-9, max_witnesses: int = 64,
                          cap: int = SEARCH_CAP) -> tuple[list[np.ndarray], bool]:
-    """All unimodular integral B with B Y1 tB = Y2 within ``tol``.
+    """All unimodular integral B with B Y1 tB = Y2 within ``tol`` max|Y2|.
 
     Complete search: row i of B has quadratic value (Y2)_ii, hence lies in a
     finite set, all taken from one enumeration up to max_i (Y2)_ii; cross
@@ -334,7 +334,7 @@ def congruence_witnesses(Y1, Y2, tol: float = 1e-9, max_witnesses: int = 64,
         return [], True
     found: list[np.ndarray] = []
     try:
-        for B in _witness_search(Y1, Y2, tol * max(1.0, float(np.max(np.abs(Y2)))), cap):
+        for B in _witness_search(Y1, Y2, tol * float(np.max(np.abs(Y2))), cap):
             # a witness beyond max_witnesses shows that the list is truncated
             if len(found) == max_witnesses:
                 return found, False
@@ -416,17 +416,6 @@ def _exact_integers(*forms: np.ndarray) -> list[np.ndarray] | None:
     return [int_matrix(Z) for Z in rows]
 
 
-def _transports(A: np.ndarray, Y1: np.ndarray, Y2: np.ndarray,
-                exact: list[np.ndarray] | None, limit: float) -> bool:
-    """A Y1 tA = Y2: in integers when ``exact`` holds the integer forms,
-    else within ``limit`` in every entry."""
-    if exact is not None:
-        Z1, Z2 = exact
-        return bool(np.all(A @ Z1 @ A.T == Z2))
-    Af = A.astype(float)
-    return float(np.max(np.abs(Af @ Y1 @ Af.T - Y2))) <= limit
-
-
 # one sign vector per pair +-s, with s_0 = 1
 _SIGNS = {g: np.array([(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=g - 1)])
           for g in range(1, MAX_REDUCTION_DIM + 1)}
@@ -437,22 +426,26 @@ def _search_tolerance(Y1: np.ndarray, R1: np.ndarray, A1: np.ndarray,
                       t: float, t_Y: float) -> tuple[np.ndarray, np.ndarray]:
     """The search tolerance tau, one per entry, between R1 = A1 Y1 tA1 and
     R2 = A2 Y2 tA2, and the bound q_j on q_R1 of row j of a witness, at the
-    transport tolerance t_Y = t max(1, max|Y2|) (see ``_equivalent``)."""
+    transport tolerance t_Y = t max|Y2| (see ``_equivalent``)."""
     g = Y1.shape[0]
     u = _ROUNDING / 2
     B1, B2 = abs(A1.astype(float)), abs(A2.astype(float))
     row = float(B2.sum(axis=1).max())
     n = (2 * g + 1) * u
     d = t_Y * row * row + n / (1 - n) * (B2 @ abs(Y2) @ B2.T)
-    S = _SIGNS[g] * (B1 @ np.sqrt(Y1.diagonal()))
-    kappa = float(np.einsum("ij,ji->i", S, np.linalg.solve(R1, S.T)).max())
+    # square roots of quotients by one entry: the same in every unit, where
+    # sqrt(2^k) is not exact, and sqrt(q_i q_j) cannot overflow
+    c = float(Y1[0, 0])
+    S = _SIGNS[g] * (B1 @ np.sqrt(Y1.diagonal() / c))
+    kappa = c * float(np.einsum("ij,ji->i", S, np.linalg.solve(R1, S.T)).max())
     n = (g * g + 2 * g + 3) * u
     rho = n / (1 - n) * kappa
     if not rho < 1:
         # no bound on a witness's rows: every candidate passes
         return np.full((g, g), math.inf), np.full(g, math.inf)
     q = (R2.diagonal() + d.diagonal()) / (1 - rho)
-    tau = np.maximum(t * max(1.0, float(np.max(np.abs(R2)))), d + rho * np.sqrt(np.outer(q, q)))
+    r = np.sqrt(q / q[0])
+    tau = np.maximum(t * float(np.max(np.abs(R2))), d + rho * q[0] * np.outer(r, r))
     return tau, q
 
 
@@ -473,7 +466,7 @@ def _equivalent(Y1: np.ndarray, reduced1: tuple | None, Y2: np.ndarray,
     candidate is kept the pair is inequivalent.
 
     The search looks for B = A2 A A1^-1 with B R1 tB = R2 within tau_ij in
-    entry ij.  With t = max(tol, 1e-9) and t_Y = t max(1, max|Y2|) the
+    entry ij.  With t = max(tol, 1e-9) and t_Y = t max|Y2| the
     tolerance of the transport check, any A that the check accepts,
     A Y1 tA = Y2 + D with |D| <= t_Y, gives
 
@@ -503,7 +496,7 @@ def _equivalent(Y1: np.ndarray, reduced1: tuple | None, Y2: np.ndarray,
 
     and every entry of B R1 tB, as the search computes it, is within
 
-        tau_ij = max(t max(1, max|R2|), d_ij + rho sqrt(q_i q_j))
+        tau_ij = max(t max|R2|, d_ij + rho sqrt(q_i q_j))
 
     of R2_ij.  These bounds are to first order in u, as kappa is computed
     in floats.  When rho >= 1, tau is infinite and the search ends at its
@@ -517,11 +510,16 @@ def _equivalent(Y1: np.ndarray, reduced1: tuple | None, Y2: np.ndarray,
     if exact is not None and _det_rows(exact[0].tolist()) != _det_rows(exact[1].tolist()):
         return EquivalenceResult(Verdict.INEQUIVALENT, detail="determinant invariant differs")
     (R1, A1), (R2, A2) = reduced1, reduced2
-    scale = max(1.0, float(np.max(np.abs(Y2))))
+    scale = float(np.max(np.abs(Y2)))
     t = max(tol, 1e-9)
 
     def accepts(A) -> bool:
-        return _transports(A, Y1, Y2, exact, t * scale) and (keep is None or keep(A))
+        if exact is not None:
+            fits = bool(np.all(A @ exact[0] @ A.T == exact[1]))
+        else:
+            Af = A.astype(float)
+            fits = float(np.max(np.abs(Af @ Y1 @ Af.T - Y2))) <= t * scale
+        return fits and (keep is None or keep(A))
 
     identity = float(np.max(np.abs(R1 - R2))) <= 1e-8 * scale
     if identity:
@@ -552,11 +550,11 @@ def polarized_tori_equivalent(Y1, Y2, tol: float = 1e-9,
     """GL(g,Z)-equivalence of SPD matrices: Y2 = A Y1 tA for unimodular A.
 
     Both inputs are Minkowski reduced; matching reduced forms (within
-    1e-8 max(1, max|Y2|)) give an immediate composed witness, otherwise a
+    1e-8 max|Y2|) give an immediate composed witness, otherwise a
     certified finite search between the reduced forms decides the
     boundary-ambiguous cases.  A witness is verified exactly, A Y1 tA = Y2 in
     integers, when every input entry is an integer below 2^53, and otherwise
-    within max(tol, 1e-9) max(1, max|Y2|) in every entry.
+    within max(tol, 1e-9) max|Y2| in every entry: ``tol`` is relative.
 
     INEQUIVALENT comes from the determinants of integer input, from the
     successive minima, or from a search that ends without a witness.  The
@@ -586,14 +584,15 @@ def real_ppav_equivalent(omega1, omega2, bound: int = SEARCH_CAP,
 
     A witness A transports the imaginary parts as in
     ``polarized_tori_equivalent`` and also matches twice the real parts mod
-    2: A (2 Re omega1) tA = 2 Re omega2 (mod 2).  ``bound`` caps the search.
-    Each point is checked once, omega1 first (see the module docstring).
+    2: A (2 Re omega1) tA = 2 Re omega2 (mod 2), with half-integrality tested
+    within 1e-9, not ``tol``.  ``bound`` caps the search.  Each point is
+    checked once, omega1 first (see the module docstring).
     """
     om1 = _symmetric(omega1, "half-space point", complex)
     reduced1, Y1 = _proved(om1.imag)
     om2 = _symmetric(omega2, "half-space point", complex)
     reduced2, Y2 = _proved(om2.imag)
-    N1, N2 = _twice_real(om1, tol), _twice_real(om2, tol)
+    N1, N2 = _twice_real(om1), _twice_real(om2)
     if N1 is None or N2 is None:
         raise ValueError("both points must have half-integral real part")
     if om2.shape[0] != om1.shape[0]:

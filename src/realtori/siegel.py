@@ -169,7 +169,7 @@ def in_script_H(omega, tol: float = 1e-9) -> bool:
     return _twice_real(require_siegel(omega), tol) is not None
 
 
-def _twice_real(om: np.ndarray, tol: float) -> np.ndarray | None:
+def _twice_real(om: np.ndarray, tol: float = 1e-9) -> np.ndarray | None:
     # 2 Re Omega rounded, at a validated point where it is integral within
     # tol (the test of in_script_H), else None
     twice = 2.0 * om.real
@@ -201,7 +201,7 @@ def gamma_star_act(gamma, omega) -> np.ndarray:
     if not gamma_star_member(gamma):
         raise ValueError("matrix is not in the upper-triangular integral subgroup")
     om = require_siegel(omega)
-    if _twice_real(om, 1e-9) is None:
+    if _twice_real(om) is None:
         raise ValueError("point does not have half-integral real part")
     M = np.asarray(gamma).astype(float)
     g = om.shape[0]

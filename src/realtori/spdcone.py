@@ -18,7 +18,9 @@ Where a form is reduced anyway, ``minkowski_reduce`` is its one check (see
 ``moduli``), and ``_symmetrized`` gives the form that ``_symmetric`` returns.
 Two rules decide for the whole package: ``_invertible`` whether a matrix is
 invertible, and ``_cholesky`` whether a symmetric one is positive definite,
-by a proof (see ``require_spd``).
+by a proof (see ``require_spd``).  One scale rule: a float test of "equal
+within rounding" compares against the scale of its inputs, with no absolute
+floor.  P_g is a cone, and 2^k Y gets Y's answers scaled, bit for bit.
 """
 
 from __future__ import annotations
@@ -65,8 +67,10 @@ _GRID_CACHED = 4096
 _GRID_SHAPES = 128
 # twice the unit roundoff of a double
 _ROUNDING = 2.0 ** -52
-# width, relative to max(1, value), within which two values of the form tie
+# width, relative to the value, within which two values of the form tie
 _TIE = 1e-12
+# an enumeration at bound keeps the values up to bound * _MARGIN, for rounding
+_MARGIN = 1 + 1e-12
 # descent steps after which minkowski_reduce gives up as on a broken invariant
 _DESCENT_STEPS = 1000
 # the largest entry of a matrix that can be symmetrized without overflow
@@ -284,7 +288,7 @@ def quadratic_short_vectors(Y, bound: float, cap: int = _ENUMERATION_CAP) -> lis
 class _Ellipsoid:
     """The ellipsoids t(k) P k + b.k + offset <= limit of the form P and the
     linear term b, centered at c = -P^-1 tb / 2, with offset b P^-1 tb / 4:
-    ``box(bound)`` bounds the one at limit = bound (1 + 1e-12) + 1e-12, and
+    ``box(bound)`` bounds the one at limit = bound * ``_MARGIN``, and
     its ``points`` are the integer points k there, with their values
     t(k) P k + b.k.  They map back to the caller's basis by k = tU k' when U
     is given.
@@ -324,12 +328,9 @@ class _Ellipsoid:
         """The bounding box |k_i - c_i| <= sqrt(limit (P^-1)_ii), widened
         for rounding; its count is infinite when a half-width or the center
         is not finite or reaches ``_BOX_LIMIT``."""
-        if self.widths is None:
-            return _Box(self, [], [], math.inf, bound)
-        limit = bound * (1 + 1e-12) + 1e-12
-        half = [s * math.sqrt(limit * z * m) for s, z, m in self.widths]
+        half = [s * math.sqrt(bound * _MARGIN * z * m) for s, z, m in self.widths or ()]
         # false for NaN and inf alike
-        if not all(abs(ci) + h < _BOX_LIMIT for ci, h in zip(self.c, half)):
+        if self.widths is None or not all(abs(c) + h < _BOX_LIMIT for c, h in zip(self.c, half)):
             return _Box(self, [], [], math.inf, bound)
         lo = [math.ceil(ci - h) for ci, h in zip(self.c, half)]
         sides = [max(0, math.floor(ci + h) - a + 1) for ci, h, a in zip(self.c, half, lo)]
@@ -374,7 +375,7 @@ class _Box(NamedTuple):
         g, sides = len(P), self.sides
         lo = np.array(self.lo, dtype=float)[:, None]
         Ut = None if U is None else np.array(U, dtype=float).T
-        limit = self.bound * (1 + 1e-12) + 1e-12 - self.ellipsoid.offset
+        limit = self.bound * _MARGIN - self.ellipsoid.offset
         for start in range(0, self.count, _CHUNK):
             if self.count <= _CHUNK:
                 grid = _index_grid(tuple(sides))
@@ -628,12 +629,12 @@ def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
     (``_is_certified_reduced``).
 
     A form that fails takes descent steps.  Among the conditions whose slack
-    q(s) - R_kk is below -_TIE max(1, R_kk), a step takes the one with the
+    q(s) - R_kk is below -_TIE R_kk, a step takes the one with the
     smallest k, then the smallest q(s), then the smallest s as a tuple (first
     nonzero entry positive).  With j the last index where s_j != 0, row j of
     A becomes sum_i s_i A_i (s_j = +-1 keeps A unimodular) and moves to row
     k; the basis is size-reduced, R = A Y tA.  Each step lowers tr R by more
-    than _TIE max(1, R_kk), as R_jj >= R_kk gives way to q(s) and size
+    than _TIE R_kk, as R_jj >= R_kk gives way to q(s) and size
     reduction never raises the trace, and finitely many bases have a trace
     below that of the input, so the descent stops.  In floats, where rounding
     can exceed the tie width on a badly conditioned input, it also stops
@@ -686,7 +687,7 @@ def _descend(Y: np.ndarray, R: np.ndarray, S: list) -> tuple[np.ndarray, list]:
     for _ in range(_DESCENT_STEPS):
         diag = R.diagonal().tolist()
         # (tied, k, q(s), step) of every condition whose float slack is negative
-        failed = sorted((x >= -_TIE * max(1.0, diag[st[0]]), st[0], x + diag[st[0]], st)
+        failed = sorted((x >= -_TIE * diag[st[0]], st[0], x + diag[st[0]], st)
                         for x, st in zip((C @ R[upper]).tolist(), steps) if x < 0)
         if not failed or failed[0][0]:
             break

@@ -720,6 +720,25 @@ def _entry_points():
     return [([], r) for r in out]
 
 
+def _scales():
+    """One ``equiv`` pair at the scales 1.5e-12, 1.5, 1.5e150 and 1.5e160,
+    which answer alike, and ROADMAP item 14's pair at 1e-12, which is
+    inequivalent as at scale 1.  Then a form reduced at 1 and at 2^-60, and
+    a point whose real part is not half-integral, at a loose ``tol``."""
+    # a g = 4 form whose descent the absolute tie width once cut short at 2^-60
+    Y4 = np.array([
+        [3.5480517952707684, 2.5444167201888903, 4.600289817813028, -2.783195671971391],
+        [2.5444167201888903, 3.203221510361961, 5.135617829642161, -2.995172027012061],
+        [4.600289817813028, 5.135617829642161, 8.674004339898483, -5.117643582596822],
+        [-2.783195671971391, -2.995172027012061, -5.117643582596822, 3.6515489248535493]])
+    out = [{"cmd": "equiv", "Y1": _fl(c * np.eye(2)), "Y2": _fl(c * np.diag([1.0, 2.0]))}
+           for c in (1.5e-12, 1.5, 1.5e150, 1.5e160, 1e-12)]
+    out += [{"cmd": "reduce", "Y": _fl(c * Y4)} for c in (1.0, 2.0 ** -60)]
+    out.append({"cmd": "equiv", "Omega1": {"X": [[0.3]], "Y": [[1]]},
+                "Omega2": {"X": [[0.5]], "Y": [[1]]}, "tol": 0.45})
+    return [([], r) for r in out]
+
+
 def cases() -> list[dict]:
     rng = np.random.default_rng(20261018)
     groups = [_reduce, _equiv, _classify_mod2, _invariants, _sigma, _real_structure, _cayley,
@@ -731,6 +750,7 @@ def cases() -> list[dict]:
     out += _not_commands()
     out += _boundary()
     out += _entry_points()
+    out += _scales()
     return [{"args": args, "input": req if isinstance(req, str) else json.dumps(req)}
             for args, req in out]
 

@@ -669,7 +669,7 @@ class TestLongRowWitnesses:
                 @ np.array(Uq, dtype=object).T
             t_Y = float(np.max(np.abs(exact - np.vectorize(Fraction, otypes=[object])(Y2))))
             tau, q = moduli._search_tolerance(Y1, R1, A1, Y2, R2, A2,
-                                              t_Y / max(1.0, float(np.max(np.abs(Y2)))), t_Y)
+                                              t_Y / float(np.max(np.abs(Y2))), t_Y)
             B = (A2 @ U @ unimodular_inverse(A1)).astype(float)
             assert np.all(np.abs(B @ R1 @ B.T - R2) <= tau)
             assert np.all(np.einsum("ij,jk,ik->i", B, R1, B) <= q)
