@@ -15,7 +15,8 @@ Run from the root of a checkout (not part of the tier-1 tests):
 Every input comes from a fixed seed, so two checkouts time the same work.
 "Badly conditioned" forms have eigenvalues 1 and 1e6 and are moved off the
 reduced domain by a unimodular matrix with entries up to 3, as in
-``tests/golden/make_reduce.py``.
+``tests/golden/make_reduce.py``; the stress row of ``test_minkowski_reduce``
+takes eigenvalues 1 and 1e12 to 1e16.
 """
 
 import json
@@ -57,6 +58,8 @@ def _form(g: int, cond: float, seed: int) -> np.ndarray:
 
 
 CONDITIONING = {"well": 10.0, "bad": 1e6}
+# condition numbers of the stress row, before the unimodular move
+STRESS = 10.0 ** np.linspace(12.0, 16.0, 10)
 
 # integer forms with 12, 48 and 32 automorphisms, all within the default
 # witness cap of 64, so the search runs to completion
@@ -67,11 +70,25 @@ TIED = {
 }
 
 
-@pytest.mark.parametrize("cond", sorted(CONDITIONING))
+@pytest.mark.parametrize("cond", sorted(CONDITIONING) + ["stress"])
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_minkowski_reduce(benchmark, g, cond):
-    forms = [_form(g, CONDITIONING[cond], seed) for seed in range(10)]
+    """10 forms (seeds 0-9) at cond 10 or 1e6, or, in the stress row, at
+    cond 1e12 to 1e16, of which those that pass validation are timed."""
+    if cond == "stress":
+        forms = [Y for seed, c in enumerate(STRESS) if _validated(Y := _form(g, c, seed))]
+    else:
+        forms = [_form(g, CONDITIONING[cond], seed) for seed in range(10)]
+    assert forms
     benchmark(lambda: [minkowski_reduce(Y) for Y in forms])
+
+
+def _validated(Y: np.ndarray) -> bool:
+    try:
+        require_spd(Y)
+    except ValueError:
+        return False
+    return True
 
 
 def _enumerations(forms) -> int:
@@ -86,8 +103,8 @@ def _enumerations(forms) -> int:
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_minkowski_reduce_tied(benchmark, g):
     """10 copies of the tied form, each moved by a unimodular matrix and
-    scaled by a real factor in [0.5, 2] (ties at rounding level).  Some fail
-    the certificate only within the tie width; none is enumerated."""
+    scaled by a real factor in [0.5, 2] (ties at rounding level, decided
+    exactly on the dyadic form); none is enumerated."""
     rng = np.random.default_rng(700 + g)
     G = np.array(TIED[g], dtype=float)
     forms = []
@@ -99,14 +116,15 @@ def test_minkowski_reduce_tied(benchmark, g):
 
 
 @pytest.mark.parametrize("g", [3, 4])
-def test_minkowski_reduce_greedy_step(benchmark, g):
+def test_minkowski_reduce_descent_step(benchmark, g):
     """The first 10 badly conditioned forms (seeds from 1300) that still fail
     the reduction certificate after size reduction, so every call takes at
     least one descent step.  Size reduction settles every g = 2 form."""
     forms, seed = [], 1300
     while len(forms) < 10:
         Y = require_spd(_form(g, CONDITIONING["bad"], seed))
-        if not spdcone._is_certified_reduced(spdcone._size_reduce(Y)[0]):
+        N, den = spdcone._dyadic(Y.tolist())
+        if spdcone._failed(spdcone._size_reduce(N)[0], den):
             forms.append(Y)
         seed += 1
     assert _enumerations(forms) == 0

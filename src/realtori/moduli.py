@@ -44,7 +44,6 @@ from .spdcone import (
     MAX_REDUCTION_DIM,
     _ROUNDING,
     _compose,
-    _is_certified_reduced,
     _symmetric,
     _symmetrized,
     minkowski_reduce,
@@ -423,10 +422,11 @@ _SIGNS = {g: np.array([(1.0,) + s for s in itertools.product((1.0, -1.0), repeat
 
 def _search_tolerance(Y1: np.ndarray, R1: np.ndarray, A1: np.ndarray,
                       Y2: np.ndarray, R2: np.ndarray, A2: np.ndarray,
-                      t: float, t_Y: float) -> tuple[np.ndarray, np.ndarray]:
+                      t: float, t_Y: float) -> tuple[np.ndarray, np.ndarray, float]:
     """The search tolerance tau, one per entry, between R1 = A1 Y1 tA1 and
-    R2 = A2 Y2 tA2, and the bound q_j on q_R1 of row j of a witness, at the
-    transport tolerance t_Y = t max|Y2| (see ``_equivalent``)."""
+    R2 = A2 Y2 tA2, the bound q_j on q_R1 of row j of a witness and the
+    rounding bound rho of R1, at the transport tolerance t_Y = t max|Y2|
+    (see ``_equivalent``)."""
     g = Y1.shape[0]
     u = _ROUNDING / 2
     B1, B2 = abs(A1.astype(float)), abs(A2.astype(float))
@@ -442,11 +442,11 @@ def _search_tolerance(Y1: np.ndarray, R1: np.ndarray, A1: np.ndarray,
     rho = n / (1 - n) * kappa
     if not rho < 1:
         # no bound on a witness's rows: every candidate passes
-        return np.full((g, g), math.inf), np.full(g, math.inf)
+        return np.full((g, g), math.inf), np.full(g, math.inf), rho
     q = (R2.diagonal() + d.diagonal()) / (1 - rho)
     r = np.sqrt(q / q[0])
     tau = np.maximum(t * float(np.max(np.abs(R2))), d + rho * q[0] * np.outer(r, r))
-    return tau, q
+    return tau, q, rho
 
 
 def _proved(Y) -> tuple[tuple | None, np.ndarray]:
@@ -472,13 +472,12 @@ def _equivalent(Y1: np.ndarray, reduced1: tuple | None, Y2: np.ndarray,
 
         B R1 tB - R2 = A2 D tA2 + B E1 tB - E2,
 
-    Ei the rounding of Ri.  ``minkowski_reduce`` returns R as one product:
-    size reduction updates R in Python scalars only to decide, and returns R
-    recomputed as ``spdcone._act(A, Y)`` after its last step; a descent
-    step's R is ``_act(A, Y)`` too, and the sign flips negate rows and
-    columns exactly.  So |Ei| <= gamma_{2g+1} |Ai||Yi||tAi| (Higham 2002,
-    section 3.5: two products of length g, then the sum Z + tZ;
-    gamma_n = n u / (1 - n u), u the unit roundoff), and
+    Ei the rounding of Ri.  ``minkowski_reduce`` decides A on the exact
+    form and returns R as one product, ``spdcone._act(A, Y)``, whose sign
+    flips negate rows and columns exactly.  So
+    |Ei| <= gamma_{2g+1} |Ai||Yi||tAi| (Higham 2002, section 3.5: two
+    products of length g, then the sum Z + tZ; gamma_n = n u / (1 - n u),
+    u the unit roundoff), and
 
         d = t_Y |A2|_inf^2 + gamma_{2g+1} |A2||Y2||tA2|
 
@@ -500,8 +499,16 @@ def _equivalent(Y1: np.ndarray, reduced1: tuple | None, Y2: np.ndarray,
 
     of R2_ij.  These bounds are to first order in u, as kappa is computed
     in floats.  When rho >= 1, tau is infinite and the search ends at its
-    cap.  The q_j also decide the successive minima before the search (see
-    ``polarized_tori_equivalent``).
+    cap.
+
+    The q_j also decide the successive minima before the search.  The exact
+    form R1e = A1 Y1 tA1 is Minkowski-reduced, so for g <= 4 its diagonal
+    holds its successive minima (Nguyen & Stehle, ACM TALG 2009), and
+    R1e_kk >= (1 - rho) R1_kk, as E1_kk <= rho R1_kk.  A witness row b_j has
+    q_R1e(b_j) <= (1 + rho) q_R1(b_j) <= (1 + rho) q_j.  So when
+    (1 - rho) R1_kk > (1 + rho) q_j for every j <= k, the rows b_0..b_k
+    would be k + 1 independent vectors below R1e_kk, and the successive
+    minima differ.
     """
     g = Y1.shape[0]
     if g > MAX_REDUCTION_DIM:
@@ -528,10 +535,10 @@ def _equivalent(Y1: np.ndarray, reduced1: tuple | None, Y2: np.ndarray,
         A = A2inv @ A1
         if accepts(A):
             return EquivalenceResult(Verdict.EQUIVALENT, witness=A)
-    tau, q = _search_tolerance(Y1, R1, A1, Y2, R2, A2, t, t * scale)
+    tau, q, rho = _search_tolerance(Y1, R1, A1, Y2, R2, A2, t, t * scale)
     if not identity:
         d1, q = R1.diagonal().tolist(), q.tolist()
-        if _is_certified_reduced(R1) and any(d1[k] > max(q[: k + 1]) for k in range(g)):
+        if any((1 - rho) * d1[k] > (1 + rho) * max(q[: k + 1]) for k in range(g)):
             return EquivalenceResult(Verdict.INEQUIVALENT, detail="successive minima differ")
         A2inv = unimodular_inverse(A2)
     try:
@@ -558,13 +565,12 @@ def polarized_tori_equivalent(Y1, Y2, tol: float = 1e-9,
 
     INEQUIVALENT comes from the determinants of integer input, from the
     successive minima, or from a search that ends without a witness.  The
-    minima decide when the reduced forms do not match, R1 passes the
-    reduction certificate and R1_kk > q_j for every j <= k, q_j the bound of
-    the module docstring on q_R1 of row j of any witness B between the
-    reduced forms, whatever its length: the rows b_0..b_k of B would be
-    k + 1 independent vectors with q_R1(b_j) <= q_j < R1_kk, yet for g <= 4
-    the diagonal of a Minkowski-reduced form holds its successive minima
-    (Nguyen & Stehle, ACM TALG 2009).  The reverse test, R2_kk above R1_jj,
+    minima decide when the reduced forms do not match and
+    (1 - rho) R1_kk > (1 + rho) q_j for every j <= k, q_j the bound of
+    ``_equivalent`` on q_R1 of row j of any witness B between the reduced
+    forms, whatever its length, and rho the rounding bound of R1: the rows
+    b_0..b_k of B would be k + 1 independent vectors below the k-th
+    successive minimum (see ``_equivalent``).  The reverse test, R2_kk above R1_jj,
     is not made: it would bound the rows of B^-1, which carry the mismatch
     B R1 tB - R2 times the square of B^-1, which may be large.  So
     np.eye(4) against 1000.5 * np.eye(4) is UNDECIDED, and the reversed pair

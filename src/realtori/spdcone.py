@@ -21,6 +21,11 @@ invertible, and ``_cholesky`` whether a symmetric one is positive definite,
 by a proof (see ``require_spd``).  One scale rule: a float test of "equal
 within rounding" compares against the scale of its inputs, with no absolute
 floor.  P_g is a cone, and 2^k Y gets Y's answers scaled, bit for bit.
+
+Minkowski reduction decides on the exact form: a validated Y is N / 2^e for
+integer rows N (``_dyadic``), and every decision is made on A N tA in Python
+ints.  2^k Y, away from underflow and overflow, has the rows 2^m N, m >= 0,
+which take the same decisions, so it gets the same A by construction.
 """
 
 from __future__ import annotations
@@ -67,8 +72,6 @@ _GRID_CACHED = 4096
 _GRID_SHAPES = 128
 # twice the unit roundoff of a double
 _ROUNDING = 2.0 ** -52
-# width, relative to the value, within which two values of the form tie
-_TIE = 1e-12
 # an enumeration at bound keeps the values up to bound * _MARGIN, for rounding
 _MARGIN = 1 + 1e-12
 # descent steps after which minkowski_reduce gives up as on a broken invariant
@@ -418,7 +421,7 @@ def _reduced_basis(P: np.ndarray) -> list | None:
     definite in floats or an entry of U reaches 2^20 (tU k' stays exact)."""
     try:
         _cholesky(_symmetric(P, "form"), factor=False)
-        U = _reduce(P)[1] if len(P) <= MAX_REDUCTION_DIM else _lll(P)
+        U = _reduce(P) if len(P) <= MAX_REDUCTION_DIM else _lll(P)
     except ValueError:
         return None
     return U if max(abs(a) for row in U for a in row) < 1 << 20 else None
@@ -426,11 +429,21 @@ def _reduced_basis(P: np.ndarray) -> list | None:
 
 def _congruent(U: list, Q: list) -> np.ndarray:
     # U Q tU for integer rows U: U N tU / den, Q = N / den, exact in ints, rounded once
-    ratios = [x.as_integer_ratio() for row in Q for x in row]
-    den = max(d for _, d in ratios)
-    N = np.array([n * (den // d) for n, d in ratios], dtype=object).reshape(len(Q), -1)
-    Uo = np.array(U, dtype=object)
-    return (Uo @ N @ Uo.T / den).astype(float)
+    N, den = _dyadic(Q)
+    return np.array([[x / den for x in row] for row in _act_rows(U, N)])
+
+
+def _dyadic(Q: list) -> tuple[list, int]:
+    """Rows N of Python ints and den = 2^e with Q = N / den exactly, for the
+    rows Q of a finite float matrix (every double is a dyadic rational)."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in Q]
+    den = max(d for row in ratios for _, d in row)
+    return [[n * (den // d) for n, d in row] for row in ratios], den
+
+
+def _act_rows(U: list, N: list) -> list:
+    # U N tU for matrices given as rows of Python ints
+    return [[sum(a * b for a, b in zip(row, u)) for u in U] for row in _compose(U, N)]
 
 
 def _lll(Q: np.ndarray) -> list:
@@ -484,91 +497,47 @@ def is_minkowski_reduced(Y, tol: float = 1e-10) -> bool:
         raise ValueError(f"reduction support is limited to g <= {MAX_REDUCTION_DIM}")
     if any(Y[k, k + 1] < -tol for k in range(g - 1)):
         return False
-    upper, C, _, _ = _minkowski_conditions(g)
+    upper, C, _, _, _ = _minkowski_conditions(g)
     return bool((C @ Y[upper] >= -tol).all())
 
 
-def _size_reduce(Y: np.ndarray) -> tuple[np.ndarray, list]:
-    """R = _act(A, Y) and the rows of A (Python ints) that sort a validated Y
-    by diagonal and shear off large off-diagonal multiples, a cheap pass after
-    which most forms pass the reduction certificate.
-
-    Swaps and shears act on R in place, in Python floats, yet every decision
-    (the sort, q and the test of each shear) is the one made on R = _act(A, Y)
-    recomputed after every step.  To first order, R_ik is within (g + 1) 2u
-    h_i h_k max|Y| of the exact A Y tA after ``_act`` (two dot products of
-    length g and a halving), and 2 2u h_i h_k max|Y| further after each
-    in-place shear; u is the unit roundoff, and h_i >= |A_i|_1 grows by
-    |q| h_j with row i.  A decision within the sum of these bounds of its
-    edge (two diagonal entries, or R_ij / R_jj and a half-integer) is made
-    again on R recomputed by ``_act``.  Integer Y needs no recomputation:
-    both ways every value is the exact integer while h_i^2 max|Y| < 2^52.
-    The gain is on integer and untied float forms; a scaled tied form puts
-    most decisions in the band and costs about what recomputing every step did.
+def _size_reduce(N: list) -> tuple[list, list]:
+    """The rows of R = A N tA and of A (Python ints) that sort the positive
+    definite integer form N by diagonal and shear off large off-diagonal
+    multiples, a cheap pass after which most forms pass the reduction
+    certificate.  A shear i -= q j is taken where 2 |R_ij| > R_jj, with q
+    the integer nearest R_ij / R_jj (a tie goes to the even one, as with
+    ``round``); it lowers R_ii.
     """
-    g = Y.shape[0]
-    R = Y.tolist()
+    g = len(N)
+    R = [list(row) for row in N]
     ids, identity = range(g), list(range(g))
-    big, exact = 0.0, True
-    for v in itertools.chain.from_iterable(R):
-        if v > big or -v > big:
-            big = abs(v)
-        if exact and not v.is_integer():
-            exact = False
-    exact = exact and big < 2.0 ** 52
-    A, h = [[int(i == j) for j in ids] for i in ids], [1.0] * g
-    # R is within unit h_i h_k = drift 2u h_i h_k max|Y| of _act(A, Y); unit is 0 while
-    # R decides as _act(A, Y) does: Y exact, at the start, just recomputed (as Rf)
-    drift, unit, Rf = 2 * g + 2, 0.0, None
+    A = [[int(i == j) for j in ids] for i in ids]
     for _ in range(32):
         order = sorted(ids, key=lambda i: R[i][i])
-        if unit:  # (not > is true for NaN too)
-            for a, b in zip(order, order[1:]):
-                if not R[b][b] - R[a][a] > unit * (h[a] * h[a] + h[b] * h[b]):
-                    Rf, drift, unit = _act(np.array(A, dtype=float), Y), 2 * g + 2, 0.0
-                    R = Rf.tolist()
-                    order = sorted(ids, key=lambda i: R[i][i])
-                    break
         if order != identity:
-            A, h = [A[i] for i in order], [h[i] for i in order]
+            A = [A[i] for i in order]
             R = [[R[a][b] for b in order] for a in order]
-            Rf, unit = None, 0.0 if exact else drift * _ROUNDING * big
         changed = False
         for i in ids:
             Ri = R[i]
             for j in ids:
-                if i == j:
-                    continue
-                if unit and _on_edge(R, i, j, unit * h[i] * h[j], unit * h[j] * h[j]):
-                    Rf, drift, unit = _act(np.array(A, dtype=float), Y), 2 * g + 2, 0.0
-                    R = Rf.tolist()
-                    Ri = R[i]
                 Rj = R[j]
-                q = round(Ri[j] / Rj[j])
-                if q != 0 and abs(Ri[j]) > 0.5 * Rj[j] * (1 + 1e-12):
-                    # rows and columns i -= q j: R_ii - q (R_ij + new R_ij) on the diagonal
-                    Ri[i] -= q * (Ri[j] + (Ri[j] - q * Rj[j]))
-                    for k in ids:
-                        if k != i:
-                            Ri[k] = R[k][i] = Ri[k] - q * Rj[k]
-                    A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-                    h[i] += abs(q) * h[j]
-                    exact = exact and h[i] * h[i] * big < 2.0 ** 52
-                    drift, changed = drift + 4, True
-                    Rf, unit = None, 0.0 if exact else drift * _ROUNDING * big
+                if i == j or not 2 * abs(Ri[j]) > Rj[j]:
+                    continue
+                q, rest = divmod(2 * Ri[j] + Rj[j], 2 * Rj[j])
+                if not rest and q & 1:
+                    q -= 1
+                # rows and columns i -= q j: R_ii - q (R_ij + new R_ij) on the diagonal
+                Ri[i] -= q * (2 * Ri[j] - q * Rj[j])
+                for k in ids:
+                    if k != i:
+                        Ri[k] = R[k][i] = Ri[k] - q * Rj[k]
+                A[i] = [a - q * b for a, b in zip(A[i], A[j])]
+                changed = True
         if not changed:
             break
-    return (_act(np.array(A, dtype=float), Y) if Rf is None else Rf), A
-
-
-def _on_edge(R: list, i: int, j: int, e_ij: float, e_jj: float) -> bool:
-    # whether q or the shear test (its edge is 1e-12 from 1/2) may change
-    # when R_ij and R_jj move by up to e_ij and e_jj; true for NaN
-    gap = R[j][j] - e_jj
-    if not gap > 0:
-        return True
-    x = abs(R[i][j] / R[j][j])
-    return not abs(x % 1.0 - 0.5) > (e_ij + x * e_jj) / gap + 2 * _ROUNDING * x + 1e-12
+    return R, A
 
 
 @lru_cache(maxsize=None)
@@ -577,14 +546,15 @@ def _minkowski_conditions(g: int) -> tuple:
 
     One condition for each s in {0, +-1}^g (up to sign, first nonzero entry
     positive) and each k such that s has a nonzero entry at position k or
-    later and is not e_k.  Returns the upper-triangle indices of R, the
-    matrix C whose row c holds the integer coefficients of condition c on
-    those entries, |C|, and (k, s, j) for each row, j the last index with
-    s_j != 0.
+    later and is not e_k.  Returns the upper-triangle indices of R (row by
+    row), the matrix C whose row c holds the integer coefficients of
+    condition c on those entries, |C|, the nonzero coefficients of each row
+    as (coefficient, index) pairs, and (k, s, j) for each row, j the last
+    index with s_j != 0.
     """
     upper = np.triu_indices(g)
-    iu = list(zip(*upper))
-    rows, steps = [], []
+    iu = list(zip(*(x.tolist() for x in upper)))
+    rows, terms, steps = [], [], []
     for s in itertools.product((0, 1, -1), repeat=g):
         if not any(s) or _canon(s) != s:
             continue
@@ -593,66 +563,73 @@ def _minkowski_conditions(g: int) -> tuple:
             if s == tuple(int(i == k) for i in range(g)):
                 continue
             rows.append([(1 if a == b else 2) * s[a] * s[b] - (a == b == k) for a, b in iu])
+            terms.append(tuple((c, t) for t, c in enumerate(rows[-1]) if c))
             steps.append((k, s, j))
     C = np.array(rows, dtype=float).reshape(len(rows), len(iu))
-    return upper, C, np.abs(C), steps
+    return upper, C, np.abs(C), terms, steps
 
 
-def _is_certified_reduced(R: np.ndarray) -> bool:
-    """Exact test of every Minkowski condition q(s) >= R_kk, s in {0, +-1}^g.
+def _failed(R: list, den: int) -> list:
+    """(k, q(s), s, j) for each condition of ``_minkowski_conditions`` that
+    the form R / den fails, R integer rows and den > 0, decided exactly.
 
-    A float slack sums at most g(g+1)/2 exact terms c R_ij with |c| <= 2, so
-    its error is below (g^2 + 2) 2u times the sum of their magnitudes; slacks
-    inside that band are summed again with ``math.fsum`` over the terms, each
-    exact in floats, so the sign is exact.
+    A numpy prescreen reads each entry R_ij / den rounded once, which is
+    exact below 2^-1022 (den divides 2^1074) and cannot overflow (no entry
+    exceeds the largest diagonal entry of the input).  A float slack then
+    sums at most g(g+1)/2 terms c R_ij with |c| <= 2, so its error is below
+    (g^2 + 2) 2u times the sum of their magnitudes; slacks inside that band,
+    or NaN, are summed again in Python ints.
     """
-    g = R.shape[0]
-    upper, C, Cabs, _ = _minkowski_conditions(g)
-    r = R[upper]
+    g = len(R)
+    _, C, Cabs, terms, steps = _minkowski_conditions(g)
+    flat = [x for a, row in enumerate(R) for x in row[a:]]
+    r = np.array([x / den for x in flat])
     slack = C @ r
     band = (g * g + 2) * _ROUNDING * (Cabs @ abs(r))
-    if (slack < -band).any():
-        return False
-    return all(math.fsum((C[c] * r).tolist()) >= 0
-               for c in (slack <= band).nonzero()[0].tolist())
+    failed = []
+    for c in (~(slack > band)).nonzero()[0].tolist():
+        x = sum(a * flat[t] for a, t in terms[c])
+        if x < 0:
+            k, s, j = steps[c]
+            failed.append((k, x + R[k][k], s, j))
+    return failed
 
 
 def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
-    """Minkowski reduction: returns (R, A) with R = A Y tA reduced, A unimodular
-    (up to rounding on badly conditioned input; see below).
+    """Minkowski reduction: returns (R, A) with A unimodular, A Y tA
+    Minkowski-reduced for Y read exactly, and R = A Y tA rounded.
 
-    After size reduction, R is checked against Minkowski's finite conditions:
-    for g <= 4 a form is reduced exactly when q(s) >= R_kk for every
-    s in {0, +-1}^g that has a nonzero entry at position k or later and is
-    not +-e_k (Minkowski 1905; Nguyen & Stehle, "Low-dimensional lattice
-    basis reduction revisited", ACM TALG 2009, section 2), exactly
-    (``_is_certified_reduced``).
+    Every double is a dyadic rational, so a validated Y is N / 2^e for an
+    integer form N (``_dyadic``); size reduction, the certificate and the
+    descent decide on A N tA in Python ints.  After size reduction the form
+    is checked against Minkowski's finite conditions: for g <= 4 a form is
+    reduced exactly when q(s) >= R_kk for every s in {0, +-1}^g that has a
+    nonzero entry at position k or later and is not +-e_k (Minkowski 1905;
+    Nguyen & Stehle, "Low-dimensional lattice basis reduction revisited",
+    ACM TALG 2009, section 2), with a float prescreen and exact sums
+    (``_failed``).
 
-    A form that fails takes descent steps.  Among the conditions whose slack
-    q(s) - R_kk is below -_TIE R_kk, a step takes the one with the
-    smallest k, then the smallest q(s), then the smallest s as a tuple (first
-    nonzero entry positive).  With j the last index where s_j != 0, row j of
-    A becomes sum_i s_i A_i (s_j = +-1 keeps A unimodular) and moves to row
-    k; the basis is size-reduced, R = A Y tA.  Each step lowers tr R by more
-    than _TIE R_kk, as R_jj >= R_kk gives way to q(s) and size
-    reduction never raises the trace, and finitely many bases have a trace
-    below that of the input, so the descent stops.  In floats, where rounding
-    can exceed the tie width on a badly conditioned input, it also stops
-    before a step that does not lower the computed trace or leaves a computed
-    form indefinite, and when every failed condition fails only within the
-    tie width.  Then the first failed step, in the order above, is taken if
-    its R passes the check; if not, R is reduced only to within the tie
-    width or the rounding of A Y tA, and nothing says so.  A form whose
-    size-reduced R is not positive definite in floats raises ValueError.
+    A form that fails takes descent steps.  A step takes the failed
+    condition with the smallest k, then the smallest q(s), then the smallest
+    s as a tuple (first nonzero entry positive).  With j the last index
+    where s_j != 0, row j of A becomes sum_i s_i A_i (s_j = +-1 keeps A
+    unimodular) and moves to row k, and the basis is size-reduced.  Each
+    step lowers the trace, as R_jj >= R_kk gives way to q(s) < R_kk and
+    size reduction never raises the trace, and finitely many bases have a
+    trace below that of the input, so the descent stops.
 
-    Signs: row 0 gets a positive first nonzero coordinate in the size-reduced
-    basis, and each later row a nonnegative entry on the superdiagonal.
+    R is ``_act(A, Y)``, the rounding of the reduced form, so R's own float
+    certificate, or the order of its float diagonal, can miss by the
+    rounding of that product.  Signs: row 0 gets a positive first nonzero coordinate in the
+    size-reduced basis, and each later row a nonnegative entry on the
+    superdiagonal of R.
     """
     Y = require_spd(Y)
     g = Y.shape[0]
     if g > MAX_REDUCTION_DIM:
         raise ValueError(f"reduction support is limited to g <= {MAX_REDUCTION_DIM}")
-    R, A = _reduce(Y)
+    A = _reduce(Y)
+    R = _act(np.array(A, dtype=float), Y)
     # nonnegative superdiagonal by row sign flips (one forward pass)
     for k in range(g - 1):
         if R[k, k + 1] < 0:
@@ -664,62 +641,33 @@ def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
     return R, np.array(A, dtype=object)
 
 
-def _reduce(Y: np.ndarray) -> tuple[np.ndarray, list]:
-    # R = A Y tA and the rows of A: minkowski_reduce before its sign rules
-    R, A = _size_reduce(Y)
-    if not _is_certified_reduced(R):
-        R, A = _descend(Y, R, A)
-    return R, A
+def _reduce(Y: np.ndarray) -> list:
+    # the rows of A with A Y tA exactly reduced: minkowski_reduce before its sign rules
+    N, den = _dyadic(Y.tolist())
+    R, A = _size_reduce(N)
+    failed = _failed(R, den)
+    return _descend(R, A, den, failed) if failed else A
 
 
-def _descend(Y: np.ndarray, R: np.ndarray, S: list) -> tuple[np.ndarray, list]:
-    # minkowski_reduce's descent from R = S Y tS, which fails the certificate;
-    # returns R and the rows of A = T S, T the change from the basis S
-    try:
-        # a product that overflowed leaves an entry that is not finite
-        if not np.isfinite(R).all():
-            raise ValueError
-        _cholesky(R, factor=False)
-    except ValueError:
-        raise ValueError("form cannot be reduced: rounding leaves it indefinite") from None
-    upper, C, _, steps = _minkowski_conditions(len(S))
-    A, T = S, np.eye(len(S), dtype=int).tolist()
+def _descend(R: list, S: list, den: int, failed: list) -> list:
+    # minkowski_reduce's descent from the integer form R = S N tS, which fails
+    # the conditions ``failed``; returns the rows of A = T S, T the change
+    # from the basis S
+    g = len(S)
+    T = [[int(i == j) for j in range(g)] for i in range(g)]
     for _ in range(_DESCENT_STEPS):
-        diag = R.diagonal().tolist()
-        # (tied, k, q(s), step) of every condition whose float slack is negative
-        failed = sorted((x >= -_TIE * diag[st[0]], st[0], x + diag[st[0]], st)
-                        for x, st in zip((C @ R[upper]).tolist(), steps) if x < 0)
-        if not failed or failed[0][0]:
-            break
-        taken = _step(Y, S, T, *failed[0][3])
-        if taken is None or not taken[2].trace() < R.trace():
-            break
-        T, A, R = taken
-        if _is_certified_reduced(R):
-            failed = []
-            break
-    else:
-        raise AssertionError("reduction did not settle within its step bound")
-    # a form left uncertified takes its first failed step if that R certifies
-    taken = _step(Y, S, T, *failed[0][3]) if failed else None
-    if taken is not None and _is_certified_reduced(taken[2]):
-        T, A, R = taken
-    # -A where row 0 of T is not canonical: R keeps its bytes
-    return R, A if _canon(tuple(T[0])) == tuple(T[0]) else [[-a for a in row] for row in A]
-
-
-def _step(Y: np.ndarray, S: list, T: list, k: int, s: tuple, j: int) -> tuple | None:
-    # the descent step on condition (k, s, j) from the basis T S: row j of T
-    # becomes sum_i s_i T_i, moves to row k, and the basis is size-reduced;
-    # returns T, A = T S and R = A Y tA, or None if rounding left a form indefinite
-    U = T[:k] + _compose([s], T) + T[k:j] + T[j + 1:]
-    try:
-        P = require_spd(_act(np.array(_compose(U, S), dtype=float), Y))
-        U = _compose(_size_reduce(P)[1], U)
-        A = _compose(U, S)
-        return U, A, require_spd(_act(np.array(A, dtype=float), Y))
-    except ValueError:
-        return None
+        k, _, s, j = min(failed)
+        # rows e_i, i != j, with s inserted at k
+        V = [[int(i == m) for m in range(g)] for i in range(g) if i != j]
+        V.insert(k, list(s))
+        R, W = _size_reduce(_act_rows(V, R))
+        T = _compose(W, _compose(V, T))
+        failed = _failed(R, den)
+        if not failed:
+            A = _compose(T, S)
+            # -A where row 0 of T is not canonical
+            return A if _canon(tuple(T[0])) == tuple(T[0]) else [[-a for a in row] for row in A]
+    raise AssertionError("reduction did not settle within its step bound")
 
 
 def _compose(B: list, A: list) -> list:
@@ -740,12 +688,17 @@ def _canon(x: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def volume_density(Y, h: int = 0) -> float:
-    """Density (det Y)^(-(g+h+1)/2) of the invariant volume element."""
-    Y = require_spd(Y)
-    g = Y.shape[0]
+    """Density (det Y)^(-(g+h+1)/2) of the invariant volume element, as
+    exp(-(g+h+1) sum log L_ii) from the Cholesky factor L, so that det Y
+    cannot underflow or overflow; inf where the density overflows."""
+    L = _cholesky(_symmetric(Y, "SPD matrix"))
+    g = L.shape[0]
     if h < 0:
         raise ValueError("h must be nonnegative")
-    return float(np.linalg.det(Y)) ** (-(g + h + 1) / 2.0)
+    try:
+        return math.exp(-(g + h + 1) * float(np.log(L.diagonal()).sum()))
+    except OverflowError:
+        return math.inf
 
 
 def metric_norm(Y, U) -> float:

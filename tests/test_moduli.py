@@ -668,8 +668,8 @@ class TestLongRowWitnesses:
             exact = np.array(Uq, dtype=object) @ np.vectorize(Fraction, otypes=[object])(Y1) \
                 @ np.array(Uq, dtype=object).T
             t_Y = float(np.max(np.abs(exact - np.vectorize(Fraction, otypes=[object])(Y2))))
-            tau, q = moduli._search_tolerance(Y1, R1, A1, Y2, R2, A2,
-                                              t_Y / float(np.max(np.abs(Y2))), t_Y)
+            tau, q, _ = moduli._search_tolerance(Y1, R1, A1, Y2, R2, A2,
+                                                 t_Y / float(np.max(np.abs(Y2))), t_Y)
             B = (A2 @ U @ unimodular_inverse(A1)).astype(float)
             assert np.all(np.abs(B @ R1 @ B.T - R2) <= tau)
             assert np.all(np.einsum("ij,jk,ik->i", B, R1, B) <= q)
@@ -688,9 +688,9 @@ class TestUnboundedTolerance:
         search_tolerance = moduli._search_tolerance
 
         def recording(*args):
-            tau, q = search_tolerance(*args)
+            tau, q, rho = search_tolerance(*args)
             unbounded.append(bool(np.isinf(tau).all() and np.isinf(q).all()))
-            return tau, q
+            return tau, q, rho
 
         monkeypatch.setattr(moduli, "_search_tolerance", recording)
         rng = np.random.default_rng(14)

@@ -1,9 +1,11 @@
 import itertools
+import json
 import math
 import re
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -675,6 +677,19 @@ def _brute_force_reduced(Z):
     return all(not np.any((gcds[:, k] == 1) & (values < Z[k, k])) for k in range(g))
 
 
+def _certified(Y, A):
+    """A Y tA, Y read exactly, passes the certificate ``spdcone._failed``."""
+    N, den = spdcone._dyadic(np.asarray(Y, dtype=float).tolist())
+    return not spdcone._failed(spdcone._act_rows(np.asarray(A).tolist(), N), den)
+
+
+def _fails_after_size_reduction(Y):
+    """Y fails the exact certificate after size reduction, so that
+    ``minkowski_reduce`` takes a descent step."""
+    N, den = spdcone._dyadic(Y.tolist())
+    return bool(spdcone._failed(spdcone._size_reduce(N)[0], den))
+
+
 def _short_table(Y, bound):
     """Short vectors of Y up to ``bound``, their values x Y tx, and suffix
     gcds: column k of the gcd table is gcd(|x_k|, ..., |x_{g-1}|)."""
@@ -700,10 +715,12 @@ def _greedy_reference(Y):
     until a row changes; it raises RuntimeError past the enumeration cap."""
     Y = require_spd(Y)
     g = Y.shape[0]
-    R, A = spdcone._size_reduce(Y)
+    N, den = spdcone._dyadic(Y.tolist())
+    S, A = spdcone._size_reduce(N)
+    R = spdcone._act(np.array(A, dtype=float), Y)
     A = np.array(A, dtype=object)
     table = None
-    for k in range(0 if spdcone._is_certified_reduced(R) else g):
+    for k in range(g if spdcone._failed(S, den) else 0):
         if table is None:
             table = _short_table(R, float(np.max(np.diag(R)[k:])) * (1 + 1e-9) + 1e-12)
         vecs, values, gcds = table
@@ -757,7 +774,7 @@ class TestMinkowskiCertificate:
                 if np.min(np.linalg.eigvalsh(Z)) <= 1e-9:
                     continue
                 seen += 1
-                cert = spdcone._is_certified_reduced(Z.astype(float))
+                cert = not spdcone._failed(Z.tolist(), 1)
                 certified += cert
                 assert cert == _brute_force_reduced(Z), Z.tolist()
         assert 0 < certified < seen
@@ -767,14 +784,15 @@ class TestMinkowskiCertificate:
     def test_enumeration_path_gives_identical_bytes(self, seed, g):
         """Float forms that fail the certificate after size reduction: the
         descent returns the bytes of the greedy enumeration reference.  The
-        forms have cond(Y) <= 1e12; above about 1e13 the rounding of A Y tA
-        can exceed the tie width, and the two may then end on different
-        bases.  Size reduction settles every g = 2 form, so g starts at 3."""
+        forms have cond(Y) <= 1e12; above about 1e13 the rounding of the
+        float A Y tA that the reference reads can exceed its tie width, and
+        the two may then end on different bases.  Size reduction settles
+        every g = 2 form, so g starts at 3."""
         rng = np.random.default_rng(seed)
         failing = 0
         for _ in range(1000):
             Y = _moved_form(rng, g, "float")
-            if np.linalg.cond(Y) > 1e12 or spdcone._is_certified_reduced(spdcone._size_reduce(Y)[0]):
+            if np.linalg.cond(Y) > 1e12 or not _fails_after_size_reduction(Y):
                 continue
             try:
                 R0, A0 = _greedy_reference(Y)
@@ -806,7 +824,7 @@ class TestMinkowskiCertificate:
             factor = {"integer": 1.0, "eighths": int(rng.integers(1, 17)) / 8,
                       "scaled": float(rng.uniform(0.5, 2.0))}[kind]
             Y = require_spd(Z * factor)
-            if spdcone._is_certified_reduced(spdcone._size_reduce(Y)[0]):
+            if not _fails_after_size_reduction(Y):
                 continue
             R, A = minkowski_reduce(Y)
             R0, _ = _greedy_reference(Y)
@@ -829,19 +847,20 @@ class TestMinkowskiCertificate:
     ])
     def test_sign_inside_the_rounding_band_is_exact(self, b, reduced):
         """q(1, -1) - R_11 = 1 - 2b for [[1, b], [b, 1]]: one ulp decides."""
-        assert spdcone._is_certified_reduced(np.array([[1.0, b], [b, 1.0]])) is reduced
+        assert _certified(np.array([[1.0, b], [b, 1.0]]), np.eye(2, dtype=int)) is reduced
 
     @pytest.mark.parametrize("g", [3, 4])
     def test_violated_condition_goes_to_the_enumeration(self, monkeypatch, g):
         """q(1, ..., 1) below R_kk by a relative 1e-9: the form takes a
-        descent step, not an enumeration, and its basis changes."""
+        descent step, not an enumeration, its basis changes, and A Y tA
+        passes the exact certificate."""
         calls = _counting_enumerations(monkeypatch)
         Y = _equicorrelated(g, 1e-9)
-        assert not spdcone._is_certified_reduced(Y)
+        assert not _certified(Y, np.eye(g, dtype=int))
         R, A = minkowski_reduce(Y)
         assert calls == []
         assert [abs(v) for v in A[0]] == [1] * g
-        assert spdcone._is_certified_reduced(R)
+        assert _certified(Y, A)
         assert np.max(np.abs(A.astype(float) @ Y @ A.astype(float).T - R)) < 1e-12
 
     def test_reduced_form_is_not_enumerated(self, monkeypatch):
@@ -853,15 +872,16 @@ class TestMinkowskiCertificate:
         assert A2.tolist() == np.eye(4, dtype=int).tolist()
 
     def test_failing_form_is_enumerated_once(self, monkeypatch):
-        """q(1, 1, 1, 1) = 1 - 3e-14 fails the exact certificate, inside the
-        tie width: no descent step is taken, every row is kept and nothing
-        is enumerated."""
+        """q(1, 1, 1, 1) = 1 - 3e-14 fails the exact certificate: the descent
+        step on it is taken, like a step on a larger excess, and nothing is
+        enumerated."""
         calls = _counting_enumerations(monkeypatch)
         Y = _equicorrelated(4, 1e-14)
-        assert not spdcone._is_certified_reduced(Y)
+        assert not _certified(Y, np.eye(4, dtype=int))
         R, A = minkowski_reduce(Y)
         assert calls == []
-        assert np.array_equal(np.abs(A.astype(int)), np.eye(4, dtype=int))
+        assert [abs(v) for v in A[0]] == [1] * 4
+        assert _certified(Y, A)
 
     def test_skewed_diagonal_form_reduces_at_once(self, monkeypatch):
         """diag(1e-6, 1e-6, 1e-6, 1) is reduced; it has ~4e9 vectors below its
@@ -877,46 +897,31 @@ class TestMinkowskiCertificate:
 
     def test_form_left_indefinite_by_rounding_is_refused(self):
         """cond(Y) ~ 3e16, below the rounding of its entries: validation
-        refuses the form.  Past validation, size reduction in floats leaves
-        a negative diagonal entry, and the descent refuses the form instead
-        of descending from it.  No form that passes validation reached this
-        guard: 72,288 seeded forms near the validation threshold and 37,181
-        stress forms up to cond 1e16 tried."""
+        refuses the form, which size reduction in floats left with a
+        negative diagonal entry.  A validated form is exactly positive
+        definite, so the exact reduction needs no guard of its own."""
         Y = np.array([
             [6.002820250717284e+16, -4.281690300298462e+16, -2.2529316779466244e+16],
             [-4.281690300298462e+16, 3.054043110066363e+16, 1.6069706087811824e+16],
             [-2.2529316779466244e+16, 1.6069706087811824e+16, 8455527457929380.0]])
         with pytest.raises(ValueError, match="not positive definite"):
             minkowski_reduce(Y)
-        R, A = spdcone._size_reduce(Y)
-        assert R[0, 0] < 0
-        with pytest.raises(ValueError, match="cannot be reduced"):
-            spdcone._descend(Y, R, A)
 
-    def test_step_to_an_indefinite_form_is_not_taken(self, monkeypatch):
-        """cond(Y) ~ 3e16: validation refuses the form.  Past validation, the
-        descent step on the failed condition gives an A Y tA that is not
-        positive definite, so it is not taken, and R stays positive definite
-        (the greedy construction returned an indefinite R).  No form that
-        passes validation reached this guard (as above)."""
+    def test_step_to_an_indefinite_form_is_not_taken(self):
+        """cond(Y) ~ 3e16: validation refuses the form, whose descent step
+        in floats gave an A Y tA that was not positive definite.  No step
+        of the exact descent can reach an indefinite form."""
         Y = np.array([[1.0311924448930676e+16, -1.3562062047058534e+16],
                       [-1.3562062047058534e+16, 1.783658597182009e+16]])
         with pytest.raises(ValueError, match="not positive definite"):
             minkowski_reduce(Y)
-        steps = []
-        step = spdcone._step
-        monkeypatch.setattr(spdcone, "_step", lambda *args: steps.append(step(*args)) or steps[-1])
-        R, A = spdcone._descend(Y, *spdcone._size_reduce(Y))
-        assert steps and all(taken is None for taken in steps)
-        assert is_unimodular(np.array(A, dtype=object))
-        assert np.linalg.eigvalsh(R).min() > 0
 
 
 def _near_condition(R, M, offset):
     """R moved along the symmetric direction M (or -M, where no condition
     falls along M) to where the first Minkowski condition that falls along it
     has slack ``offset``."""
-    upper, C, _, _ = spdcone._minkowski_conditions(R.shape[0])
+    upper, C, _, _, _ = spdcone._minkowski_conditions(R.shape[0])
     slack, rate = C @ R[upper], C @ M[upper]
     if not (rate < 0).any():
         M, rate = -M, -rate
@@ -952,45 +957,13 @@ class TestIsMinkowskiReduced:
             assert offset > 0 or not is_minkowski_reduced(Z)
 
 
-def _size_reduce_recomputing(Y):
-    """Reference size reduction: every sort and every shear decision reads R
-    recomputed by ``_act`` from the current A."""
-    g = Y.shape[0]
-    A = [[int(i == j) for j in range(g)] for i in range(g)]
-    Af = np.eye(g)
-    R = spdcone._act(Af, Y)
-    for _ in range(32):
-        Rl = R.tolist()
-        order = sorted(range(g), key=lambda i: Rl[i][i])
-        if order != list(range(g)):
-            A = [A[i] for i in order]
-            Af = Af[order]
-            R = spdcone._act(Af, Y)
-            Rl = R.tolist()
-        changed = False
-        for i in range(g):
-            for j in range(g):
-                if i == j:
-                    continue
-                q = round(Rl[i][j] / Rl[j][j])
-                if q != 0 and abs(Rl[i][j]) > 0.5 * Rl[j][j] * (1 + 1e-12):
-                    A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-                    Af[i] = A[i]
-                    R = spdcone._act(Af, Y)
-                    Rl = R.tolist()
-                    changed = True
-        if not changed:
-            break
-    return R, A
-
-
-def _moved_form(rng, g, kind):
+def _moved_form(rng, g, kind, decades=12.0):
     """A form moved off the reduced domain by a unimodular matrix: a small
     integer form, the same times a real factor in [0.5, 2] (ties at rounding
-    level), or a float form with cond(Y) up to 1e12 before the move."""
+    level), or a float form with cond(Y) up to 10^decades before the move."""
     U = random_unimodular(g, rng, max_entry=3).astype(float)
     if kind == "float":
-        cond = 10.0 ** rng.uniform(0.0, 12.0)
+        cond = 10.0 ** rng.uniform(0.0, decades)
         eig = np.exp(rng.uniform(0.0, np.log(cond), size=g))
         eig[0] = 1.0
         Q, _ = np.linalg.qr(rng.normal(size=(g, g)))
@@ -1005,54 +978,50 @@ def _moved_form(rng, g, kind):
     return require_spd(Y)
 
 
-class TestSizeReduce:
-    """Shears applied to R in place give the bytes of R recomputed by
-    ``_act`` after every step."""
+def _reduced_in_fractions(Y, A):
+    """A Y tA, with Y read exactly and summed in Fractions, meets every
+    condition of ``spdcone._minkowski_conditions`` and has a sorted
+    diagonal."""
+    g = len(A)
+    F = [[Fraction(x) for x in row] for row in np.asarray(Y, dtype=float).tolist()]
+    A = [[int(a) for a in row] for row in np.asarray(A).tolist()]
+    R = [[sum(A[i][k] * F[k][l] * A[j][l] for k in range(g) for l in range(g))
+          for j in range(g)] for i in range(g)]
+    upper, C, _, _, _ = spdcone._minkowski_conditions(g)
+    flat = [R[a][b] for a, b in zip(*upper)]
+    return (all(R[k][k] <= R[k + 1][k + 1] for k in range(g - 1))
+            and all(sum(int(c) * x for c, x in zip(row, flat)) >= 0 for row in C.tolist()))
 
-    @settings(max_examples=300, deadline=None)
+
+class TestExactReduction:
+    """A Y tA, Y read exactly, is Minkowski-reduced: checked in Fractions,
+    independently of the reduction's own integer arithmetic."""
+
+    @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), g=st.integers(1, 4),
            kind=st.sampled_from(["integer", "scaled", "float"]))
-    def test_matches_recomputing_every_step(self, seed, g, kind):
+    def test_moved_forms(self, seed, g, kind):
+        """Integer forms, the same times a real factor (ties at rounding
+        level) and float forms with cond(Y) up to 1e15, each moved by a
+        unimodular matrix; forms that validation refuses are skipped."""
         rng = np.random.default_rng(seed)
         for _ in range(5):
-            Y = _moved_form(rng, g, kind)
-            R, A = spdcone._size_reduce(Y)
-            R0, A0 = _size_reduce_recomputing(Y)
-            assert R.tobytes() == R0.tobytes()
-            assert A == A0
+            try:
+                Y = _moved_form(rng, g, kind, decades=15.0)
+            except ValueError as exc:
+                assert str(exc) == "matrix is not positive definite"
+                continue
+            R, A = minkowski_reduce(Y)
+            assert is_unimodular(A)
+            assert _reduced_in_fractions(Y, A)
 
-    def test_integer_forms_are_never_recomputed(self, monkeypatch):
-        calls = []
-        act = spdcone._act
-        monkeypatch.setattr(spdcone, "_act", lambda A, Y: calls.append(1) or act(A, Y))
-        rng = np.random.default_rng(5)
-        moved = 0
-        for g in (2, 3, 4):
-            for _ in range(50):
-                Y = _moved_form(rng, g, "integer")
-                calls.clear()
-                R, A = spdcone._size_reduce(Y)
-                # one _act, for R at the end
-                assert len(calls) == 1
-                moved += A != np.eye(g, dtype=int).tolist()
-                assert R.tobytes() == _size_reduce_recomputing(Y)[0].tobytes()
-        assert moved > 100
-
-    @pytest.mark.parametrize("s", [1.3, 0.7, 1.9])
-    def test_tie_at_rounding_level_is_decided_on_recomputed_r(self, monkeypatch, s):
-        """s [[2, 1], [1, 3]] moved by a unimodular U: R_ij / R_jj lands on
-        1/2 only up to rounding, inside the band."""
-        edges = []
-        on_edge = spdcone._on_edge
-        monkeypatch.setattr(spdcone, "_on_edge",
-                            lambda *args: edges.append(on_edge(*args)) or edges[-1])
-        for U in ([[1, 1], [0, 1]], [[1, 0], [1, 1]], [[2, 1], [1, 1]], [[3, 2], [1, 1]]):
-            U = np.array(U, dtype=float)
-            Y = require_spd(s * (U @ np.array([[2.0, 1.0], [1.0, 3.0]]) @ U.T))
-            R, A = spdcone._size_reduce(Y)
-            R0, A0 = _size_reduce_recomputing(Y)
-            assert R.tobytes() == R0.tobytes() and A == A0
-        assert any(edges)
+    @pytest.mark.parametrize("name", ["reduce_in.json", "reduce_ties_in.json"])
+    def test_golden_forms(self, name):
+        """Every golden ``reduce`` form, 66 seeded and 40 scaled tied ones."""
+        requests = json.loads((Path(__file__).parent / "golden" / name).read_text(encoding="utf-8"))
+        for request in requests:
+            _, A = minkowski_reduce(request["Y"])
+            assert _reduced_in_fractions(request["Y"], A)
 
 
 class TestIwasawa:
@@ -1102,6 +1071,16 @@ class TestVolumeDensity:
             lhs = volume_density(gl_act(A, Y), h)
             rhs = abs(np.linalg.det(A)) ** (-(2 + h + 1)) * volume_density(Y, h)
             assert abs(lhs - rhs) < 1e-12 * abs(rhs)
+
+    def test_determinant_below_the_smallest_double(self):
+        """det(1e-200 I) = 1e-400 underflows to 0.0; the density 1e600
+        overflows to inf."""
+        assert volume_density(1e-200 * np.eye(2)) == math.inf
+
+    def test_determinant_above_the_largest_double(self):
+        """det(1e200 I) = 1e400 overflows; the density 1e-600 is 0.0,
+        without a RuntimeWarning."""
+        assert volume_density(1e200 * np.eye(2)) == 0.0
 
 
 class TestMetric:
