@@ -309,6 +309,24 @@ def test_theta_eval(benchmark, g, shape):
     benchmark(lambda: [theta_eval(spec, v) for v in args])
 
 
+@pytest.mark.parametrize("shape", ["well", "sheared"])
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_theta_eval_many_arguments(benchmark, g, shape):
+    """The forms of ``test_theta_eval`` at 64 arguments in the fundamental
+    cell, on one spec: the per-spec work is done once, so this times what
+    each further argument costs."""
+    rng = np.random.default_rng(850 + g)
+    if shape == "well":
+        Q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+        Y = (Q * rng.uniform(1.0, 2.0, size=g)) @ Q.T
+    else:
+        U = _shear(g, 2)
+        Y = U @ (1.1 * np.eye(g)) @ U.T
+    spec = canonical_line_bundle_data(0.5 * (Y + Y.T)).spec
+    args = [Y @ rng.uniform(-0.45, 0.45, size=g) for _ in range(64)]
+    benchmark(lambda: [theta_eval(spec, v) for v in args])
+
+
 def test_theta_eval_large_box(benchmark):
     """As ``test_theta_eval``, sheared by 5 at g = 3: the boxes of the given
     basis hold 47,397-91,935 points, far above the 4,096 where the enumerator
@@ -322,7 +340,7 @@ def test_theta_eval_large_box(benchmark):
 
 
 @pytest.mark.parametrize("spec", ["canonical", "explicit"])
-@pytest.mark.parametrize("g", [2, 3, 4])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_theta_request(benchmark, g, spec):
     """Five ``theta`` requests through ``cli.parse_request`` -> ``cli.dispatch``
     -> ``cli.canonical_json``: a form with eigenvalues in [1, 2] given as the

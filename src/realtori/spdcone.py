@@ -35,7 +35,8 @@ import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -277,7 +278,7 @@ def quadratic_short_vectors(Y, bound: float, cap: int = _ENUMERATION_CAP) -> lis
     found, total = [], 0
     # at most a few box points per vector in a reduced basis, so a box far
     # larger than the cap would take long only to overflow it
-    box = _Ellipsoid(Y, [0.0] * Y.shape[0]).box(float(bound))
+    box = _Ellipsoid(_Form(Y), [0.0] * Y.shape[0]).box(float(bound))
     for K, _ in box.points(box_limit=min(_BOX_LIMIT, 64 * cap)):
         found.append(K[:, K.any(axis=0)])
         total += found[-1].shape[1]
@@ -288,13 +289,48 @@ def quadratic_short_vectors(Y, bound: float, cap: int = _ENUMERATION_CAP) -> lis
     return list(zip(*K[:, np.lexsort(K)].astype(np.int64).tolist()))
 
 
+class _Form:
+    """The half of ``_Ellipsoid`` that the linear term does not change: the
+    rows of the form P, the unit-diagonal scaling s, the inverse Z of the
+    scaled form S and the half-width factors, with U, the basis whose points
+    map back by k = tU k', or None.  A caller that sizes many ellipsoids of
+    one form, as a theta plan does, builds it once."""
+
+    def __init__(self, P: np.ndarray, U: list | None = None):
+        g = P.shape[0]
+        self.rows, self.U = P.tolist(), U
+        self.s = self.Z = self.widths = None
+        if not min(self.rows[i][i] for i in range(g)) > 0:
+            return
+        s = [self.rows[i][i] ** -0.5 for i in range(g)]
+        scale = np.array(s)
+        try:
+            # P^-1 = diag(s) Z diag(s)
+            Z = np.linalg.inv(P * scale[:, None] * scale).tolist()
+        except np.linalg.LinAlgError:
+            return
+        self.s, self.Z = s, Z
+        trace = sum(Z[i][i] for i in range(g))
+        margin = 4 * g * _ROUNDING * trace * (g * g * trace + g + 2)
+        # false for NaN and for a negative diagonal alike
+        if all(Z[i][i] > 0 for i in range(g)):
+            self.widths = [(s[i], Z[i][i], 1 + margin) for i in range(g)]
+
+    @cached_property
+    def reduced(self) -> _Form | None:
+        """The form U P tU, U from ``_reduced_basis``, or None where that
+        gives none; found on first read and kept."""
+        U = _reduced_basis(np.array(self.rows))
+        return None if U is None else _Form(_congruent(U, self.rows), U)
+
+
 class _Ellipsoid:
     """The ellipsoids t(k) P k + b.k + offset <= limit of the form P and the
     linear term b, centered at c = -P^-1 tb / 2, with offset b P^-1 tb / 4:
     ``box(bound)`` bounds the one at limit = bound * ``_MARGIN``, and
     its ``points`` are the integer points k there, with their values
-    t(k) P k + b.k.  They map back to the caller's basis by k = tU k' when U
-    is given.
+    t(k) P k + b.k.  They map back to the caller's basis by k = tU k' when
+    the ``_Form`` of P has a basis U.
 
     One inverse, of P scaled to unit diagonal (S, with inverse Z), gives the
     center, the offset and the squared half-widths limit (P^-1)_ii.  These
@@ -305,35 +341,23 @@ class _Ellipsoid:
     positive definite in floats need not stay so in another basis.
     """
 
-    def __init__(self, P: np.ndarray, b: list, U: list | None = None):
-        g = P.shape[0]
-        self.rows, self.b, self.U = P.tolist(), b, U
-        self.c, self.offset, self.widths = [0.0] * g, 0.0, None
-        if not min(self.rows[i][i] for i in range(g)) > 0:
+    def __init__(self, form: _Form, b: list):
+        self.form, self.b = form, b
+        if form.Z is None:
+            self.c, self.offset = [0.0] * len(b), 0.0
             return
-        s = [self.rows[i][i] ** -0.5 for i in range(g)]
-        scale = np.array(s)
-        try:
-            # P^-1 = diag(s) Z diag(s)
-            Z = np.linalg.inv(P * scale[:, None] * scale).tolist()
-        except np.linalg.LinAlgError:
-            return
-        sb = [si * bi for si, bi in zip(s, b)]
-        self.c = [-0.5 * si * sum(z * x for z, x in zip(row, sb)) for si, row in zip(s, Z)]
-        self.offset = -0.5 * sum(bi * ci for bi, ci in zip(b, self.c))
-        trace = sum(Z[i][i] for i in range(g))
-        margin = 4 * g * _ROUNDING * trace * (g * g * trace + g + 2)
-        # false for NaN and for a negative diagonal alike
-        if all(Z[i][i] > 0 for i in range(g)):
-            self.widths = [(s[i], Z[i][i], 1 + margin) for i in range(g)]
+        sb = list(map(mul, form.s, b))
+        self.c = [-0.5 * si * sum(map(mul, row, sb)) for si, row in zip(form.s, form.Z)]
+        self.offset = -0.5 * sum(map(mul, b, self.c))
 
     def box(self, bound: float) -> _Box:
         """The bounding box |k_i - c_i| <= sqrt(limit (P^-1)_ii), widened
         for rounding; its count is infinite when a half-width or the center
         is not finite or reaches ``_BOX_LIMIT``."""
-        half = [s * math.sqrt(bound * _MARGIN * z * m) for s, z, m in self.widths or ()]
+        widths = self.form.widths
+        half = [s * math.sqrt(bound * _MARGIN * z * m) for s, z, m in widths or ()]
         # false for NaN and inf alike
-        if self.widths is None or not all(abs(c) + h < _BOX_LIMIT for c, h in zip(self.c, half)):
+        if widths is None or not all(abs(c) + h < _BOX_LIMIT for c, h in zip(self.c, half)):
             return _Box(self, [], [], math.inf, bound)
         lo = [math.ceil(ci - h) for ci, h in zip(self.c, half)]
         sides = [max(0, math.floor(ci + h) - a + 1) for ci, h, a in zip(self.c, half, lo)]
@@ -358,23 +382,23 @@ class _Box(NamedTuple):
         arrays, come in ascending lexicographic order of (k_{g-1}, ..., k_0).
         A box of more than ``_REBASE_ABOVE`` points may be far larger than
         the ellipsoid of a skewed form; the box of U P tU, U from
-        ``_reduced_basis``, is then walked instead if smaller, its points
-        mapped back by k = tU k' in its own order.  Raises RuntimeError,
-        before any work, when the box walked holds more than ``box_limit``.
+        ``_reduced_basis`` (found once per ``_Form``), is then walked instead
+        if smaller, its points mapped back by k = tU k' in its own order.
+        Raises RuntimeError, before any work, when the box walked holds more
+        than ``box_limit``.
         """
         box = self
         if self.count > _REBASE_ABOVE and math.isfinite(self.bound):
-            P, b = self.ellipsoid.rows, self.ellipsoid.b
-            U = _reduced_basis(np.array(P))
-            if U is not None:
-                other = _Ellipsoid(_congruent(U, P), (np.array(U, dtype=float) @ b).tolist(), U)
-                box = min(self, other.box(self.bound), key=lambda x: x.count)
+            reduced = self.ellipsoid.form.reduced
+            if reduced is not None:
+                b = (np.array(reduced.U, dtype=float) @ self.ellipsoid.b).tolist()
+                box = min(self, _Ellipsoid(reduced, b).box(self.bound), key=lambda x: x.count)
         if box.count > box_limit:
             raise RuntimeError(f"enumeration box of {box.count:.3g} points exceeds {box_limit}")
         return box._walk()
 
     def _walk(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        P, bl, U = self.ellipsoid.rows, self.ellipsoid.b, self.ellipsoid.U
+        P, bl, U = self.ellipsoid.form.rows, self.ellipsoid.b, self.ellipsoid.form.U
         g, sides = len(P), self.sides
         lo = np.array(self.lo, dtype=float)[:, None]
         Ut = None if U is None else np.array(U, dtype=float).T

@@ -10,6 +10,17 @@ chunks by the enumerator that also serves short-vector search
 everything outside it.  Its value depends only on the GL(g, Z)-class of the
 Gram form, so the enumerator may walk the ellipsoid in a reduced basis; it
 returns the points in the given one.
+
+Everything a sum needs that does not depend on the argument is a spec's
+*plan* (``_Plan``), built on first use and kept on the frozen spec: Pi^-1,
+tPi B, the Gram form Q, the character angles, the least eigenvalue of Q,
+the argument-free half of the enumerator's ellipsoid and, once a walk is
+rebased, the reduced basis.  An argument adds only its cell translate, the
+center and offset of its ellipsoid, its radius and its walk; a factor
+exponent is pi t(n) Q n + 2 pi (tPi B v).n.  The canonical bundle of Y
+seeds the plan with tPi B = I, Q = Y and Pi^-1 = Y^-1, which hold exactly
+for the lattice Y Z^g with the form Y^-1, so its section is summed from the
+proved Y and not from the rounded product tY Y^-1 Y.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .exactlinalg import _as_exact, _int_vector, _symplectic_form
-from .spdcone import _Box, _Ellipsoid, _invertible, require_spd
+from .spdcone import _HALF_MAX, _Box, _Ellipsoid, _Form, _invertible, _symmetrized, require_spd
 from .tori import _hermitian
 
 __all__ = [
@@ -48,7 +59,12 @@ _INTEGRALITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ThetaSpec:
-    """Lattice Pi Z^g with SPD Gram form B and unit character values rho."""
+    """Lattice Pi Z^g with SPD Gram form B and unit character values rho.
+
+    Its sums read a plan (``_Plan``) built from tPi B on first use and kept
+    on the spec; ``canonical_line_bundle_data`` builds a spec with its plan.
+    Pi, B and rho are read-only copies, so the plan cannot go stale.
+    """
 
     Pi: np.ndarray
     B: np.ndarray
@@ -64,46 +80,96 @@ class ThetaSpec:
             raise ValueError("character needs one value per basis vector")
         if not (abs(abs(rho) - 1.0) <= 1e-9).all():
             raise ValueError("character values must have modulus one")
-        object.__setattr__(self, "Pi", Pi)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "rho", rho)
+        _set_read_only(self, np.array(Pi), B, np.array(rho))
 
     @property
     def g(self) -> int:
         return self.Pi.shape[0]
 
+    @cached_property
+    def _plan(self) -> _Plan:
+        PtB = self.Pi.T @ self.B
+        return _Plan(PtB, _gram(PtB, self.Pi), self.character_angles())
+
     def gram(self) -> np.ndarray:
         """Gram matrix of B on the lattice basis, symmetrized: the rounding of
         the product need not be symmetric, and a sum over the lattice reads
         one triangle of it."""
-        return _gram(self.Pi.T @ self.B, self.Pi)
+        return self._plan.Q.copy()
 
     def character_angles(self) -> np.ndarray:
         return np.angle(self.rho)
 
 
+class _Plan:
+    """The argument-free part of the theta sums and factors of one spec.
+
+    tPi B, the symmetrized Gram form Q, the character angles and the phases
+    -angles of theta's terms are formed with the plan, as a factor needs
+    them.  Pi^-1, which finds an argument's cell, is formed by the first
+    ``cell`` where it is not given.  What only a sum reads is formed by the
+    first ``summing()``: the terms of the tail radius that the least
+    eigenvalue mu of Q fixes (``_tail_box``), and the enumerator's
+    ``_Form`` of Q, which keeps the reduced basis of a rebased walk.  The
+    sums and factors form it under np.errstate(over="ignore",
+    invalid="ignore"): a Gram form that overflows is refused by the factor
+    or the sum.
+    """
+
+    def __init__(self, PtB: np.ndarray, Q: np.ndarray, angles: np.ndarray,
+                 Pinv: np.ndarray | None = None):
+        self.PtB, self.Q, self.angles, self.Pinv = PtB, Q, angles, Pinv
+        self.phases = _phases(-angles)
+        self.tails = self.form = None
+
+    def cell(self, Pi: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # the lattice coordinates rint(Pi^-1 v) of the cell of v, Pi the spec's
+        if self.Pinv is None:
+            self.Pinv = np.linalg.inv(Pi)
+        return np.rint(self.Pinv @ v)
+
+    def summing(self) -> _Plan:
+        if self.form is None:
+            mu = float(np.linalg.eigvalsh(self.Q)[0])
+            g = len(self.Q)
+            self.tails = [(math.pi * t, g * math.log1p(((1 - t) * mu) ** -0.5))
+                          for t in _TAIL_SPLITS if (1 - t) * mu > 0]
+            self.form = _Form(self.Q)
+        return self
+
+
 def _checked_spec(Pi: np.ndarray, B: np.ndarray, rho: np.ndarray) -> ThetaSpec:
-    # a ThetaSpec of values that have passed its checks, without repeating them
+    # a ThetaSpec of values that have passed its checks, without repeating
+    # them; the arrays are the caller's own, and become read-only
     spec = object.__new__(ThetaSpec)
-    for name, value in (("Pi", Pi), ("B", B), ("rho", rho)):
-        object.__setattr__(spec, name, value)
+    _set_read_only(spec, Pi, B, rho)
     return spec
+
+
+def _set_read_only(spec: ThetaSpec, Pi: np.ndarray, B: np.ndarray, rho: np.ndarray) -> None:
+    for name, value in (("Pi", Pi), ("B", B), ("rho", rho)):
+        value.setflags(write=False)
+        object.__setattr__(spec, name, value)
 
 
 def factor_i_b_rho(spec: ThetaSpec, lam_int, v) -> complex:
     """Automorphic factor rho(lam) exp(pi B(lam,lam) + 2 pi B(v,lam)), lam = Pi lam_int."""
-    n = np.array(_int_vector(lam_int), dtype=float)
+    return _factor_at(spec, np.array(_int_vector(lam_int), dtype=float), v)
+
+
+def _factor_at(spec: ThetaSpec, n: np.ndarray, v) -> complex:
+    # factor_i_b_rho at integral coordinates n; a factor that overflows is
+    # inf or NaN, for the caller to refuse
     with np.errstate(over="ignore", invalid="ignore"):
-        return _factor_i_b_rho(spec, n, np.asarray(v, dtype=float).ravel())
+        plan = spec._plan
+        return _factor(plan, n, plan.PtB @ np.asarray(v, dtype=float).ravel())
 
 
-def _factor_i_b_rho(spec: ThetaSpec, n: np.ndarray, v: np.ndarray) -> complex:
-    # factor_i_b_rho at integral coordinates n and a flat v, called under
-    # np.errstate(over="ignore", invalid="ignore"): a factor that overflows
-    # is inf or NaN, for the caller to refuse
-    lam = spec.Pi @ n
-    expo = math.pi * float(lam @ spec.B @ lam) + 2.0 * math.pi * float(v @ spec.B @ lam)
-    return cmath.exp(1j * float(np.dot(spec.character_angles(), n))) * _exp(math.exp, expo)
+def _factor(plan: _Plan, n: np.ndarray, w: np.ndarray) -> complex:
+    # rho(n) exp(pi t(n) Q n + 2 pi w.n), w = tPi B v: factor_i_b_rho, called
+    # under np.errstate(over="ignore", invalid="ignore")
+    expo = math.pi * float(n @ plan.Q @ n) + 2.0 * math.pi * float(w @ n)
+    return cmath.exp(1j * float(np.dot(plan.angles, n))) * _exp(math.exp, expo)
 
 
 def _gram(PtB: np.ndarray, Pi: np.ndarray) -> np.ndarray:
@@ -120,12 +186,21 @@ def _exp(exp, x):
         return math.inf
 
 
+def _positive(eps: float) -> None:
+    # every sum's first check, before any work on the argument
+    if not eps > 0:
+        raise ValueError("tolerance must be positive")
+
+
 # ---------------------------------------------------------------------------
 # truncated lattice sums with certified tails
 
 
-def _sum_with_tail(spec: ThetaSpec, v: np.ndarray, eps: float, oscillatory: bool) -> complex:
-    """Core truncated sum; ``oscillatory`` switches the linear term to 2 pi i B(v, lam).
+def _sum_with_tail(plan: _Plan, w: np.ndarray, eps: float, oscillatory: bool) -> complex:
+    """Core truncated sum at w = tPi B v, from ``plan.summing()``;
+    ``oscillatory`` switches the linear term to 2 pi i B(v, lam).  Called
+    under np.errstate(over="ignore", invalid="ignore"): a sum that overflows
+    raises OverflowError.
 
     The terms exp(-pi (t(k) Q k + b.k) + i c.k), Q the Gram form, are summed
     in elementwise numpy at the points of the ellipsoid of ``_tail_box``,
@@ -135,26 +210,20 @@ def _sum_with_tail(spec: ThetaSpec, v: np.ndarray, eps: float, oscillatory: bool
     ellipsoid are the same in every basis, so the tail bound holds whichever
     basis the enumerator walks.
     """
-    if not eps > 0:
-        raise ValueError("tolerance must be positive")
-    g = spec.g
-    PtB = spec.Pi.T @ spec.B
-    w = PtB @ v
-    angles = spec.character_angles()
-    box = _tail_box(_gram(PtB, spec.Pi), w, eps, oscillatory)
-    c = angles + 2.0 * math.pi * w if oscillatory else -angles
+    g = len(w)
+    box = _tail_box(plan, w, eps, oscillatory)
+    c = _phases(plan.angles + 2.0 * math.pi * w) if oscillatory else plan.phases
     real = imag = 0.0
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, values in box.points():
-                terms = np.exp(-math.pi * values)
-                if c.any():
-                    phase = c[0] * k[0]
-                    for i in range(1, g):
-                        phase += c[i] * k[i]
-                    terms = terms * np.exp(1j * phase)
-                    imag += float(np.sort(terms.imag).sum())
-                real += float(np.sort(terms.real).sum())
+        for k, values in box.points():
+            terms = np.exp(-math.pi * values)
+            if c:
+                phase = c[0] * k[0]
+                for i in range(1, g):
+                    phase += c[i] * k[i]
+                terms = terms * np.exp(1j * phase)
+                imag += float(np.sort(terms.imag).sum())
+            real += float(np.sort(terms.real).sum())
     except RuntimeError as exc:
         raise ValueError(f"tolerance {eps} unreachable: {exc}") from exc
     if not (math.isfinite(real) and math.isfinite(imag)):
@@ -162,7 +231,13 @@ def _sum_with_tail(spec: ThetaSpec, v: np.ndarray, eps: float, oscillatory: bool
     return complex(real, imag)
 
 
-def _tail_box(Q: np.ndarray, w: np.ndarray, eps: float, oscillatory: bool) -> _Box:
+def _phases(c: np.ndarray) -> list | None:
+    # the coefficients c of the phases c.k of a sum's terms, or None where all are 0
+    c = c.tolist()
+    return c if any(c) else None
+
+
+def _tail_box(plan: _Plan, w: np.ndarray, eps: float, oscillatory: bool) -> _Box:
     """The bounding box of the ellipsoid t(k) Q k + b.k + offset <= rho^2
     whose points the sum takes, b = 2 w (b = 0 when ``oscillatory``: the
     linear term is then a pure phase), with the offset w Q^-1 w from the
@@ -173,15 +248,15 @@ def _tail_box(Q: np.ndarray, w: np.ndarray, eps: float, oscillatory: bool) -> _B
     bounds the terms where q(k - c) > rho^2, c the center and mu the least
     eigenvalue of q: e^(-pi q) <= e^(-pi t rho^2) e^(-pi (1 - t) q) there,
     q(x) >= mu |x|^2, and a Gaussian sum in one variable is at most its peak
-    plus its integral.
+    plus its integral.  The plan holds pi t and g log(1 + ((1 - t) mu)^(-1/2))
+    for each t where (1 - t) mu does not underflow.
     """
-    g = Q.shape[0]
-    ellipsoid = _Ellipsoid(Q, [0.0] * g if oscillatory else (2.0 * w).tolist())
-    mu = float(np.linalg.eigvalsh(Q)[0])
+    b = [0.0] * len(w) if oscillatory else [2.0 * x for x in w.tolist()]
+    ellipsoid = _Ellipsoid(plan.form, b)
+    peak, log_eps = math.pi * ellipsoid.offset, math.log(eps)
     # inf, which the enumerator refuses, where (1 - t) mu underflows for every t
-    rho2 = max(0.0, min([(math.pi * ellipsoid.offset + g * math.log1p(((1 - t) * mu) ** -0.5)
-                          - math.log(eps)) / (math.pi * t) for t in _TAIL_SPLITS
-                         if (1 - t) * mu > 0], default=math.inf))
+    rho2 = max(0.0, min([(peak + tail - log_eps) / pi_t for pi_t, tail in plan.tails],
+                        default=math.inf))
     return ellipsoid.box(rho2)
 
 
@@ -191,33 +266,36 @@ def theta_eval(spec: ThetaSpec, v, eps: float = 1e-12) -> complex:
     The argument is reduced into the fundamental cell; the removed lattice
     translate is re-applied exactly through the transformation law.
     """
+    _positive(eps)
     v = np.asarray(v, dtype=float).ravel()
     if v.shape[0] != spec.g:
         raise ValueError("argument dimension mismatch")
-    m = np.round(np.linalg.solve(spec.Pi, v))
-    if not m.any():
-        return _sum_with_tail(spec, v, eps, oscillatory=False)
-    # the factor first: one that overflows is inf or NaN, returned for the
-    # caller to refuse before the sum's walk; overflowing coordinates leave
-    # inf or NaN in m, and so in the factor
     with np.errstate(over="ignore", invalid="ignore"):
-        v_red = v - spec.Pi @ m
-        factor = _factor_i_b_rho(spec, m, v_red)
-    if not cmath.isfinite(factor):
-        return factor
-    return factor * _sum_with_tail(spec, v_red, eps, oscillatory=False)
+        plan = spec._plan
+        m = plan.cell(spec.Pi, v)
+        if not any(m.tolist()):
+            return _sum_with_tail(plan.summing(), plan.PtB @ v, eps, oscillatory=False)
+        # the factor first: one that overflows is inf or NaN, returned for
+        # the caller to refuse before the sum is sized; overflowing
+        # coordinates leave inf or NaN in m, and so in the factor
+        w = plan.PtB @ (v - spec.Pi @ m)
+        factor = _factor(plan, m, w)
+        if not cmath.isfinite(factor):
+            return factor
+        return factor * _sum_with_tail(plan.summing(), w, eps, oscillatory=False)
 
 
 def theta_transform_residual(spec: ThetaSpec, lam_int, v,
                              eps: float = 1e-13) -> float:
     """Residual |theta(v + lam) - I(lam, v) theta(v)|, lam = Pi lam_int, both sides summed."""
+    _positive(eps)
     v = np.asarray(v, dtype=float).ravel()
     n = np.array(_int_vector(lam_int), dtype=float)
-    lam = spec.Pi @ n
-    lhs = _sum_with_tail(spec, v + lam, eps, oscillatory=False)
     with np.errstate(over="ignore", invalid="ignore"):
-        factor = _factor_i_b_rho(spec, n, v)
-    rhs = factor * _sum_with_tail(spec, v, eps, oscillatory=False)
+        plan = spec._plan.summing()
+        lhs = _sum_with_tail(plan, plan.PtB @ (v + spec.Pi @ n), eps, oscillatory=False)
+        w = plan.PtB @ v
+        rhs = _factor(plan, n, w) * _sum_with_tail(plan, w, eps, oscillatory=False)
     return abs(lhs - rhs)
 
 
@@ -226,11 +304,13 @@ def periodic_function_eval(spec: ThetaSpec, v, eps: float = 1e-12) -> complex:
 
     Requires the Gram form to be integral on the lattice (``_INTEGRALITY_TOL``).
     """
-    Q = spec.gram()
-    if float(np.max(np.abs(Q - np.round(Q)))) > _INTEGRALITY_TOL:
-        raise ValueError("Gram form is not integral on the lattice")
+    _positive(eps)
     v = np.asarray(v, dtype=float).ravel()
-    return _sum_with_tail(spec, v, eps, oscillatory=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        plan = spec._plan
+        if float(np.max(np.abs(plan.Q - np.round(plan.Q)))) > _INTEGRALITY_TOL:
+            raise ValueError("Gram form is not integral on the lattice")
+        return _sum_with_tail(plan.summing(), plan.PtB @ v, eps, oscillatory=True)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +426,11 @@ class CanonicalBundle:
     Holds the positive Hermitian form t(x) Y^-1 conj(y), its canonical
     semi-character on Z^g + i Y Z^g, the restricted real form B = Y^-1 on
     the lattice Y Z^g, and the theta datum evaluating the global section.
-    ``canonical_line_bundle_data`` builds it from a validated Y.
+    ``canonical_line_bundle_data`` builds it from a proved Y.  The section
+    is summed from Y itself, exp(-pi t(k) Y k - 2 pi v.k), through the
+    spec's plan; B = Y^-1 is kept, symmetrized, for readers only, so it is
+    checked to be finite but not proved definite.  Y is the spec's Pi, and
+    read-only like it.
     """
 
     Y: np.ndarray
@@ -368,12 +452,19 @@ class CanonicalBundle:
 
 def canonical_line_bundle_data(Y) -> CanonicalBundle:
     Y = require_spd(Y)
+    g = Y.shape[0]
+    # a proved Y is invertible; B = Y^-1 is only read, so it is only checked
+    # to be finite once symmetrized, which turns entries above max / 2 to inf
     B = np.linalg.inv(Y)
-    # the checks of ThetaSpec on Pi = Y and B = Y^-1; the character on the
-    # real lattice Y Z^g is rho_j = alpha(2 i lam_j) = 1, since every basis
-    # value of alpha is one and 2 e_{g+j} has no parity term
-    spec = _checked_spec(_invertible(Y, "lattice basis"), require_spd(B),
-                         np.ones(Y.shape[0], dtype=complex))
+    if not float(abs(B).max()) <= _HALF_MAX:
+        raise ValueError("SPD matrix must have finite entries")
+    B = _symmetrized(B)
+    # the character on the real lattice Y Z^g is rho_j = alpha(2 i lam_j) = 1,
+    # since every basis value of alpha is one and 2 e_{g+j} has no parity term
+    spec = _checked_spec(Y, B, np.ones(g, dtype=complex))
+    # tPi B = tY Y^-1 = I and Q = tY Y^-1 Y = Y, exactly, the character
+    # angles are 0, and Pi^-1 = B
+    object.__setattr__(spec, "_plan", _Plan(np.eye(g), Y, np.zeros(g), B))
     return CanonicalBundle(Y=Y, spec=spec)
 
 
@@ -394,9 +485,7 @@ def automorphic_factor_eval(kind: str, data, lam, arg) -> complex:
     """
     n = _int_vector(lam)
     if kind == "I_B_rho":
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _factor_i_b_rho(data, np.array(n, dtype=float),
-                                   np.asarray(arg, dtype=float).ravel())
+        return _factor_at(data, np.array(n, dtype=float), arg)
     if not isinstance(data, CanonicalBundle):
         raise ValueError(f"factor kind {kind!r} needs canonical bundle data")
     Y = data.Y

@@ -739,6 +739,12 @@ def _scales():
     return [([], r) for r in out]
 
 
+def _tolerance_first():
+    """A negative ``eps`` with an argument whose factor overflows: the
+    tolerance is refused first."""
+    return [([], {"cmd": "theta", "Y": [[1]], "v": [1000.3], "eps": -1})]
+
+
 def cases() -> list[dict]:
     rng = np.random.default_rng(20261018)
     groups = [_reduce, _equiv, _classify_mod2, _invariants, _sigma, _real_structure, _cayley,
@@ -751,6 +757,7 @@ def cases() -> list[dict]:
     out += _boundary()
     out += _entry_points()
     out += _scales()
+    out += _tolerance_first()
     return [{"args": args, "input": req if isinstance(req, str) else json.dumps(req)}
             for args, req in out]
 

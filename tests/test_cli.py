@@ -607,11 +607,11 @@ _VALIDATED = {
     "jacobi-act": ('{"cmd":"jacobi-act","M":[[-1,1],[-1,0]],"lam":[[-0.4]],"mu":[[0.9]],'
                    '"kappa":[[-0.2]],"Omega":{"X":[[0.05]],"Y":[[0.84]]},'
                    '"Z":[[{"re":-0.6,"im":-1.4}]]}', {"_symmetric": 3, "_cholesky": 2}),
-    # Y, then the Gram form Y^-1
-    "theta": ('{"cmd":"theta","Y":[[1]],"v":[0.3]}', {"_symmetric": 2, "_cholesky": 2}),
+    # Y, once: the section is summed from Y, and Y^-1 is only checked finite
+    "theta": ('{"cmd":"theta","Y":[[1]],"v":[0.3]}', {"_symmetric": 1, "_cholesky": 1}),
     # as theta; lam
     "factor": ('{"cmd":"factor","kind":"I_alpha","Y":[[1]],"lam":[1],"arg":[0.1]}',
-               {"_symmetric": 2, "_cholesky": 2, "int_matrix": 1}),
+               {"_symmetric": 1, "_cholesky": 1, "int_matrix": 1}),
     # Y0, Y1, then the whitened pencil
     "distance": ('{"cmd":"distance","Y0":[[2,1],[1,2]],"V0":[[0,1]],"Y1":[[1,0],[0,3]],'
                  '"V1":[[1,0]]}', {"_symmetric": 2, "_cholesky": 3}),

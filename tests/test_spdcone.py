@@ -375,7 +375,7 @@ class TestShortVectors:
                 bound = 2.0 * float(np.max(np.diag(Y)))
                 inside, near, values = self._brute_force(Y, bound, b)
                 points, found = [], []
-                for K, vals in spdcone._Ellipsoid(Y, b.tolist()).box(bound).points():
+                for K, vals in spdcone._Ellipsoid(spdcone._Form(Y), b.tolist()).box(bound).points():
                     points += [tuple(int(v) for v in k) for k in K.T]
                     found += vals.tolist()
                 assert inside <= set(points) <= inside | near
@@ -391,7 +391,7 @@ class TestShortVectors:
         for b in (np.zeros(2), np.array([0.3, -0.7])):
             inside, near, values = self._brute_force(Y, 1.0, b)
             points, found = [], []
-            for K, vals in spdcone._Ellipsoid(Y, b.tolist()).box(1.0).points():
+            for K, vals in spdcone._Ellipsoid(spdcone._Form(Y), b.tolist()).box(1.0).points():
                 points += [tuple(int(v) for v in k) for k in K.T]
                 found += vals.tolist()
             assert len(set(points)) == len(points)
@@ -418,7 +418,7 @@ class TestShortVectors:
             U, d = U[rng.permutation(g)], rng.integers(1, 4, size=g)
             Y = (U * d) @ U.T
             bound = float(rng.integers(1, 3 * int(d.max()) + 1)) + 0.5
-            count = spdcone._Ellipsoid(Y.astype(float), [0.0] * g).box(bound).count
+            count = spdcone._Ellipsoid(spdcone._Form(Y.astype(float)), [0.0] * g).box(bound).count
             if not spdcone._REBASE_ABOVE < count <= 1 << 16:
                 continue
             forms += 1
@@ -469,7 +469,7 @@ class TestShortVectors:
                       [-2.2409968040058126, 1.3108787334487022]])
         with pytest.raises(ValueError, match="not positive definite"):
             quadratic_short_vectors(Y, 3.831068845210457)
-        box = spdcone._Ellipsoid(Y, [0.0, 0.0]).box(3.831068845210457)
+        box = spdcone._Ellipsoid(spdcone._Form(Y), [0.0, 0.0]).box(3.831068845210457)
         with pytest.raises(RuntimeError, match="enumeration box of inf points"):
             box.points()
 
@@ -541,7 +541,7 @@ class TestShortVectors:
 def _unravel_walk(box):
     """``_Box._walk`` with the flat index grid of each chunk from
     np.unravel_index."""
-    P, bl, U = box.ellipsoid.rows, box.ellipsoid.b, box.ellipsoid.U
+    P, bl, U = box.ellipsoid.form.rows, box.ellipsoid.b, box.ellipsoid.form.U
     g, lo, sides = len(P), box.lo, box.sides
     limit = box.bound * (1 + 1e-12) + 1e-12 - box.ellipsoid.offset
     for start in range(0, box.count, spdcone._CHUNK):
@@ -607,10 +607,10 @@ class TestIndexGrid:
             b = rng.uniform(-3.0, 3.0, size=g).tolist()
             # points mapped back by tU, as from a reduced basis
             U = random_unimodular(g, rng, max_entry=2).tolist() if trial % 3 == 0 else None
-            boxes.append(spdcone._Ellipsoid(Y, b, U).box(float(10.0 ** rng.uniform(-1.0, 3.5 - g / 2))))
+            boxes.append(spdcone._Ellipsoid(spdcone._Form(Y, U), b).box(float(10.0 ** rng.uniform(-1.0, 3.5 - g / 2))))
         # boxes of 301^2 and 51^3 points, walked in two and three chunks
-        boxes += [spdcone._Ellipsoid(np.eye(2), [0.5, 0.0]).box(150.0 ** 2),
-                  spdcone._Ellipsoid(np.eye(3), [0.0] * 3).box(25.0 ** 2)]
+        boxes += [spdcone._Ellipsoid(spdcone._Form(np.eye(2)), [0.5, 0.0]).box(150.0 ** 2),
+                  spdcone._Ellipsoid(spdcone._Form(np.eye(3)), [0.0] * 3).box(25.0 ** 2)]
         kinds = set()
         for box in boxes:
             kinds.add((box.count > spdcone._GRID_CACHED) + (box.count > spdcone._CHUNK))

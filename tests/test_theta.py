@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realtori import cli, spdcone
 from realtori import theta as theta_module
@@ -67,7 +69,8 @@ def reductions(monkeypatch):
 
 def box_points(spec, v):
     """Points of the box that theta walks for v in the given basis."""
-    return theta_module._tail_box(spec.gram(), spec.Pi.T @ spec.B @ v, 1e-12, False).count
+    plan = spec._plan.summing()
+    return theta_module._tail_box(plan, plan.PtB @ v, 1e-12, False).count
 
 
 def sheared_spec(U, d, x):
@@ -141,6 +144,28 @@ class TestThetaEval:
     def test_tolerance_must_be_positive(self, eps):
         with pytest.raises(ValueError, match="positive"):
             theta_eval(unit_spec(), [0.1], eps=eps)
+
+    def test_overflowing_gram_form_is_refused_without_warnings(self):
+        """Pi = 1e200 makes the Gram form overflow to inf.  The factor of a
+        far argument is inf, returned for the caller to refuse before the sum
+        is sized, and the sum at an argument in the cell cannot be sized; no
+        step warns (warnings are errors in this suite)."""
+        spec = ThetaSpec(Pi=[[1e200]], B=[[1.0]], rho=[1.0])
+        assert not cmath.isfinite(theta_eval(spec, [1e300]))
+        assert not cmath.isfinite(factor_i_b_rho(spec, [1], [0.5]))
+        with pytest.raises(ValueError, match="unreachable: enumeration box of inf points"):
+            theta_eval(spec, [0.5])
+
+    def test_tolerance_is_checked_before_any_other_work(self):
+        """An argument whose factor overflows, a residual far out and a form
+        that is not integral: the tolerance is refused first."""
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            theta_eval(unit_spec(), [1000.3], eps=-1.0)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            theta_transform_residual(unit_spec(), [1000], [0.3], eps=-1.0)
+        spec = ThetaSpec(Pi=np.eye(1), B=np.eye(1) * 1.37, rho=np.ones(1, dtype=complex))
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            periodic_function_eval(spec, [0.0], eps=0.0)
 
     def test_large_offset(self):
         """The k = 0 term is 1 and every other one is below e^(-4000 pi); the
@@ -534,15 +559,26 @@ class TestCanonicalBundle:
         ([[1.0, 0.5], [0.4, 1.0]], "SPD matrix must be symmetric"),
         ([[1.0, 2.0], [2.0, 1.0]], "matrix is not positive definite"),
         ([[1.0, math.inf], [math.inf, 1.0]], "SPD matrix must have finite entries"),
-        # Cholesky passes; Y fails the check of the lattice basis
-        ([[1.0, 1 - 1e-14], [1 - 1e-14, 1.0]], "lattice basis must be invertible"),
-        ([[1e-7, 1e-7 - 1e-21], [1e-7 - 1e-21, 1e-7]], "lattice basis must be invertible"),
-        # Y^-1 = diag(1e320, 1) fails the check of the Gram form
+        # Y^-1 = diag(1e320, 1) is not finite
         ([[1e-320, 0.0], [0.0, 1.0]], "SPD matrix must have finite entries"),
     ])
     def test_bad_forms_are_refused(self, Y, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             canonical_line_bundle_data(np.array(Y))
+
+    @pytest.mark.parametrize("Y", [
+        [[1.0, 1 - 1e-14], [1 - 1e-14, 1.0]],
+        [[1e-7, 1e-7 - 1e-21], [1e-7 - 1e-21, 1e-7]],
+    ])
+    def test_nearly_singular_forms_build_and_their_sums_are_refused(self, run_cli, Y):
+        """The Cholesky proof passes, so Y is positive definite and hence
+        invertible: the bundle builds.  Its section at 0 needs a box of far
+        more points than the enumerator walks, and the request is refused."""
+        assert canonical_line_bundle_data(np.array(Y)).spec.g == 2
+        code, out = run_cli(json.dumps({"cmd": "theta", "Y": Y, "v": [0.0, 0.0]}))
+        assert code == 2
+        assert re.search(r"unreachable: enumeration box of \S+ points exceeds",
+                         json.loads(out)["error"])
 
     def test_alpha_is_the_canonical_semicharacter(self):
         """``alpha`` equals ``canonical_semicharacter_data`` field by field and
@@ -590,3 +626,147 @@ class TestGoldenTheta:
             assert abs(value - ref) <= max(1e-10 * abs(ref), out["eps"])
             checked += 1
         assert checked == 10
+
+
+def mpmath_section(Y: np.ndarray, v: np.ndarray):
+    """sum_k exp(-pi t(k) Y k - 2 pi v.k) at 40 digits, Y and v read exactly,
+    over every k whose term is within e^-60 of the largest."""
+    mpmath = pytest.importorskip("mpmath")
+    g = len(Y)
+    c = -np.linalg.solve(Y, v)
+    r2 = 60.0 / math.pi
+    half = np.sqrt(r2 * np.diag(np.linalg.inv(Y))) + 1
+    axes = [np.arange(math.floor(ci - h), math.ceil(ci + h) + 1) for ci, h in zip(c, half)]
+    K = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, g)
+    d = K - c
+    K = K[np.einsum("ni,ij,nj->n", d, Y, d) <= r2].tolist()
+    with mpmath.workdps(40):
+        Yq = [[mpmath.mpf(x) for x in row] for row in Y.tolist()]
+        vq = [mpmath.mpf(x) for x in v.tolist()]
+        return sum(mpmath.exp(-mpmath.pi * sum(Yq[i][j] * k[i] * k[j]
+                                               for i in range(g) for j in range(g))
+                              - 2 * mpmath.pi * sum(a * b for a, b in zip(vq, k)))
+                   for k in K)
+
+
+def workload_form(rng, g: int, sheared: bool) -> np.ndarray:
+    """A form with eigenvalues in [1, 2], or 1.1 I in a basis sheared by 4
+    (g = 2) or 3 (g = 3) and signed-permuted, as the ``theta`` benchmark
+    draws them."""
+    if sheared and g > 1:
+        U = np.eye(g)
+        U[0, 1] = 4.0 if g == 2 else 3.0
+        P = np.eye(g)[rng.permutation(g)] * rng.choice([-1.0, 1.0], g)
+        Y = (P @ U @ P.T) @ (1.1 * np.eye(g)) @ (P @ U @ P.T).T
+    else:
+        O, _ = np.linalg.qr(rng.normal(size=(g, g)))
+        Y = (O * rng.uniform(1.0, 2.0, size=g)) @ O.T
+    return 0.5 * (Y + Y.T)
+
+
+def cells_out(rng, Y: np.ndarray, f: np.ndarray, cap: float = 200.0) -> np.ndarray:
+    """Integer cell coordinates m in [-2, 2]^g with pi (Y[m] + 2 |f Y m|) <= cap."""
+    while True:
+        m = rng.integers(-2, 3, size=len(Y))
+        if math.pi * (m @ Y @ m + 2 * abs(f @ Y @ m)) <= cap:
+            return m
+
+
+class TestPlan:
+    """A spec's argument-free work is done once, in its plan, and the
+    canonical section is summed from Y itself."""
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_canonical_section_matches_a_40_digit_sum(self, g):
+        """Relative error at most 5e-14 at arguments in the cell and a few
+        cells out; eps = 1e-17 leaves the truncation far below that.  Summed
+        through tY Y^-1 Y, the errors reached 5e-13."""
+        rng = np.random.default_rng(1000 + g)
+        worst = 0.0
+        for sheared in (False, True):
+            for _ in range(3):
+                Y = workload_form(rng, g, sheared)
+                bundle = canonical_line_bundle_data(Y)
+                for _ in range(4):
+                    f = rng.uniform(-0.45, 0.45, size=g)
+                    v = Y @ (cells_out(rng, Y, f) + f)
+                    ref = mpmath_section(Y, v)
+                    value = bundle.section(v, eps=1e-17)
+                    worst = max(worst, float(abs(value - complex(ref)) / abs(ref)))
+        assert worst <= 5e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), sheared=st.booleans(),
+           eps=st.sampled_from([1e-6, 1e-12, 1e-15]))
+    def test_canonical_section_agrees_with_the_explicit_spec(self, g, seed, sheared, eps):
+        """The section summed from Y and the explicit spec (Y, Y^-1, 1)
+        summed from its Gram form tY Y^-1 Y agree within both tolerances
+        plus 1e-12 relative."""
+        rng = np.random.default_rng(seed)
+        Y = workload_form(rng, g, sheared)
+        f = rng.uniform(-0.45, 0.45, size=g)
+        v = Y @ (cells_out(rng, Y, f) + f)
+        a = canonical_line_bundle_data(Y).section(v, eps=eps)
+        b = theta_eval(ThetaSpec(Pi=Y, B=np.linalg.inv(Y), rho=np.ones(g)), v, eps=eps)
+        assert abs(a - b) <= 2 * eps * max(1.0, abs(b)) + 1e-12 * abs(b)
+
+    def test_per_spec_work_is_done_once(self, monkeypatch):
+        """Five arguments of one spec: tPi B and Q, eigvalsh of Q, and the
+        enumerator's form of Q with the inverse of the scaled Q are computed
+        once (the other inverse is Pi^-1, also once)."""
+        calls = {"plan": 0, "gram": 0, "eigvalsh": 0, "form": 0, "inv": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(theta_module, "_Plan", counted("plan", theta_module._Plan))
+        monkeypatch.setattr(theta_module, "_gram", counted("gram", theta_module._gram))
+        monkeypatch.setattr(theta_module, "_Form", counted("form", theta_module._Form))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+        rng = np.random.default_rng(1010)
+        Pi = rng.normal(size=(3, 3)) + 2 * np.eye(3)
+        spec = ThetaSpec(Pi=Pi, B=random_spd(3, rng) + np.eye(3),
+                         rho=np.exp(1j * rng.uniform(0, 2 * math.pi, size=3)))
+        for _ in range(5):
+            v = Pi @ (rng.integers(-1, 2, size=3) + rng.uniform(-0.45, 0.45, size=3))
+            theta_eval(spec, v)
+        assert calls == {"plan": 1, "gram": 1, "eigvalsh": 1, "form": 1, "inv": 2}
+
+    def test_large_box_form_is_reduced_once(self, reductions):
+        """The form of ``benchmarks/test_layers.py::test_theta_eval_large_box``
+        is reduced once for its five arguments."""
+        rng = np.random.default_rng(803)
+        U = np.eye(3) + 5 * np.eye(3, k=1)
+        Y = U @ (1.1 * np.eye(3)) @ U.T
+        spec = canonical_line_bundle_data(0.5 * (Y + Y.T)).spec
+        for _ in range(5):
+            theta_eval(spec, Y @ rng.uniform(-0.45, 0.45, size=3))
+        assert len(reductions) == 1 and reductions[0] is not None
+
+    def test_spec_arrays_are_read_only_copies(self):
+        """A spec's arrays cannot change under its plan: they are read-only,
+        and the caller's own arrays stay writable."""
+        Pi, rho = 2.0 * np.eye(2), np.ones(2, dtype=complex)
+        spec = ThetaSpec(Pi=Pi, B=np.eye(2), rho=rho)
+        bundle = canonical_line_bundle_data(np.eye(2))
+        for a in (spec.Pi, spec.B, spec.rho, bundle.Y, bundle.spec.B, bundle.spec.rho):
+            assert not a.flags.writeable
+        assert Pi.flags.writeable and rho.flags.writeable
+        Pi[0, 0] = 3.0
+        assert spec.Pi[0, 0] == 2.0
+
+    def test_canonical_plan_is_the_proved_form(self):
+        """Pi^-1 = B, tPi B = I and Q = Y exactly, and the factor exponent
+        is pi t(n) Y n + 2 pi v.n."""
+        Y = workload_form(np.random.default_rng(1011), 3, True)
+        spec = canonical_line_bundle_data(Y).spec
+        plan = spec._plan
+        assert plan.Pinv is spec.B and np.array_equal(plan.PtB, np.eye(3))
+        assert np.array_equal(spec.gram(), Y)
+        n, v = np.array([1.0, -1.0, 2.0]), np.array([0.1, -0.2, 0.3])
+        want = math.exp(math.pi * float(n @ Y @ n) + 2 * math.pi * float(v @ n))
+        assert factor_i_b_rho(spec, [1, -1, 2], v) == want
