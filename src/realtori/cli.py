@@ -4,7 +4,10 @@ A request is a command name and its payload, the JSON object without its
 "cmd" field.  A command given on the command line replaces "cmd"; the flags
 --tol, --bound and --eps are merged into the payload and replace fields of
 the same name.  Each handler reads everything, options included, from the
-payload.  The ``tol`` of ``equiv`` is relative to max|Y2|.
+payload.  The ``tol`` of ``equiv`` is relative to max|Y2|.  The ``eps`` of
+``theta`` bounds the tail of the sum over the argument's fundamental cell,
+which the transformation-law factor then multiplies: outside the cell the
+absolute error of the value scales with |factor|.
 
 All commands are thin adapters around the library; the only logic here is
 serialization.  Matrices are nested arrays (row-major), complex numbers are

@@ -11,16 +11,16 @@ everything outside it.  Its value depends only on the GL(g, Z)-class of the
 Gram form, so the enumerator may walk the ellipsoid in a reduced basis; it
 returns the points in the given one.
 
-Everything a sum needs that does not depend on the argument is a spec's
-*plan* (``_Plan``), built on first use and kept on the frozen spec: Pi^-1,
-tPi B, the Gram form Q, the character angles, the least eigenvalue of Q,
-the argument-free half of the enumerator's ellipsoid and, once a walk is
-rebased, the reduced basis.  An argument adds only its cell translate, the
-center and offset of its ellipsoid, its radius and its walk; a factor
-exponent is pi t(n) Q n + 2 pi (tPi B v).n.  The canonical bundle of Y
-seeds the plan with tPi B = I, Q = Y and Pi^-1 = Y^-1, which hold exactly
-for the lattice Y Z^g with the form Y^-1, so its section is summed from the
-proved Y and not from the rounded product tY Y^-1 Y.
+Everything a sum needs that does not depend on the argument is a *plan*
+(``_Plan``), kept on the spec: tPi B, the Gram form Q, the character angles,
+the least eigenvalue of Q and the enumerator's form of Q, which holds Q^-1
+and, once a walk is rebased, the reduced basis.  An argument adds only its
+cell rint(Q^-1 tPi B v) = rint(Pi^-1 v), its ellipsoid, radius and walk; a
+factor exponent is pi t(n) Q n + 2 pi (tPi B v).n.  The canonical bundle of Y
+has tPi B = I and Q = Y exactly, so its section is summed from the proved Y.
+``eps`` bounds the tail of the sum over the cell, which the transformation
+law's factor then multiplies: outside the cell the absolute error scales
+with |factor|.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ _INTEGRALITY_TOL = 1e-9
 class ThetaSpec:
     """Lattice Pi Z^g with SPD Gram form B and unit character values rho.
 
-    Its sums read a plan (``_Plan``) built from tPi B on first use and kept
-    on the spec; ``canonical_line_bundle_data`` builds a spec with its plan.
+    Its sums and factors read the plan (``_Plan``) built with the spec.
     Pi, B and rho are read-only copies, so the plan cannot go stale.
     """
 
@@ -80,16 +79,14 @@ class ThetaSpec:
             raise ValueError("character needs one value per basis vector")
         if not (abs(abs(rho) - 1.0) <= 1e-9).all():
             raise ValueError("character values must have modulus one")
-        _set_read_only(self, np.array(Pi), B, np.array(rho))
+        with np.errstate(over="ignore", invalid="ignore"):
+            PtB = Pi.T @ B
+            plan = _Plan(_gram(PtB, Pi), PtB, np.angle(rho))
+        _set(self, plan, Pi=np.array(Pi), B=B, rho=np.array(rho))
 
     @property
     def g(self) -> int:
         return self.Pi.shape[0]
-
-    @cached_property
-    def _plan(self) -> _Plan:
-        PtB = self.Pi.T @ self.B
-        return _Plan(PtB, _gram(PtB, self.Pi), self.character_angles())
 
     def gram(self) -> np.ndarray:
         """Gram matrix of B on the lattice basis, symmetrized: the rounding of
@@ -97,79 +94,68 @@ class ThetaSpec:
         one triangle of it."""
         return self._plan.Q.copy()
 
-    def character_angles(self) -> np.ndarray:
-        return np.angle(self.rho)
+
+def _set(spec: ThetaSpec, plan: _Plan, **arrays: np.ndarray) -> None:
+    # the plan of a spec and its arrays, read-only
+    for name, value in arrays.items():
+        value.setflags(write=False)
+        object.__setattr__(spec, name, value)
+    object.__setattr__(spec, "_plan", plan)
 
 
 class _Plan:
-    """The argument-free part of the theta sums and factors of one spec.
-
-    tPi B, the symmetrized Gram form Q, the character angles and the phases
-    -angles of theta's terms are formed with the plan, as a factor needs
-    them.  Pi^-1, which finds an argument's cell, is formed by the first
-    ``cell`` where it is not given.  What only a sum reads is formed by the
-    first ``summing()``: the terms of the tail radius that the least
-    eigenvalue mu of Q fixes (``_tail_box``), and the enumerator's
-    ``_Form`` of Q, which keeps the reduced basis of a rebased walk.  The
-    sums and factors form it under np.errstate(over="ignore",
-    invalid="ignore"): a Gram form that overflows is refused by the factor
-    or the sum.
+    """The argument-free part of the theta sums and factors of one datum:
+    the symmetrized Gram form Q, tPi B (None for I), the character angles
+    (None for 0) and the phases -angles, as a factor needs them; ``_Plan(Y)``
+    is the canonical bundle's.  The first ``ellipsoid`` forms the enumerator's
+    ``_Form`` of Q, whose inverse centers every ellipsoid and so finds every
+    cell, and the first ``summing()`` the tail terms of ``_tail_box``.  The
+    plan is formed and read under np.errstate(over="ignore", invalid="ignore"):
+    a Gram form that overflows is refused by the factor or the sum.
     """
 
-    def __init__(self, PtB: np.ndarray, Q: np.ndarray, angles: np.ndarray,
-                 Pinv: np.ndarray | None = None):
-        self.PtB, self.Q, self.angles, self.Pinv = PtB, Q, angles, Pinv
-        self.phases = _phases(-angles)
+    def __init__(self, Q: np.ndarray, PtB=None, angles=None):
+        self.Q, self.PtB, self.angles = Q, PtB, angles
+        self.phases = None if angles is None else _phases(-angles)
         self.tails = self.form = None
 
-    def cell(self, Pi: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # the lattice coordinates rint(Pi^-1 v) of the cell of v, Pi the spec's
-        if self.Pinv is None:
-            self.Pinv = np.linalg.inv(Pi)
-        return np.rint(self.Pinv @ v)
+    def linear(self, v: np.ndarray) -> np.ndarray:
+        """w = tPi B v, the coefficients of the linear term 2 pi w.k."""
+        return v if self.PtB is None else self.PtB @ v
+
+    def ellipsoid(self, w: np.ndarray) -> _Ellipsoid:
+        """The ellipsoid t(k) Q k + 2 w.k of the sum at w, centered at -Q^-1 w."""
+        if self.form is None:
+            self.form = _Form(self.Q)
+        return _Ellipsoid(self.form, [2.0 * x for x in w.tolist()])
 
     def summing(self) -> _Plan:
-        if self.form is None:
+        if self.tails is None:
             mu = float(np.linalg.eigvalsh(self.Q)[0])
             g = len(self.Q)
             self.tails = [(math.pi * t, g * math.log1p(((1 - t) * mu) ** -0.5))
                           for t in _TAIL_SPLITS if (1 - t) * mu > 0]
-            self.form = _Form(self.Q)
         return self
 
 
-def _checked_spec(Pi: np.ndarray, B: np.ndarray, rho: np.ndarray) -> ThetaSpec:
-    # a ThetaSpec of values that have passed its checks, without repeating
-    # them; the arrays are the caller's own, and become read-only
-    spec = object.__new__(ThetaSpec)
-    _set_read_only(spec, Pi, B, rho)
-    return spec
-
-
-def _set_read_only(spec: ThetaSpec, Pi: np.ndarray, B: np.ndarray, rho: np.ndarray) -> None:
-    for name, value in (("Pi", Pi), ("B", B), ("rho", rho)):
-        value.setflags(write=False)
-        object.__setattr__(spec, name, value)
-
-
 def factor_i_b_rho(spec: ThetaSpec, lam_int, v) -> complex:
-    """Automorphic factor rho(lam) exp(pi B(lam,lam) + 2 pi B(v,lam)), lam = Pi lam_int."""
-    return _factor_at(spec, np.array(_int_vector(lam_int), dtype=float), v)
-
-
-def _factor_at(spec: ThetaSpec, n: np.ndarray, v) -> complex:
-    # factor_i_b_rho at integral coordinates n; a factor that overflows is
-    # inf or NaN, for the caller to refuse
+    """Automorphic factor rho(lam) exp(pi B(lam,lam) + 2 pi B(v,lam)), lam = Pi
+    lam_int; one that overflows is inf or NaN, for the caller to refuse."""
+    n, plan = np.array(_int_vector(lam_int), dtype=float), spec._plan
     with np.errstate(over="ignore", invalid="ignore"):
-        plan = spec._plan
-        return _factor(plan, n, plan.PtB @ np.asarray(v, dtype=float).ravel())
+        return _factor(plan, n, plan.linear(np.asarray(v, dtype=float).ravel()))
 
 
 def _factor(plan: _Plan, n: np.ndarray, w: np.ndarray) -> complex:
     # rho(n) exp(pi t(n) Q n + 2 pi w.n), w = tPi B v: factor_i_b_rho, called
     # under np.errstate(over="ignore", invalid="ignore")
-    expo = math.pi * float(n @ plan.Q @ n) + 2.0 * math.pi * float(w @ n)
-    return cmath.exp(1j * float(np.dot(plan.angles, n))) * _exp(math.exp, expo)
+    phase = 0.0 if plan.angles is None else float(np.dot(plan.angles, n))
+    return cmath.exp(1j * phase) * _exp(math.exp, _exponent(plan, n, w))
+
+
+def _exponent(plan: _Plan, n: np.ndarray, w: np.ndarray) -> float:
+    # the exponent pi t(n) Q n + 2 pi w.n of _factor
+    return math.pi * float(n @ plan.Q @ n) + 2.0 * math.pi * float(w @ n)
 
 
 def _gram(PtB: np.ndarray, Pi: np.ndarray) -> np.ndarray:
@@ -196,11 +182,11 @@ def _positive(eps: float) -> None:
 # truncated lattice sums with certified tails
 
 
-def _sum_with_tail(plan: _Plan, w: np.ndarray, eps: float, oscillatory: bool) -> complex:
-    """Core truncated sum at w = tPi B v, from ``plan.summing()``;
-    ``oscillatory`` switches the linear term to 2 pi i B(v, lam).  Called
-    under np.errstate(over="ignore", invalid="ignore"): a sum that overflows
-    raises OverflowError.
+def _sum_with_tail(plan: _Plan, ellipsoid: _Ellipsoid, c: list | None, eps: float) -> complex:
+    """Core truncated sum over ``ellipsoid``, from ``plan.summing()``, with
+    the phases c.k of ``_phases`` (a periodic sum's linear term is a phase,
+    and its ellipsoid has b = 0).  Called under np.errstate(over="ignore",
+    invalid="ignore"): a sum that overflows raises OverflowError.
 
     The terms exp(-pi (t(k) Q k + b.k) + i c.k), Q the Gram form, are summed
     in elementwise numpy at the points of the ellipsoid of ``_tail_box``,
@@ -210,9 +196,8 @@ def _sum_with_tail(plan: _Plan, w: np.ndarray, eps: float, oscillatory: bool) ->
     ellipsoid are the same in every basis, so the tail bound holds whichever
     basis the enumerator walks.
     """
-    g = len(w)
-    box = _tail_box(plan, w, eps, oscillatory)
-    c = _phases(plan.angles + 2.0 * math.pi * w) if oscillatory else plan.phases
+    g = len(plan.Q)
+    box = _tail_box(plan, ellipsoid, eps)
     real = imag = 0.0
     try:
         for k, values in box.points():
@@ -237,10 +222,9 @@ def _phases(c: np.ndarray) -> list | None:
     return c if any(c) else None
 
 
-def _tail_box(plan: _Plan, w: np.ndarray, eps: float, oscillatory: bool) -> _Box:
-    """The bounding box of the ellipsoid t(k) Q k + b.k + offset <= rho^2
-    whose points the sum takes, b = 2 w (b = 0 when ``oscillatory``: the
-    linear term is then a pure phase), with the offset w Q^-1 w from the
+def _tail_box(plan: _Plan, ellipsoid: _Ellipsoid, eps: float) -> _Box:
+    """The bounding box of ``ellipsoid``, t(k) Q k + b.k + offset <= rho^2,
+    whose points the sum takes, with the offset w Q^-1 w (b = 2 w) from the
     same inverse as the box.
 
     rho^2 is the least, over t in ``_TAIL_SPLITS``, that makes e^(pi offset)
@@ -251,8 +235,6 @@ def _tail_box(plan: _Plan, w: np.ndarray, eps: float, oscillatory: bool) -> _Box
     plus its integral.  The plan holds pi t and g log(1 + ((1 - t) mu)^(-1/2))
     for each t where (1 - t) mu does not underflow.
     """
-    b = [0.0] * len(w) if oscillatory else [2.0 * x for x in w.tolist()]
-    ellipsoid = _Ellipsoid(plan.form, b)
     peak, log_eps = math.pi * ellipsoid.offset, math.log(eps)
     # inf, which the enumerator refuses, where (1 - t) mu underflows for every t
     rho2 = max(0.0, min([(peak + tail - log_eps) / pi_t for pi_t, tail in plan.tails],
@@ -264,25 +246,32 @@ def theta_eval(spec: ThetaSpec, v, eps: float = 1e-12) -> complex:
     """Theta value sum_{lam} rho(lam)^-1 exp(-pi B(lam,lam) - 2 pi B(v,lam)).
 
     The argument is reduced into the fundamental cell; the removed lattice
-    translate is re-applied exactly through the transformation law.
+    translate is re-applied exactly through the transformation law.  ``eps``
+    bounds the tail of the cell sum, which the law's factor then multiplies:
+    outside the cell the absolute error scales with |factor|.  A Gram form
+    that the enumerator cannot invert has no cell: its value is NaN, for the
+    caller to refuse.
     """
     _positive(eps)
     v = np.asarray(v, dtype=float).ravel()
     if v.shape[0] != spec.g:
         raise ValueError("argument dimension mismatch")
+    plan = spec._plan
     with np.errstate(over="ignore", invalid="ignore"):
-        plan = spec._plan
-        m = plan.cell(spec.Pi, v)
-        if not any(m.tolist()):
-            return _sum_with_tail(plan.summing(), plan.PtB @ v, eps, oscillatory=False)
-        # the factor first: one that overflows is inf or NaN, returned for
-        # the caller to refuse before the sum is sized; overflowing
-        # coordinates leave inf or NaN in m, and so in the factor
-        w = plan.PtB @ (v - spec.Pi @ m)
+        ellipsoid = plan.ellipsoid(plan.linear(v))
+        if plan.form.Z is None:
+            return complex(math.nan, math.nan)
+        if all(abs(x) <= 0.5 for x in ellipsoid.c):  # rint(-c) = 0
+            return _sum_with_tail(plan.summing(), ellipsoid, plan.phases, eps)
+        # the factor first: one that overflows is inf or NaN, returned for the
+        # caller to refuse before the sum is sized; an overflowing or NaN
+        # center leaves inf or NaN in m, and so in the factor
+        m = -np.rint(ellipsoid.c)
+        w = plan.linear(v - spec.Pi @ m)
         factor = _factor(plan, m, w)
         if not cmath.isfinite(factor):
             return factor
-        return factor * _sum_with_tail(plan.summing(), w, eps, oscillatory=False)
+        return factor * _sum_with_tail(plan.summing(), plan.ellipsoid(w), plan.phases, eps)
 
 
 def theta_transform_residual(spec: ThetaSpec, lam_int, v,
@@ -293,9 +282,9 @@ def theta_transform_residual(spec: ThetaSpec, lam_int, v,
     n = np.array(_int_vector(lam_int), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         plan = spec._plan.summing()
-        lhs = _sum_with_tail(plan, plan.PtB @ (v + spec.Pi @ n), eps, oscillatory=False)
-        w = plan.PtB @ v
-        rhs = _factor(plan, n, w) * _sum_with_tail(plan, w, eps, oscillatory=False)
+        lhs = _sum_with_tail(plan, plan.ellipsoid(plan.linear(v + spec.Pi @ n)), plan.phases, eps)
+        w = plan.linear(v)
+        rhs = _factor(plan, n, w) * _sum_with_tail(plan, plan.ellipsoid(w), plan.phases, eps)
     return abs(lhs - rhs)
 
 
@@ -310,7 +299,8 @@ def periodic_function_eval(spec: ThetaSpec, v, eps: float = 1e-12) -> complex:
         plan = spec._plan
         if float(np.max(np.abs(plan.Q - np.round(plan.Q)))) > _INTEGRALITY_TOL:
             raise ValueError("Gram form is not integral on the lattice")
-        return _sum_with_tail(plan.summing(), plan.PtB @ v, eps, oscillatory=True)
+        c = _phases(np.angle(spec.rho) + 2.0 * math.pi * plan.linear(v))
+        return _sum_with_tail(plan.summing(), plan.ellipsoid(np.zeros(len(v))), c, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +417,10 @@ class CanonicalBundle:
     semi-character on Z^g + i Y Z^g, the restricted real form B = Y^-1 on
     the lattice Y Z^g, and the theta datum evaluating the global section.
     ``canonical_line_bundle_data`` builds it from a proved Y.  The section
-    is summed from Y itself, exp(-pi t(k) Y k - 2 pi v.k), through the
-    spec's plan; B = Y^-1 is kept, symmetrized, for readers only, so it is
-    checked to be finite but not proved definite.  Y is the spec's Pi, and
-    read-only like it.
+    and the real factors are formed from Y itself, exp(-pi t(k) Y k -
+    2 pi v.k), through the spec's plan; B = Y^-1 is formed, symmetrized,
+    when a reader first reads it (``_CanonicalSpec``).  Y is the spec's Pi,
+    and read-only like it.
     """
 
     Y: np.ndarray
@@ -450,21 +440,33 @@ class CanonicalBundle:
         return theta_eval(self.spec, v, eps=eps)
 
 
+class _CanonicalSpec(ThetaSpec):
+    """The canonical bundle's spec: Pi = Y and ``_Plan(Y)``; rho = 1 and
+    B = Y^-1 are formed on first read, as the section and factors read neither."""
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        # the character on the real lattice Y Z^g is rho_j = alpha(2 i lam_j) = 1,
+        # since every basis value of alpha is one and 2 e_{g+j} has no parity term
+        rho = np.ones(len(self.Pi), dtype=complex)
+        rho.setflags(write=False)
+        return rho
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        # only read, so only checked finite once symmetrized (entries over max / 2 turn inf)
+        B = np.linalg.inv(self.Pi)
+        if not float(abs(B).max()) <= _HALF_MAX:
+            raise ValueError("SPD matrix must have finite entries")
+        B = _symmetrized(B)
+        B.setflags(write=False)
+        return B
+
+
 def canonical_line_bundle_data(Y) -> CanonicalBundle:
     Y = require_spd(Y)
-    g = Y.shape[0]
-    # a proved Y is invertible; B = Y^-1 is only read, so it is only checked
-    # to be finite once symmetrized, which turns entries above max / 2 to inf
-    B = np.linalg.inv(Y)
-    if not float(abs(B).max()) <= _HALF_MAX:
-        raise ValueError("SPD matrix must have finite entries")
-    B = _symmetrized(B)
-    # the character on the real lattice Y Z^g is rho_j = alpha(2 i lam_j) = 1,
-    # since every basis value of alpha is one and 2 e_{g+j} has no parity term
-    spec = _checked_spec(Y, B, np.ones(g, dtype=complex))
-    # tPi B = tY Y^-1 = I and Q = tY Y^-1 Y = Y, exactly, the character
-    # angles are 0, and Pi^-1 = B
-    object.__setattr__(spec, "_plan", _Plan(np.eye(g), Y, np.zeros(g), B))
+    spec = object.__new__(_CanonicalSpec)
+    _set(spec, _Plan(Y), Pi=Y)
     return CanonicalBundle(Y=Y, spec=spec)
 
 
@@ -481,37 +483,31 @@ def automorphic_factor_eval(kind: str, data, lam, arg) -> complex:
     kind 'I_B_alpha': as 'I_alpha' but with doubled character argument and
     the restricted real form.
 
-    A value that overflows is returned as inf or NaN for the caller to refuse.
+    The real kinds read Y: the exponent of 'I_B_alpha' is the canonical
+    plan's pi t(n) Y n + 2 pi v.n, and that of 'I_alpha' half of it.  A value
+    that overflows is returned as inf or NaN for the caller to refuse.
     """
-    n = _int_vector(lam)
     if kind == "I_B_rho":
-        return _factor_at(data, np.array(n, dtype=float), arg)
+        return factor_i_b_rho(data, lam, arg)
+    n = _int_vector(lam)
     if not isinstance(data, CanonicalBundle):
         raise ValueError(f"factor kind {kind!r} needs canonical bundle data")
-    Y = data.Y
-    g = Y.shape[0]
+    g = data.Y.shape[0]
     if kind == "J_H_alpha":
         ell = data.alpha.vector(n)
         z = np.asarray(arg, dtype=complex).ravel()
         with np.errstate(over="ignore", invalid="ignore"):
             expo = 0.5 * math.pi * data.hermitian(ell, ell) + math.pi * data.hermitian(z, ell)
         return data.alpha._eval(n) * _exp(cmath.exp, expo)
-    lam_vec = Y @ np.array(n, dtype=float)
-    v = np.asarray(arg, dtype=float).ravel()
+    if kind not in ("I_alpha", "I_B_alpha"):
+        raise ValueError(f"unknown factor kind {kind!r}")
+    plan = data.spec._plan
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = _exponent(plan, np.array(n, dtype=float),
+                         plan.linear(np.asarray(arg, dtype=float).ravel()))
     if kind == "I_alpha":
-        val = data.alpha._eval(_imag_multi(g, n, 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            expo = 0.5 * math.pi * data.hermitian(lam_vec, lam_vec) \
-                + math.pi * data.hermitian(v, lam_vec)
-        return val * _exp(cmath.exp, expo)
-    if kind == "I_B_alpha":
-        val = data.alpha._eval(_imag_multi(g, n, 2))
-        Binv = np.linalg.solve(Y, np.eye(g))
-        with np.errstate(over="ignore", invalid="ignore"):
-            expo = math.pi * float(lam_vec @ Binv @ lam_vec) \
-                + 2.0 * math.pi * float(v @ Binv @ lam_vec)
-        return val * _exp(cmath.exp, expo)
-    raise ValueError(f"unknown factor kind {kind!r}")
+        return data.alpha._eval(_imag_multi(g, n, 1)) * _exp(cmath.exp, 0.5 * expo)
+    return data.alpha._eval(_imag_multi(g, n, 2)) * _exp(cmath.exp, expo)
 
 
 def _imag_multi(g: int, n: list[int], mult: int) -> list[int]:

@@ -70,7 +70,7 @@ def reductions(monkeypatch):
 def box_points(spec, v):
     """Points of the box that theta walks for v in the given basis."""
     plan = spec._plan.summing()
-    return theta_module._tail_box(plan, plan.PtB @ v, 1e-12, False).count
+    return theta_module._tail_box(plan, plan.ellipsoid(plan.linear(v)), 1e-12).count
 
 
 def sheared_spec(U, d, x):
@@ -148,13 +148,13 @@ class TestThetaEval:
     def test_overflowing_gram_form_is_refused_without_warnings(self):
         """Pi = 1e200 makes the Gram form overflow to inf.  The factor of a
         far argument is inf, returned for the caller to refuse before the sum
-        is sized, and the sum at an argument in the cell cannot be sized; no
-        step warns (warnings are errors in this suite)."""
+        is sized, and the form has no finite inverse to find the cell of an
+        argument in the cell, whose value is NaN; no step warns (warnings are
+        errors in this suite)."""
         spec = ThetaSpec(Pi=[[1e200]], B=[[1.0]], rho=[1.0])
         assert not cmath.isfinite(theta_eval(spec, [1e300]))
         assert not cmath.isfinite(factor_i_b_rho(spec, [1], [0.5]))
-        with pytest.raises(ValueError, match="unreachable: enumeration box of inf points"):
-            theta_eval(spec, [0.5])
+        assert not cmath.isfinite(theta_eval(spec, [0.5]))
 
     def test_tolerance_is_checked_before_any_other_work(self):
         """An argument whose factor overflows, a residual far out and a form
@@ -412,6 +412,21 @@ class TestPeriodicFunction:
         with pytest.raises(ValueError):
             periodic_function_eval(spec, [0.0])
 
+    @pytest.mark.parametrize("Pi, B", [
+        ([[1e-200]], [[1e-200]]),
+        ([[1e-200, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]),
+    ])
+    def test_float_singular_integral_form_is_refused(self, Pi, B):
+        """The Gram form underflows to the integral diag(0, ...), which the
+        enumerator cannot invert: every box is infinite, so the sum is
+        refused at every argument, and theta's value has no cell."""
+        spec = ThetaSpec(Pi=Pi, B=B, rho=np.ones(len(Pi), dtype=complex))
+        for x in (0.0, 0.3, 1e300):
+            v = np.full(len(Pi), x)
+            with pytest.raises(ValueError, match="unreachable: enumeration box of inf points"):
+                periodic_function_eval(spec, v)
+            assert not cmath.isfinite(theta_eval(spec, v))
+
     def test_periodicity_g2(self):
         spec = ThetaSpec(Pi=np.eye(2), B=np.array([[2.0, 1.0], [1.0, 3.0]]),
                          rho=np.ones(2, dtype=complex))
@@ -559,12 +574,19 @@ class TestCanonicalBundle:
         ([[1.0, 0.5], [0.4, 1.0]], "SPD matrix must be symmetric"),
         ([[1.0, 2.0], [2.0, 1.0]], "matrix is not positive definite"),
         ([[1.0, math.inf], [math.inf, 1.0]], "SPD matrix must have finite entries"),
-        # Y^-1 = diag(1e320, 1) is not finite
-        ([[1e-320, 0.0], [0.0, 1.0]], "SPD matrix must have finite entries"),
     ])
     def test_bad_forms_are_refused(self, Y, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             canonical_line_bundle_data(np.array(Y))
+
+    def test_infinite_inverse_is_refused_when_read(self):
+        """Y^-1 = diag(1e320, 1) is not finite.  The bundle and its factors
+        read Y alone, and B = Y^-1 is refused when it is read."""
+        bundle = canonical_line_bundle_data(np.array([[1e-320, 0.0], [0.0, 1.0]]))
+        assert automorphic_factor_eval("I_B_alpha", bundle, [0, 1], [0.0, 0.0]) \
+            == cmath.exp(math.pi)
+        with pytest.raises(ValueError, match=re.escape("SPD matrix must have finite entries")):
+            bundle.spec.B
 
     @pytest.mark.parametrize("Y", [
         [[1.0, 1 - 1e-14], [1 - 1e-14, 1.0]],
@@ -712,8 +734,8 @@ class TestPlan:
 
     def test_per_spec_work_is_done_once(self, monkeypatch):
         """Five arguments of one spec: tPi B and Q, eigvalsh of Q, and the
-        enumerator's form of Q with the inverse of the scaled Q are computed
-        once (the other inverse is Pi^-1, also once)."""
+        enumerator's form of Q with the inverse of the scaled Q, which also
+        finds each argument's cell, are computed once."""
         calls = {"plan": 0, "gram": 0, "eigvalsh": 0, "form": 0, "inv": 0}
 
         def counted(name, fn):
@@ -734,7 +756,7 @@ class TestPlan:
         for _ in range(5):
             v = Pi @ (rng.integers(-1, 2, size=3) + rng.uniform(-0.45, 0.45, size=3))
             theta_eval(spec, v)
-        assert calls == {"plan": 1, "gram": 1, "eigvalsh": 1, "form": 1, "inv": 2}
+        assert calls == {"plan": 1, "gram": 1, "eigvalsh": 1, "form": 1, "inv": 1}
 
     def test_large_box_form_is_reduced_once(self, reductions):
         """The form of ``benchmarks/test_layers.py::test_theta_eval_large_box``
@@ -760,13 +782,77 @@ class TestPlan:
         assert spec.Pi[0, 0] == 2.0
 
     def test_canonical_plan_is_the_proved_form(self):
-        """Pi^-1 = B, tPi B = I and Q = Y exactly, and the factor exponent
-        is pi t(n) Y n + 2 pi v.n."""
+        """tPi B = I (None) and Q = Y exactly, rho = 1 and B = Y^-1 are formed
+        only when read, and the factor exponent is pi t(n) Y n + 2 pi v.n."""
         Y = workload_form(np.random.default_rng(1011), 3, True)
         spec = canonical_line_bundle_data(Y).spec
         plan = spec._plan
-        assert plan.Pinv is spec.B and np.array_equal(plan.PtB, np.eye(3))
+        assert "B" not in vars(spec) and "rho" not in vars(spec)
+        assert plan.PtB is None and plan.angles is None
+        assert np.array_equal(spec.rho, np.ones(3)) and not spec.rho.flags.writeable
+        assert spec.B.tobytes() == (0.5 * (np.linalg.inv(Y) + np.linalg.inv(Y).T)).tobytes()
         assert np.array_equal(spec.gram(), Y)
         n, v = np.array([1.0, -1.0, 2.0]), np.array([0.1, -0.2, 0.3])
         want = math.exp(math.pi * float(n @ Y @ n) + 2 * math.pi * float(v @ n))
         assert factor_i_b_rho(spec, [1, -1, 2], v) == want
+
+
+def theta_request(data: dict, v) -> str:
+    return json.dumps({"cmd": "theta", **data, "v": np.asarray(v).tolist()})
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """The names of the ``numpy.linalg`` functions called while the test runs."""
+    calls = []
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, recorded(name, fn))
+    return calls
+
+
+class TestOneRequest:
+    """A CLI ``theta`` request pays for its one argument only."""
+
+    @pytest.mark.parametrize("out", [False, True], ids=["in_cell", "cells_out"])
+    @pytest.mark.parametrize("explicit", [False, True], ids=["canonical", "explicit"])
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_linalg_calls_per_request(self, run_cli, linalg_calls, g, explicit, out):
+        """Canonical: the proof of Y, eigvalsh and the inverse of the scaled
+        form, which also finds the cell.  Explicit: the determinant test of
+        Pi besides."""
+        rng = np.random.default_rng(1100 + g)
+        Y = workload_form(rng, g, False)
+        m = np.eye(g)[0] * out
+        data = {"Y": Y.tolist()}
+        if explicit:
+            data = {"Pi": Y.tolist(), "B": np.linalg.inv(Y).tolist()}
+        text = theta_request(data, Y @ (m + rng.uniform(-0.45, 0.45, size=g)))
+        linalg_calls.clear()
+        code, answer = run_cli(text)
+        assert code == 0 and json.loads(answer)["status"] == "ok"
+        assert len(linalg_calls) <= (4 if explicit else 3), linalg_calls
+
+    @pytest.mark.parametrize("Y", [0.37, 1.0, 2.5])
+    def test_eps_bounds_the_cell_sum_times_the_factor(self, Y):
+        """At g = 1 the value at v is I(m, w) theta(w), m = rint(v / Y) and
+        w = v - Y m, with the factor I(m, w) = exp(pi Y m^2 + 2 pi w m), and
+        ``eps`` bounds the tail of theta(w): the error against a 40-digit
+        sum is at most |I(m, w)| eps, up to 1e11 at v = 4.3, Y = 1."""
+        eps = 1e-12
+        bundle = canonical_line_bundle_data(np.array([[Y]]))
+        for x in (0.3, 2.3, 4.3, -3.7, 6.1):
+            m = round(x / Y)
+            w = x - Y * m
+            factor = math.exp(math.pi * Y * m * m + 2 * math.pi * w * m)
+            ref = mpmath_section(np.array([[Y]]), np.array([x]))
+            value = bundle.section([x], eps=eps)
+            assert float(abs(value - complex(ref))) <= factor * eps
