@@ -13,7 +13,9 @@ imaginary parts also gives A (2 Re Omega1) tA = 2 Re Omega2 (mod 2).
 On float input an INEQUIVALENT answer rests on one rounding-aware bound
 between the reduced forms, the tolerance of the witness search
 (``_equivalent``), which also lets the successive minima decide before the
-search (``polarized_tori_equivalent``).
+search (``polarized_tori_equivalent``).  A reduced form is the exact
+A Y tA with each entry rounded once (``spdcone.minkowski_reduce``), so the
+bound carries the rounding of its entries only, whatever the size of A.
 
 Each form of an equivalence is proved positive definite once, by the public
 ``minkowski_reduce`` that the search needs anyway, as the benchmark's tracer
@@ -420,25 +422,22 @@ _SIGNS = {g: np.array([(1.0,) + s for s in itertools.product((1.0, -1.0), repeat
           for g in range(1, MAX_REDUCTION_DIM + 1)}
 
 
-def _search_tolerance(Y1: np.ndarray, R1: np.ndarray, A1: np.ndarray,
-                      Y2: np.ndarray, R2: np.ndarray, A2: np.ndarray,
+def _search_tolerance(R1: np.ndarray, R2: np.ndarray, A2: np.ndarray,
                       t: float, t_Y: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """The search tolerance tau, one per entry, between R1 = A1 Y1 tA1 and
-    R2 = A2 Y2 tA2, the bound q_j on q_R1 of row j of a witness and the
+    """The search tolerance tau, one per entry, between the reduced forms R1
+    and R2 = A2 Y2 tA2, the bound q_j on q_R1 of row j of a witness and the
     rounding bound rho of R1, at the transport tolerance t_Y = t max|Y2|
     (see ``_equivalent``)."""
-    g = Y1.shape[0]
+    g = R1.shape[0]
     u = _ROUNDING / 2
-    B1, B2 = abs(A1.astype(float)), abs(A2.astype(float))
-    row = float(B2.sum(axis=1).max())
-    n = (2 * g + 1) * u
-    d = t_Y * row * row + n / (1 - n) * (B2 @ abs(Y2) @ B2.T)
+    row = float(abs(A2.astype(float)).sum(axis=1).max())
+    d = t_Y * row * row + u * abs(R2)
     # square roots of quotients by one entry: the same in every unit, where
     # sqrt(2^k) is not exact, and sqrt(q_i q_j) cannot overflow
-    c = float(Y1[0, 0])
-    S = _SIGNS[g] * (B1 @ np.sqrt(Y1.diagonal() / c))
+    c = float(R1[0, 0])
+    S = _SIGNS[g] * np.sqrt(R1.diagonal() / c)
     kappa = c * float(np.einsum("ij,ji->i", S, np.linalg.solve(R1, S.T)).max())
-    n = (g * g + 2 * g + 3) * u
+    n = (g * g + 3) * u
     rho = n / (1 - n) * kappa
     if not rho < 1:
         # no bound on a witness's rows: every candidate passes
@@ -472,22 +471,19 @@ def _equivalent(Y1: np.ndarray, reduced1: tuple | None, Y2: np.ndarray,
 
         B R1 tB - R2 = A2 D tA2 + B E1 tB - E2,
 
-    Ei the rounding of Ri.  ``minkowski_reduce`` decides A on the exact
-    form and returns R as one product, ``spdcone._act(A, Y)``, whose sign
-    flips negate rows and columns exactly.  So
-    |Ei| <= gamma_{2g+1} |Ai||Yi||tAi| (Higham 2002, section 3.5: two
-    products of length g, then the sum Z + tZ; gamma_n = n u / (1 - n u),
-    u the unit roundoff), and
+    Ei the rounding of Ri.  ``minkowski_reduce`` returns Ri as the exact
+    Ai Yi tAi with each entry correctly rounded, so |Ei| <= u |Ri| (u the
+    unit roundoff, away from underflow), and
 
-        d = t_Y |A2|_inf^2 + gamma_{2g+1} |A2||Y2||tA2|
+        d = t_Y |A2|_inf^2 + u |R2|
 
     bounds A2 D tA2 - E2 in every entry.  B E1 tB grows with the rows of B,
-    which may be long: |Y1_kl| <= sqrt(Y1_kk Y1_ll) gives
-    |A1||Y1||tA1| <= w tw with w = |A1| sqrt(diag Y1), and by Cauchy-Schwarz
-    in the inner product of R1, (|x|.w)^2 <= kappa q_R1(x) with
-    kappa = max over sign vectors s of (s w) R1^-1 t(s w).  So
-    |x E1 ty| <= rho sqrt(q_R1(x) q_R1(y)), where
-    rho = gamma_{g^2+2g+3} kappa also covers the search's own evaluation of
+    which may be long: |R1_kl| <= sqrt(R1_kk R1_ll) gives |E1| <= u w tw
+    with w = sqrt(diag R1), and by Cauchy-Schwarz in the inner product of
+    R1, (|x|.w)^2 <= kappa q_R1(x) with kappa = max over sign vectors s of
+    (s w) R1^-1 t(s w), small for a reduced form.  So
+    |x E1 ty| <= rho sqrt(q_R1(x) q_R1(y)), where rho = gamma_{g^2+3} kappa
+    (gamma_n = n u / (1 - n u)) also covers the search's own evaluation of
     x R1 ty (g^2 triple products).  A witness's row b_j then has
     q_R1(b_j) <= R2_jj + d_jj + rho q_R1(b_j), that is, when rho < 1,
 
@@ -504,7 +500,7 @@ def _equivalent(Y1: np.ndarray, reduced1: tuple | None, Y2: np.ndarray,
     The q_j also decide the successive minima before the search.  The exact
     form R1e = A1 Y1 tA1 is Minkowski-reduced, so for g <= 4 its diagonal
     holds its successive minima (Nguyen & Stehle, ACM TALG 2009), and
-    R1e_kk >= (1 - rho) R1_kk, as E1_kk <= rho R1_kk.  A witness row b_j has
+    R1e_kk >= (1 - rho) R1_kk, as |E1_kk| <= u R1_kk <= rho R1_kk.  A witness row b_j has
     q_R1e(b_j) <= (1 + rho) q_R1(b_j) <= (1 + rho) q_j.  So when
     (1 - rho) R1_kk > (1 + rho) q_j for every j <= k, the rows b_0..b_k
     would be k + 1 independent vectors below R1e_kk, and the successive
@@ -535,7 +531,7 @@ def _equivalent(Y1: np.ndarray, reduced1: tuple | None, Y2: np.ndarray,
         A = A2inv @ A1
         if accepts(A):
             return EquivalenceResult(Verdict.EQUIVALENT, witness=A)
-    tau, q, rho = _search_tolerance(Y1, R1, A1, Y2, R2, A2, t, t * scale)
+    tau, q, rho = _search_tolerance(R1, R2, A2, t, t * scale)
     if not identity:
         d1, q = R1.diagonal().tolist(), q.tolist()
         if any((1 - rho) * d1[k] > (1 + rho) * max(q[: k + 1]) for k in range(g)):

@@ -3,7 +3,7 @@
 GL(g,R) acts by congruence A o Y = A Y tA.  This module provides the Jacobi
 (unit-triangular LDL) decomposition, Minkowski reduction with an exact
 unimodular witness, partial Iwasawa coordinates, the invariant metric and
-volume densities, and numerically applied invariant differential operators.
+volume densities, and invariant differential operators applied at I.
 
 Short-vector search and the theta sums walk the integer points of an
 ellipsoid's bounding box, or of the box of a reduced basis where that is
@@ -25,7 +25,8 @@ floor.  P_g is a cone, and 2^k Y gets Y's answers scaled, bit for bit.
 Minkowski reduction decides on the exact form: a validated Y is N / 2^e for
 integer rows N (``_dyadic``), and every decision is made on A N tA in Python
 ints.  2^k Y, away from underflow and overflow, has the rows 2^m N, m >= 0,
-which take the same decisions, so it gets the same A by construction.
+which take the same decisions, so it gets the same A by construction.  R is
+A N tA / 2^e rounded once, and ``is_minkowski_reduced`` decides by that rule.
 """
 
 from __future__ import annotations
@@ -445,7 +446,7 @@ def _reduced_basis(P: np.ndarray) -> list | None:
     definite in floats or an entry of U reaches 2^20 (tU k' stays exact)."""
     try:
         _cholesky(_symmetric(P, "form"), factor=False)
-        U = _reduce(P) if len(P) <= MAX_REDUCTION_DIM else _lll(P)
+        U = _reduce(P)[1] if len(P) <= MAX_REDUCTION_DIM else _lll(P)
     except ValueError:
         return None
     return U if max(abs(a) for row in U for a in row) < 1 << 20 else None
@@ -511,18 +512,19 @@ def _unit_multiples(diag: list[float], bound: float) -> float:
     return total
 
 
-def is_minkowski_reduced(Y, tol: float = 1e-10) -> bool:
-    """Reduction test at tolerance ``tol``: superdiagonal signs, and every
-    Minkowski condition q(s) - y_kk with s in {0, +-1}^g at least -tol, which
-    for g <= 4 is every condition (see ``minkowski_reduce``)."""
+def is_minkowski_reduced(Y) -> bool:
+    """Whether Y, read exactly, is Minkowski-reduced: a nonnegative
+    superdiagonal and every condition of ``_minkowski_conditions`` (all of
+    them for g <= 4), by ``minkowski_reduce``'s own rule in integers on
+    Y = N / 2^e, so 2^k Y answers as Y.  The R of ``minkowski_reduce``,
+    rounded entry by entry, keeps each condition of two terms, such as a
+    sorted diagonal, but can miss a tie of three or more terms."""
     Y = require_spd(Y)
     g = Y.shape[0]
     if g > MAX_REDUCTION_DIM:
         raise ValueError(f"reduction support is limited to g <= {MAX_REDUCTION_DIM}")
-    if any(Y[k, k + 1] < -tol for k in range(g - 1)):
-        return False
-    upper, C, _, _, _ = _minkowski_conditions(g)
-    return bool((C @ Y[upper] >= -tol).all())
+    N, den = _dyadic(Y.tolist())
+    return all(N[k][k + 1] >= 0 for k in range(g - 1)) and not _failed(N, den)
 
 
 def _size_reduce(N: list) -> tuple[list, list]:
@@ -602,14 +604,14 @@ def _failed(R: list, den: int) -> list:
     exceeds the largest diagonal entry of the input).  A float slack then
     sums at most g(g+1)/2 terms c R_ij with |c| <= 2, so its error is below
     (g^2 + 2) 2u times the sum of their magnitudes; slacks inside that band,
-    or NaN, are summed again in Python ints.
+    or not finite where a sum overflows, are summed again in Python ints.
     """
     g = len(R)
     _, C, Cabs, terms, steps = _minkowski_conditions(g)
     flat = [x for a, row in enumerate(R) for x in row[a:]]
     r = np.array([x / den for x in flat])
-    slack = C @ r
-    band = (g * g + 2) * _ROUNDING * (Cabs @ abs(r))
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack, band = C @ r, (g * g + 2) * _ROUNDING * (Cabs @ abs(r))
     failed = []
     for c in (~(slack > band)).nonzero()[0].tolist():
         x = sum(a * flat[t] for a, t in terms[c])
@@ -621,7 +623,7 @@ def _failed(R: list, den: int) -> list:
 
 def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
     """Minkowski reduction: returns (R, A) with A unimodular, A Y tA
-    Minkowski-reduced for Y read exactly, and R = A Y tA rounded.
+    Minkowski-reduced for Y read exactly, and R = A Y tA rounded once.
 
     Every double is a dyadic rational, so a validated Y is N / 2^e for an
     integer form N (``_dyadic``); size reduction, the certificate and the
@@ -642,41 +644,43 @@ def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
     size reduction never raises the trace, and finitely many bases have a
     trace below that of the input, so the descent stops.
 
-    R is ``_act(A, Y)``, the rounding of the reduced form, so R's own float
-    certificate, or the order of its float diagonal, can miss by the
-    rounding of that product.  Signs: row 0 gets a positive first nonzero coordinate in the
+    Signs: row 0 gets a positive first nonzero coordinate in the
     size-reduced basis, and each later row a nonnegative entry on the
-    superdiagonal of R.
+    superdiagonal of the exact A Y tA.  R is that form with each entry
+    rounded once, so |R - A Y tA| <= u |R| (u the unit roundoff, away from
+    underflow), and its diagonal is sorted: rounding is monotone.
     """
     Y = require_spd(Y)
     g = Y.shape[0]
     if g > MAX_REDUCTION_DIM:
         raise ValueError(f"reduction support is limited to g <= {MAX_REDUCTION_DIM}")
-    A = _reduce(Y)
-    R = _act(np.array(A, dtype=float), Y)
+    R, A, den = _reduce(Y)
     # nonnegative superdiagonal by row sign flips (one forward pass)
     for k in range(g - 1):
-        if R[k, k + 1] < 0:
+        if R[k][k + 1] < 0:
             A[k + 1] = [-a for a in A[k + 1]]
-            R[k + 1, :] = -R[k + 1, :]
-            R[:, k + 1] = -R[:, k + 1]
+            R[k + 1] = [-x for x in R[k + 1]]
+            for row in R:
+                row[k + 1] = -row[k + 1]
     if abs(_det_rows(A)) != 1:
         raise AssertionError("reduction produced a non-unimodular witness")
-    return R, np.array(A, dtype=object)
+    # x / den is correctly rounded (Python's int true division)
+    return np.array([[x / den for x in row] for row in R]), np.array(A, dtype=object)
 
 
-def _reduce(Y: np.ndarray) -> list:
-    # the rows of A with A Y tA exactly reduced: minkowski_reduce before its sign rules
+def _reduce(Y: np.ndarray) -> tuple[list, list, int]:
+    # the rows of R = A N tA and A (Python ints) and den, Y = N / den, with
+    # R / den exactly reduced: minkowski_reduce before its sign rules
     N, den = _dyadic(Y.tolist())
     R, A = _size_reduce(N)
     failed = _failed(R, den)
-    return _descend(R, A, den, failed) if failed else A
+    return (*_descend(R, A, den, failed), den) if failed else (R, A, den)
 
 
-def _descend(R: list, S: list, den: int, failed: list) -> list:
+def _descend(R: list, S: list, den: int, failed: list) -> tuple[list, list]:
     # minkowski_reduce's descent from the integer form R = S N tS, which fails
-    # the conditions ``failed``; returns the rows of A = T S, T the change
-    # from the basis S
+    # the conditions ``failed``; returns the rows of the reduced form and of
+    # A = T S, T the change from the basis S
     g = len(S)
     T = [[int(i == j) for j in range(g)] for i in range(g)]
     for _ in range(_DESCENT_STEPS):
@@ -689,8 +693,8 @@ def _descend(R: list, S: list, den: int, failed: list) -> list:
         failed = _failed(R, den)
         if not failed:
             A = _compose(T, S)
-            # -A where row 0 of T is not canonical
-            return A if _canon(tuple(T[0])) == tuple(T[0]) else [[-a for a in row] for row in A]
+            # -A, with the same form, where row 0 of T is not canonical
+            return R, A if _canon(tuple(T[0])) == tuple(T[0]) else [[-a for a in row] for row in A]
     raise AssertionError("reduction did not settle within its step bound")
 
 
@@ -750,32 +754,32 @@ def _sym_gradient(f, Y: np.ndarray, step: float) -> np.ndarray:
 def invariant_operator_apply(k: int, f, Y, step: float = 1e-4) -> float:
     """Apply the invariant operator trace((Y d/dY)^k) to a scalar f at Y.
 
-    Derivatives are nested central differences in the symmetrized convention;
-    supported orders are k = 1, 2.
+    It commutes with GL(g, R), so it is applied at I to h(X) = f(L X tL),
+    L the Cholesky factor of Y, with ``step`` relative to 1 there.
+    Derivatives are nested central differences in the symmetrized
+    convention; supported orders are k = 1, 2.  A non-finite result is refused.
     """
-    Y = require_spd(Y)
-    if step <= 0 or step < 1e-12:
-        raise ValueError("step underflow")
+    L = _cholesky(_symmetric(Y, "SPD matrix"))
+    if not step > 0:
+        raise ValueError("step must be positive")
     if k not in (1, 2):
         raise ValueError("only operator orders 1 and 2 are supported")
-    g = Y.shape[0]
+    I = np.eye(len(L))
+
+    def op_matrix(X: np.ndarray) -> np.ndarray:
+        # X grad h(X) for h(X) = f(L X tL)
+        return X @ _sym_gradient(lambda Z: f(_act(L, Z)), X, step)
+
     if k == 1:
-        return float(np.trace(Y @ _sym_gradient(f, Y, step)))
-
-    def op_matrix(Z: np.ndarray) -> np.ndarray:
-        return Z @ _sym_gradient(f, Z, step)
-
-    # T[p, q, :, :] = (d/dY)_{pq} applied entrywise to the matrix op_matrix
-    T = np.zeros((g, g, g, g))
-    for p in range(g):
-        for q in range(p, g):
-            E = np.zeros((g, g))
+        value = float(np.trace(op_matrix(I)))
+    else:
+        # the sum over i, j of entry (j, i) of the symmetrized (i, j) derivative of op_matrix
+        value = 0.0
+        for p, q in zip(*np.triu_indices(len(L))):
+            E = np.zeros_like(I)
             E[p, q] = E[q, p] = 1.0
-            dM = (op_matrix(Y + step * E) - op_matrix(Y - step * E)) / (2.0 * step)
-            T[p, q] = T[q, p] = dM if p == q else 0.5 * dM
-    total = 0.0
-    for i in range(g):
-        for j in range(g):
-            for p in range(g):
-                total += Y[i, p] * T[p, j, j, i]
-    return total
+            dM = (op_matrix(I + step * E) - op_matrix(I - step * E)) / (2.0 * step)
+            value += 0.5 * float(dM[p, q] + dM[q, p])
+    if not math.isfinite(value):
+        raise ValueError("result is not finite")
+    return value

@@ -435,6 +435,37 @@ class TestGoldenReduce:
         assert out == (golden / "reduce_ties_out.json").read_text(encoding="utf-8")
 
 
+def _golden_reduce_answers():
+    """(Y, R, A) of every answered golden ``reduce`` request: the two
+    ``reduce`` files and the ``reduce`` cases of ``cli_in.json``."""
+    golden = Path(__file__).parent / "golden"
+
+    def read(name):
+        return json.loads((golden / name).read_text(encoding="utf-8"))
+
+    pairs = [(q, a) for name in ("reduce", "reduce_ties")
+             for q, a in zip(read(f"{name}_in.json"), read(f"{name}_out.json"))]
+    for case, answer in zip(read("cli_in.json"), read("cli_out.json")):
+        if _command(case["input"]) == "reduce" and answer["code"] == 0:
+            pairs.append((json.loads(case["input"]), json.loads(answer["output"])))
+    # a positional command overrides "cmd", and the answer then holds no R
+    return [(q["Y"], a["R"], a["A"]) for q, a in pairs if "R" in a]
+
+
+class TestGoldenReducedForms:
+    def test_R_is_the_correctly_rounded_exact_form(self):
+        """Each golden R is A Y tA, Y read exactly and summed in Fractions,
+        with every entry correctly rounded, and its diagonal is sorted."""
+        answers = _golden_reduce_answers()
+        assert len(answers) == 66 + 40 + 12
+        for Y, R, A in answers:
+            F = [[Fraction(x) for x in row] for row in Y]
+            AF = [[sum(a * f for a, f in zip(row, col)) for col in zip(*F)] for row in A]
+            exact = [[sum(x * a for x, a in zip(row, other)) for other in A] for row in AF]
+            assert R == [[float(x) for x in row] for row in exact], (Y, A)
+            assert all(R[k][k] <= R[k + 1][k + 1] for k in range(len(R) - 1)), (Y, A)
+
+
 def _command(text: str):
     try:
         req = json.loads(text)

@@ -668,8 +668,7 @@ class TestLongRowWitnesses:
             exact = np.array(Uq, dtype=object) @ np.vectorize(Fraction, otypes=[object])(Y1) \
                 @ np.array(Uq, dtype=object).T
             t_Y = float(np.max(np.abs(exact - np.vectorize(Fraction, otypes=[object])(Y2))))
-            tau, q, _ = moduli._search_tolerance(Y1, R1, A1, Y2, R2, A2,
-                                                 t_Y / float(np.max(np.abs(Y2))), t_Y)
+            tau, q, _ = moduli._search_tolerance(R1, R2, A2, t_Y / float(np.max(np.abs(Y2))), t_Y)
             B = (A2 @ U @ unimodular_inverse(A1)).astype(float)
             assert np.all(np.abs(B @ R1 @ B.T - R2) <= tau)
             assert np.all(np.einsum("ij,jk,ik->i", B, R1, B) <= q)
@@ -678,39 +677,68 @@ class TestLongRowWitnesses:
         assert long_rows > 60
 
 
-class TestUnboundedTolerance:
-    """At cond(Y1) about 1e14-1e15 in a skewed basis the rounding bound rho
-    of ``_search_tolerance`` can reach 1: tau is then infinite, every
-    candidate passes the filters, and the search ends at its cap."""
+def _skewed_pairs():
+    """Pairs at g = 2 and 3: Y1 is a form of eigenvalues 1 and 1e13 moved
+    by a unimodular matrix (cond(Y1) about 1e14-1e15 in that skewed basis),
+    and Y2 is Y1 moved again; the moved forms too near singular for the
+    proof of definiteness (4 of the 40 draws) are left out."""
+    rng = np.random.default_rng(14)
+    pairs = []
+    for i in range(40):
+        g = 2 + i % 2
+        Q, _ = np.linalg.qr(rng.standard_normal((g, g)))
+        M = Q @ np.diag([1.0] + [1e13] * (g - 1)) @ Q.T
+        try:
+            Y1 = gl_act(random_unimodular(g, rng, max_entry=3).astype(float), 0.5 * (M + M.T))
+            Y2 = require_spd(gl_act(random_unimodular(g, rng, max_entry=3).astype(float), Y1))
+        except ValueError as exc:
+            assert str(exc) == "matrix is not positive definite"
+            continue
+        pairs.append((Y1, Y2))
+    return pairs
 
-    def test_transported_pairs_are_undecided(self, monkeypatch):
-        unbounded = []
+
+class TestUnboundedTolerance:
+    """The rounding bound rho of ``_search_tolerance`` reads only the
+    reduced form R1, whose correlation matrix is well conditioned, so it
+    stays far below 1 however skewed the input basis.  Where rho reaches 1,
+    tau is infinite, every candidate passes the filters, and the search ends
+    at its cap."""
+
+    @staticmethod
+    def _recording(monkeypatch):
+        bounds = []
         search_tolerance = moduli._search_tolerance
 
         def recording(*args):
             tau, q, rho = search_tolerance(*args)
-            unbounded.append(bool(np.isinf(tau).all() and np.isinf(q).all()))
+            bounds.append((rho, bool(np.isinf(tau).all() and np.isinf(q).all())))
             return tau, q, rho
 
         monkeypatch.setattr(moduli, "_search_tolerance", recording)
-        rng = np.random.default_rng(14)
-        undecided = 0
-        for i in range(40):
-            g = 2 + i % 2
-            Q, _ = np.linalg.qr(rng.standard_normal((g, g)))
-            M = Q @ np.diag([1.0] + [1e13] * (g - 1)) @ Q.T
-            try:
-                Y1 = gl_act(random_unimodular(g, rng, max_entry=3).astype(float), 0.5 * (M + M.T))
-                Y2 = require_spd(gl_act(random_unimodular(g, rng, max_entry=3).astype(float), Y1))
-            except ValueError as exc:
-                # a moved form too near singular for the proof of definiteness
-                # (4 of the 40 draws)
-                assert str(exc) == "matrix is not positive definite"
-                continue
-            unbounded.clear()
+        return bounds
+
+    def test_skewed_pairs_have_a_small_bound(self, monkeypatch):
+        bounds = self._recording(monkeypatch)
+        pairs = _skewed_pairs()
+        assert len(pairs) == 36
+        for Y1, Y2 in pairs:
             res = polarized_tori_equivalent(Y1, Y2, cap=50)
             assert res.verdict is not Verdict.INEQUIVALENT
-            if unbounded == [True]:
+        assert bounds and max(rho for rho, _ in bounds) < 1e-12
+
+    def test_unbounded_tolerance_is_undecided(self, monkeypatch):
+        """A unit roundoff of 0.075 makes gamma_{g^2+3} at least 1 at
+        g = 2, 3, and kappa >= 1, so rho >= 1."""
+        bounds = self._recording(monkeypatch)
+        monkeypatch.setattr(moduli, "_ROUNDING", 0.15)
+        undecided = 0
+        for Y1, Y2 in _skewed_pairs():
+            bounds.clear()
+            res = polarized_tori_equivalent(Y1, Y2, cap=50)
+            assert res.verdict is not Verdict.INEQUIVALENT
+            if bounds:
+                assert bounds[0][0] >= 1 and bounds[0][1]
                 assert (res.verdict, res.detail) == (Verdict.UNDECIDED, "candidate cap exceeded")
                 undecided += 1
         assert undecided >= 2

@@ -2,12 +2,15 @@
 
 P_g is a cone: Y1 ~ Y2 exactly when c Y1 ~ c Y2, and the reduced form of
 c Y is c times that of Y, with the same A.  Scaling by 2^k is exact in
-floats, so reduction, equivalence and short-vector search on 2^k Y must
-answer as on Y, bit for bit.  Integer input is left out: its exact path
-decides more by design (``moduli._exact_integers``).
+floats, so reduction, the reduction test, equivalence and short-vector
+search on 2^k Y must answer as on Y, bit for bit.  Integer input is left out
+of equivalence: its exact path decides more by design
+(``moduli._exact_integers``).  The invariant density, metric, Jacobi and
+Iwasawa coordinates and operators of P_g follow their scale laws.
 """
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -22,7 +25,18 @@ from realtori.moduli import (
     polarized_tori_equivalent,
     real_ppav_equivalent,
 )
-from realtori.spdcone import gl_act, minkowski_reduce, quadratic_short_vectors
+from realtori.spdcone import (
+    gl_act,
+    invariant_operator_apply,
+    is_minkowski_reduced,
+    jacobi_decomposition,
+    metric_norm,
+    minkowski_reduce,
+    partial_iwasawa,
+    quadratic_short_vectors,
+    random_spd,
+    volume_density,
+)
 
 A3 = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
 
@@ -94,6 +108,99 @@ class TestScaleInvariance:
         vectors = quadratic_short_vectors(np.ldexp(A3, k), np.ldexp(2.0, k))
         assert len(vectors) == 12
         assert vectors == quadratic_short_vectors(A3, 2.0)
+
+
+class TestReductionTest:
+    """``is_minkowski_reduced`` decides Y read exactly, with no tolerance."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(form=moved_forms(), k=st.integers(-200, 200))
+    def test_answers_at_2_to_the_k(self, form, k):
+        Y = form[0]
+        for Z in (Y, minkowski_reduce(Y)[0], np.diag([2.0, 1.0]), np.diag([1.0, 2.0])):
+            assert is_minkowski_reduced(np.ldexp(Z, k)) == is_minkowski_reduced(Z)
+
+    @pytest.mark.parametrize("c", [1.0, 1e-12, 2.0 ** -40, 1e12])
+    def test_unsorted_diagonal_at_every_scale(self, c):
+        assert not is_minkowski_reduced(c * np.diag([2.0, 1.0]))
+        assert is_minkowski_reduced(c * np.diag([1.0, 2.0]))
+
+    def test_forms_near_the_largest_double(self):
+        """Slacks of 2^1021 (I + J) overflow in floats; they are summed
+        again in integers, without a warning."""
+        Y = np.ldexp(np.eye(4) + np.ones((4, 4)), 1021)
+        Z = Y.copy()
+        Z[0, 0] *= 1.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_minkowski_reduced(Y) and not is_minkowski_reduced(Z)
+            R, A = minkowski_reduce(Y)
+        assert R.tobytes() == Y.tobytes() and A.tolist() == np.eye(4, dtype=int).tolist()
+
+    def test_rounded_form_can_miss_a_tie_of_five_terms(self):
+        """Y near 0.3 [[7, -4, -1], [-4, 7, -2], [-1, -2, 4]]: A Y tA is
+        exactly reduced, with q(1, -1, 1) = R_22 exactly, a tie of R_00,
+        R_11, R_01, R_02 and R_12; rounding R entry by entry breaks it."""
+        Y = np.array([[2.1, -1.2, -0.3], [-1.2, 2.1, -0.6], [-0.3, -0.6, 1.2]])
+        R, A = minkowski_reduce(Y)
+        assert A.tolist() == [[0, 0, 1], [1, 1, 1], [0, 1, 0]]
+        assert R.diagonal().tolist() == [1.2, 1.2000000000000002, 2.1]
+        assert not is_minkowski_reduced(R)
+        _, B = minkowski_reduce(R)
+        assert B.tolist() != np.eye(3, dtype=int).tolist()
+
+
+class TestScaleLaws:
+    """The invariant objects of P_g at c Y against those at Y."""
+
+    FORMS = [random_spd(g, np.random.default_rng(g)) for g in (1, 2, 3, 4)]
+
+    @pytest.mark.parametrize("k", [-30, -7, 0, 5, 30])
+    @pytest.mark.parametrize("h", [0, 2])
+    def test_volume_density(self, k, h):
+        c = 2.0 ** k * 1.7
+        for Y in self.FORMS:
+            g = len(Y)
+            expected = c ** (-g * (g + h + 1) / 2) * volume_density(Y, h)
+            assert volume_density(c * Y, h) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [2.0 ** -200, 1e-6, 1.7, 2.0 ** 200])
+    def test_metric_norm(self, c):
+        rng = np.random.default_rng(3)
+        for Y in self.FORMS:
+            M = rng.normal(size=Y.shape)
+            U = M + M.T
+            assert metric_norm(c * Y, c * U) == pytest.approx(metric_norm(Y, U), rel=1e-12)
+
+    @pytest.mark.parametrize("c", [2.0 ** -200, 1e-6, 1.7, 2.0 ** 200])
+    def test_jacobi_and_iwasawa_scale_blockwise(self, c):
+        for Y in self.FORMS:
+            fac, scaled = jacobi_decomposition(Y), jacobi_decomposition(c * Y)
+            np.testing.assert_allclose(scaled.W, fac.W, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(scaled.d, c * fac.d, rtol=1e-12, atol=0)
+            for r in range(1, len(Y)):
+                for variant in ("lower", "upper"):
+                    b, bc = partial_iwasawa(Y, r, variant), partial_iwasawa(c * Y, r, variant)
+                    np.testing.assert_allclose(bc.F, c * b.F, rtol=1e-12, atol=0)
+                    np.testing.assert_allclose(bc.G, c * b.G, rtol=1e-12, atol=0)
+                    np.testing.assert_allclose(bc.H, b.H, rtol=1e-12, atol=1e-15)
+
+    def test_invariant_operators_of_log_det(self):
+        """tr(Y d/dY) log det = g, and the order-2 operator is 0, at c I_2
+        for every c = 2^k: the step is relative to Y."""
+        def log_det(Z):
+            return float(np.log(np.linalg.det(Z)))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(-200, 201):
+                Y = 2.0 ** k * np.eye(2)
+                assert abs(invariant_operator_apply(1, log_det, Y) - 2) <= 1e-6
+                assert abs(invariant_operator_apply(2, log_det, Y)) <= 1e-5
+
+    def test_non_finite_result_is_refused(self):
+        with pytest.raises(ValueError, match="not finite"):
+            invariant_operator_apply(1, lambda Z: math.inf, np.eye(2))
 
 
 class TestScaledPairs:

@@ -244,9 +244,10 @@ def reduced_by_definition(Y, tol=1e-10, box=4):
 
 
 class TestMinkowskiReduce:
-    def test_reduced_form_is_one_product(self, monkeypatch):
-        """R is ``_act(A, Y)`` in every bit, sign flips and descent steps
-        included: the equivalence search's rounding bound rests on it."""
+    def test_reduced_form_is_the_rounded_exact_form(self, monkeypatch):
+        """R is A Y tA, Y read exactly and summed in Fractions, with each
+        entry correctly rounded, sign flips and descent steps included: the
+        equivalence search's rounding bound rests on it."""
         descents = []
         descend = spdcone._descend
         monkeypatch.setattr(spdcone, "_descend",
@@ -259,7 +260,7 @@ class TestMinkowskiReduce:
                 U = random_unimodular(g, rng, max_entry=3).astype(float)
                 for Z in (gl_act(U, 0.5 * (Y + Y.T)), random_spd(g, rng)):
                     R, A = minkowski_reduce(Z)
-                    assert np.array_equal(R, spdcone._act(A.astype(float), Z))
+                    assert R.tobytes() == _rounded_in_fractions(Z, A).tobytes()
         assert len(descents) >= 10
 
     def test_already_reduced(self):
@@ -704,6 +705,19 @@ def _short_table(Y, bound):
     return vecs, values, gcds
 
 
+def _form_in_fractions(Y, A):
+    """A Y tA, with Y read exactly, in Fractions (rows of lists)."""
+    F = [[Fraction(x) for x in row] for row in np.asarray(Y, dtype=float).tolist()]
+    A = [[int(a) for a in row] for row in np.asarray(A).tolist()]
+    AF = [[sum(a * f for a, f in zip(row, column)) for column in zip(*F)] for row in A]
+    return [[sum(x * a for x, a in zip(row, other)) for other in A] for row in AF]
+
+
+def _rounded_in_fractions(Y, A):
+    """A Y tA, Y read exactly, with each entry correctly rounded to a double."""
+    return np.array([[float(x) for x in row] for row in _form_in_fractions(Y, A)])
+
+
 def _greedy_reference(Y):
     """Reference Minkowski reduction by enumeration.  After size reduction, a
     form that fails the certificate is rebuilt row by row: row k minimizes the
@@ -712,13 +726,15 @@ def _greedy_reference(Y):
     broken toward the current basis vector and then lexicographically; the
     basis is completed by ``complete_to_unimodular``.  One short-vector table,
     up to the largest diagonal entry still to be processed, serves every row
-    until a row changes; it raises RuntimeError past the enumeration cap."""
+    until a row changes; it raises RuntimeError past the enumeration cap.
+    Its R is the exact A Y tA rounded entry by entry, and the signs are read
+    from the exact form, in Fractions."""
     Y = require_spd(Y)
     g = Y.shape[0]
     N, den = spdcone._dyadic(Y.tolist())
     S, A = spdcone._size_reduce(N)
-    R = spdcone._act(np.array(A, dtype=float), Y)
     A = np.array(A, dtype=object)
+    R = _rounded_in_fractions(Y, A)
     table = None
     for k in range(g if spdcone._failed(S, den) else 0):
         if table is None:
@@ -739,14 +755,12 @@ def _greedy_reference(Y):
         prefix = np.eye(k + 1, g, dtype=object)
         prefix[k] = spdcone._canon(best_vec)
         A = complete_to_unimodular(prefix) @ A
-        R = spdcone._act(A.astype(float), Y)
+        R = _rounded_in_fractions(Y, A)
         table = None
     for k in range(g - 1):
-        if R[k, k + 1] < 0:
+        if _form_in_fractions(Y, A)[k][k + 1] < 0:
             A[k + 1] = -A[k + 1]
-            R[k + 1, :] = -R[k + 1, :]
-            R[:, k + 1] = -R[:, k + 1]
-    return R, A
+    return _rounded_in_fractions(Y, A), A
 
 
 class TestMinkowskiCertificate:
