@@ -313,8 +313,8 @@ def test_theta_eval(benchmark, g, shape):
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_theta_eval_many_arguments(benchmark, g, shape):
     """The forms of ``test_theta_eval`` at 64 arguments in the fundamental
-    cell, on one spec: the per-spec work is done once, so this times what
-    each further argument costs."""
+    cell, on one spec: each call forms its own enumerator form and tail
+    terms, so this times 64 single-argument sums that share only the spec."""
     rng = np.random.default_rng(850 + g)
     if shape == "well":
         Q, _ = np.linalg.qr(rng.normal(size=(g, g)))
@@ -331,7 +331,8 @@ def test_theta_eval_large_box(benchmark):
     """As ``test_theta_eval``, sheared by 5 at g = 3: the boxes of the given
     basis hold 47,397-91,935 points, far above the 4,096 where the enumerator
     compares them with the box of the Minkowski-reduced basis, and the
-    reduced boxes a few hundred."""
+    reduced boxes a few hundred.  Each of the five calls reduces the form
+    anew."""
     rng = np.random.default_rng(803)
     Y = _shear(3, 5) @ (1.1 * np.eye(3)) @ _shear(3, 5).T
     spec = canonical_line_bundle_data(0.5 * (Y + Y.T)).spec

@@ -339,7 +339,7 @@ def _cmd_equiv(payload: dict) -> dict:
         om1 = decode_siegel(_need(payload, "Omega1"))
         om2 = decode_siegel(_need(payload, "Omega2"))
         res = moduli.real_ppav_equivalent(om1, om2, tol=tol,
-                                          bound=_opt_int(payload, "bound", SEARCH_CAP))
+                                          cap=_opt_int(payload, "bound", SEARCH_CAP))
     undecided = res.verdict is Verdict.UNDECIDED
     out = {"status": "undecided" if undecided else "ok", "verdict": res.verdict.value,
            "tol": tol}
@@ -474,7 +474,7 @@ def _cmd_factor(payload: dict) -> dict:
     kind = _need(payload, "kind")
     lam = decode_vector(_need(payload, "lam"), "int")
     data = _theta_spec(payload) if kind == "I_B_rho" else _canonical_bundle(payload)
-    arg =decode_vector(_need(payload, "arg"), "complex" if kind == "J_H_alpha" else "real")
+    arg = decode_vector(_need(payload, "arg"), "complex" if kind == "J_H_alpha" else "real")
     value = theta.automorphic_factor_eval(kind, data, lam, arg)
     return {"status": "ok", "value": complex(value)}
 

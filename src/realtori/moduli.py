@@ -580,14 +580,14 @@ def polarized_tori_equivalent(Y1, Y2, tol: float = 1e-9,
     return _equivalent(Y1, reduced1, Y2, reduced2, tol, cap)
 
 
-def real_ppav_equivalent(omega1, omega2, bound: int = SEARCH_CAP,
-                         tol: float = 1e-9) -> EquivalenceResult:
+def real_ppav_equivalent(omega1, omega2, tol: float = 1e-9,
+                         cap: int = SEARCH_CAP) -> EquivalenceResult:
     """Equivalence of two points with half-integral real part.
 
     A witness A transports the imaginary parts as in
     ``polarized_tori_equivalent`` and also matches twice the real parts mod
     2: A (2 Re omega1) tA = 2 Re omega2 (mod 2), with half-integrality tested
-    within 1e-9, not ``tol``.  ``bound`` caps the search.  Each point is
+    within 1e-9, not ``tol``.  ``cap`` caps the search.  Each point is
     checked once, omega1 first (see the module docstring).
     """
     om1 = _symmetric(omega1, "half-space point", complex)
@@ -610,4 +610,4 @@ def real_ppav_equivalent(omega1, omega2, bound: int = SEARCH_CAP,
         image = _compose(_compose(B, N1), list(zip(*B)))
         return not any((a - b) & 1 for r, s in zip(image, N2) for a, b in zip(r, s))
 
-    return _equivalent(Y1, reduced1, Y2, reduced2, tol, bound, keep=keep)
+    return _equivalent(Y1, reduced1, Y2, reduced2, tol, cap, keep=keep)

@@ -163,13 +163,16 @@ def disk_act(M, W) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # half-integral real part locus and its group
 
-
-def in_script_H(omega, tol: float = 1e-9) -> bool:
-    """True iff twice the real part is integral within ``tol``."""
-    return _twice_real(require_siegel(omega), tol) is not None
+# largest |2 Re Omega - round(2 Re Omega)| of a point with half-integral real part
+_HALF_INTEGRAL_TOL = 1e-9
 
 
-def _twice_real(om: np.ndarray, tol: float = 1e-9) -> np.ndarray | None:
+def in_script_H(omega) -> bool:
+    """True iff twice the real part is integral within ``_HALF_INTEGRAL_TOL``."""
+    return _twice_real(require_siegel(omega)) is not None
+
+
+def _twice_real(om: np.ndarray, tol: float = _HALF_INTEGRAL_TOL) -> np.ndarray | None:
     # 2 Re Omega rounded, at a validated point where it is integral within
     # tol (the test of in_script_H), else None
     twice = 2.0 * om.real

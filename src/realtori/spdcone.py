@@ -36,7 +36,7 @@ import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
@@ -294,8 +294,8 @@ class _Form:
     """The half of ``_Ellipsoid`` that the linear term does not change: the
     rows of the form P, the unit-diagonal scaling s, the inverse Z of the
     scaled form S and the half-width factors, with U, the basis whose points
-    map back by k = tU k', or None.  A caller that sizes many ellipsoids of
-    one form, as a theta plan does, builds it once."""
+    map back by k = tU k', or None.  A theta sum that finds its cell with
+    the form's inverse sizes its ellipsoid with the same form."""
 
     def __init__(self, P: np.ndarray, U: list | None = None):
         g = P.shape[0]
@@ -316,13 +316,6 @@ class _Form:
         # false for NaN and for a negative diagonal alike
         if all(Z[i][i] > 0 for i in range(g)):
             self.widths = [(s[i], Z[i][i], 1 + margin) for i in range(g)]
-
-    @cached_property
-    def reduced(self) -> _Form | None:
-        """The form U P tU, U from ``_reduced_basis``, or None where that
-        gives none; found on first read and kept."""
-        U = _reduced_basis(np.array(self.rows))
-        return None if U is None else _Form(_congruent(U, self.rows), U)
 
 
 class _Ellipsoid:
@@ -383,16 +376,19 @@ class _Box(NamedTuple):
         arrays, come in ascending lexicographic order of (k_{g-1}, ..., k_0).
         A box of more than ``_REBASE_ABOVE`` points may be far larger than
         the ellipsoid of a skewed form; the box of U P tU, U from
-        ``_reduced_basis`` (found once per ``_Form``), is then walked instead
-        if smaller, its points mapped back by k = tU k' in its own order.
+        ``_reduced_basis``, is then walked instead if smaller, its points
+        mapped back by k = tU k' in its own order.  U is found anew at each
+        such walk, as every request path walks a form once.
         Raises RuntimeError, before any work, when the box walked holds more
         than ``box_limit``.
         """
         box = self
         if self.count > _REBASE_ABOVE and math.isfinite(self.bound):
-            reduced = self.ellipsoid.form.reduced
-            if reduced is not None:
-                b = (np.array(reduced.U, dtype=float) @ self.ellipsoid.b).tolist()
+            P = self.ellipsoid.form.rows
+            U = _reduced_basis(np.array(P))
+            if U is not None:
+                b = (np.array(U, dtype=float) @ self.ellipsoid.b).tolist()
+                reduced = _Form(_congruent(U, P), U)
                 box = min(self, _Ellipsoid(reduced, b).box(self.bound), key=lambda x: x.count)
         if box.count > box_limit:
             raise RuntimeError(f"enumeration box of {box.count:.3g} points exceeds {box_limit}")

@@ -11,13 +11,14 @@ everything outside it.  Its value depends only on the GL(g, Z)-class of the
 Gram form, so the enumerator may walk the ellipsoid in a reduced basis; it
 returns the points in the given one.
 
-Everything a sum needs that does not depend on the argument is a *plan*
-(``_Plan``), kept on the spec: tPi B, the Gram form Q, the character angles,
-the least eigenvalue of Q and the enumerator's form of Q, which holds Q^-1
-and, once a walk is rebased, the reduced basis.  An argument adds only its
-cell rint(Q^-1 tPi B v) = rint(Pi^-1 v), its ellipsoid, radius and walk; a
-factor exponent is pi t(n) Q n + 2 pi (tPi B v).n.  The canonical bundle of Y
-has tPi B = I and Q = Y exactly, so its section is summed from the proved Y.
+A spec holds what every factor and sum reads, formed once with it: tPi B,
+the Gram form Q and the character angles.  Each sum forms its own
+enumerator form of Q, whose inverse Q^-1 also finds the cell rint(Q^-1 tPi B
+v) = rint(Pi^-1 v), and its own tail terms from the least eigenvalue of Q:
+every request sums one argument of a new spec, so nothing is kept across
+calls.  A factor exponent is pi t(n) Q n + 2 pi (tPi B v).n.  The canonical
+bundle of Y has tPi B = I and Q = Y exactly, so its section is summed from
+the proved Y.
 ``eps`` bounds the tail of the sum over the cell, which the transformation
 law's factor then multiplies: outside the cell the absolute error scales
 with |factor|.
@@ -61,8 +62,9 @@ _INTEGRALITY_TOL = 1e-9
 class ThetaSpec:
     """Lattice Pi Z^g with SPD Gram form B and unit character values rho.
 
-    Its sums and factors read the plan (``_Plan``) built with the spec.
-    Pi, B and rho are read-only copies, so the plan cannot go stale.
+    Its sums and factors read Q, tPi B and the character angles and phases
+    (``_set``), derived from Pi, B and rho once, at construction; Pi, B and
+    rho are read-only copies, so what was derived from them cannot go stale.
     """
 
     Pi: np.ndarray
@@ -81,8 +83,8 @@ class ThetaSpec:
             raise ValueError("character values must have modulus one")
         with np.errstate(over="ignore", invalid="ignore"):
             PtB = Pi.T @ B
-            plan = _Plan(_gram(PtB, Pi), PtB, np.angle(rho))
-        _set(self, plan, Pi=np.array(Pi), B=B, rho=np.array(rho))
+            Q = _symmetrized(PtB @ Pi)
+        _set(self, Q, PtB, np.angle(rho), Pi=np.array(Pi), B=B, rho=np.array(rho))
 
     @property
     def g(self) -> int:
@@ -92,76 +94,52 @@ class ThetaSpec:
         """Gram matrix of B on the lattice basis, symmetrized: the rounding of
         the product need not be symmetric, and a sum over the lattice reads
         one triangle of it."""
-        return self._plan.Q.copy()
+        return self._Q.copy()
 
 
-def _set(spec: ThetaSpec, plan: _Plan, **arrays: np.ndarray) -> None:
-    # the plan of a spec and its arrays, read-only
+def _set(spec: ThetaSpec, Q: np.ndarray, PtB, angles, **arrays: np.ndarray) -> None:
+    """Set a spec's arrays and what its factors and sums read, all read-only:
+    the symmetrized Gram form ``_Q``, ``_PtB`` = tPi B (None for I), the
+    character ``_angles`` (None for 0) and ``_phases``, -angles as a sum
+    reads them.  The arrays are formed under np.errstate(over="ignore",
+    invalid="ignore"): a Gram form that overflows is refused by the factor or
+    the sum."""
+    arrays.update(_Q=Q, _PtB=PtB, _angles=angles)
     for name, value in arrays.items():
-        value.setflags(write=False)
+        if value is not None:
+            value.setflags(write=False)
         object.__setattr__(spec, name, value)
-    object.__setattr__(spec, "_plan", plan)
-
-
-class _Plan:
-    """The argument-free part of the theta sums and factors of one datum:
-    the symmetrized Gram form Q, tPi B (None for I), the character angles
-    (None for 0) and the phases -angles, as a factor needs them; ``_Plan(Y)``
-    is the canonical bundle's.  The first ``ellipsoid`` forms the enumerator's
-    ``_Form`` of Q, whose inverse centers every ellipsoid and so finds every
-    cell, and the first ``summing()`` the tail terms of ``_tail_box``.  The
-    plan is formed and read under np.errstate(over="ignore", invalid="ignore"):
-    a Gram form that overflows is refused by the factor or the sum.
-    """
-
-    def __init__(self, Q: np.ndarray, PtB=None, angles=None):
-        self.Q, self.PtB, self.angles = Q, PtB, angles
-        self.phases = None if angles is None else _phases(-angles)
-        self.tails = self.form = None
-
-    def linear(self, v: np.ndarray) -> np.ndarray:
-        """w = tPi B v, the coefficients of the linear term 2 pi w.k."""
-        return v if self.PtB is None else self.PtB @ v
-
-    def ellipsoid(self, w: np.ndarray) -> _Ellipsoid:
-        """The ellipsoid t(k) Q k + 2 w.k of the sum at w, centered at -Q^-1 w."""
-        if self.form is None:
-            self.form = _Form(self.Q)
-        return _Ellipsoid(self.form, [2.0 * x for x in w.tolist()])
-
-    def summing(self) -> _Plan:
-        if self.tails is None:
-            mu = float(np.linalg.eigvalsh(self.Q)[0])
-            g = len(self.Q)
-            self.tails = [(math.pi * t, g * math.log1p(((1 - t) * mu) ** -0.5))
-                          for t in _TAIL_SPLITS if (1 - t) * mu > 0]
-        return self
+    object.__setattr__(spec, "_phases", None if angles is None else _phases(-angles))
 
 
 def factor_i_b_rho(spec: ThetaSpec, lam_int, v) -> complex:
     """Automorphic factor rho(lam) exp(pi B(lam,lam) + 2 pi B(v,lam)), lam = Pi
     lam_int; one that overflows is inf or NaN, for the caller to refuse."""
-    n, plan = np.array(_int_vector(lam_int), dtype=float), spec._plan
+    n = np.array(_int_vector(lam_int), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _factor(plan, n, plan.linear(np.asarray(v, dtype=float).ravel()))
+        return _factor(spec, n, _linear(spec, np.asarray(v, dtype=float).ravel()))
 
 
-def _factor(plan: _Plan, n: np.ndarray, w: np.ndarray) -> complex:
+def _linear(spec: ThetaSpec, v: np.ndarray) -> np.ndarray:
+    # w = tPi B v, the coefficients of the linear term 2 pi w.k
+    return v if spec._PtB is None else spec._PtB @ v
+
+
+def _ellipsoid(form: _Form, w: np.ndarray) -> _Ellipsoid:
+    # the ellipsoid t(k) Q k + 2 w.k of a sum at w, centered at -Q^-1 w
+    return _Ellipsoid(form, [2.0 * x for x in w.tolist()])
+
+
+def _factor(spec: ThetaSpec, n: np.ndarray, w: np.ndarray) -> complex:
     # rho(n) exp(pi t(n) Q n + 2 pi w.n), w = tPi B v: factor_i_b_rho, called
     # under np.errstate(over="ignore", invalid="ignore")
-    phase = 0.0 if plan.angles is None else float(np.dot(plan.angles, n))
-    return cmath.exp(1j * phase) * _exp(math.exp, _exponent(plan, n, w))
+    phase = 0.0 if spec._angles is None else float(np.dot(spec._angles, n))
+    return cmath.exp(1j * phase) * _exp(math.exp, _exponent(spec, n, w))
 
 
-def _exponent(plan: _Plan, n: np.ndarray, w: np.ndarray) -> float:
+def _exponent(spec: ThetaSpec, n: np.ndarray, w: np.ndarray) -> float:
     # the exponent pi t(n) Q n + 2 pi w.n of _factor
-    return math.pi * float(n @ plan.Q @ n) + 2.0 * math.pi * float(w @ n)
-
-
-def _gram(PtB: np.ndarray, Pi: np.ndarray) -> np.ndarray:
-    # the symmetrized Gram form (tPi B) Pi, from tPi B
-    Q = PtB @ Pi
-    return 0.5 * (Q + Q.T)
+    return math.pi * float(n @ spec._Q @ n) + 2.0 * math.pi * float(w @ n)
 
 
 def _exp(exp, x):
@@ -182,9 +160,9 @@ def _positive(eps: float) -> None:
 # truncated lattice sums with certified tails
 
 
-def _sum_with_tail(plan: _Plan, ellipsoid: _Ellipsoid, c: list | None, eps: float) -> complex:
-    """Core truncated sum over ``ellipsoid``, from ``plan.summing()``, with
-    the phases c.k of ``_phases`` (a periodic sum's linear term is a phase,
+def _sum_with_tail(Q: np.ndarray, ellipsoid: _Ellipsoid, c: list | None, eps: float) -> complex:
+    """Core truncated sum over ``ellipsoid`` of the Gram form Q, with the
+    phases c.k of ``_phases`` (a periodic sum's linear term is a phase,
     and its ellipsoid has b = 0).  Called under np.errstate(over="ignore",
     invalid="ignore"): a sum that overflows raises OverflowError.
 
@@ -196,8 +174,8 @@ def _sum_with_tail(plan: _Plan, ellipsoid: _Ellipsoid, c: list | None, eps: floa
     ellipsoid are the same in every basis, so the tail bound holds whichever
     basis the enumerator walks.
     """
-    g = len(plan.Q)
-    box = _tail_box(plan, ellipsoid, eps)
+    g = len(Q)
+    box = _tail_box(Q, ellipsoid, eps)
     real = imag = 0.0
     try:
         for k, values in box.points():
@@ -222,7 +200,7 @@ def _phases(c: np.ndarray) -> list | None:
     return c if any(c) else None
 
 
-def _tail_box(plan: _Plan, ellipsoid: _Ellipsoid, eps: float) -> _Box:
+def _tail_box(Q: np.ndarray, ellipsoid: _Ellipsoid, eps: float) -> _Box:
     """The bounding box of ``ellipsoid``, t(k) Q k + b.k + offset <= rho^2,
     whose points the sum takes, with the offset w Q^-1 w (b = 2 w) from the
     same inverse as the box.
@@ -232,13 +210,14 @@ def _tail_box(plan: _Plan, ellipsoid: _Ellipsoid, eps: float) -> _Box:
     bounds the terms where q(k - c) > rho^2, c the center and mu the least
     eigenvalue of q: e^(-pi q) <= e^(-pi t rho^2) e^(-pi (1 - t) q) there,
     q(x) >= mu |x|^2, and a Gaussian sum in one variable is at most its peak
-    plus its integral.  The plan holds pi t and g log(1 + ((1 - t) mu)^(-1/2))
-    for each t where (1 - t) mu does not underflow.
+    plus its integral.  The t where (1 - t) mu underflows are skipped.
     """
+    mu = float(np.linalg.eigvalsh(Q)[0])
+    g = len(Q)
     peak, log_eps = math.pi * ellipsoid.offset, math.log(eps)
     # inf, which the enumerator refuses, where (1 - t) mu underflows for every t
-    rho2 = max(0.0, min([(peak + tail - log_eps) / pi_t for pi_t, tail in plan.tails],
-                        default=math.inf))
+    rho2 = max(0.0, min([(peak + g * math.log1p(((1 - t) * mu) ** -0.5) - log_eps) / (math.pi * t)
+                         for t in _TAIL_SPLITS if (1 - t) * mu > 0], default=math.inf))
     return ellipsoid.box(rho2)
 
 
@@ -256,22 +235,23 @@ def theta_eval(spec: ThetaSpec, v, eps: float = 1e-12) -> complex:
     v = np.asarray(v, dtype=float).ravel()
     if v.shape[0] != spec.g:
         raise ValueError("argument dimension mismatch")
-    plan = spec._plan
     with np.errstate(over="ignore", invalid="ignore"):
-        ellipsoid = plan.ellipsoid(plan.linear(v))
-        if plan.form.Z is None:
+        # one form finds the cell and sizes the sum
+        form = _Form(spec._Q)
+        if form.Z is None:
             return complex(math.nan, math.nan)
+        ellipsoid = _ellipsoid(form, _linear(spec, v))
         if all(abs(x) <= 0.5 for x in ellipsoid.c):  # rint(-c) = 0
-            return _sum_with_tail(plan.summing(), ellipsoid, plan.phases, eps)
+            return _sum_with_tail(spec._Q, ellipsoid, spec._phases, eps)
         # the factor first: one that overflows is inf or NaN, returned for the
         # caller to refuse before the sum is sized; an overflowing or NaN
         # center leaves inf or NaN in m, and so in the factor
         m = -np.rint(ellipsoid.c)
-        w = plan.linear(v - spec.Pi @ m)
-        factor = _factor(plan, m, w)
+        w = _linear(spec, v - spec.Pi @ m)
+        factor = _factor(spec, m, w)
         if not cmath.isfinite(factor):
             return factor
-        return factor * _sum_with_tail(plan.summing(), plan.ellipsoid(w), plan.phases, eps)
+        return factor * _sum_with_tail(spec._Q, _ellipsoid(form, w), spec._phases, eps)
 
 
 def theta_transform_residual(spec: ThetaSpec, lam_int, v,
@@ -280,11 +260,12 @@ def theta_transform_residual(spec: ThetaSpec, lam_int, v,
     _positive(eps)
     v = np.asarray(v, dtype=float).ravel()
     n = np.array(_int_vector(lam_int), dtype=float)
+    Q, phases = spec._Q, spec._phases
     with np.errstate(over="ignore", invalid="ignore"):
-        plan = spec._plan.summing()
-        lhs = _sum_with_tail(plan, plan.ellipsoid(plan.linear(v + spec.Pi @ n)), plan.phases, eps)
-        w = plan.linear(v)
-        rhs = _factor(plan, n, w) * _sum_with_tail(plan, plan.ellipsoid(w), plan.phases, eps)
+        form = _Form(Q)
+        lhs = _sum_with_tail(Q, _ellipsoid(form, _linear(spec, v + spec.Pi @ n)), phases, eps)
+        w = _linear(spec, v)
+        rhs = _factor(spec, n, w) * _sum_with_tail(Q, _ellipsoid(form, w), phases, eps)
     return abs(lhs - rhs)
 
 
@@ -295,12 +276,12 @@ def periodic_function_eval(spec: ThetaSpec, v, eps: float = 1e-12) -> complex:
     """
     _positive(eps)
     v = np.asarray(v, dtype=float).ravel()
+    Q = spec._Q
     with np.errstate(over="ignore", invalid="ignore"):
-        plan = spec._plan
-        if float(np.max(np.abs(plan.Q - np.round(plan.Q)))) > _INTEGRALITY_TOL:
+        if float(np.max(np.abs(Q - np.round(Q)))) > _INTEGRALITY_TOL:
             raise ValueError("Gram form is not integral on the lattice")
-        c = _phases(np.angle(spec.rho) + 2.0 * math.pi * plan.linear(v))
-        return _sum_with_tail(plan.summing(), plan.ellipsoid(np.zeros(len(v))), c, eps)
+        c = _phases(np.angle(spec.rho) + 2.0 * math.pi * _linear(spec, v))
+        return _sum_with_tail(Q, _ellipsoid(_Form(Q), np.zeros(len(v))), c, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +399,7 @@ class CanonicalBundle:
     the lattice Y Z^g, and the theta datum evaluating the global section.
     ``canonical_line_bundle_data`` builds it from a proved Y.  The section
     and the real factors are formed from Y itself, exp(-pi t(k) Y k -
-    2 pi v.k), through the spec's plan; B = Y^-1 is formed, symmetrized,
+    2 pi v.k), with the spec's Q = Y; B = Y^-1 is formed, symmetrized,
     when a reader first reads it (``_CanonicalSpec``).  Y is the spec's Pi,
     and read-only like it.
     """
@@ -441,8 +422,9 @@ class CanonicalBundle:
 
 
 class _CanonicalSpec(ThetaSpec):
-    """The canonical bundle's spec: Pi = Y and ``_Plan(Y)``; rho = 1 and
-    B = Y^-1 are formed on first read, as the section and factors read neither."""
+    """The canonical bundle's spec: Pi = Q = Y, tPi B = I and angles 0, set
+    once by ``canonical_line_bundle_data``; rho = 1 and B = Y^-1 are formed
+    on first read, as the section and factors read neither."""
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -466,7 +448,7 @@ class _CanonicalSpec(ThetaSpec):
 def canonical_line_bundle_data(Y) -> CanonicalBundle:
     Y = require_spd(Y)
     spec = object.__new__(_CanonicalSpec)
-    _set(spec, _Plan(Y), Pi=Y)
+    _set(spec, Y, None, None, Pi=Y)
     return CanonicalBundle(Y=Y, spec=spec)
 
 
@@ -484,7 +466,7 @@ def automorphic_factor_eval(kind: str, data, lam, arg) -> complex:
     the restricted real form.
 
     The real kinds read Y: the exponent of 'I_B_alpha' is the canonical
-    plan's pi t(n) Y n + 2 pi v.n, and that of 'I_alpha' half of it.  A value
+    spec's pi t(n) Y n + 2 pi v.n, and that of 'I_alpha' half of it.  A value
     that overflows is returned as inf or NaN for the caller to refuse.
     """
     if kind == "I_B_rho":
@@ -501,10 +483,10 @@ def automorphic_factor_eval(kind: str, data, lam, arg) -> complex:
         return data.alpha._eval(n) * _exp(cmath.exp, expo)
     if kind not in ("I_alpha", "I_B_alpha"):
         raise ValueError(f"unknown factor kind {kind!r}")
-    plan = data.spec._plan
+    spec = data.spec
     with np.errstate(over="ignore", invalid="ignore"):
-        expo = _exponent(plan, np.array(n, dtype=float),
-                         plan.linear(np.asarray(arg, dtype=float).ravel()))
+        expo = _exponent(spec, np.array(n, dtype=float),
+                         _linear(spec, np.asarray(arg, dtype=float).ravel()))
     if kind == "I_alpha":
         return data.alpha._eval(_imag_multi(g, n, 1)) * _exp(cmath.exp, 0.5 * expo)
     return data.alpha._eval(_imag_multi(g, n, 2)) * _exp(cmath.exp, expo)

@@ -30,6 +30,9 @@ __all__ = [
     "is_polarized_symmetric",
 ]
 
+# largest max|Pi' R - Phi Pi| / max|Phi Pi| of an accepted rational representation
+_REPRESENTATION_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class RealTorus:
@@ -78,19 +81,20 @@ def dual_period_matrix(T: RealTorus) -> RealTorus:
     return RealTorus(Pi=np.linalg.inv(T.Pi.T), principally_polarized=False)
 
 
-def rational_representation(Phi, T: RealTorus, Tp: RealTorus,
-                            tol: float = 1e-8) -> np.ndarray | None:
+def rational_representation(Phi, T: RealTorus, Tp: RealTorus) -> np.ndarray | None:
     """Integral matrix R with Pi' R = Phi Pi, or None if Phi maps no lattice.
 
     R is the action of the (candidate) torus homomorphism on lattice
     coordinates; it is accepted only when the rounded candidate reproduces
-    Phi Pi within ``tol``.
+    Phi Pi within ``_REPRESENTATION_TOL`` of max|Phi Pi|, so the answer does
+    not depend on the unit of the periods.
     """
     Phi = np.asarray(Phi, dtype=float)
     target = Phi @ T.Pi
     R_real = np.linalg.solve(Tp.Pi, target)
     R = np.round(R_real)
-    if float(np.max(np.abs(Tp.Pi @ R - target))) > tol:
+    scale = float(np.max(np.abs(target)))
+    if float(np.max(np.abs(Tp.Pi @ R - target))) > _REPRESENTATION_TOL * scale:
         return None
     return int_matrix(R)
 

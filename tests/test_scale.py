@@ -6,7 +6,9 @@ floats, so reduction, the reduction test, equivalence and short-vector
 search on 2^k Y must answer as on Y, bit for bit.  Integer input is left out
 of equivalence: its exact path decides more by design
 (``moduli._exact_integers``).  The invariant density, metric, Jacobi and
-Iwasawa coordinates and operators of P_g follow their scale laws.
+Iwasawa coordinates and operators of P_g follow their scale laws.  The
+rational representation of a map between tori c P and c P' is the same
+integer matrix, or the same refusal, at every scale c.
 """
 
 import json
@@ -37,6 +39,7 @@ from realtori.spdcone import (
     random_spd,
     volume_density,
 )
+from realtori.tori import RealTorus, rational_representation
 
 A3 = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
 
@@ -231,3 +234,28 @@ class TestHalfIntegrality:
         for tol in (1e-9, 0.45):
             with pytest.raises(ValueError, match="half-integral real part"):
                 real_ppav_equivalent(om1, om2, tol=tol)
+
+
+class TestRationalRepresentationScale:
+    """Pi = c P and Pi' = c P' at c = 2^k, k = -200..200 in steps of 5: the
+    map Phi = P' R0 P^-1 has R0 as its representation at every scale, and
+    Phi moved by half a lattice step has none."""
+
+    SCALES = [2.0 ** k for k in range(-200, 201, 5)]
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_answer_is_the_same_in_every_unit(self, g):
+        rng = np.random.default_rng(70 + g)
+        P, Pp = random_spd(g, rng), random_spd(g, rng) + 0.3 * rng.normal(size=(g, g))
+        R0 = rng.integers(-3, 4, size=(g, g))
+        Pinv = np.linalg.inv(P)
+        true, moved = Pp @ R0 @ Pinv, Pp @ (R0 + 0.5 * np.eye(g)) @ Pinv
+        for c in self.SCALES:
+            T, Tp = RealTorus(Pi=c * P), RealTorus(Pi=c * Pp)
+            R = rational_representation(true, T, Tp)
+            assert R is not None and np.array_equal(R.astype(int), R0), c
+            assert rational_representation(moved, T, Tp) is None, c
+
+    def test_half_step_is_refused_at_a_small_unit(self):
+        T = RealTorus(Pi=1e-12 * np.eye(2))
+        assert rational_representation(2.5 * np.eye(2), T, T) is None

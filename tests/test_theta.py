@@ -69,8 +69,9 @@ def reductions(monkeypatch):
 
 def box_points(spec, v):
     """Points of the box that theta walks for v in the given basis."""
-    plan = spec._plan.summing()
-    return theta_module._tail_box(plan, plan.ellipsoid(plan.linear(v)), 1e-12).count
+    Q = spec._Q
+    ellipsoid = theta_module._ellipsoid(spdcone._Form(Q), theta_module._linear(spec, v))
+    return theta_module._tail_box(Q, ellipsoid, 1e-12).count
 
 
 def sheared_spec(U, d, x):
@@ -694,9 +695,25 @@ def cells_out(rng, Y: np.ndarray, f: np.ndarray, cap: float = 200.0) -> np.ndarr
             return m
 
 
+def spec_maker(g: int, seed: int, canonical: bool):
+    """The lattice basis and Gram form of one datum, with a function that
+    builds a new spec of it at each call: the canonical bundle of a sheared
+    ``workload_form`` Q, or an explicit spec with that Gram form about Q."""
+    rng = np.random.default_rng(seed)
+    Q = workload_form(rng, g, sheared=True)
+    if canonical:
+        return Q, Q, lambda: canonical_line_bundle_data(Q).spec
+    Pi = np.eye(g) + 0.2 * rng.normal(size=(g, g))
+    Pinv = np.linalg.inv(Pi)
+    B = Pinv.T @ Q @ Pinv
+    B = 0.5 * (B + B.T)
+    rho = np.exp(1j * rng.uniform(0, 2 * math.pi, size=g))
+    return Pi, Q, lambda: ThetaSpec(Pi=Pi, B=B, rho=rho)
+
+
 class TestPlan:
-    """A spec's argument-free work is done once, in its plan, and the
-    canonical section is summed from Y itself."""
+    """Each theta sum forms its own enumerator form and tail terms from the
+    spec's fields, and the canonical section is summed from Y itself."""
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_canonical_section_matches_a_40_digit_sum(self, g):
@@ -732,11 +749,26 @@ class TestPlan:
         b = theta_eval(ThetaSpec(Pi=Y, B=np.linalg.inv(Y), rho=np.ones(g)), v, eps=eps)
         assert abs(a - b) <= 2 * eps * max(1.0, abs(b)) + 1e-12 * abs(b)
 
-    def test_per_spec_work_is_done_once(self, monkeypatch):
-        """Five arguments of one spec: tPi B and Q, eigvalsh of Q, and the
-        enumerator's form of Q with the inverse of the scaled Q, which also
-        finds each argument's cell, are computed once."""
-        calls = {"plan": 0, "gram": 0, "eigvalsh": 0, "form": 0, "inv": 0}
+    @settings(max_examples=40, deadline=None)
+    @given(g=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), canonical=st.booleans(),
+           out=st.booleans())
+    def test_one_spec_answers_as_new_specs(self, g, seed, canonical, out):
+        """theta_eval over a sequence of arguments of one spec equals, byte for
+        byte, each argument summed on a new spec, in the cell or cells out."""
+        Pi, Q, make = spec_maker(g, seed, canonical)
+        rng = np.random.default_rng(seed)
+        spec = make()
+        for _ in range(4):
+            f = rng.uniform(-0.45, 0.45, size=g)
+            v = Pi @ (f + (cells_out(rng, Q, f) if out else 0))
+            once = np.array([theta_eval(spec, v)]).tobytes()
+            assert once == np.array([theta_eval(make(), v)]).tobytes()
+
+    @pytest.mark.parametrize("canonical", [False, True])
+    def test_each_call_forms_its_own_work(self, monkeypatch, canonical):
+        """One ``_Form`` and one ``eigvalsh`` per theta_eval call of one spec,
+        at the first argument and at the fifth alike, in the cell or out."""
+        calls = {"form": 0, "eigvalsh": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -744,38 +776,27 @@ class TestPlan:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(theta_module, "_Plan", counted("plan", theta_module._Plan))
-        monkeypatch.setattr(theta_module, "_gram", counted("gram", theta_module._gram))
         monkeypatch.setattr(theta_module, "_Form", counted("form", theta_module._Form))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
-        rng = np.random.default_rng(1010)
-        Pi = rng.normal(size=(3, 3)) + 2 * np.eye(3)
-        spec = ThetaSpec(Pi=Pi, B=random_spd(3, rng) + np.eye(3),
-                         rho=np.exp(1j * rng.uniform(0, 2 * math.pi, size=3)))
-        for _ in range(5):
-            v = Pi @ (rng.integers(-1, 2, size=3) + rng.uniform(-0.45, 0.45, size=3))
+        Pi, Q, make = spec_maker(3, 1010, canonical)
+        spec, rng, seen = make(), np.random.default_rng(1010), []
+        for i in range(5):
+            f = rng.uniform(-0.45, 0.45, size=3)
+            v = Pi @ (f + cells_out(rng, Q, f) * (i % 2))
+            before = dict(calls)
             theta_eval(spec, v)
-        assert calls == {"plan": 1, "gram": 1, "eigvalsh": 1, "form": 1, "inv": 1}
-
-    def test_large_box_form_is_reduced_once(self, reductions):
-        """The form of ``benchmarks/test_layers.py::test_theta_eval_large_box``
-        is reduced once for its five arguments."""
-        rng = np.random.default_rng(803)
-        U = np.eye(3) + 5 * np.eye(3, k=1)
-        Y = U @ (1.1 * np.eye(3)) @ U.T
-        spec = canonical_line_bundle_data(0.5 * (Y + Y.T)).spec
-        for _ in range(5):
-            theta_eval(spec, Y @ rng.uniform(-0.45, 0.45, size=3))
-        assert len(reductions) == 1 and reductions[0] is not None
+            seen.append((calls["form"] - before["form"], calls["eigvalsh"] - before["eigvalsh"]))
+        assert seen == [(1, 1)] * 5
 
     def test_spec_arrays_are_read_only_copies(self):
-        """A spec's arrays cannot change under its plan: they are read-only,
-        and the caller's own arrays stay writable."""
+        """A spec's arrays cannot change under what was derived from them:
+        they are read-only, as are Q, tPi B and the angles, and the caller's
+        own arrays stay writable."""
         Pi, rho = 2.0 * np.eye(2), np.ones(2, dtype=complex)
         spec = ThetaSpec(Pi=Pi, B=np.eye(2), rho=rho)
         bundle = canonical_line_bundle_data(np.eye(2))
-        for a in (spec.Pi, spec.B, spec.rho, bundle.Y, bundle.spec.B, bundle.spec.rho):
+        for a in (spec.Pi, spec.B, spec.rho, spec._Q, spec._PtB, spec._angles,
+                  bundle.Y, bundle.spec.B, bundle.spec.rho, bundle.spec._Q):
             assert not a.flags.writeable
         assert Pi.flags.writeable and rho.flags.writeable
         Pi[0, 0] = 3.0
@@ -786,9 +807,9 @@ class TestPlan:
         only when read, and the factor exponent is pi t(n) Y n + 2 pi v.n."""
         Y = workload_form(np.random.default_rng(1011), 3, True)
         spec = canonical_line_bundle_data(Y).spec
-        plan = spec._plan
         assert "B" not in vars(spec) and "rho" not in vars(spec)
-        assert plan.PtB is None and plan.angles is None
+        assert spec._PtB is None and spec._angles is None and spec._phases is None
+        assert spec._Q.tobytes() == Y.tobytes() and not spec._Q.flags.writeable
         assert np.array_equal(spec.rho, np.ones(3)) and not spec.rho.flags.writeable
         assert spec.B.tobytes() == (0.5 * (np.linalg.inv(Y) + np.linalg.inv(Y).T)).tobytes()
         assert np.array_equal(spec.gram(), Y)
