@@ -115,8 +115,12 @@ def require_disk(W) -> np.ndarray:
     proved (as by ``require_spd``) on the real form (Re, -Im; Im, Re) of twice
     its Hermitian part."""
     W = _symmetric(W, "disk point", complex)
-    H = np.eye(W.shape[0]) - np.conj(W) @ W
-    T = H + np.conj(H).T
+    # a product that overflows leaves inf or NaN, far outside the disk
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = np.eye(W.shape[0]) - np.conj(W) @ W
+        T = H + np.conj(H).T
+    if not np.isfinite(T).all():
+        raise ValueError("point lies outside the generalized disk")
     P, Q = T.real, T.imag
     real_form = np.concatenate([np.concatenate([P, -Q], 1), np.concatenate([Q, P], 1)])
     try:

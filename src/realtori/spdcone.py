@@ -26,7 +26,9 @@ Minkowski reduction decides on the exact form: a validated Y is N / 2^e for
 integer rows N (``_dyadic``), and every decision is made on A N tA in Python
 ints.  2^k Y, away from underflow and overflow, has the rows 2^m N, m >= 0,
 which take the same decisions, so it gets the same A by construction.  R is
-A N tA / 2^e rounded once, and ``is_minkowski_reduced`` decides by that rule.
+A N tA / 2^e rounded once.  One rule, ``_is_reduced``, says "reduced" for
+both ``minkowski_reduce`` and ``is_minkowski_reduced``; ``_failed`` lists the
+failed conditions only of a form it rejects, for the descent to choose from.
 """
 
 from __future__ import annotations
@@ -511,16 +513,16 @@ def _unit_multiples(diag: list[float], bound: float) -> float:
 def is_minkowski_reduced(Y) -> bool:
     """Whether Y, read exactly, is Minkowski-reduced: a nonnegative
     superdiagonal and every condition of ``_minkowski_conditions`` (all of
-    them for g <= 4), by ``minkowski_reduce``'s own rule in integers on
-    Y = N / 2^e, so 2^k Y answers as Y.  The R of ``minkowski_reduce``,
-    rounded entry by entry, keeps each condition of two terms, such as a
-    sorted diagonal, but can miss a tie of three or more terms."""
+    them for g <= 4), by ``minkowski_reduce``'s own rule (``_is_reduced``)
+    in integers on Y = N / 2^e, so 2^k Y answers as Y.  The rounded R of
+    ``minkowski_reduce`` keeps each condition of two terms, such as a sorted
+    diagonal, but can miss a tie of three or more terms."""
     Y = require_spd(Y)
     g = Y.shape[0]
     if g > MAX_REDUCTION_DIM:
         raise ValueError(f"reduction support is limited to g <= {MAX_REDUCTION_DIM}")
-    N, den = _dyadic(Y.tolist())
-    return all(N[k][k + 1] >= 0 for k in range(g - 1)) and not _failed(N, den)
+    N, _ = _dyadic(Y.tolist())
+    return all(N[k][k + 1] >= 0 for k in range(g - 1)) and _is_reduced(N)
 
 
 def _size_reduce(N: list) -> tuple[list, list]:
@@ -591,9 +593,45 @@ def _minkowski_conditions(g: int) -> tuple:
     return upper, C, np.abs(C), terms, steps
 
 
+def _is_reduced(R: list) -> bool:
+    """``not _failed(R, den)`` for integer rows R, g <= 4, in Python ints.
+    The conditions of s = e_j say the diagonal is sorted.  Then each one of s
+    follows from q(s) >= R_jj, j the last index with s_j != 0, which for two
+    nonzero entries says 2 |R_aj| <= R_aa (R is size-reduced), so only the s
+    with three or more are left: 0, 4 and 24 at g = 2, 3 and 4.  ``_least``
+    folds the signs of a triple into one test, and of (1, s1, s2, s3) into two."""
+    g = len(R)
+    for a in range(g - 1):
+        Ra = R[a]
+        # with the diagonal sorted, R_aa is the least of R_aa and R_bb, b > a
+        if Ra[a] > R[a + 1][a + 1]:
+            return False
+        for b in range(a + 1, g):
+            if 2 * abs(Ra[b]) > Ra[a]:
+                return False
+    for a, b, j in itertools.combinations(range(g), 3):
+        if R[a][a] + R[b][b] + 2 * _least(R[a][b], R[a][j], R[b][j]) < 0:
+            return False
+    if g < 4:
+        return True
+    # q(s) - R_33 = d0 + d1 + d2 + 2 (s1 x01 + s2 (x02 + s1 x12) + s3 (x03 + s1 x13) + s2 s3 x23)
+    (d0, x01, x02, x03), (_, d1, x12, x13), (_, _, d2, x23) = R[0], R[1], R[2]
+    return all(d0 + d1 + d2 + 2 * (s * x01 + _least(x02 + s * x12, x03 + s * x13, x23)) >= 0
+               for s in (1, -1))
+
+
+def _least(x: int, y: int, z: int) -> int:
+    # the least of s x + t y + s t z over signs s, t: the three terms multiply
+    # to xyz, so all of them can be negative unless xyz > 0, and then all
+    # but the smallest in size
+    low = abs(x) + abs(y) + abs(z)
+    return 2 * min(abs(x), abs(y), abs(z)) - low if x * y * z > 0 else -low
+
+
 def _failed(R: list, den: int) -> list:
     """(k, q(s), s, j) for each condition of ``_minkowski_conditions`` that
-    the form R / den fails, R integer rows and den > 0, decided exactly.
+    the form R / den fails, R integer rows and den > 0, decided exactly: the
+    descent's choice on a form that ``_is_reduced`` rejects.
 
     A numpy prescreen reads each entry R_ij / den rounded once, which is
     exact below 2^-1022 (den divides 2^1074) and cannot overflow (no entry
@@ -622,16 +660,16 @@ def minkowski_reduce(Y) -> tuple[np.ndarray, np.ndarray]:
     Minkowski-reduced for Y read exactly, and R = A Y tA rounded once.
 
     Every double is a dyadic rational, so a validated Y is N / 2^e for an
-    integer form N (``_dyadic``); size reduction, the certificate and the
-    descent decide on A N tA in Python ints.  After size reduction the form
-    is checked against Minkowski's finite conditions: for g <= 4 a form is
-    reduced exactly when q(s) >= R_kk for every s in {0, +-1}^g that has a
-    nonzero entry at position k or later and is not +-e_k (Minkowski 1905;
-    Nguyen & Stehle, "Low-dimensional lattice basis reduction revisited",
-    ACM TALG 2009, section 2), with a float prescreen and exact sums
-    (``_failed``).
+    integer form N (``_dyadic``); size reduction, the reduction test and the
+    descent decide on A N tA in Python ints.  For g <= 4 a form is reduced
+    exactly when q(s) >= R_kk for every s in {0, +-1}^g that has a nonzero
+    entry at position k or later and is not +-e_k (Minkowski 1905; Nguyen &
+    Stehle, "Low-dimensional lattice basis reduction revisited", ACM TALG
+    2009, section 2).  Size reduction implies those of the s with one or two
+    nonzero entries, so ``_is_reduced`` checks the other 0, 4 and 24.
 
-    A form that fails takes descent steps.  A step takes the failed
+    A form that it rejects takes descent steps, each chosen from the failed
+    conditions that ``_failed`` lists.  A step takes the failed
     condition with the smallest k, then the smallest q(s), then the smallest
     s as a tuple (first nonzero entry positive).  With j the last index
     where s_j != 0, row j of A becomes sum_i s_i A_i (s_j = +-1 keeps A
@@ -669,25 +707,23 @@ def _reduce(Y: np.ndarray) -> tuple[list, list, int]:
     # R / den exactly reduced: minkowski_reduce before its sign rules
     N, den = _dyadic(Y.tolist())
     R, A = _size_reduce(N)
-    failed = _failed(R, den)
-    return (*_descend(R, A, den, failed), den) if failed else (R, A, den)
+    return (R, A, den) if _is_reduced(R) else (*_descend(R, A, den), den)
 
 
-def _descend(R: list, S: list, den: int, failed: list) -> tuple[list, list]:
-    # minkowski_reduce's descent from the integer form R = S N tS, which fails
-    # the conditions ``failed``; returns the rows of the reduced form and of
+def _descend(R: list, S: list, den: int) -> tuple[list, list]:
+    # minkowski_reduce's descent from the integer form R = S N tS, which
+    # _is_reduced rejects; returns the rows of the reduced form and of
     # A = T S, T the change from the basis S
     g = len(S)
     T = [[int(i == j) for j in range(g)] for i in range(g)]
     for _ in range(_DESCENT_STEPS):
-        k, _, s, j = min(failed)
+        k, _, s, j = min(_failed(R, den))
         # rows e_i, i != j, with s inserted at k
         V = [[int(i == m) for m in range(g)] for i in range(g) if i != j]
         V.insert(k, list(s))
         R, W = _size_reduce(_act_rows(V, R))
         T = _compose(W, _compose(V, T))
-        failed = _failed(R, den)
-        if not failed:
+        if _is_reduced(R):
             A = _compose(T, S)
             # -A, with the same form, where row 0 of T is not canonical
             return R, A if _canon(tuple(T[0])) == tuple(T[0]) else [[-a for a in row] for row in A]

@@ -227,9 +227,10 @@ def theta_eval(spec: ThetaSpec, v, eps: float = 1e-12) -> complex:
     The argument is reduced into the fundamental cell; the removed lattice
     translate is re-applied exactly through the transformation law.  ``eps``
     bounds the tail of the cell sum, which the law's factor then multiplies:
-    outside the cell the absolute error scales with |factor|.  A Gram form
-    that the enumerator cannot invert has no cell: its value is NaN, for the
-    caller to refuse.
+    outside the cell the absolute error scales with |factor|.  A finite Gram
+    form that the enumerator cannot invert, as where an entry underflows to
+    0, has no cell: ValueError.  One that overflows gives NaN, for the caller
+    to refuse.
     """
     _positive(eps)
     v = np.asarray(v, dtype=float).ravel()
@@ -239,6 +240,8 @@ def theta_eval(spec: ThetaSpec, v, eps: float = 1e-12) -> complex:
         # one form finds the cell and sizes the sum
         form = _Form(spec._Q)
         if form.Z is None:
+            if np.isfinite(spec._Q).all():
+                raise ValueError("Gram form is not invertible in floating point")
             return complex(math.nan, math.nan)
         ellipsoid = _ellipsoid(form, _linear(spec, v))
         if all(abs(x) <= 0.5 for x in ellipsoid.c):  # rint(-c) = 0

@@ -329,8 +329,6 @@ class TestNonFiniteNumbers:
         '{"cmd":"act","kind":"glgh","A":[[1e200]],"a":[[0]],"Y":[[1e200]],"V":[[0]]}',
         '{"cmd":"sigma","M":[[0]],"Y":[[1e-320]]}',
         '{"cmd":"distance","Y0":[[1]],"V0":[[0]],"Y1":[[1e300]],"V1":[[1e300]]}',
-        '{"cmd":"theta","Pi":[[1e-200]],"B":[[1e-200]],"v":[1e300]}',
-        '{"cmd":"theta","Pi":[[1e-200,0],[0,1]],"B":[[1,0],[0,1]],"v":[1e300,0.3]}',
         '{"cmd":"factor","kind":"I_B_alpha","Y":[[1e-300]],"lam":[1],"arg":[1e300]}',
         '{"cmd":"factor","kind":"J_H_alpha","Y":[[1e-300]],"lam":[1,1],"arg":[1e300]}',
         '{"cmd":"factor","kind":"I_alpha","Y":[[1e-300]],"lam":[10000000000],"arg":[1e300]}',
@@ -340,7 +338,7 @@ class TestNonFiniteNumbers:
         '{"cmd":"factor","kind":"J_H_alpha","Y":[[1]],"lam":[1,0],"arg":[1e300]}',
         '{"cmd":"factor","kind":"I_B_alpha","Y":[[1]],"lam":[1],"arg":[1e300]}',
     ], ids=["geodesic", "theta", "jacobi-act", "act_glgh", "sigma", "distance",
-            "theta_coordinates", "theta_coordinates_2d", "factor_I_B_alpha", "factor_J_H_alpha",
+            "factor_I_B_alpha", "factor_J_H_alpha",
             "factor_I_alpha", "factor_I_alpha_exponent", "factor_I_B_rho_exponent",
             "factor_J_H_alpha_exponent", "factor_I_B_alpha_exponent"])
     def test_overflow_is_refused_without_warning(self, text, tmp_path, capsys):
@@ -352,6 +350,22 @@ class TestNonFiniteNumbers:
         captured = capsys.readouterr()
         error = json.loads(captured.out)["error"]
         assert "finite" in error
+        assert captured.err.splitlines() == [f"input error: {error}"]
+
+    @pytest.mark.parametrize("text", [
+        '{"cmd":"theta","Pi":[[1e-200]],"B":[[1e-200]],"v":[1e300]}',
+        '{"cmd":"theta","Pi":[[1e-200,0],[0,1]],"B":[[1,0],[0,1]],"v":[1e300,0.3]}',
+        '{"cmd":"theta","Pi":[[1e-200,0],[0,1]],"B":[[1,0],[0,1]],"v":[0.1,0.3]}',
+    ], ids=["theta_coordinates", "theta_coordinates_2d", "theta_in_the_cell"])
+    def test_underflowed_gram_form_is_named(self, text, tmp_path, capsys):
+        # the Gram form rounds to one with a zero diagonal entry, which has no
+        # inverse: refused by that cause, not as an overflow, without a warning
+        src = tmp_path / "in.json"
+        src.write_text(text, encoding="utf-8")
+        assert cli.main(["--input", str(src)]) == 2
+        captured = capsys.readouterr()
+        error = "Gram form is not invertible in floating point"
+        assert json.loads(captured.out) == {"status": "error", "error": error}
         assert captured.err.splitlines() == [f"input error: {error}"]
 
     @pytest.mark.parametrize("text", [
@@ -489,6 +503,99 @@ class TestGoldenCli:
             if {"code": code, "output": out} != want:
                 changed.append((i, case["input"][:80], want["code"], code))
         assert not changed
+
+
+def _matrix_paths(value, path=()):
+    """Paths (keys and indices) of the matrix fields of a decoded request:
+    the lists of rows, each row a list of entries that are not lists."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _matrix_paths(item, path + (key,))
+    elif isinstance(value, list) and value and all(isinstance(row, list) for row in value):
+        if all(row and not any(isinstance(x, list) for x in row) for row in value):
+            yield path
+        else:
+            for i, item in enumerate(value):
+                yield from _matrix_paths(item, path + (i,))
+
+
+def _exact(x) -> Fraction | None:
+    # a number or "p/q" string entry read exactly, or None where it is neither
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+        return None
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _scaled_entry(x, factor: Fraction):
+    # a number, a "p/q" string or a {"re":..., "im":...} entry times factor;
+    # anything else as it is
+    if isinstance(x, dict):
+        return {key: _scaled_entry(v, factor) for key, v in x.items()}
+    value = _exact(x)
+    if value is None:
+        return x
+    return str(value * factor) if isinstance(x, str) else float(value * factor)
+
+
+def _entry_size(x) -> float:
+    # |x| of an entry, or 0 where it is not a number
+    if isinstance(x, dict):
+        return max(map(_entry_size, x.values()), default=0.0)
+    value = _exact(x)
+    return 0.0 if value is None else abs(float(value))
+
+
+def _scaled_requests(size: float):
+    """(golden index, path, args, request text) for each matrix field of each
+    golden request that decodes to an object, the field scaled so that its
+    largest entry has magnitude ``size``."""
+    golden = Path(__file__).parent / "golden"
+    for i, case in enumerate(json.loads((golden / "cli_in.json").read_text(encoding="utf-8"))):
+        try:
+            request = json.loads(case["input"])
+        except ValueError:
+            continue
+        if not isinstance(request, dict):
+            continue
+        for path in _matrix_paths(request):
+            scaled = json.loads(case["input"])
+            *parents, last = path
+            holder = scaled
+            for key in parents:
+                holder = holder[key]
+            top = max(_entry_size(x) for row in holder[last] for x in row)
+            if top > 0:
+                factor = Fraction(size) / Fraction(top)
+                holder[last] = [[_scaled_entry(x, factor) for x in row] for row in holder[last]]
+                yield i, path, case["args"], json.dumps(scaled)
+
+
+class TestScaledGoldenRequests:
+    """Every golden request with one matrix field scaled to entries of 1e200
+    or 1e308: an answer, a refusal or an undecided verdict (exit 0, 2 or 3),
+    never an internal error, with at most its one "input error:" line on
+    stderr.  In this process a numpy RuntimeWarning is an error, so a
+    product that overflows unguarded shows as exit 1."""
+
+    @pytest.mark.parametrize("size", [1e200, 1e308])
+    def test_no_internal_error(self, size, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        dst = tmp_path / "out.json"
+        bad, runs = [], 0
+        for i, path, args, text in _scaled_requests(size):
+            src.write_text(text, encoding="utf-8")
+            code = cli.main([*args, "--input", str(src), "--output", str(dst)])
+            err = capsys.readouterr().err.splitlines()
+            runs += 1
+            expected_err = 1 if code == 2 else 0
+            if code not in (0, 2, 3) or len(err) != expected_err or not all(
+                    line.startswith("input error: ") for line in err):
+                bad.append((i, path, code, err))
+        assert runs > 500
+        assert not bad
 
 
 class TestUndecodableInput:

@@ -691,6 +691,20 @@ def _fails_after_size_reduction(Y):
     return bool(spdcone._failed(spdcone._size_reduce(N)[0], den))
 
 
+def _failed_calls(Y):
+    """What ``spdcone._failed`` returned at each of its calls while
+    ``minkowski_reduce`` reduced Y."""
+    found, failed = [], spdcone._failed
+
+    def recording(R, den):
+        found.append(failed(R, den))
+        return found[-1]
+
+    with mock.patch.object(spdcone, "_failed", recording):
+        minkowski_reduce(Y)
+    return found
+
+
 def _short_table(Y, bound):
     """Short vectors of Y up to ``bound``, their values x Y tx, and suffix
     gcds: column k of the gcd table is gcd(|x_k|, ..., |x_{g-1}|)."""
@@ -791,7 +805,56 @@ class TestMinkowskiCertificate:
                 cert = not spdcone._failed(Z.tolist(), 1)
                 certified += cert
                 assert cert == _brute_force_reduced(Z), Z.tolist()
+                assert spdcone._is_reduced(Z.tolist()) == cert, Z.tolist()
         assert 0 < certified < seen
+
+    @pytest.mark.parametrize("g, diagonal, off", [
+        (2, range(1, 5), range(-3, 4)),
+        (3, range(1, 4), range(-2, 3)),
+        (4, range(1, 4), range(-1, 2)),
+    ])
+    def test_rule_is_the_certificate(self, g, diagonal, off):
+        """``_is_reduced`` answers ``not _failed`` on every symmetric integer
+        matrix with entries in the given ranges, sorted or not, definite or
+        not: 62,536 matrices over the three sizes."""
+        pairs = list(itertools.combinations(range(g), 2))
+        seen = reduced = 0
+        for d in itertools.product(diagonal, repeat=g):
+            for entries in itertools.product(off, repeat=len(pairs)):
+                R = [[0] * g for _ in range(g)]
+                for i in range(g):
+                    R[i][i] = d[i]
+                for (a, b), x in zip(pairs, entries):
+                    R[a][b] = R[b][a] = x
+                rule = spdcone._is_reduced(R)
+                assert rule == (not spdcone._failed(R, 1)), R
+                seen += 1
+                reduced += rule
+        assert seen == len(diagonal) ** g * len(off) ** len(pairs)
+        assert 0 < reduced < seen
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), g=st.integers(2, 4),
+           kind=st.sampled_from(["integer", "scaled", "float"]))
+    def test_certificate_runs_only_before_a_descent_step(self, seed, g, kind):
+        """``minkowski_reduce`` calls ``_failed`` only on a form that it takes
+        a descent step from: each call finds a failed condition, and a form
+        that size reduction settles makes no call."""
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            Y = _moved_form(rng, g, kind)
+            found = _failed_calls(Y)
+            assert all(found)
+            N, _ = spdcone._dyadic(Y.tolist())
+            assert bool(found) == (not spdcone._is_reduced(spdcone._size_reduce(N)[0]))
+
+    @pytest.mark.parametrize("g", [3, 4])
+    def test_one_step_calls_the_certificate_once(self, g):
+        """q(1, ..., 1) below R_kk by a relative 1e-9: one descent step, one
+        call, which picks the condition of that vector."""
+        found = _failed_calls(_equicorrelated(g, 1e-9))
+        assert len(found) == 1
+        assert min(found[0])[2] == (1,) * g
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), g=st.integers(3, 4))

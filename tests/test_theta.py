@@ -157,6 +157,19 @@ class TestThetaEval:
         assert not cmath.isfinite(factor_i_b_rho(spec, [1], [0.5]))
         assert not cmath.isfinite(theta_eval(spec, [0.5]))
 
+    def test_underflowed_gram_form_is_refused_by_its_cause(self):
+        """Pi = diag(1e-200, 1) makes the Gram form round to diag(0, 1),
+        finite and without an inverse: ValueError names it, in the cell and
+        out of it.  A form whose diagonal is NaN keeps the NaN value."""
+        spec = ThetaSpec(Pi=[[1e-200, 0.0], [0.0, 1.0]], B=np.eye(2), rho=np.ones(2))
+        assert spec.gram().tolist() == [[0.0, 0.0], [0.0, 1.0]]
+        for v in ([0.1, 0.3], [1e300, 0.3]):
+            with pytest.raises(ValueError, match="^Gram form is not invertible in floating point$"):
+                theta_eval(spec, v)
+        nan = ThetaSpec(Pi=np.eye(2), B=np.eye(2), rho=np.ones(2))
+        theta_module._set(nan, np.array([[math.nan, 0.0], [0.0, 1.0]]), None, None)
+        assert cmath.isnan(theta_eval(nan, [0.1, 0.3]))
+
     def test_tolerance_is_checked_before_any_other_work(self):
         """An argument whose factor overflows, a residual far out and a form
         that is not integral: the tolerance is refused first."""
@@ -420,13 +433,15 @@ class TestPeriodicFunction:
     def test_float_singular_integral_form_is_refused(self, Pi, B):
         """The Gram form underflows to the integral diag(0, ...), which the
         enumerator cannot invert: every box is infinite, so the sum is
-        refused at every argument, and theta's value has no cell."""
+        refused at every argument, and theta, which has no cell, refuses the
+        form by that cause."""
         spec = ThetaSpec(Pi=Pi, B=B, rho=np.ones(len(Pi), dtype=complex))
         for x in (0.0, 0.3, 1e300):
             v = np.full(len(Pi), x)
             with pytest.raises(ValueError, match="unreachable: enumeration box of inf points"):
                 periodic_function_eval(spec, v)
-            assert not cmath.isfinite(theta_eval(spec, v))
+            with pytest.raises(ValueError, match="Gram form is not invertible in floating point"):
+                theta_eval(spec, v)
 
     def test_periodicity_g2(self):
         spec = ThetaSpec(Pi=np.eye(2), B=np.array([[2.0, 1.0], [1.0, 3.0]]),
